@@ -26,6 +26,7 @@ from .correlator import (
     rho_infinity,
     uv_ir_report,
 )
+from .errors import NotSubalgebra
 from .geometry import in_model_space
 from .lie import (
     BracketTable,
@@ -389,7 +390,7 @@ def check_property_suites() -> CheckResult:
         indices = tuple(sorted(rng.sample(range(algebra.dim), min(count, algebra.dim))))
         try:
             table = contract(algebra, indices)
-        except Exception:
+        except NotSubalgebra:
             continue
         if not (table.is_antisymmetric() and table.satisfies_jacobi()):
             contracted_ok = False

@@ -75,12 +75,8 @@ def _expand_at(value: str) -> str:
     return value
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _mat_strs(mat) -> list[list[str]]:
-    return [[_frac(Fraction(x)) for x in row] for row in mat]
+    return [[str(Fraction(x)) for x in row] for row in mat]
 
 
 def _emit(args, payload: dict, table_lines: list[str]) -> None:
@@ -111,7 +107,7 @@ def _table_sparse(table) -> list[dict]:
         for j in range(i + 1, n):
             for k in range(n):
                 if table.c[i][j][k] != 0:
-                    entries.append({"i": i, "j": j, "k": k, "coeff": _frac(table.c[i][j][k])})
+                    entries.append({"i": i, "j": j, "k": k, "coeff": str(table.c[i][j][k])})
     return entries
 
 def _table_lines(table) -> list[str]:
@@ -390,10 +386,6 @@ def _parse_rep_list(text: str) -> list[RepTag]:
     return reps
 
 
-def _report_payload(report) -> dict:
-    return report.as_dict()
-
-
 def _report_lines(report) -> list[str]:
     lines = [
         f"limit signature: po{signature_str(report.limit_signature)} "
@@ -425,7 +417,7 @@ def _cmd_correlator(args) -> int:
         perm = parse_permutation(args.perm, seq.dim) if args.perm else None
         points = _split_points(args.points) if args.points else None
         report = degenerate(spec, seq, perm, points)
-    _emit(args, _report_payload(report), _report_lines(report))
+    _emit(args, report.as_dict(), _report_lines(report))
     return 0
 
 

@@ -58,12 +58,7 @@ GAUGE_DIRECTION = (
 def _rational_coords(x: PointLike, m: int = 5) -> list[Fraction]:
     """Coerce a point-like value to a list of ``m`` exact rational coordinates."""
     if isinstance(x, ProjPoint):
-        coords = x.constant_coords()
-        if coords is None:
-            raise ProjlimError(
-                "point has parameter-dependent coordinates; take its limit first"
-            )
-        values = list(coords)
+        values = x.constant_coords()
     else:
         values = []
         for entry in x:
@@ -254,15 +249,6 @@ def transform_vector(w: PointLike, b: FactoredSequence) -> ProjPoint:
     return point_limit(b, w)
 
 
-def _vector_entries(w: PointLike) -> list[Fraction]:
-    if isinstance(w, ProjPoint):
-        coords = w.constant_coords()
-        if coords is None:
-            raise ProjlimError("vector components must be parameter-free")
-        return list(coords)
-    return _rational_coords(w)
-
-
 def gauge_equivalent(w1: PointLike, w2: PointLike) -> bool:
     """Decide whether two component lists define the same projective vector.
 
@@ -276,8 +262,8 @@ def gauge_equivalent(w1: PointLike, w2: PointLike) -> bool:
     >>> gauge_equivalent([1, 0, 0, 0, 0], [0, 1, 0, 0, 0])
     False
     """
-    a = _vector_entries(w1)
-    c = _vector_entries(w2)
+    a = _rational_coords(w1)
+    c = _rational_coords(w2)
     g = GAUGE_DIRECTION
     # Solve [a g] . (alpha, beta)^T = c over the rationals.
     from .linalg import nullspace, solve

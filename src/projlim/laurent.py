@@ -77,9 +77,6 @@ class LaurentScalar:
     def monomial(cls, c: Rat, exponent: int) -> LaurentScalar:
         return cls({exponent: Fraction(c)})
 
-    def copy_terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
-
     # -- structure ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -204,6 +201,9 @@ class LaurentScalar:
         return self._terms == o._terms
 
     def __hash__(self) -> int:
+        # A constant equals its rational value, so it must hash like it.
+        if self.is_constant():
+            return hash(self.coefficient(0))
         return hash(frozenset(self._terms.items()))
 
     def __bool__(self) -> bool:

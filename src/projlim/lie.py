@@ -1,12 +1,14 @@
 """Lie subalgebras of pgl_m(R): spans, limits, contractions, invariants.
 
-Subalgebras are stored as spans of trace-free rational matrices.  Conjugacy
-limits along factored sequences are computed exactly through the weight
-filtration: in the diagonal frame, grade every matrix position (i, j) by
-w_i - w_j, collect for each grade d the leading parts of the subspace of
-elements supported on grades >= d, and conjugate the resulting span back.
-Abstract (basis-only) Lie algebras are handled as structure-constant tables,
-which is what contractions produce.
+Subalgebras are stored as spans of trace-free rational matrices, each with the
+reduced echelon form of its flattened basis; membership, closure, structure
+constants and span equality all reduce against that one echelon form.
+Conjugacy limits along factored sequences are computed exactly through the
+weight filtration: in the diagonal frame, grade every matrix position (i, j)
+by w_i - w_j, run one elimination with the columns in ascending grade order,
+keep the lowest-grade part of each echelon row (its initial form), and
+conjugate the resulting span back.  Abstract (basis-only) Lie algebras are
+handled as structure-constant tables, which is what contractions produce.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import (
     SignatureError,
 )
 from .linalg import Mat, Vec
-from .projective import FactoredSequence
+from .projective import FactoredSequence, invert_permutation
 
 Signature = tuple[tuple[int, int], ...]
 
@@ -39,23 +41,22 @@ def _unflatten(v: Vec, m: int) -> Mat:
     return [list(v[i * m : (i + 1) * m]) for i in range(m)]
 
 
-def _subspace_with_zeros(vectors: list[Vec], positions: list[int]) -> list[Vec]:
-    """Basis of the subspace of span(vectors) vanishing at the given positions."""
-    if not vectors:
-        return []
-    if not positions:
-        return [v[:] for v in vectors]
-    constraint = [[v[p] for v in vectors] for p in positions]
-    combos = linalg.nullspace(constraint)
-    out: list[Vec] = []
-    n = len(vectors[0])
-    for c in combos:
-        vec = [Fraction(0)] * n
-        for coeff, v in zip(c, vectors):
-            if coeff != 0:
-                for i in range(n):
-                    vec[i] += coeff * v[i]
-        out.append(vec)
+def _echelon_by(vectors: list[Vec], key: list) -> list[tuple[object, Vec]]:
+    """Echelon basis of span(vectors), eliminating columns in ascending ``key``.
+
+    Returns (key of the pivot column, row) pairs with rows in the original
+    column order.  Each row vanishes on every column whose key is below the
+    key of its pivot, so the rows whose pivot key is at least k span the
+    vectors of the span that vanish on all columns with key below k.
+    """
+    order = sorted(range(len(key)), key=key.__getitem__)
+    red, pivots = linalg.rref([[v[p] for p in order] for v in vectors])
+    out: list[tuple[object, Vec]] = []
+    for row, c in zip(red, pivots):
+        vec = [Fraction(0)] * len(key)
+        for p, x in zip(order, row):
+            vec[p] = x
+        out.append((key[order[c]], vec))
     return out
 
 
@@ -68,23 +69,34 @@ class LieAlgebraSpan:
 
     def __init__(self, m: int, basis, *, check_closed: bool = True):
         self.m = int(m)
-        mats: list[Mat] = []
-        for b in basis:
-            rows = linalg.frac_rows(b)
-            if len(rows) != self.m or any(len(r) != self.m for r in rows):
-                raise DimError(f"basis matrix is not {self.m}x{self.m}")
-            tr = sum(rows[i][i] for i in range(self.m))
-            if tr != 0:
-                shift = tr / self.m
-                for i in range(self.m):
-                    rows[i][i] -= shift
-            mats.append(rows)
-        flat = [_flatten(x) for x in mats]
-        if linalg.rank(flat) != len(mats):
+        self.basis: list[Mat] = [self._trace_free(b) for b in basis]
+        # The one elimination of the span: RREF rows and their pivot columns.
+        self._echelon, self._pivots = linalg.rref(self.flattened())
+        if len(self._pivots) != len(self.basis):
             raise DimError("basis matrices are linearly dependent after trace removal")
-        self.basis: list[Mat] = mats
         if check_closed and not self.is_closed():
             raise NotClosed("span is not closed under the matrix commutator")
+
+    def _trace_free(self, x) -> Mat:
+        rows = linalg.frac_rows(x)
+        if len(rows) != self.m or any(len(r) != self.m for r in rows):
+            raise DimError(f"basis matrix is not {self.m}x{self.m}")
+        tr = sum(rows[i][i] for i in range(self.m))
+        if tr != 0:
+            shift = tr / self.m
+            for i in range(self.m):
+                rows[i][i] -= shift
+        return rows
+
+    def _coordinates(self, v: Vec) -> Vec | None:
+        """Coordinates of a flattened matrix in the echelon basis (the rows of
+        ``span_basis()``), or None when it lies outside the span."""
+        coords = [v[p] for p in self._pivots]
+        residual = v
+        for y, row in zip(coords, self._echelon):
+            if y:
+                residual = [r - y * x if x else r for r, x in zip(residual, row)]
+        return None if any(residual) else coords
 
     @property
     def dim(self) -> int:
@@ -95,42 +107,39 @@ class LieAlgebraSpan:
 
     def span_basis(self) -> list[Vec]:
         """Canonical (RREF) basis of the flattened span."""
-        return linalg.row_space_basis(self.flattened())
+        return [row[:] for row in self._echelon]
 
     def contains(self, x: Mat) -> bool:
-        rows = linalg.frac_rows(x)
-        tr = sum(rows[i][i] for i in range(self.m))
-        if tr != 0:
-            shift = tr / self.m
-            for i in range(self.m):
-                rows[i][i] -= shift
-        return linalg.in_row_space(self.flattened(), _flatten(rows))
+        return self._coordinates(_flatten(self._trace_free(x))) is not None
 
     def is_closed(self) -> bool:
-        flat = self.flattened()
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                br = linalg.commutator(self.basis[i], self.basis[j])
-                if not linalg.in_row_space(flat, _flatten(br)):
-                    return False
-        return True
+        return all(
+            self._coordinates(_flatten(linalg.commutator(self.basis[i], self.basis[j])))
+            is not None
+            for i in range(self.dim)
+            for j in range(i + 1, self.dim)
+        )
 
     def span_equals(self, other: "LieAlgebraSpan") -> bool:
-        return self.m == other.m and self.span_basis() == other.span_basis()
+        return self.m == other.m and self._echelon == other._echelon
 
     def structure_constants(self) -> "BracketTable":
         """Structure constants c^k_{ij} with [e_i, e_j] = sum_k c^k_{ij} e_k."""
         n = self.dim
-        basis_rows = self.flattened()
+        # The echelon rows are T @ basis with T the inverse of the basis
+        # restricted to the pivot columns; from_echelon is T transposed.
+        pivot_block = [[row[p] for p in self._pivots] for row in self.flattened()]
+        from_echelon = linalg.transpose(linalg.inverse(pivot_block))
         c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
                 br = _flatten(linalg.commutator(self.basis[i], self.basis[j]))
-                coords = linalg.coordinates_in_basis(basis_rows, br)
-                if coords is None:
+                echelon_coords = self._coordinates(br)
+                if echelon_coords is None:
                     raise NotClosed(
                         f"bracket of basis elements {i}, {j} leaves the span"
                     )
+                coords = linalg.mat_vec(from_echelon, echelon_coords)
                 for k in range(n):
                     c[i][j][k] = coords[k]
                     c[j][i][k] = -coords[k]
@@ -403,43 +412,41 @@ def po_dimension(sig) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _graded_frame(alg: LieAlgebraSpan, seq: FactoredSequence) -> tuple[list[Vec], list[int]]:
+    """The flattened basis of Ad_R alg (R the right factor of seq) and the
+    grade w_i - w_j of every flattened position (i, j)."""
+    m = alg.m
+    if seq.dim != m:
+        raise DimError(f"sequence dimension {seq.dim} != algebra ambient {m}")
+    right = seq.right_rows()
+    rinv = linalg.inverse(right)
+    vectors = [_flatten(linalg.mat_mul(linalg.mat_mul(right, x), rinv)) for x in alg.basis]
+    w = seq.weights
+    return vectors, [w[i] - w[j] for i in range(m) for j in range(m)]
+
+
+def _conjugate_back(seq: FactoredSequence, vecs: list[Vec], m: int) -> list[Mat]:
+    """Ad_L of flattened matrices, L the left factor of seq."""
+    left = seq.left_rows()
+    linv = linalg.inverse(left)
+    return [linalg.mat_mul(linalg.mat_mul(left, _unflatten(v, m)), linv) for v in vecs]
+
+
 def conjugacy_limit(alg: LieAlgebraSpan, seq: FactoredSequence) -> LieAlgebraSpan:
     """The t -> 0 limit of Ad_{b(t)} alg for a factored sequence b.
 
     The limit always has the same dimension as ``alg`` and is verified to be
     bracket-closed.
     """
-    m = alg.m
-    if seq.dim != m:
-        raise DimError(f"sequence dimension {seq.dim} != algebra ambient {m}")
-    right = seq.right_rows()
-    rinv = linalg.inverse(right)
-    frame = [linalg.mat_mul(linalg.mat_mul(right, x), rinv) for x in alg.basis]
-    vectors = [_flatten(x) for x in frame]
-    w = seq.weights
-    grade = [w[i] - w[j] for i in range(m) for j in range(m)]
-    grades = sorted({g for g in grade})
-    limit_vecs: list[Vec] = []
-    for d in grades:
-        low = [p for p in range(m * m) if grade[p] < d]
-        sub = _subspace_with_zeros(vectors, low)
-        for v in sub:
-            lead = [x if grade[p] == d else Fraction(0) for p, x in enumerate(v)]
-            if any(x != 0 for x in lead):
-                limit_vecs.append(lead)
-    basis_vecs = linalg.row_space_basis(limit_vecs)
-    if len(basis_vecs) != alg.dim:
-        raise DecompositionError(
-            "weight filtration lost dimensions; this cannot happen for a "
-            "bracket-closed span"
-        )
-    left = seq.left_rows()
-    linv = linalg.inverse(left)
-    mats = [
-        linalg.mat_mul(linalg.mat_mul(left, _unflatten(v, m)), linv) for v in basis_vecs
+    vectors, grade = _graded_frame(alg, seq)
+    # Ordered by grade, the echelon rows are a basis adapted to the weight
+    # filtration, so their initial (lowest-grade) parts span the limit.
+    initial = [
+        [x if grade[p] == d else Fraction(0) for p, x in enumerate(row)]
+        for d, row in _echelon_by(vectors, grade)
     ]
-    out = LieAlgebraSpan(m, mats, check_closed=True)
-    return out
+    basis_vecs = linalg.row_space_basis(initial)
+    return LieAlgebraSpan(alg.m, _conjugate_back(seq, basis_vecs, alg.m), check_closed=True)
 
 
 def z_and_nplus(
@@ -454,17 +461,8 @@ def z_and_nplus(
     the whole conjugacy limit; DecompositionError otherwise.
     """
     m = alg.m
-    if seq.dim != m:
-        raise DimError(f"sequence dimension {seq.dim} != algebra ambient {m}")
-    right = seq.right_rows()
-    rinv = linalg.inverse(right)
-    frame = [linalg.mat_mul(linalg.mat_mul(right, x), rinv) for x in alg.basis]
-    vectors = [_flatten(x) for x in frame]
-    w = seq.weights
-    grade = [w[i] - w[j] for i in range(m) for j in range(m)]
-
-    nonzero_grade = [p for p in range(m * m) if grade[p] != 0]
-    z_vecs = _subspace_with_zeros(vectors, nonzero_grade)
+    vectors, grade = _graded_frame(alg, seq)
+    z_vecs = [row for zero, row in _echelon_by(vectors, [g == 0 for g in grade]) if zero]
 
     limit = conjugacy_limit(alg, seq)
     left = seq.left_rows()
@@ -472,8 +470,8 @@ def z_and_nplus(
     limit_frame = [
         _flatten(linalg.mat_mul(linalg.mat_mul(linv, x), left)) for x in limit.basis
     ]
-    nonneg = [p for p in range(m * m) if grade[p] >= 0]
-    nplus_vecs = _subspace_with_zeros(limit_frame, nonneg)
+    negative = [g < 0 for g in grade]
+    nplus_vecs = [row for neg, row in _echelon_by(limit_frame, negative) if neg]
 
     if len(z_vecs) + len(nplus_vecs) != limit.dim or linalg.rank(
         z_vecs + nplus_vecs
@@ -481,16 +479,10 @@ def z_and_nplus(
         raise DecompositionError(
             "centralizer + positive part do not span the conjugacy limit"
         )
-    back = lambda vecs: [
-        linalg.mat_mul(linalg.mat_mul(left, _unflatten(v, m)), linv) for v in vecs
-    ]
-    z = LieAlgebraSpan(m, back(z_vecs), check_closed=True) if z_vecs else LieAlgebraSpan(m, [], check_closed=False)
-    np_ = (
-        LieAlgebraSpan(m, back(nplus_vecs), check_closed=True)
-        if nplus_vecs
-        else LieAlgebraSpan(m, [], check_closed=False)
+    return (
+        LieAlgebraSpan(m, _conjugate_back(seq, z_vecs, m)),
+        LieAlgebraSpan(m, _conjugate_back(seq, nplus_vecs, m)),
     )
-    return z, np_
 
 
 def embed_and_limit(
@@ -570,9 +562,7 @@ def match_limit_geometry(limit: LieAlgebraSpan) -> tuple[Signature, tuple[int, .
             if vec[p] != 0
         }
         for perm in permutations(range(m)):
-            inv = [0] * m
-            for i, v in enumerate(perm):
-                inv[v] = i
+            inv = invert_permutation(perm)
             # Ad_{P} E_{ij} = E_{perm^-1(i), perm^-1(j)}
             mapped_support = {inv[i] * m + inv[j] for (i, j) in base_support}
             if mapped_support != target_support:
@@ -747,6 +737,26 @@ def _min_grade_projection(x: Mat, u: list[int]) -> Mat:
     ]
 
 
+def _limit_morphism(
+    images: list[Mat], source: BracketTable, limit: LieAlgebraSpan
+) -> tuple[Mat, bool]:
+    """The map sending source basis vector i to ``images[i]``, as a matrix in
+    the canonical basis of ``limit``, and whether it is an isomorphism of Lie
+    algebras onto the limit.  An image outside the limit gets a zero column
+    and fails the check.
+    """
+    n = len(images)
+    coords = [limit._coordinates(_flatten(img)) for img in images]
+    cols = [c if c is not None else [Fraction(0)] * n for c in coords]
+    morphism = [[cols[i][r] for i in range(n)] for r in range(n)]
+    if any(c is None for c in coords):
+        return morphism, False
+    canonical = LieAlgebraSpan(
+        limit.m, [_unflatten(v, limit.m) for v in limit.span_basis()], check_closed=False
+    )
+    return morphism, verify_morphism(morphism, source, canonical.structure_constants())
+
+
 def sigma_chain(p: int, q: int, weights) -> ChainResult:
     """Realize the conjugacy limit of po(p,q) as a chain of contractions.
 
@@ -792,20 +802,7 @@ def sigma_chain(p: int, q: int, weights) -> ChainResult:
         ]
         composite = [a + b for a, b in zip(composite, u)]
         limit = conjugacy_limit(po, FactoredSequence.diagonal(composite))
-        limit_basis = limit.span_basis()
-        cols: list[Vec] = []
-        ok = True
-        for img in sigma_images:
-            coords = linalg.coordinates_in_basis(limit_basis, _flatten(img))
-            if coords is None:
-                ok = False
-                coords = [Fraction(0)] * n
-            cols.append(coords)
-        morphism = [[cols[i][r] for i in range(n)] for r in range(n)]
-        dst = LieAlgebraSpan(
-            m, [_unflatten(v, m) for v in limit_basis], check_closed=False
-        ).structure_constants()
-        verified = ok and verify_morphism(morphism, current, dst)
+        morphism, verified = _limit_morphism(sigma_images, current, limit)
         steps.append(
             ChainStep(
                 split=split,
@@ -819,21 +816,7 @@ def sigma_chain(p: int, q: int, weights) -> ChainResult:
     # Final check against the limit along the *original* weights (the per-step
     # limits used unit drops; the full sequence may space its drops freely).
     full_limit = conjugacy_limit(po, FactoredSequence.diagonal(w))
-    full_basis = full_limit.span_basis()
-    final_ok = True
-    cols = []
-    for img in sigma_images:
-        coords = linalg.coordinates_in_basis(full_basis, _flatten(img))
-        if coords is None:
-            final_ok = False
-            coords = [Fraction(0)] * n
-        cols.append(coords)
-    if final_ok:
-        morphism = [[cols[i][r] for i in range(n)] for r in range(n)]
-        dst = LieAlgebraSpan(
-            m, [_unflatten(v, m) for v in full_basis], check_closed=False
-        ).structure_constants()
-        final_ok = verify_morphism(morphism, current, dst)
+    _, final_ok = _limit_morphism(sigma_images, current, full_limit)
     return ChainResult(
         signature=(p, q),
         weights=w,

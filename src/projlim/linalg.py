@@ -100,10 +100,6 @@ def row_space_basis(rows: Mat) -> Mat:
     return red[: len(pivots)]
 
 
-def same_row_space(a: Mat, b: Mat) -> bool:
-    return row_space_basis(a) == row_space_basis(b)
-
-
 def solve(a: Mat, rhs: Vec) -> Vec | None:
     """One exact solution of A x = rhs, or None if inconsistent."""
     n, m = len(a), len(a[0])
@@ -162,21 +158,6 @@ def determinant(a: Mat) -> Fraction:
                 for j in range(c, n):
                     m[i][j] -= f * m[c][j]
     return det
-
-
-def in_row_space(rows: Mat, v: Vec) -> bool:
-    if all(x == 0 for x in v):
-        return True
-    if not rows:
-        return False
-    return rank(rows) == rank(rows + [v])
-
-
-def coordinates_in_basis(basis_rows: Mat, v: Vec) -> Vec | None:
-    """Coefficients x with  sum_i x_i * basis_rows[i] = v,  or None."""
-    if not basis_rows:
-        return [] if all(c == 0 for c in v) else None
-    return solve(transpose(basis_rows), v)
 
 
 def symmetric_signature(a: Mat) -> tuple[int, int, int]:

@@ -332,7 +332,7 @@ class FactoredSequence:
             raise NotFactorable("middle factor is not monomial; product has no factored form")
         # diag(t^w1) * mid = mid * diag(t^{w1 permuted}) since mid has a single
         # nonzero entry per row i in column perm[i].
-        permuted = tuple(self.weights[i] for i in _perm_preimage(perm))
+        permuted = tuple(self.weights[i] for i in invert_permutation(perm))
         new_left = linalg.mat_mul(self.left_rows(), mid)
         return FactoredSequence.build(
             new_left,
@@ -368,13 +368,6 @@ class FactoredSequence:
         v = [c.shift(w) for c, w in zip(v, self.weights)]
         v = lmat_vec(lmat_from_rational(self.left_rows()), v)
         return ProjPoint(v)
-
-
-def _perm_preimage(perm: list[int]) -> list[int]:
-    pre = [0] * len(perm)
-    for i, j in enumerate(perm):
-        pre[j] = i
-    return pre
 
 
 def point_limit(seq: FactoredSequence, point: ProjPoint | list) -> ProjPoint:

@@ -46,6 +46,13 @@ class TestArithmetic:
         x = LaurentScalar({2: 5, -1: 3})
         assert (x - x).is_zero()
 
+    def test_constants_hash_like_their_value(self):
+        assert LaurentScalar.constant(3) == 3
+        assert len({LaurentScalar.constant(3), 3}) == 1
+        assert len({LaurentScalar.constant(Fraction(1, 2)), Fraction(1, 2)}) == 1
+        assert len({ZERO, 0}) == 1
+        assert len({T, LaurentScalar.t(1), 1}) == 2
+
     @given(scalars(), scalars(), scalars())
     @settings(max_examples=60, deadline=None)
     def test_ring_laws(self, a, b, c):

@@ -1,13 +1,22 @@
 """Block algebras, conjugacy limits, contractions, and contraction chains."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projlim.errors import NotSubalgebra, SignatureError
+from projlim import linalg
+from projlim.errors import (
+    DecompositionError,
+    DimError,
+    NotClosed,
+    NotSubalgebra,
+    SignatureError,
+)
 from projlim.lie import (
+    BracketTable,
     LieAlgebraSpan,
     bracket,
     build_po,
@@ -218,3 +227,164 @@ class TestTruncatedExp:
     def test_bracket_is_commutator(self):
         assert bracket(X1, X2) == X3
         assert bracket(X2, X1) == [[-c for c in row] for row in X3]
+
+
+class TestSpanChecks:
+    def test_dependent_basis_raises(self):
+        with pytest.raises(DimError):
+            LieAlgebraSpan(3, [X1, X2, [[2 * c for c in row] for row in X1]])
+
+    def test_dependent_after_trace_removal_raises(self):
+        with pytest.raises(DimError):
+            LieAlgebraSpan(3, [X1, linalg.identity(3)])
+
+    def test_non_closed_span_raises(self):
+        with pytest.raises(NotClosed):
+            LieAlgebraSpan(3, [X1, X2])
+
+    def test_contains(self):
+        o3 = LieAlgebraSpan(3, [X1, X2, X3])
+        assert o3.contains([[2 * a + b for a, b in zip(r1, r3)] for r1, r3 in zip(X1, X3)])
+        assert o3.contains(linalg.identity(3))  # zero in pgl_3
+        assert not o3.contains(Y1)
+        assert not LieAlgebraSpan(3, []).contains(Y1)
+
+    def test_structure_constants_of_unchecked_span_raise(self):
+        span = LieAlgebraSpan(3, [X1, X2], check_closed=False)
+        with pytest.raises(NotClosed):
+            span.structure_constants()
+
+
+# -- reference implementations: one nullspace per grade, one solve per bracket --
+
+
+def _flat(x):
+    return [c for row in x for c in row]
+
+
+def _unflat(v, m):
+    return [list(v[i * m : (i + 1) * m]) for i in range(m)]
+
+
+def _subspace_with_zeros(vectors, positions):
+    """Basis of the subspace of span(vectors) vanishing at the given positions."""
+    if not vectors:
+        return []
+    if not positions:
+        return [v[:] for v in vectors]
+    constraint = [[v[p] for v in vectors] for p in positions]
+    out = []
+    n = len(vectors[0])
+    for c in linalg.nullspace(constraint):
+        vec = [Fraction(0)] * n
+        for coeff, v in zip(c, vectors):
+            if coeff != 0:
+                for i in range(n):
+                    vec[i] += coeff * v[i]
+        out.append(vec)
+    return out
+
+
+def _frame(alg, seq):
+    m = alg.m
+    right = seq.right_rows()
+    rinv = linalg.inverse(right)
+    vectors = [_flat(linalg.mat_mul(linalg.mat_mul(right, x), rinv)) for x in alg.basis]
+    w = seq.weights
+    return vectors, [w[i] - w[j] for i in range(m) for j in range(m)]
+
+
+def _back(seq, vecs, m):
+    left = seq.left_rows()
+    linv = linalg.inverse(left)
+    return [linalg.mat_mul(linalg.mat_mul(left, _unflat(v, m)), linv) for v in vecs]
+
+
+def reference_conjugacy_limit(alg, seq):
+    m = alg.m
+    vectors, grade = _frame(alg, seq)
+    limit_vecs = []
+    for d in sorted(set(grade)):
+        low = [p for p in range(m * m) if grade[p] < d]
+        for v in _subspace_with_zeros(vectors, low):
+            lead = [x if grade[p] == d else Fraction(0) for p, x in enumerate(v)]
+            if any(x != 0 for x in lead):
+                limit_vecs.append(lead)
+    basis_vecs = linalg.row_space_basis(limit_vecs)
+    assert len(basis_vecs) == alg.dim
+    return LieAlgebraSpan(m, _back(seq, basis_vecs, m))
+
+
+def reference_z_and_nplus(alg, seq):
+    m = alg.m
+    vectors, grade = _frame(alg, seq)
+    z_vecs = _subspace_with_zeros(vectors, [p for p in range(m * m) if grade[p] != 0])
+    limit = reference_conjugacy_limit(alg, seq)
+    left = seq.left_rows()
+    linv = linalg.inverse(left)
+    limit_frame = [_flat(linalg.mat_mul(linalg.mat_mul(linv, x), left)) for x in limit.basis]
+    nplus_vecs = _subspace_with_zeros(limit_frame, [p for p in range(m * m) if grade[p] >= 0])
+    if len(z_vecs) + len(nplus_vecs) != limit.dim or linalg.rank(z_vecs + nplus_vecs) != limit.dim:
+        raise DecompositionError("centralizer + positive part do not span the conjugacy limit")
+    return LieAlgebraSpan(m, _back(seq, z_vecs, m)), LieAlgebraSpan(m, _back(seq, nplus_vecs, m))
+
+
+def reference_structure_constants(span):
+    n = span.dim
+    basis_cols = linalg.transpose(span.flattened())
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            coords = linalg.solve(basis_cols, _flat(linalg.commutator(span.basis[i], span.basis[j])))
+            assert coords is not None
+            for k in range(n):
+                c[i][j][k] = coords[k]
+                c[j][i][k] = -coords[k]
+    return BracketTable(c)
+
+
+def _random_invertible(rng, m):
+    while True:
+        mat = [[rng.randint(-1, 1) for _ in range(m)] for _ in range(m)]
+        if linalg.determinant(linalg.frac_rows(mat)) != 0:
+            return mat
+
+
+def _oracle_cases():
+    rng = random.Random(20261018)
+    for m, count in ((3, 10), (4, 8), (5, 6)):
+        signatures = enumerate_signatures(m)
+        for _ in range(count):
+            sig = rng.choice(signatures)
+            weights = [rng.randint(-3, 3) for _ in range(m)]
+            seq = FactoredSequence.build(
+                _random_invertible(rng, m), weights, _random_invertible(rng, m)
+            )
+            yield sig, seq
+        # Diagonal sequences: the centralizer and the contracted part split
+        # the limit, so z_and_nplus answers instead of raising.
+        for _ in range(count):
+            sig = rng.choice(signatures)
+            yield sig, FactoredSequence.diagonal([rng.randint(-3, 3) for _ in range(m)])
+
+
+class TestAgainstReference:
+    def test_single_elimination_matches_per_grade_reference(self):
+        split = 0
+        for sig, seq in _oracle_cases():
+            alg = build_po(sig)
+            limit = conjugacy_limit(alg, seq)
+            expected = reference_conjugacy_limit(alg, seq)
+            assert limit.basis == expected.basis, (sig, seq)
+            assert limit.structure_constants() == reference_structure_constants(limit)
+            assert alg.structure_constants() == reference_structure_constants(alg)
+            try:
+                want = reference_z_and_nplus(alg, seq)
+            except DecompositionError:
+                with pytest.raises(DecompositionError):
+                    z_and_nplus(alg, seq)
+                continue
+            got = z_and_nplus(alg, seq)
+            assert got[0].span_equals(want[0]) and got[1].span_equals(want[1]), (sig, seq)
+            split += 1
+        assert split >= 10
