@@ -34,7 +34,7 @@ from .projective import (
     lmat_from_rational,
     permutation_matrix,
 )
-from .young import DiagramPair, boxes, pair_str, symmetrizer_basis, validate_pair
+from .young import DIM_FUND, DiagramPair, pair_str, symmetrizer_basis, validate_pair
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -198,8 +198,6 @@ class _SchurAction:
     """Induced action of 5x5 matrices on the symmetrizer image of a diagram."""
 
     def __init__(self, lam: tuple[int, ...]):
-        if boxes(lam) > 3:
-            raise TooLarge("schur actions are capped at 3 boxes")
         basis, tuples = symmetrizer_basis(lam)
         self.p = len(tuples[0]) if tuples else 0
         self.dim = len(basis[0])
@@ -237,7 +235,9 @@ class _SchurAction:
         return out
 
     def matrix_of(self, g, laurent: bool):
-        """Matrix of the induced action in the chosen basis (d x d)."""
+        """Matrix of the induced action of the 5 x 5 matrix g (d x d)."""
+        if len(g) != DIM_FUND or any(len(row) != DIM_FUND for row in g):
+            raise DimError(f"schur tags act on {DIM_FUND}x{DIM_FUND} matrices only")
         zero = LaurentScalar.zero() if laurent else Fraction(0)
         g_cols = _sparse_columns(g)
         if self.p == 0:
@@ -613,7 +613,9 @@ def rep_limit_commute_check(
     polynomial truncation h = 1 + X + ... + X^order/order!, conjugated by
     b(t), and pushed through the representation.  The check compares the
     canonical limit of rho(b h b^-1)(t) with rho applied to the canonical
-    limit of b h b^-1 itself.
+    limit of b h b^-1 itself.  For the fundamental tag rho is the identity,
+    so the two sides coincide: only membership and invertibility of each
+    sample are checked, and no limits are compared.
     """
     for x in samples:
         x = frac_rows(x)
@@ -621,12 +623,10 @@ def rep_limit_commute_check(
             raise ProjlimError("sample element is not in the given algebra")
         h = truncated_exp(x, order)
         inverse(h)  # group elements must stay invertible after truncation
-        conj_pm = b.conjugate(h)  # canonical Laurent matrix of b h b^-1
-
         if rep.kind == "fundamental":
-            lhs = conj_pm.limit()
-            rhs = conj_pm.limit()
-        elif rep.kind == "right_action":
+            continue  # rho is the identity: both sides are the same limit
+        conj_pm = b.conjugate(h)  # canonical Laurent matrix of b h b^-1
+        if rep.kind == "right_action":
             # Inverse variant: rho(g) = g^-1.  The conjugate of the inverse
             # is the inverse conjugate; its limit is compared against the
             # inverse of the limit, which must exist for the check to apply.

@@ -55,7 +55,7 @@ GAUGE_DIRECTION = (
 )
 
 
-def _rational_coords(x: PointLike, m: int = 5) -> list[Fraction]:
+def _rational_coords(x: PointLike, m: int) -> list[Fraction]:
     """Coerce a point-like value to a list of ``m`` exact rational coordinates."""
     if isinstance(x, ProjPoint):
         values = x.constant_coords()
@@ -207,12 +207,12 @@ def classify_point_limit(
     else:
         limit_sig = validate_signature(limit_sig)
 
+    y_coords = _rational_coords(y, y.dim)
     if perm is None:
-        z_coords = _rational_coords(y)
+        z_coords = y_coords
     else:
         # Membership in the permuted model space P.X(sig'): test P^-1 y.
         inv = invert_permutation(perm)
-        y_coords = _rational_coords(y)
         z_coords = [y_coords[inv[i]] for i in range(len(y_coords))]
 
     membership = in_model_space(limit_sig, z_coords)
@@ -262,8 +262,8 @@ def gauge_equivalent(w1: PointLike, w2: PointLike) -> bool:
     >>> gauge_equivalent([1, 0, 0, 0, 0], [0, 1, 0, 0, 0])
     False
     """
-    a = _rational_coords(w1)
-    c = _rational_coords(w2)
+    a = _rational_coords(w1, 5)
+    c = _rational_coords(w2, 5)
     g = GAUGE_DIRECTION
     # Solve [a g] . (alpha, beta)^T = c over the rationals.
     from .linalg import nullspace, solve

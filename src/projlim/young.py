@@ -4,10 +4,16 @@ Irreducible tensor modules are labeled by pairs of Young diagrams
 ``(lam, lam_bar)`` — symmetrization patterns for covariant and contravariant
 tensor slots.  This module computes their dimensions (Weyl formula),
 Littlewood-Richardson products, skew quotients, the branching to the Lorentz
-subalgebra via division by the formal sum of even-row diagrams, exterior-power
-spin content, spin and statistics assignments, and the classifier deciding
-which modules stay irreducible under the flat-limit (Poincare) structure
-algebra.
+subalgebra via division by the formal sum Delta of even-row diagrams (King,
+J. Phys. A 8 (1975) 429), exterior-power spin content, spin and statistics
+assignments, and the classifier deciding which modules stay irreducible under
+the flat-limit (Poincare) structure algebra.
+
+Littlewood-Richardson numbers come from one enumerator of the LR tableaux of
+a skew shape, pruned cell by cell as they are filled: the quotient lam/mu is
+the tally over lam/mu (c^lam_{mu,nu} = c^lam_{nu,mu}), and the product
+s_lam * s_mu the tally over lam * mu, with mu set north-east of lam
+(s_{lam * mu} = s_lam * s_mu).  Their work is capped by ``_LR_CAP``.
 
 Diagrams are tuples of weakly decreasing positive row lengths; ``()`` denotes
 the empty diagram.  Half-integer spins are carried as doubled integers
@@ -59,6 +65,12 @@ DiagramPair = Tuple[Diagram, Diagram]
 
 RANK = 4  # sl(5) has rank 4
 DIM_FUND = 5
+
+_SYMMETRIZER_CAP = 3  # boxes of the explicit Young symmetrizers
+
+#: Cells one LR computation may set up or fill.  The tableaux count grows
+#: exponentially; at this cap the slowest input takes ~1.5 s (Python 3.11).
+_LR_CAP = 1_000_000
 
 
 def validate_diagram(rows: Iterable[int]) -> Diagram:
@@ -165,12 +177,6 @@ def schur_dim(pair: Sequence[Iterable[int]]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _contains(outer: Diagram, inner: Diagram) -> bool:
-    if len(inner) > len(outer):
-        return False
-    return all(outer[i] >= inner[i] for i in range(len(inner)))
-
-
 def _partitions_of(n: int, max_first: int | None = None) -> Iterable[Diagram]:
     """All partitions of n, largest part first, lexicographically descending."""
     if n == 0:
@@ -182,59 +188,63 @@ def _partitions_of(n: int, max_first: int | None = None) -> Iterable[Diagram]:
             yield (first,) + rest
 
 
-def _lr_fillings(outer: Diagram, inner: Diagram, content: Diagram) -> int:
-    """Number of Littlewood-Richardson fillings of the skew shape outer/inner
-    with the given content (row-weak, column-strict, lattice reading word)."""
+def _lr_tableaux(
+    outer: Diagram, inner: Diagram, budget: int
+) -> tuple[Dict[Diagram, int], int]:
+    """LR tableaux of the skew shape outer/inner, tallied by content nu:
+    ``{nu: c^outer_{inner,nu}}`` in descending order, and the work done.
+
+    Cells are filled in reverse reading order (rows top to bottom, each row
+    right to left), and each placement is checked at once: weak along the
+    row, strict down the column, lattice reading word.  Raises
+    :class:`TooLarge` once the work exceeds ``budget`` cells.
+    """
+    if len(inner) > len(outer) or any(i > o for o, i in zip(outer, inner)):
+        return {}, 0
     rows = len(outer)
-    inner_pad = tuple(inner) + (0,) * (rows - len(inner))
-    cells = [
-        (r, c) for r in range(rows) for c in range(inner_pad[r], outer[r])
-    ]
-    if not cells:
-        return 1 if not content else 0
-    if sum(content) != len(cells):
-        return 0
-    n_values = len(content)
-    grid: dict[tuple[int, int], int] = {}
-    remaining = list(content)
-    count = 0
-
-    def lattice_ok() -> bool:
-        # Reverse reading word: rows top to bottom, right to left.
-        seen = [0] * (n_values + 1)
-        for r in range(rows):
-            for c in range(outer[r] - 1, inner_pad[r] - 1, -1):
-                v = grid.get((r, c))
-                if v is None:
-                    continue
-                seen[v] += 1
-                if v > 1 and seen[v] > seen[v - 1]:
-                    return False
-        return True
-
-    def place(idx: int) -> None:
-        nonlocal count
-        if idx == len(cells):
-            if lattice_ok():
-                count += 1
-            return
-        r, c = cells[idx]
-        left = grid.get((r, c - 1))
-        above = grid.get((r - 1, c))
-        low = left if left is not None else 1
-        for v in range(low, n_values + 1):
-            if remaining[v - 1] == 0:
-                continue
-            if above is not None and v <= above:
-                continue
-            grid[(r, c)] = v
-            remaining[v - 1] -= 1
-            place(idx + 1)
-            remaining[v - 1] += 1
-            del grid[(r, c)]
-
-    place(0)
-    return count
+    inner = inner + (0,) * (rows - len(inner))
+    right: list[int] = []  # index of the cell to the right, or -1
+    above: list[int] = []  # index of the cell above, or -1
+    index: dict[tuple[int, int], int] = {}
+    for r in range(rows):
+        for c in range(outer[r] - 1, inner[r] - 1, -1):
+            index[r, c] = len(right)
+            right.append(index.get((r, c + 1), -1))
+            above.append(index.get((r - 1, c), -1))
+    n = len(right)
+    if not n:
+        return {(): 1}, 0
+    count = [n + 1] + [0] * rows  # count[v]: times v is placed; count[0] never binds
+    vals = [0] * n
+    tally: Dict[Diagram, int] = {}
+    work = n  # setting up the shape costs one unit per cell
+    k, v = 0, 1
+    while True:
+        hi = vals[right[k]] if right[k] >= 0 else rows
+        while v <= hi and count[v] >= count[v - 1]:
+            v = v + 1 if count[v - 1] else hi + 1
+        if v > hi:  # no value left for cell k: step back
+            k -= 1
+            if k < 0:
+                break
+            v = vals[k]
+            count[v] -= 1
+            v += 1
+            continue
+        work += 1
+        if work > budget:
+            raise TooLarge(f"Littlewood-Richardson work is capped at {_LR_CAP} cells")
+        count[v] += 1
+        if k == n - 1:
+            nu = tuple(c for c in count[1:] if c)
+            tally[nu] = tally.get(nu, 0) + 1
+            count[v] -= 1
+            v += 1
+        else:
+            vals[k] = v
+            k += 1
+            v = vals[above[k]] + 1 if above[k] >= 0 else 1
+    return dict(sorted(tally.items(), reverse=True)), work
 
 
 def lr_decompose(lam: Iterable[int], mu: Iterable[int]) -> Dict[Diagram, int]:
@@ -252,15 +262,10 @@ def lr_decompose(lam: Iterable[int], mu: Iterable[int]) -> Dict[Diagram, int]:
         return {lam: 1}
     if not lam:
         return {mu: 1}
-    total = boxes(lam) + boxes(mu)
-    out: Dict[Diagram, int] = {}
-    for nu in _partitions_of(total):
-        if not _contains(nu, lam):
-            continue
-        coeff = _lr_fillings(nu, lam, mu)
-        if coeff:
-            out[nu] = coeff
-    return out
+    # s_lam * s_mu is the skew Schur function of lam * mu: mu set north-east
+    # of lam, sharing no row or column.
+    outer = tuple(lam[0] + r for r in mu) + lam
+    return _lr_tableaux(outer, (lam[0],) * len(mu), _LR_CAP)[0]
 
 
 def skew_divide(lam: Iterable[int], mu: Iterable[int]) -> Dict[Diagram, int]:
@@ -271,18 +276,7 @@ def skew_divide(lam: Iterable[int], mu: Iterable[int]) -> Dict[Diagram, int]:
     >>> sorted(skew_divide((2, 1), (1,)).items())
     [((1, 1), 1), ((2,), 1)]
     """
-    lam = validate_diagram(lam)
-    mu = validate_diagram(mu)
-    if boxes(mu) > boxes(lam):
-        return {}
-    out: Dict[Diagram, int] = {}
-    for nu in _partitions_of(boxes(lam) - boxes(mu)):
-        if not _contains(lam, nu):
-            continue
-        coeff = lr_decompose(nu, mu).get(lam, 0)
-        if coeff:
-            out[nu] = coeff
-    return out
+    return _lr_tableaux(validate_diagram(lam), validate_diagram(mu), _LR_CAP)[0]
 
 
 def delta_terms(max_boxes: int) -> list[Diagram]:
@@ -296,10 +290,25 @@ def delta_terms(max_boxes: int) -> list[Diagram]:
     return terms
 
 
+def _delta_terms_in(lam: Diagram) -> Iterable[Diagram]:
+    """The terms of Delta contained in lam, generated lazily."""
+    stack: list[Diagram] = [()]
+    while stack:
+        delta = stack.pop()
+        yield delta
+        if len(delta) < len(lam):
+            top = min(lam[len(delta)], delta[-1]) if delta else lam[0]
+            stack.extend(delta + (r,) for r in range(2, top + 1, 2))
+
+
 def _divide_by_delta(lam: Diagram) -> Dict[Diagram, int]:
+    """lam / Delta; all quotients together share one ``_LR_CAP`` budget."""
     out: Dict[Diagram, int] = {}
-    for delta in delta_terms(boxes(lam)):
-        for nu, coeff in skew_divide(lam, delta).items():
+    budget = _LR_CAP
+    for delta in _delta_terms_in(lam):
+        quotient, work = _lr_tableaux(lam, delta, budget)
+        budget -= work
+        for nu, coeff in quotient.items():
             out[nu] = out.get(nu, 0) + coeff
     return out
 
@@ -501,28 +510,24 @@ def is_poincare_irreducible(pair: Sequence[Iterable[int]]) -> IrreducibilityVerd
 # Young symmetrizers on small tensor powers (oracle-grade construction)
 # ---------------------------------------------------------------------------
 
-_SYMMETRIZER_CAP = 3
-
 
 def _diagram_cells(lam: Diagram) -> list[tuple[int, int]]:
     return [(r, c) for r, row_len in enumerate(lam) for c in range(row_len)]
 
 
+def _perm_sign(perm: Sequence[int]) -> int:
+    """Sign of a rearrangement of an increasing sequence."""
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+    return -1 if inversions % 2 else 1
+
+
 def _group_permutations(groups: list[list[int]], p: int) -> list[tuple[tuple[int, ...], int]]:
     """All permutations of 0..p-1 that permute within the given index groups,
     together with their signs."""
-    per_group = []
-    for group in groups:
-        position = {g: k for k, g in enumerate(group)}
-        options = []
-        for images in itertools.permutations(group):
-            sign = 1
-            for i in range(len(images)):
-                for j in range(i + 1, len(images)):
-                    if position[images[i]] > position[images[j]]:
-                        sign = -sign
-            options.append((dict(zip(group, images)), sign))
-        per_group.append(options)
+    per_group = [
+        [(dict(zip(group, images)), _perm_sign(images)) for images in itertools.permutations(group)]
+        for group in groups  # each group is increasing
+    ]
     perms: list[tuple[tuple[int, ...], int]] = []
     for combo in itertools.product(*per_group):
         mapping = {i: i for i in range(p)}
@@ -682,14 +687,6 @@ def spin_statistics_obeyed(
                 raise ShapeError(f"index {idx!r} outside 1..5")
         table[(gamma, alphas, betas)] = Fraction(value)  # type: ignore[arg-type]
 
-    def perm_sign(perm: tuple[int, ...]) -> int:
-        sign = 1
-        for i in range(len(perm)):
-            for j in range(i + 1, len(perm)):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        return sign
-
     fermionic = stat == "fermionic"
     for (gamma, alphas, betas), value in table.items():
         for sigma in itertools.permutations(range(p)):
@@ -699,7 +696,7 @@ def spin_statistics_obeyed(
                     tuple(alphas[i] for i in sigma),
                     tuple(betas[i] for i in rho),
                 )
-                sign = perm_sign(sigma) * perm_sign(rho) if fermionic else 1
+                sign = _perm_sign(sigma) * _perm_sign(rho) if fermionic else 1
                 if table.get(moved, Fraction(0)) != sign * value:
                     return False
     return True

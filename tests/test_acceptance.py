@@ -2,23 +2,37 @@
 
 Each criterion is exact: limits, dimensions, decompositions, and survival
 sets are compared for equality, never within a tolerance.  The same checks
-back the ``projlim selftest`` subcommand.
+back the ``projlim selftest`` subcommand.  Each check runs inside its own
+test, so a raising check fails that test alone and shows in ``--durations``.
 """
 
 import pytest
 
-from projlim.acceptance import CHECKS, run_all
+from projlim.acceptance import CHECKS
 
-RESULTS = run_all()
+# Criterion names that differ from their check function's name.
+RENAMED = {
+    "check_schur_dims": "schur-dimensions",
+    "check_embedding": "ambient-embedding",
+    "check_rep_limit_commute": "representation-limit-commutation",
+}
+
+
+def criterion_name(check) -> str:
+    name = check.__name__
+    return RENAMED.get(name, name.removeprefix("check_").replace("_", "-"))
 
 
 @pytest.mark.parametrize(
-    "result", RESULTS, ids=[f"{r.number:02d}-{r.name}" for r in RESULTS]
+    "index, check",
+    list(enumerate(CHECKS)),
+    ids=[f"{i + 1:02d}-{criterion_name(check)}" for i, check in enumerate(CHECKS)],
 )
-def test_criterion(result):
+def test_criterion(index, check):
+    result = check()
+    assert (result.number, result.name) == (index + 1, criterion_name(check))
     assert result.passed, f"criterion {result.number} ({result.name}): {result.detail}"
 
 
 def test_all_thirteen_present():
-    assert len(CHECKS) == len(RESULTS) == 13
-    assert [r.number for r in RESULTS] == list(range(1, 14))
+    assert len(CHECKS) == 13

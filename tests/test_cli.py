@@ -128,6 +128,20 @@ class TestEmbedAndClassify:
         kinds = [p["kind"] for p in doc["points"]]
         assert kinds == ["boundary", "interior_lower_dim"]
 
+    def test_classify_at_m4(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "classify",
+            "--signature",
+            "(3,1)",
+            "--seq",
+            "diag(t,1,1,1)",
+            "--points",
+            "[1,0,0,0]",
+        )
+        assert code == 0
+        assert "[1, 0, 0, 0] -> [1, 0, 0, 0] [interior_lower_dim]" in out
+
 
 class TestSchur:
     def test_column_pair(self, capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projlim.errors import NotInvertible, ProjlimError, TooLarge
+from projlim.errors import DimError, NotInvertible, ProjlimError, TooLarge
 from projlim.correlator import (
     FUNDAMENTAL,
     RIGHT_ACTION,
@@ -19,6 +19,7 @@ from projlim.correlator import (
     figure1_table,
     make_correlator,
     rep_limit_commute_check,
+    rep_matrix,
     rho_infinity,
     surviving_components,
     uv_ir_report,
@@ -246,3 +247,21 @@ class TestCommutation:
         not_in_algebra[0][1] = Fraction(1)  # upper-left mixing not in the flat algebra
         with pytest.raises(ProjlimError):
             rep_limit_commute_check(po, GALILEI_SEQ, FUNDAMENTAL, [not_in_algebra])
+
+
+class TestSchurDimensions:
+    """Schur tags act through symmetrizers on C^5 only."""
+
+    @pytest.mark.parametrize("seq", ["diag(t,1,t)", "diag(t,1,1,t)", "diag(t,1,1,1,1,t)"])
+    def test_rho_infinity_refuses_other_m(self, seq):
+        with pytest.raises(DimError):
+            rho_infinity(RepTag("schur", ((1, 1), ())), parse_sequence(seq))
+
+    @pytest.mark.parametrize("m", [3, 4, 6])
+    def test_rep_matrix_refuses_other_m(self, m):
+        with pytest.raises(DimError):
+            rep_matrix(RepTag("schur", ((1,), ())), identity(m))
+
+    def test_m5_keeps_the_symmetrizer_dimension(self):
+        rho = rho_infinity(RepTag("schur", ((1, 1), ())), GALILEI_SEQ)
+        assert len(rho.rows) == len(rho.rows[0]) == 10

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projlim.errors import ProjlimError
+from projlim.errors import DimError, ProjlimError
 from projlim.geometry import (
     GAUGE_DIRECTION,
     classify_point_limit,
@@ -109,6 +109,19 @@ class TestClassifyPointLimit:
         d = report.as_dict()
         assert set(d) >= {"kind", "point", "vanishing", "limit_signature"}
 
+    @pytest.mark.parametrize(
+        "sig, seq, point",
+        [
+            (((2, 1),), "diag(t,1,1)", [1, 0, 0]),
+            (((3, 1),), "diag(t,1,1,1)", [1, 0, 0, 0]),
+            (((5, 1),), "diag(t,1,1,1,1,t)", [2, 0, 0, 0, 0, 1]),
+        ],
+    )
+    def test_other_dimensions(self, sig, seq, point):
+        report = classify_point_limit(sig, parse_sequence(seq), ProjPoint(point))
+        assert report.kind == "interior_lower_dim"
+        assert report.point == ProjPoint(point)
+
 
 class TestTransformAndGauge:
     def test_transform_vector_matches_point_limit(self):
@@ -125,6 +138,10 @@ class TestTransformAndGauge:
         w = [1, 1, 0, 0, 0]
         shifted = [w[i] - GAUGE_DIRECTION[i] for i in range(5)]
         assert gauge_equivalent(w, shifted)
+
+    def test_gauge_needs_five_components(self):
+        with pytest.raises(DimError):
+            gauge_equivalent([1, 0, 0, 0], [1, 0, 0, 0])
 
     def test_gauge_inequivalence(self):
         assert not gauge_equivalent([1, 0, 0, 0, 0], [0, 1, 0, 0, 0])

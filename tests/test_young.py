@@ -1,17 +1,24 @@
 """Diagram combinatorics: dimensions, branching, spin, and statistics.
 
-The Littlewood-Richardson machinery is checked against an independent oracle:
-Schur polynomials computed directly as generating functions of semistandard
-tableaux in five variables.
+The Littlewood-Richardson machinery is checked against two oracles: Schur
+polynomials computed directly as generating functions of semistandard
+tableaux in five variables, and the original brute-force routines (every
+filling enumerated, the lattice condition tested at the leaves), kept here
+as reference implementations.
 """
 
 import itertools
+import json
+import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from projlim import young
+from projlim.cli import main
 from projlim.errors import NotColumnOnly, ShapeError, TooLarge
 from projlim.young import (
     branch_to_lorentz,
@@ -119,6 +126,174 @@ def partitions_up_to(n: int) -> list[tuple[int, ...]]:
 
 
 SMALL = [lam for lam in partitions_up_to(3)]
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the brute-force Littlewood-Richardson routines
+# ---------------------------------------------------------------------------
+
+
+def ref_partitions_of(n: int, max_first: int | None = None):
+    """All partitions of n, lexicographically descending."""
+    if n == 0:
+        yield ()
+        return
+    first_cap = n if max_first is None else min(n, max_first)
+    for first in range(first_cap, 0, -1):
+        for rest in ref_partitions_of(n - first, first):
+            yield (first,) + rest
+
+
+def ref_contains(outer, inner) -> bool:
+    if len(inner) > len(outer):
+        return False
+    return all(outer[i] >= inner[i] for i in range(len(inner)))
+
+
+def ref_lr_fillings(outer, inner, content) -> int:
+    """Fillings of outer/inner with the given content, row-weak and
+    column-strict, whose reverse reading word is a lattice word."""
+    rows = len(outer)
+    inner_pad = tuple(inner) + (0,) * (rows - len(inner))
+    cells = [(r, c) for r in range(rows) for c in range(inner_pad[r], outer[r])]
+    if not cells:
+        return 1 if not content else 0
+    if sum(content) != len(cells):
+        return 0
+    n_values = len(content)
+    grid: dict[tuple[int, int], int] = {}
+    remaining = list(content)
+    count = 0
+
+    def lattice_ok() -> bool:
+        seen = [0] * (n_values + 1)
+        for r in range(rows):
+            for c in range(outer[r] - 1, inner_pad[r] - 1, -1):
+                v = grid.get((r, c))
+                if v is None:
+                    continue
+                seen[v] += 1
+                if v > 1 and seen[v] > seen[v - 1]:
+                    return False
+        return True
+
+    def place(idx: int) -> None:
+        nonlocal count
+        if idx == len(cells):
+            if lattice_ok():
+                count += 1
+            return
+        r, c = cells[idx]
+        left = grid.get((r, c - 1))
+        above = grid.get((r - 1, c))
+        low = left if left is not None else 1
+        for v in range(low, n_values + 1):
+            if remaining[v - 1] == 0:
+                continue
+            if above is not None and v <= above:
+                continue
+            grid[(r, c)] = v
+            remaining[v - 1] -= 1
+            place(idx + 1)
+            remaining[v - 1] += 1
+            del grid[(r, c)]
+
+    place(0)
+    return count
+
+
+def ref_lr_decompose(lam, mu) -> dict:
+    if not mu:
+        return {lam: 1}
+    if not lam:
+        return {mu: 1}
+    out = {}
+    for nu in ref_partitions_of(sum(lam) + sum(mu)):
+        if ref_contains(nu, lam):
+            coeff = ref_lr_fillings(nu, lam, mu)
+            if coeff:
+                out[nu] = coeff
+    return out
+
+
+def ref_skew_divide(lam, mu) -> dict:
+    if sum(mu) > sum(lam):
+        return {}
+    out = {}
+    for nu in ref_partitions_of(sum(lam) - sum(mu)):
+        if ref_contains(lam, nu):
+            coeff = ref_lr_decompose(nu, mu).get(lam, 0)
+            if coeff:
+                out[nu] = coeff
+    return out
+
+
+def ref_divide_by_delta(lam) -> dict:
+    out: dict = {}
+    for delta in delta_terms(sum(lam)):
+        for nu, coeff in ref_skew_divide(lam, delta).items():
+            out[nu] = out.get(nu, 0) + coeff
+    return out
+
+
+class TestAgainstReference:
+    def test_divide_by_delta_on_all_small_diagrams(self):
+        diagrams = [lam for lam in partitions_up_to(10) if len(lam) <= 5]
+        assert len(diagrams) == 113
+        for lam in diagrams:
+            assert young._divide_by_delta(lam) == ref_divide_by_delta(lam), lam
+
+    def test_lr_decompose_on_all_small_pairs(self):
+        pairs = [
+            (lam, mu)
+            for lam, mu in itertools.product(partitions_up_to(9), repeat=2)
+            if sum(lam) + sum(mu) <= 9
+        ]
+        assert len(pairs) == 734
+        for lam, mu in pairs:
+            got = lr_decompose(lam, mu)
+            expected = ref_lr_decompose(lam, mu)
+            assert list(got.items()) == list(expected.items()), (lam, mu)
+
+    def test_skew_divide_on_seeded_sample(self):
+        rng = random.Random(6)
+        diagrams = partitions_up_to(9)
+        sample = [(rng.choice(diagrams), rng.choice(diagrams[:42])) for _ in range(150)]
+        sample += [((2, 1), (3,)), ((3,), (1, 1)), ((1, 1), (1, 1, 1)), ((), (1,))]
+        assert any(len(mu) > len(lam) for lam, mu in sample)
+        assert any(
+            len(mu) <= len(lam) and sum(mu) <= sum(lam) and not ref_contains(lam, mu)
+            for lam, mu in sample
+        )
+        for lam, mu in sample:
+            got = skew_divide(lam, mu)
+            expected = ref_skew_divide(lam, mu)
+            assert list(got.items()) == list(expected.items()), (lam, mu)
+
+
+class TestLittlewoodRichardsonCap:
+    def test_product_over_the_cap_raises(self):
+        with pytest.raises(TooLarge):
+            lr_decompose((6, 5, 4, 3, 2, 1), (6, 5, 4, 3, 2, 1))
+
+    def test_branch_over_the_cap_exits_1(self, capsys):
+        assert main(["schur", "--pair", "([14,12,10,8,6],[])"]) == 1
+        assert "capped" in capsys.readouterr().err
+
+    def test_nine_nine_answers_quickly(self, capsys):
+        start = time.perf_counter()
+        assert main(["schur", "--pair", "([9,9],[])", "--format", "json"]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert len(json.loads(capsys.readouterr().out)["branch"]["summands"]) == 15
+
+    def test_cap_is_shared_by_the_quotients_of_one_branch(self, monkeypatch):
+        # (20,) / Delta is 11 single-row quotients of 20, 18, ..., 0 cells,
+        # each filled in one way: 110 cells of setup plus 110 placements.
+        monkeypatch.setattr(young, "_LR_CAP", 220)
+        assert len(young._divide_by_delta((20,))) == 11
+        monkeypatch.setattr(young, "_LR_CAP", 219)
+        with pytest.raises(TooLarge):
+            young._divide_by_delta((20,))
 
 
 class TestDimensions:
