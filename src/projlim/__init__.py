@@ -56,6 +56,7 @@ from .lie import (
     validate_signature,
 )
 from .geometry import (
+    Degeneration,
     classify_point_limit,
     transform_vector,
     gauge_equivalent,
@@ -110,6 +111,7 @@ __all__ = [
     "sigma_chain",
     "signature_str",
     "validate_signature",
+    "Degeneration",
     "classify_point_limit",
     "gauge_equivalent",
     "geometry_limit",

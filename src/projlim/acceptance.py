@@ -27,7 +27,7 @@ from .correlator import (
     uv_ir_report,
 )
 from .errors import NotSubalgebra
-from .geometry import in_model_space
+from .geometry import geometry_limit, in_model_space
 from .lie import (
     BracketTable,
     LieAlgebraSpan,
@@ -37,7 +37,7 @@ from .lie import (
     embed_and_limit,
     enumerate_signatures,
     invariant_profile,
-    match_limit_geometry,
+    pad_span,
     sigma_chain,
 )
 from .linalg import determinant, mat_mul
@@ -123,8 +123,8 @@ def check_example_limits() -> CheckResult:
     details = []
     passed = True
     for sig, seq_text, expected in cases:
-        limit = conjugacy_limit(build_po(sig), parse_sequence(seq_text))
-        got = match_limit_geometry(limit)
+        deg = geometry_limit(sig, parse_sequence(seq_text))
+        got = (deg.limit_sig, deg.perm)
         ok = got == expected
         passed = passed and ok
         details.append(f"{seq_text} -> {got}{'' if ok else ' (expected ' + str(expected) + ')'}")
@@ -466,24 +466,14 @@ def check_property_suites() -> CheckResult:
 
 
 def check_embedding() -> CheckResult:
-    seq = parse_sequence("diag(t^4,t^-1,t^-1,t^-1,t^-1)")
-    base = conjugacy_limit(build_po(((4, 1),)), seq)
+    po = build_po(((4, 1),))
+    base = conjugacy_limit(po, parse_sequence("diag(t^4,t^-1,t^-1,t^-1,t^-1)"))
     passed = True
     notes = []
     for m_target in (6, 7):
         padded_weights = [4, -1, -1, -1, -1] + [0] * (m_target - 5)
-        big = embed_and_limit(build_po(((4, 1),)), m_target, FactoredSequence.diagonal(padded_weights))
-        padded_base = LieAlgebraSpan(
-            m_target,
-            [
-                [
-                    [x[i][j] if i < 5 and j < 5 else Fraction(0) for j in range(m_target)]
-                    for i in range(m_target)
-                ]
-                for x in base.basis
-            ],
-        )
-        ok = big.span_equals(padded_base)
+        big = embed_and_limit(po, m_target, FactoredSequence.diagonal(padded_weights))
+        ok = big.span_equals(pad_span(base, m_target))
         passed = passed and ok
         notes.append(f"m={m_target}: {ok}")
     return CheckResult(12, "ambient-embedding", passed, ", ".join(notes))

@@ -32,15 +32,14 @@ from .correlator import (
 from .errors import DimError, NotColumnOnly, ParseError, ProjlimError, SignatureError
 from .geometry import classify_point_limit, geometry_limit
 from .lie import (
-    LieAlgebraSpan,
     build_po,
-    conjugacy_limit,
     contract,
     embed_and_limit,
     invariant_profile,
-    match_limit_geometry,
+    pad_span,
     sigma_chain,
     signature_str,
+    validate_signature,
 )
 from .parsing import (
     parse_algebra,
@@ -134,23 +133,21 @@ def _table_lines(table) -> list[str]:
 
 def _cmd_limit(args) -> int:
     sig = parse_algebra(args.algebra)
-    seq = parse_sequence(args.seq)
-    limit = conjugacy_limit(build_po(sig), seq)
-    matched_sig, perm = match_limit_geometry(limit)
-    profile = invariant_profile(limit)
+    deg = geometry_limit(sig, parse_sequence(args.seq))
+    profile = invariant_profile(deg.limit)
     payload = {
         "algebra": signature_str(sig),
-        "limit_signature": signature_str(matched_sig),
-        "permutation": list(perm),
-        "dim": limit.dim,
-        "basis": [_mat_strs(x) for x in limit.basis],
+        "limit_signature": signature_str(deg.limit_sig),
+        "permutation": list(deg.perm),
+        "dim": deg.limit.dim,
+        "basis": [_mat_strs(x) for x in deg.limit.basis],
         "invariants": profile.as_dict(),
     }
     lines = [
         f"algebra:          po{signature_str(sig)}",
-        f"limit signature:  po{signature_str(matched_sig)}",
-        f"permutation:      {_perm_str(perm)}",
-        f"dimension:        {limit.dim}",
+        f"limit signature:  po{signature_str(deg.limit_sig)}",
+        f"permutation:      {_perm_str(deg.perm)}",
+        f"dimension:        {deg.limit.dim}",
         f"center dim:       {profile.center_dim}",
         f"killing signature: {profile.killing_signature}",
     ]
@@ -244,43 +241,30 @@ def _cmd_sigma_chain(args) -> int:
 
 
 def _cmd_embed_check(args) -> int:
-    sig = parse_algebra(args.algebra)
-    algebra = build_po(sig)
+    sig = validate_signature(parse_algebra(args.algebra))
     seq = parse_sequence(args.seq)
-    m = algebra.m
+    m = sum(p + q for p, q in sig)
     m_target = seq.dim
     if m_target < m:
         raise DimError(f"sequence dimension {m_target} is below the algebra's {m}")
-    big = embed_and_limit(algebra, m_target, seq)
+    big = embed_and_limit(build_po(sig), m_target, seq)
     small_seq = FactoredSequence.build(
         [row[:m] for row in seq.left_rows()[:m]],
         seq.weights[:m],
         [row[:m] for row in seq.right_rows()[:m]],
     )
-    base = conjugacy_limit(algebra, small_seq)
-    padded = LieAlgebraSpan(
-        m_target,
-        [
-            [
-                [x[i][j] if i < m and j < m else Fraction(0) for j in range(m_target)]
-                for i in range(m_target)
-            ]
-            for x in base.basis
-        ],
-        check_closed=False,
-    )
-    equal = big.span_equals(padded)
-    matched_sig, perm = match_limit_geometry(base)
+    base = geometry_limit(sig, small_seq)
+    equal = big.span_equals(pad_span(base.limit, m_target))
     payload = {
         "algebra": signature_str(sig),
         "target_dim": m_target,
         "limit_unchanged": equal,
-        "base_limit_signature": signature_str(matched_sig),
-        "permutation": list(perm),
+        "base_limit_signature": signature_str(base.limit_sig),
+        "permutation": list(base.perm),
     }
     lines = [
         f"embedding po{signature_str(sig)} into dimension {m_target}",
-        f"base limit: po{signature_str(matched_sig)} with permutation {_perm_str(perm)}",
+        f"base limit: po{signature_str(base.limit_sig)} with permutation {_perm_str(base.perm)}",
         f"limit unchanged by embedding: {equal}",
     ]
     _emit(args, payload, lines)
@@ -295,26 +279,21 @@ def _cmd_classify(args) -> int:
     if not args.algebra and not args.signature:
         raise ParseError("classify needs --algebra or --signature")
     sig = parse_algebra(args.algebra) if args.algebra else parse_signature(args.signature)
-    seq = parse_sequence(args.seq)
-    limit_sig, perm = geometry_limit(sig, seq)
-    reports = []
-    for coords in _split_points(args.points):
-        report = classify_point_limit(sig, seq, ProjPoint(coords))
-        reports.append(report)
+    deg = geometry_limit(sig, parse_sequence(args.seq))
+    points = [ProjPoint(coords) for coords in _split_points(args.points)]
+    reports = [classify_point_limit(deg, point) for point in points]
     payload = {
         "geometry": signature_str(sig),
-        "limit_signature": signature_str(limit_sig),
-        "permutation": list(perm),
+        "limit_signature": signature_str(deg.limit_sig),
+        "permutation": list(deg.perm),
         "points": [r.as_dict() for r in reports],
     }
     lines = [
         f"geometry:        po{signature_str(sig)}",
-        f"limit signature: po{signature_str(limit_sig)} with permutation {_perm_str(perm)}",
+        f"limit signature: po{signature_str(deg.limit_sig)} with permutation {_perm_str(deg.perm)}",
     ]
-    for coords, report in zip(_split_points(args.points), reports):
-        lines.append(
-            f"  {ProjPoint(coords)} -> {report.point} [{report.kind}]"
-        )
+    for point, report in zip(points, reports):
+        lines.append(f"  {point} -> {report.point} [{report.kind}]")
     _emit(args, payload, lines)
     return 0
 

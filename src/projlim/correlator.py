@@ -404,20 +404,19 @@ def degenerate(
     tag; the support summary classifies the limits of the supplied interior
     sample points plus the interior standard basis points.
     """
-    seq = _compose_permutation(b, perm)
-    limit_sig, matched_perm = geometry_limit(spec.geometry, seq)
+    deg = geometry_limit(spec.geometry, _compose_permutation(b, perm))
 
     rho_cache: Dict[str, ProjMatrix] = {}
     for factor in spec.factors:
         name = factor.rep.tag_str()
         if name not in rho_cache:
-            rho_cache[name] = rho_infinity(factor.rep, seq)
+            rho_cache[name] = rho_infinity(factor.rep, deg.seq)
     surviving = tuple(
         surviving_components(factor.rep, rho_cache[factor.rep.tag_str()])
         for factor in spec.factors
     )
 
-    m = sum(p + q for p, q in spec.geometry)
+    m = deg.m
     points: list[ProjPoint] = []
     if sample_points:
         for entry in sample_points:
@@ -433,7 +432,7 @@ def degenerate(
     fixed_points: list[str] = []
     kinds: set[str] = set()
     for point in points:
-        report = classify_point_limit(spec.geometry, seq, point)
+        report = classify_point_limit(deg, point)
         kinds.add(report.kind)
         out_str = str(report.point)
         if report.kind == "interior_lower_dim" and out_str not in fixed_points:
@@ -448,8 +447,8 @@ def degenerate(
         )
 
     return DegenerationReport(
-        limit_signature=limit_sig,
-        permutation=matched_perm,
+        limit_signature=deg.limit_sig,
+        permutation=deg.perm,
         rho_inf=tuple(sorted(rho_cache.items())),
         surviving=surviving,
         samples=tuple(samples),

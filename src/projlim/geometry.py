@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import DimError, ProjlimError, SignatureError
 from .laurent import LaurentScalar
 from .lie import (
+    LieAlgebraSpan,
     Signature,
     build_po,
     conjugacy_limit,
@@ -34,6 +35,7 @@ from .projective import (
 __all__ = [
     "in_model_space",
     "limit_signature",
+    "Degeneration",
     "geometry_limit",
     "PointLimitReport",
     "classify_point_limit",
@@ -144,18 +146,37 @@ def limit_signature(p: int, q: int, split_set: Iterable[int]) -> Signature:
     return tuple(blocks)
 
 
-def geometry_limit(
-    sig: Signature, seq: FactoredSequence
-) -> tuple[Signature, tuple[int, ...]]:
+@dataclass(frozen=True)
+class Degeneration:
+    """One degeneration of the geometry ``sig`` along ``seq``.
+
+    ``limit`` is the conjugacy limit of ``po(sig)``; it equals the
+    ``perm``-conjugate of ``build_po(limit_sig)``.  ``rank`` is the rank of
+    ``seq`` at t->0.  Points and correlators are read off this one record.
+    """
+
+    sig: Signature
+    seq: FactoredSequence
+    limit: LieAlgebraSpan
+    limit_sig: Signature
+    perm: tuple[int, ...]
+    rank: int
+
+    @property
+    def m(self) -> int:
+        return self.seq.dim
+
+
+def geometry_limit(sig: Signature, seq: FactoredSequence) -> Degeneration:
     """Degenerate the geometry of ``sig`` along ``seq``.
 
     Computes the conjugacy limit of the structure algebra and matches it to a
-    permuted block algebra; returns ``(limit_sig, perm)`` such that the limit
-    span equals the ``perm``-conjugate of ``build_po(limit_sig)``.
+    permuted block algebra.
     """
-    algebra = build_po(sig)
-    limit = conjugacy_limit(algebra, seq)
-    return match_limit_geometry(limit)
+    sig = validate_signature(sig)
+    limit = conjugacy_limit(build_po(sig), seq)
+    limit_sig, perm = match_limit_geometry(limit)
+    return Degeneration(sig, seq, limit, limit_sig, perm, seq.matrix().rank_at_limit())
 
 
 @dataclass(frozen=True)
@@ -176,61 +197,37 @@ class PointLimitReport:
         }
 
 
-def classify_point_limit(
-    sig: Signature,
-    b: FactoredSequence,
-    x: PointLike,
-    limit_sig: Optional[Signature] = None,
-) -> PointLimitReport:
+def classify_point_limit(deg: Degeneration, x: PointLike) -> PointLimitReport:
     """Classify the t->0 limit of an interior point under a degeneration.
 
-    The point must be interior for ``sig``.  Its limit ``y`` is classified
-    against ``limit_sig``: boundary points report ``"boundary"``; interior
-    limit points report ``"interior_generic"`` when the sequence keeps full
-    rank in the limit and ``"interior_lower_dim"`` otherwise (the image then
-    lies in the strictly smaller subspace recorded by ``vanishing``).
-
-    When ``limit_sig`` is omitted it is computed from the structure-algebra
-    limit, and membership is tested in the correspondingly permuted frame.
+    The point must be interior for ``deg.sig``.  Its limit ``y`` is tested
+    against the permuted limit model space P.X(limit_sig): boundary points
+    report ``"boundary"``; interior limit points report ``"interior_generic"``
+    when the sequence keeps full rank in the limit and ``"interior_lower_dim"``
+    otherwise (the image then lies in the strictly smaller subspace recorded
+    by ``vanishing``).
     """
-    sig = validate_signature(sig)
     if not isinstance(x, ProjPoint):
         x = ProjPoint(list(x))
-    if in_model_space(sig, x) != "interior":
+    if in_model_space(deg.sig, x) != "interior":
         raise ProjlimError("point is not interior to the model space")
 
-    y = point_limit(b, x)
-
-    perm: Optional[tuple[int, ...]] = None
-    if limit_sig is None:
-        limit_sig, perm = geometry_limit(sig, b)
-    else:
-        limit_sig = validate_signature(limit_sig)
-
+    y = point_limit(deg.seq, x)
     y_coords = _rational_coords(y, y.dim)
-    if perm is None:
-        z_coords = y_coords
-    else:
-        # Membership in the permuted model space P.X(sig'): test P^-1 y.
-        inv = invert_permutation(perm)
-        z_coords = [y_coords[inv[i]] for i in range(len(y_coords))]
-
-    membership = in_model_space(limit_sig, z_coords)
-    vanishing = y.zero_pattern()
+    # Membership in P.X(limit_sig): test P^-1 y.
+    inv = invert_permutation(deg.perm)
+    membership = in_model_space(deg.limit_sig, [y_coords[i] for i in inv])
     if membership == "boundary":
         kind = "boundary"
     elif membership == "interior":
-        if b.matrix().rank_at_limit() == len(z_coords):
-            kind = "interior_generic"
-        else:
-            kind = "interior_lower_dim"
+        kind = "interior_generic" if deg.rank == deg.m else "interior_lower_dim"
     else:
         raise ProjlimError(
             "interior point escaped the closed limit model space; "
             "the sequence does not degenerate this geometry"
         )
     return PointLimitReport(
-        kind=kind, point=y, vanishing=vanishing, limit_signature=limit_sig
+        kind=kind, point=y, vanishing=y.zero_pattern(), limit_signature=deg.limit_sig
     )
 
 

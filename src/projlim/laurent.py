@@ -94,17 +94,8 @@ class LaurentScalar:
             raise ZeroScalar("zero scalar has no valuation")
         return min(self._terms)
 
-    def max_exponent(self) -> int:
-        if not self._terms:
-            raise ZeroScalar("zero scalar has no degree")
-        return max(self._terms)
-
     def coefficient(self, k: int) -> Fraction:
         return self._terms.get(k, Fraction(0))
-
-    def leading_coefficient(self) -> Fraction:
-        """Coefficient of the lowest-order term."""
-        return self._terms[self.min_exponent()]
 
     def constant_value(self) -> Fraction:
         """The value as a rational number; requires a constant scalar."""

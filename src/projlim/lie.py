@@ -505,14 +505,17 @@ def embed_and_limit(
                     raise EmbeddingError(
                         "sequence factors mix embedded block with padding"
                     )
-    padded = []
-    for x in alg.basis:
-        big = linalg.zeros(m_target, m_target)
-        for i in range(m):
-            for j in range(m):
-                big[i][j] = x[i][j]
-        padded.append(big)
-    return conjugacy_limit(LieAlgebraSpan(m_target, padded, check_closed=False), seq)
+    return conjugacy_limit(pad_span(alg, m_target), seq)
+
+
+def pad_span(alg: LieAlgebraSpan, m_target: int) -> LieAlgebraSpan:
+    """``alg`` in the top-left block of pgl_{m_target}, zeros elsewhere."""
+    pad = [Fraction(0)] * (m_target - alg.m)
+    padded = [
+        [list(row) + pad for row in x] + linalg.zeros(m_target - alg.m, m_target)
+        for x in alg.basis
+    ]
+    return LieAlgebraSpan(m_target, padded, check_closed=False)
 
 
 # ---------------------------------------------------------------------------

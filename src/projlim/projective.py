@@ -290,11 +290,6 @@ class FactoredSequence:
             linalg.mat_mul(linalg.frac_rows(const), self.left_rows()), self.weights, self.right_rows()
         )
 
-    def postmultiply(self, const: linalg.Mat) -> "FactoredSequence":
-        return FactoredSequence.build(
-            self.left_rows(), self.weights, linalg.mat_mul(self.right_rows(), linalg.frac_rows(const))
-        )
-
     def compose(self, other: "FactoredSequence") -> "FactoredSequence":
         """The product sequence self(t) * other(t), kept in factored form.
 

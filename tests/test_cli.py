@@ -1,7 +1,13 @@
 """End-to-end command-line behavior: output, determinism, and exit codes."""
 
+import contextlib
 import importlib.resources
+import io
 import json
+import time
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from projlim.cli import main
 
@@ -254,3 +260,139 @@ class TestPlumbing:
             "[0,1,0,0,0]",
         )
         assert code == 1
+
+
+# -- fuzzing argument text -------------------------------------------------------
+
+# Inserted or substituted characters carry no digits, and the grammar never
+# puts two digits side by side, so every number stays as drawn: m <= 5.
+PUNCTUATION = "()[],;^t-* "
+SECONDS_PER_RUN = 5.0
+
+
+@st.composite
+def mutated(draw, text):
+    """Grammar-built text, kept, cut short, or with one punctuation character
+    inserted or substituted."""
+    text = draw(text)
+    action = draw(st.sampled_from(("keep",) * 5 + ("cut", "insert", "replace")))
+    if action == "keep" or not text:
+        return text
+    i = draw(st.integers(0, len(text) - 1))
+    if action == "cut":
+        return text[:i]
+    ch = draw(st.sampled_from(PUNCTUATION))
+    return text[:i] + ch + text[i + (action == "replace") :]
+
+
+@st.composite
+def signature_text(draw):
+    blocks = draw(
+        st.lists(st.tuples(st.integers(1, 5), st.integers(0, 2)), min_size=1, max_size=3).filter(
+            lambda bs: sum(p + q for p, q in bs) <= 5
+        )
+    )
+    if len(blocks) == 1 and draw(st.booleans()):
+        p, q = blocks[0]
+        return f"({p},{q})"
+    return "(" + ",".join(f"({p})" if q == 0 else f"({p},{q})" for p, q in blocks) + ")"
+
+
+def _dim(sig_text: str, fallback: int) -> int:
+    digits = [int(c) for c in sig_text if c.isdigit()]
+    return sum(digits) if 1 <= sum(digits) <= 5 else fallback
+
+
+@st.composite
+def sequence_text(draw, m):
+    n = draw(st.sampled_from((m, m, m, 1, 2, 3, 4, 5)))
+    entry = st.sampled_from(("1", "t", "-t", "2*t", "t^-1", "t^2", "t^-2", "t^4", "t^-4"))
+    text = "diag(" + ",".join(draw(entry) for _ in range(n)) + ")"
+    if n == 5 and draw(st.booleans()):
+        text = f"compose(perm((0 4)),{text})"
+    return text
+
+
+@st.composite
+def points_text(draw, m):
+    coords = st.integers(-3, 3)
+    count = draw(st.integers(1, 3))
+    points = []
+    for _ in range(count):
+        n = draw(st.sampled_from((m, m, m, 1, 2, 3, 4, 5)))
+        points.append("[" + ",".join(str(draw(coords)) for _ in range(n)) + "]")
+    return ";".join(points)
+
+
+@st.composite
+def classify_argv(draw):
+    sig = draw(signature_text())
+    m = _dim(sig, 5)
+    flag = draw(st.sampled_from(("--algebra", "--signature")))
+    return [
+        "classify",
+        flag,
+        draw(mutated(st.just("po" + sig if flag == "--algebra" else sig))),
+        "--seq",
+        draw(mutated(sequence_text(m))),
+        "--points",
+        draw(mutated(points_text(m))),
+    ]
+
+
+@st.composite
+def correlator_argv(draw):
+    if draw(st.booleans()):
+        argv = ["correlator", "--mode", draw(st.sampled_from(("uv", "ir"))), "--ell", str(draw(st.integers(0, 4)))]
+        if draw(st.booleans()):
+            argv += ["--points", draw(mutated(points_text(5)))]
+        return argv
+    sig = draw(signature_text())
+    m = _dim(sig, 5)
+    reps = st.sampled_from(("fundamental", "right_action", "schur([1],[])", "schur([1,1],[])", "schur([2],[1])"))
+    argv = [
+        "correlator",
+        "--geometry",
+        draw(mutated(st.just(sig))),
+        "--reps",
+        draw(mutated(st.lists(reps, min_size=1, max_size=2).map(",".join))),
+        "--seq",
+        draw(mutated(sequence_text(m))),
+    ]
+    if draw(st.booleans()):
+        argv += ["--perm", draw(mutated(st.sampled_from(("id", "(0 1)", "(1 2 3)", "(0 4)(1 2)"))))]
+    if draw(st.booleans()):
+        argv += ["--points", draw(mutated(points_text(m)))]
+    return argv
+
+
+def run_isolated(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    return code, err.getvalue(), time.perf_counter() - start
+
+
+class TestFuzz:
+    """Any argument text gives an answer, a domain error (1) or a syntax
+    error (2): no traceback, and each run ends in bounded time."""
+
+    @given(classify_argv())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_classify(self, argv):
+        code, err, seconds = run_isolated(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert seconds < SECONDS_PER_RUN
+
+    @given(correlator_argv())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_correlator(self, argv):
+        code, err, seconds = run_isolated(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert seconds < SECONDS_PER_RUN

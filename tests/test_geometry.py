@@ -1,9 +1,14 @@
 """Model spaces, their degenerations, and point-limit classification."""
 
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from projlim.cli import main
+from projlim.correlator import FUNDAMENTAL, RIGHT_ACTION, degenerate, figure1_table, make_correlator
 from projlim.errors import DimError, ProjlimError
 from projlim.geometry import (
     GAUGE_DIRECTION,
@@ -15,11 +20,13 @@ from projlim.geometry import (
     scale_matrix,
     transform_vector,
 )
+from projlim.lie import build_po, conjugacy_limit, match_limit_geometry, validate_signature
 from projlim.parsing import parse_sequence
-from projlim.projective import ProjPoint
+from projlim.projective import FactoredSequence, ProjPoint, invert_permutation, permutation_matrix, point_limit
 
 FLAT = ((1, 0), (3, 1))
 GALILEI_SEQ = parse_sequence("diag(t,1,1,1,t)")
+GALILEI_DEG = geometry_limit(FLAT, GALILEI_SEQ)
 
 
 class TestModelSpace:
@@ -64,35 +71,37 @@ class TestLimitSignature:
 
 class TestGeometryLimit:
     def test_flat_to_galilei(self):
-        assert geometry_limit(FLAT, GALILEI_SEQ) == (
+        deg = geometry_limit(FLAT, GALILEI_SEQ)
+        assert (deg.limit_sig, deg.perm) == (
             ((1, 0), (1, 0), (3, 0)),
             (0, 2, 3, 4, 1),
         )
 
     def test_positive_curvature_to_flat(self):
         seq = parse_sequence("diag(t^4,t^-1,t^-1,t^-1,t^-1)")
-        assert geometry_limit((4, 1), seq) == (((1, 0), (3, 1)), (0, 1, 2, 3, 4))
+        deg = geometry_limit((4, 1), seq)
+        assert (deg.limit_sig, deg.perm) == (((1, 0), (3, 1)), (0, 1, 2, 3, 4))
 
 
 class TestClassifyPointLimit:
     def test_generic_interior_point_hits_boundary(self):
-        report = classify_point_limit(FLAT, GALILEI_SEQ, ProjPoint([1, 2, 3, 4, 5]))
+        report = classify_point_limit(GALILEI_DEG, ProjPoint([1, 2, 3, 4, 5]))
         assert report.kind == "boundary"
         assert report.point == ProjPoint([0, 2, 3, 4, 0])
 
     def test_time_axis_point_stays_interior(self):
-        report = classify_point_limit(FLAT, GALILEI_SEQ, ProjPoint([1, 0, 0, 0, 7]))
+        report = classify_point_limit(GALILEI_DEG, ProjPoint([1, 0, 0, 0, 7]))
         assert report.kind == "interior_lower_dim"
         assert report.point == ProjPoint([1, 0, 0, 0, 7])
 
     def test_origin_is_fixed(self):
-        report = classify_point_limit(FLAT, GALILEI_SEQ, ProjPoint([1, 0, 0, 0, 0]))
+        report = classify_point_limit(GALILEI_DEG, ProjPoint([1, 0, 0, 0, 0]))
         assert report.kind == "interior_lower_dim"
         assert report.vanishing  # some coordinates are pinned to zero
 
     def test_interior_precondition(self):
         with pytest.raises(ProjlimError):
-            classify_point_limit(FLAT, GALILEI_SEQ, ProjPoint([0, 1, 0, 0, 0]))
+            classify_point_limit(GALILEI_DEG, ProjPoint([0, 1, 0, 0, 0]))
 
     def test_generic_kind_requires_full_rank(self):
         # an invertible constant sequence keeps interior points generic
@@ -101,11 +110,11 @@ class TestClassifyPointLimit:
         seq = FactoredSequence.constant(
             [[1 if i == j else 0 for j in range(5)] for i in range(5)]
         )
-        report = classify_point_limit(FLAT, seq, ProjPoint([1, 2, 0, 0, 0]))
+        report = classify_point_limit(geometry_limit(FLAT, seq), ProjPoint([1, 2, 0, 0, 0]))
         assert report.kind == "interior_generic"
 
     def test_as_dict_shape(self):
-        report = classify_point_limit(FLAT, GALILEI_SEQ, ProjPoint([1, 2, 3, 4, 5]))
+        report = classify_point_limit(GALILEI_DEG, ProjPoint([1, 2, 3, 4, 5]))
         d = report.as_dict()
         assert set(d) >= {"kind", "point", "vanishing", "limit_signature"}
 
@@ -118,9 +127,126 @@ class TestClassifyPointLimit:
         ],
     )
     def test_other_dimensions(self, sig, seq, point):
-        report = classify_point_limit(sig, parse_sequence(seq), ProjPoint(point))
+        report = classify_point_limit(geometry_limit(sig, parse_sequence(seq)), ProjPoint(point))
         assert report.kind == "interior_lower_dim"
         assert report.point == ProjPoint(point)
+
+
+def reference_classify_point_limit(sig, b, x):
+    """The per-point classification before the Degeneration record: it derives
+    the limit signature, frame permutation and rank at the limit again for
+    every point."""
+    sig = validate_signature(sig)
+    x = ProjPoint(list(x))
+    if in_model_space(sig, x) != "interior":
+        raise ProjlimError("point is not interior to the model space")
+    y = point_limit(b, x)
+    limit_sig, perm = match_limit_geometry(conjugacy_limit(build_po(sig), b))
+    y_coords = y.constant_coords()
+    inv = invert_permutation(perm)
+    z_coords = [y_coords[inv[i]] for i in range(len(y_coords))]
+    membership = in_model_space(limit_sig, z_coords)
+    if membership == "boundary":
+        kind = "boundary"
+    elif membership == "interior":
+        if b.matrix().rank_at_limit() == len(z_coords):
+            kind = "interior_generic"
+        else:
+            kind = "interior_lower_dim"
+    else:
+        raise ProjlimError("interior point escaped the closed limit model space")
+    return kind, y, y.zero_pattern(), limit_sig
+
+
+ORACLE_SIGS = [
+    ((2, 1),),
+    ((1, 0), (1, 1)),
+    ((3, 1),),
+    ((2, 2),),
+    ((1, 0), (2, 1)),
+    ((4, 1),),
+    ((3, 2),),
+    ((1, 0), (3, 1)),
+    ((5, 1),),
+]
+
+
+def _oracle_cases():
+    """Seeded (sig, sequence, points): a diagonal and a permuted sequence per
+    signature and weight range, with random sparse interior points (fewer at
+    m = 6, where every reference call runs the brute-force match, and 0/1
+    weights there cost seconds per match)."""
+    rng = random.Random(20261018)
+    cases = []
+    for sig in ORACLE_SIGS:
+        m = sum(p + q for p, q in sig)
+        for low, high in ((-2, 2),) if m == 6 else ((-2, 2), (0, 1)):
+            weights = [rng.randint(low, high) for _ in range(m)]
+            perm = list(range(m))
+            rng.shuffle(perm)
+            points = []
+            while len(points) < (1 if m == 6 else 3):
+                x = [rng.choice((-2, -1, 0, 0, 0, 1, 3)) for _ in range(m)]
+                if in_model_space(sig, x) == "interior":
+                    points.append(x)
+            diagonal = FactoredSequence.diagonal(weights)
+            cases.append((sig, diagonal, points))
+            cases.append((sig, diagonal.premultiply(permutation_matrix(perm)), points))
+    # An interior point that escapes the limit model space: both raise.
+    escaping = FactoredSequence.diagonal([2, -2, 0, 2]).premultiply(permutation_matrix((2, 3, 1, 0)))
+    cases.append((((2, 2),), escaping, [[2, 0, 0, 1], [1, 1, 1, 0]]))
+    return cases
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("sig, seq, points", _oracle_cases())
+    def test_record_matches_per_point_derivation(self, sig, seq, points):
+        deg = geometry_limit(sig, seq)
+        for x in points:
+            try:
+                expected = reference_classify_point_limit(sig, seq, x)
+            except ProjlimError as exc:
+                with pytest.raises(type(exc)):
+                    classify_point_limit(deg, x)
+                continue
+            report = classify_point_limit(deg, x)
+            assert (report.kind, report.point, report.vanishing, report.limit_signature) == expected
+
+
+@pytest.fixture
+def match_calls(monkeypatch):
+    """Count calls of lie.match_limit_geometry made from anywhere in projlim."""
+    original = match_limit_geometry
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "projlim" and getattr(module, "match_limit_geometry", None) is original:
+            monkeypatch.setattr(module, "match_limit_geometry", counted)
+    return calls
+
+
+class TestOneDegenerationPerRequest:
+    def test_degenerate_matches_once(self, match_calls):
+        spec = make_correlator(FLAT, [FUNDAMENTAL, RIGHT_ACTION])
+        samples = [[1, 2, 3, 4, 5], [1, 0, 0, 0, 7], [1, 0, 0, 0, 0], [3, 1, 1, 0, 2], [2, 1, 0, 0, 0], [1, 1, 1, 1, 1]]
+        report = degenerate(spec, parse_sequence("diag(t,1,1,1,t)"), (0, 2, 3, 4, 1), samples)
+        assert len(report.samples) == 7  # six given plus the interior basis point
+        assert len(match_calls) == 1
+
+    def test_classify_matches_once(self, match_calls, capsys):
+        points = "[1,2,3,4,5];[1,0,0,0,7];[1,0,0,0,0];[3,1,1,0,2]"
+        code = main(["classify", "--algebra", "po((1),(3,1))", "--seq", "diag(t,1,1,1,t)", "--points", points])
+        assert code == 0
+        assert capsys.readouterr().out.count(" -> ") == 4
+        assert len(match_calls) == 1
+
+    def test_figure1_matches_once_per_row(self, match_calls):
+        assert len(figure1_table()["rows"]) == 3
+        assert len(match_calls) == 3
 
 
 class TestTransformAndGauge:
