@@ -1,6 +1,7 @@
 """Self-check suite: the thirteen verification criteria the package must meet.
 
-Each check returns a :class:`CheckResult`; :func:`run_all` runs them in order.
+Each check returns a :class:`CheckResult`; :func:`run_all` runs them in order,
+times each, and reports a check that raises a ``ProjlimError`` as failed.
 The test suite and the CLI ``selftest`` subcommand both drive this module, so
 a shipped build can always re-verify itself.  All checks use exact arithmetic
 and deterministic sampling — there is no tolerance anywhere.
@@ -10,7 +11,8 @@ from __future__ import annotations
 
 import importlib.resources
 import random
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -26,7 +28,7 @@ from .correlator import (
     rho_infinity,
     uv_ir_report,
 )
-from .errors import NotSubalgebra
+from .errors import NotSubalgebra, ProjlimError
 from .geometry import geometry_limit, in_model_space
 from .lie import (
     BracketTable,
@@ -70,6 +72,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    seconds: float = 0.0
 
 
 def _matrix(m: int, entries: dict[tuple[int, int], int]) -> list[list[Fraction]]:
@@ -271,7 +274,7 @@ def check_uv_ir() -> CheckResult:
     )
 
 
-def check_schur_dims() -> CheckResult:
+def check_schur_dimensions() -> CheckResult:
     small = [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
     oracle_ok = all(
         schur_dim((lam, ())) == symmetrizer_image_dim(lam, sum(lam)) for lam in small
@@ -465,7 +468,7 @@ def check_property_suites() -> CheckResult:
     )
 
 
-def check_embedding() -> CheckResult:
+def check_ambient_embedding() -> CheckResult:
     po = build_po(((4, 1),))
     base = conjugacy_limit(po, parse_sequence("diag(t^4,t^-1,t^-1,t^-1,t^-1)"))
     passed = True
@@ -479,7 +482,7 @@ def check_embedding() -> CheckResult:
     return CheckResult(12, "ambient-embedding", passed, ", ".join(notes))
 
 
-def check_rep_limit_commute() -> CheckResult:
+def check_representation_limit_commutation() -> CheckResult:
     po = build_po(((1, 0), (3, 1)))
     b = parse_sequence("diag(t,1,1,1,t)")
     samples = [
@@ -506,14 +509,26 @@ CHECKS: list[Callable[[], CheckResult]] = [
     check_invariant_profiles,
     check_figure1,
     check_uv_ir,
-    check_schur_dims,
+    check_schur_dimensions,
     check_lorentz_branching,
     check_poincare_irreducibility,
     check_property_suites,
-    check_embedding,
-    check_rep_limit_commute,
+    check_ambient_embedding,
+    check_representation_limit_commutation,
 ]
 
 
 def run_all() -> list[CheckResult]:
-    return [check() for check in CHECKS]
+    """Every check in order, each with its wall time.  A check that raises a
+    ProjlimError fails, under its function name without ``check_`` and with
+    hyphens for underscores, and with the error as its detail."""
+    results = []
+    for number, check in enumerate(CHECKS, 1):
+        start = time.perf_counter()
+        try:
+            result = check()
+        except ProjlimError as exc:
+            name = check.__name__.removeprefix("check_").replace("_", "-")
+            result = CheckResult(number, name, False, f"raised {type(exc).__name__}: {exc}")
+        results.append(replace(result, seconds=time.perf_counter() - start))
+    return results

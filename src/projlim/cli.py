@@ -428,6 +428,7 @@ def _cmd_selftest(args) -> int:
                     "name": r.name,
                     "passed": r.passed,
                     "detail": r.detail,
+                    "seconds": round(r.seconds, 3),
                 }
                 for r in results
             ],

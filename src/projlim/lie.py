@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 from . import linalg
 from .errors import (
@@ -28,7 +27,7 @@ from .errors import (
     SignatureError,
 )
 from .linalg import Mat, Vec
-from .projective import FactoredSequence, invert_permutation
+from .projective import FactoredSequence
 
 Signature = tuple[tuple[int, int], ...]
 
@@ -349,62 +348,33 @@ def signature_str(sig: Signature) -> str:
     return "(" + ",".join(parts) + ")" if len(sig) > 1 else parts[0]
 
 
-def _block_ranges(sig: Signature) -> list[range]:
-    out = []
-    start = 0
-    for p, q in sig:
-        out.append(range(start, start + p + q))
-        start += p + q
-    return out
-
-
-def _form_diagonal(sig: Signature) -> list[int]:
-    """The diagonal of the block form J: -1 on the first p coords of a block."""
-    j: list[int] = []
-    for p, q in sig:
-        j.extend([-1] * p + [1] * q)
-    return j
-
-
 def build_po(sig, m: int | None = None) -> LieAlgebraSpan:
     """The block algebra po(sig) in pgl_m(R).
 
     Basis order: for each block in order, the generators
     M_ab = E_ab - J_a J_b E_ba for a < b inside the block (sorted by (a, b));
     then all strictly-lower cross-block matrix units E_rc sorted row-major.
+    J is the block form: -1 on the first p coordinates of a block, +1 after.
     """
     sig = validate_signature(sig, m)
-    m = sum(p + q for p, q in sig)
-    jdiag = _form_diagonal(sig)
-    ranges = _block_ranges(sig)
+    block = [k for k, (p, q) in enumerate(sig) for _ in range(p + q)]
+    jdiag = [j for p, q in sig for j in [-1] * p + [1] * q]
+    m = len(block)
     basis: list[Mat] = []
-    for rng in ranges:
-        for a in rng:
-            for b in rng:
-                if a < b:
-                    x = linalg.zeros(m, m)
-                    x[a][b] = Fraction(1)
-                    x[b][a] = Fraction(-jdiag[a] * jdiag[b])
-                    basis.append(x)
+    for a in range(m):
+        for b in range(a + 1, m):
+            if block[a] == block[b]:
+                x = linalg.zeros(m, m)
+                x[a][b] = Fraction(1)
+                x[b][a] = Fraction(-jdiag[a] * jdiag[b])
+                basis.append(x)
     for r in range(m):
         for c in range(m):
-            block_r = next(i for i, rng in enumerate(ranges) if r in rng)
-            block_c = next(i for i, rng in enumerate(ranges) if c in rng)
-            if block_r > block_c:
+            if block[r] > block[c]:
                 x = linalg.zeros(m, m)
                 x[r][c] = Fraction(1)
                 basis.append(x)
     return LieAlgebraSpan(m, basis, check_closed=False)
-
-
-def po_dimension(sig) -> int:
-    sig = validate_signature(sig)
-    sizes = [p + q for p, q in sig]
-    d = sum(s * (s - 1) // 2 for s in sizes)
-    for i in range(len(sizes)):
-        for j in range(i + 1, len(sizes)):
-            d += sizes[i] * sizes[j]
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -541,47 +511,56 @@ def enumerate_signatures(m: int) -> list[Signature]:
 
 
 def match_limit_geometry(limit: LieAlgebraSpan) -> tuple[Signature, tuple[int, ...]]:
-    """Identify a limit span as Ad_{P(perm)} po(sig).
+    """Identify a limit span as Ad_{P(perm)} po(sig), reading both off the span.
 
-    Returns the lexicographically smallest signature, and for it the smallest
-    permutation tuple, such that conjugating po(sig) by the permutation matrix
-    reproduces the span exactly.  Raises NoMatch if no pair works.
+    The blocks are the strongly connected components of the span's support
+    digraph, ordered by how many coordinates they reach.  In a block with
+    smallest coordinate a, E_ab - E_ba in the span gives b the colour of a,
+    E_ab + E_ba the other; the larger colour (a's on a tie) is the p part.
+    Coordinates in ascending order take the next free index of their part:
+    the lexicographically smallest permutation.  One comparison with the
+    permuted po(sig) confirms the match, or raises NoMatch.
     """
     m = limit.m
     target = limit.span_basis()
-    target_support = {
-        p for vec in target for p in range(m * m) if vec[p] != 0
-    }
-    dim = limit.dim
-    for sig in enumerate_signatures(m):
-        if po_dimension(sig) != dim:
-            continue
-        base = build_po(sig, m)
-        base_flat = base.flattened()
-        base_support = {
-            (p // m, p % m)
-            for vec in base_flat
-            for p in range(m * m)
-            if vec[p] != 0
-        }
-        for perm in permutations(range(m)):
-            inv = invert_permutation(perm)
-            # Ad_{P} E_{ij} = E_{perm^-1(i), perm^-1(j)}
-            mapped_support = {inv[i] * m + inv[j] for (i, j) in base_support}
-            if mapped_support != target_support:
+    reach = [[i == j or any(vec[i * m + j] for vec in target) for j in range(m)] for i in range(m)]
+    for k in range(m):
+        for i in range(m):
+            if reach[i][k]:
+                reach[i] = [x or y for x, y in zip(reach[i], reach[k])]
+    blocks = sorted(
+        {tuple(j for j in range(m) if reach[i][j] and reach[j][i]) for i in range(m)},
+        key=lambda block: (sum(reach[block[0]]), block),
+    )
+    sig: list[tuple[int, int]] = []
+    perm = [0] * m
+    free = iter(range(m))
+    for block in blocks:
+        a = block[0]
+        same, other = [a], []
+        for b in block[1:]:
+            unit = linalg.zeros(m, m)
+            unit[a][b] = Fraction(1)
+            unit[b][a] = Fraction(-1)
+            if limit.contains(unit):
+                same.append(b)
                 continue
-            mapped = []
-            for vec in base_flat:
-                new = [Fraction(0)] * (m * m)
-                for i in range(m):
-                    for j in range(m):
-                        x = vec[i * m + j]
-                        if x != 0:
-                            new[inv[i] * m + inv[j]] = x
-                mapped.append(new)
-            if linalg.row_space_basis(mapped) == target:
-                return sig, tuple(perm)
-    raise NoMatch("limit span is not a permuted orthogonal block algebra")
+            unit[b][a] = Fraction(1)
+            if not limit.contains(unit):
+                raise NoMatch("limit span is not a permuted orthogonal block algebra")
+            other.append(b)
+        p_part, q_part = (same, other) if len(same) >= len(other) else (other, same)
+        for k in p_part + q_part:
+            perm[k] = next(free)
+        sig.append((len(p_part), len(q_part)))
+    # Ad_P E_ij = E_{perm^-1(i), perm^-1(j)}: target entry (k, l) is base (perm k, perm l).
+    mapped = [
+        [vec[perm[k] * m + perm[l]] for k in range(m) for l in range(m)]
+        for vec in build_po(tuple(sig), m).flattened()
+    ]
+    if linalg.row_space_basis(mapped) != target:
+        raise NoMatch("limit span is not a permuted orthogonal block algebra")
+    return tuple(sig), tuple(perm)
 
 
 # ---------------------------------------------------------------------------

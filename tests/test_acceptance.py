@@ -6,21 +6,18 @@ back the ``projlim selftest`` subcommand.  Each check runs inside its own
 test, so a raising check fails that test alone and shows in ``--durations``.
 """
 
+import json
+
 import pytest
 
-from projlim.acceptance import CHECKS
-
-# Criterion names that differ from their check function's name.
-RENAMED = {
-    "check_schur_dims": "schur-dimensions",
-    "check_embedding": "ambient-embedding",
-    "check_rep_limit_commute": "representation-limit-commutation",
-}
+from projlim import acceptance
+from projlim.acceptance import CHECKS, check_galilei_boost, run_all
+from projlim.cli import main
+from projlim.errors import DimError
 
 
 def criterion_name(check) -> str:
-    name = check.__name__
-    return RENAMED.get(name, name.removeprefix("check_").replace("_", "-"))
+    return check.__name__.removeprefix("check_").replace("_", "-")
 
 
 @pytest.mark.parametrize(
@@ -36,3 +33,34 @@ def test_criterion(index, check):
 
 def test_all_thirteen_present():
     assert len(CHECKS) == 13
+
+
+def check_broken_limit():
+    raise DimError("sequence dimension 4 != algebra ambient 5")
+
+
+class TestRunAll:
+    def test_raising_check_is_a_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(acceptance, "CHECKS", [check_galilei_boost, check_broken_limit])
+        assert main(["selftest"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"PASS  # 1 galilei-boost: {check_galilei_boost().detail}",
+            "FAIL  # 2 broken-limit: raised DimError: sequence dimension 4 != algebra ambient 5",
+            "1/2 checks passed",
+        ]
+
+    def test_json_reports_seconds(self, monkeypatch, capsys):
+        monkeypatch.setattr(acceptance, "CHECKS", [check_galilei_boost, check_broken_limit])
+        assert main(["selftest", "--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert [(r["number"], r["passed"]) for r in doc["results"]] == [(1, True), (2, False)]
+        assert all(r["seconds"] >= 0 for r in doc["results"])
+        assert doc["all_passed"] is False
+
+    def test_other_exceptions_propagate(self, monkeypatch):
+        def check_bug():
+            raise ZeroDivisionError
+
+        monkeypatch.setattr(acceptance, "CHECKS", [check_bug])
+        with pytest.raises(ZeroDivisionError):
+            run_all()

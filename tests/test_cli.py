@@ -38,6 +38,25 @@ class TestLimit:
         assert doc["schema_version"] == "1"
         assert len(doc["basis"]) == 10
 
+    def test_undegenerated_m7_limit(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "limit", "--algebra", "po(6,1)", "--seq", "diag(1,1,1,1,1,1,1)")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert "permutation:      (0 1 2 3 4 5 6)" in out
+
+    def test_no_match_exits_1(self, capsys):
+        code, out, err = run(
+            capsys,
+            "limit",
+            "--algebra",
+            "po(2,1)",
+            "--seq",
+            "compose([[1,1,0],[0,1,0],[0,0,1]],diag(t,1,t^-1))",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: limit span is not a permuted orthogonal block algebra\n"
+
     def test_json_deterministic(self, capsys):
         args = ("limit", "--algebra", "po((3,2))", "--seq", "diag(t^-1,t^-1,t^-1,t^-1,t^4)", "--format", "json")
         _, first, _ = run(capsys, *args)
@@ -265,7 +284,8 @@ class TestPlumbing:
 # -- fuzzing argument text -------------------------------------------------------
 
 # Inserted or substituted characters carry no digits, and the grammar never
-# puts two digits side by side, so every number stays as drawn: m <= 5.
+# puts two digits side by side, so every number stays as drawn: m <= 5, or
+# m <= 7 for ``limit``.
 PUNCTUATION = "()[],;^t-* "
 SECONDS_PER_RUN = 5.0
 
@@ -286,10 +306,10 @@ def mutated(draw, text):
 
 
 @st.composite
-def signature_text(draw):
+def signature_text(draw, max_m=5):
     blocks = draw(
-        st.lists(st.tuples(st.integers(1, 5), st.integers(0, 2)), min_size=1, max_size=3).filter(
-            lambda bs: sum(p + q for p, q in bs) <= 5
+        st.lists(st.tuples(st.integers(1, max_m), st.integers(0, 2)), min_size=1, max_size=3).filter(
+            lambda bs: sum(p + q for p, q in bs) <= max_m
         )
     )
     if len(blocks) == 1 and draw(st.booleans()):
@@ -298,9 +318,9 @@ def signature_text(draw):
     return "(" + ",".join(f"({p})" if q == 0 else f"({p},{q})" for p, q in blocks) + ")"
 
 
-def _dim(sig_text: str, fallback: int) -> int:
+def _dim(sig_text: str, fallback: int, max_m: int = 5) -> int:
     digits = [int(c) for c in sig_text if c.isdigit()]
-    return sum(digits) if 1 <= sum(digits) <= 5 else fallback
+    return sum(digits) if 1 <= sum(digits) <= max_m else fallback
 
 
 @st.composite
@@ -366,6 +386,36 @@ def correlator_argv(draw):
     return argv
 
 
+@st.composite
+def limit_sequence_text(draw, m):
+    """A diag, perm, constant-matrix or composed sequence, mostly of size m."""
+    kind = draw(st.sampled_from(("diag", "diag", "perm", "matrix", "compose")))
+    if kind == "perm":
+        cycle = draw(st.lists(st.integers(0, 6), min_size=2, max_size=3, unique=True))
+        return "perm((" + " ".join(map(str, cycle)) + "))"
+    if kind == "compose":
+        return f"compose({draw(limit_sequence_text(m))},{draw(limit_sequence_text(m))})"
+    n = draw(st.sampled_from((m, m, m, 1, 3, 5, 6, 7)))
+    if kind == "diag":
+        entry = st.sampled_from(("1", "t", "-t", "2*t", "t^-1", "t^2", "t^-2", "t^3", "t^-3"))
+        return "diag(" + ",".join(draw(entry) for _ in range(n)) + ")"
+    entry = st.sampled_from(("0", "0", "1", "-1", "2"))
+    return "[" + ",".join("[" + ",".join(draw(entry) for _ in range(n)) + "]" for _ in range(n)) + "]"
+
+
+@st.composite
+def limit_argv(draw):
+    sig = draw(signature_text(max_m=7))
+    m = _dim(sig, 5, max_m=7)
+    return [
+        "limit",
+        "--algebra",
+        draw(mutated(st.just("po" + sig))),
+        "--seq",
+        draw(mutated(limit_sequence_text(m))),
+    ]
+
+
 def run_isolated(argv):
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
@@ -392,6 +442,14 @@ class TestFuzz:
     @given(correlator_argv())
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_correlator(self, argv):
+        code, err, seconds = run_isolated(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert seconds < SECONDS_PER_RUN
+
+    @given(limit_argv())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_limit(self, argv):
         code, err, seconds = run_isolated(argv)
         assert code in (0, 1, 2)
         assert "Traceback" not in err

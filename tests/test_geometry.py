@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +82,14 @@ class TestGeometryLimit:
         seq = parse_sequence("diag(t^4,t^-1,t^-1,t^-1,t^-1)")
         deg = geometry_limit((4, 1), seq)
         assert (deg.limit_sig, deg.perm) == (((1, 0), (3, 1)), (0, 1, 2, 3, 4))
+
+    def test_no_degeneration_is_fast(self):
+        # The limit fills every off-diagonal entry, the worst case for a
+        # search over permutations.
+        start = time.perf_counter()
+        deg = geometry_limit(((5, 1),), FactoredSequence.diagonal([0] * 6))
+        assert time.perf_counter() - start < 0.5
+        assert (deg.limit_sig, deg.perm) == (((5, 1),), (0, 1, 2, 3, 4, 5))
 
 
 class TestClassifyPointLimit:

@@ -1,7 +1,9 @@
 """Block algebras, conjugacy limits, contractions, and contraction chains."""
 
 import random
+import time
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from projlim import linalg
 from projlim.errors import (
     DecompositionError,
     DimError,
+    NoMatch,
     NotClosed,
     NotSubalgebra,
     SignatureError,
@@ -26,7 +29,6 @@ from projlim.lie import (
     enumerate_signatures,
     invariant_profile,
     match_limit_geometry,
-    po_dimension,
     sigma_chain,
     signature_str,
     truncated_exp,
@@ -35,7 +37,7 @@ from projlim.lie import (
     z_and_nplus,
 )
 from projlim.parsing import parse_sequence
-from projlim.projective import FactoredSequence
+from projlim.projective import FactoredSequence, invert_permutation, permutation_matrix
 
 
 def _matrix(m, entries):
@@ -71,10 +73,10 @@ class TestSignatures:
 
     def test_dimension_formula(self):
         # so(5)-type block: full antisymmetric algebra has dimension 10
-        assert build_po(((4, 1),)).dim == po_dimension(((4, 1),)) == 10
+        assert build_po(((4, 1),)).dim == 10
         # flat geometry: rotations+boosts (6) plus translations (4)
-        assert build_po(((1, 0), (3, 1))).dim == po_dimension(((1, 0), (3, 1))) == 10
-        assert build_po(((1, 0), (2, 0))).dim == po_dimension(((1, 0), (2, 0))) == 3
+        assert build_po(((1, 0), (3, 1))).dim == 10
+        assert build_po(((1, 0), (2, 0))).dim == 3
 
     def test_enumerate_signatures_m3(self):
         sigs = enumerate_signatures(3)
@@ -172,6 +174,29 @@ class TestConjugacyLimits:
             table = limit.structure_constants()
             assert table.is_antisymmetric() and table.satisfies_jacobi()
             match_limit_geometry(limit)  # must not raise
+
+
+class TestMatchLimitGeometry:
+    def test_undegenerated_m7_limit_is_read_off_quickly(self):
+        limit = conjugacy_limit(build_po(((6, 1),)), FactoredSequence.diagonal([0] * 7))
+        start = time.perf_counter()
+        assert match_limit_geometry(limit) == (((6, 1),), (0, 1, 2, 3, 4, 5, 6))
+        assert time.perf_counter() - start < 0.1
+
+    def test_blocks_that_do_not_reach_each_other_raise(self):
+        # so(2) + so(2) in pgl_4: two blocks, neither below the other.
+        rotations = LieAlgebraSpan(
+            4, [_matrix(4, {(0, 1): 1, (1, 0): -1}), _matrix(4, {(2, 3): 1, (3, 2): -1})]
+        )
+        with pytest.raises(NoMatch):
+            match_limit_geometry(rotations)
+
+    def test_uncoloured_pair_raises(self):
+        limit = conjugacy_limit(
+            build_po(((2, 1),)), parse_sequence("compose([[1,1,0],[0,1,0],[0,0,1]],diag(t,1,t^-1))")
+        )
+        with pytest.raises(NoMatch):
+            match_limit_geometry(limit)
 
 
 class TestSigmaChain:
@@ -388,3 +413,77 @@ class TestAgainstReference:
             assert got[0].span_equals(want[0]) and got[1].span_equals(want[1]), (sig, seq)
             split += 1
         assert split >= 10
+
+
+# -- reference matcher: every signature against all m! permutations -----------
+
+
+def reference_match_limit_geometry(limit):
+    m = limit.m
+    target = limit.span_basis()
+    target_support = {p for vec in target for p in range(m * m) if vec[p] != 0}
+    for sig in enumerate_signatures(m):
+        base_flat = build_po(sig, m).flattened()
+        base_support = {(p // m, p % m) for vec in base_flat for p in range(m * m) if vec[p] != 0}
+        for perm in permutations(range(m)):
+            inv = invert_permutation(perm)
+            if {inv[i] * m + inv[j] for (i, j) in base_support} != target_support:
+                continue
+            mapped = []
+            for vec in base_flat:
+                new = [Fraction(0)] * (m * m)
+                for i in range(m):
+                    for j in range(m):
+                        if vec[i * m + j] != 0:
+                            new[inv[i] * m + inv[j]] = vec[i * m + j]
+                mapped.append(new)
+            if linalg.row_space_basis(mapped) == target:
+                return sig, tuple(perm)
+    raise NoMatch("limit span is not a permuted orthogonal block algebra")
+
+
+def _match_or_nomatch(match, limit):
+    try:
+        return match(limit)
+    except NoMatch:
+        return NoMatch
+
+
+def _match_cases():
+    """Limits of po(sig) at m = 2-6 along sequences with a permutation or a
+    dense +-1 left factor, or with all weights zero (no degeneration)."""
+    rng = random.Random(20261019)
+
+    def shuffled(m):
+        perm = list(range(m))
+        rng.shuffle(perm)
+        return permutation_matrix(tuple(perm))
+
+    def dense(m):
+        while True:
+            mat = [[rng.choice((-1, 1)) for _ in range(m)] for _ in range(m)]
+            if linalg.determinant(linalg.frac_rows(mat)) != 0:
+                return mat
+
+    for m, count in ((2, 4), (3, 6), (4, 6), (5, 6), (6, 2)):
+        signatures = enumerate_signatures(m)
+        for left, weights in (
+            (shuffled, lambda: [rng.randint(-2, 2) for _ in range(m)]),
+            (dense, lambda: [rng.randint(-2, 2) for _ in range(m)]),
+            (shuffled, lambda: [0] * m),
+        ):
+            for _ in range(count):
+                sig = rng.choice(signatures)
+                seq = FactoredSequence.build(left(m), weights(), shuffled(m))
+                yield sig, conjugacy_limit(build_po(sig), seq)
+
+
+class TestMatchAgainstReference:
+    def test_reading_off_matches_brute_force(self):
+        outcomes = []
+        for sig, limit in _match_cases():
+            got = _match_or_nomatch(match_limit_geometry, limit)
+            assert got == _match_or_nomatch(reference_match_limit_geometry, limit), (sig, limit.basis)
+            outcomes.append(got)
+        assert outcomes.count(NoMatch) >= 10
+        assert len(outcomes) - outcomes.count(NoMatch) >= 40
