@@ -131,9 +131,13 @@ def _table_lines(table) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def _ambient_dim(sig) -> int:
+    return sum(p + q for p, q in validate_signature(sig))
+
+
 def _cmd_limit(args) -> int:
     sig = parse_algebra(args.algebra)
-    deg = geometry_limit(sig, parse_sequence(args.seq))
+    deg = geometry_limit(sig, parse_sequence(args.seq, _ambient_dim(sig)))
     profile = invariant_profile(deg.limit)
     payload = {
         "algebra": signature_str(sig),
@@ -242,8 +246,8 @@ def _cmd_sigma_chain(args) -> int:
 
 def _cmd_embed_check(args) -> int:
     sig = validate_signature(parse_algebra(args.algebra))
-    seq = parse_sequence(args.seq)
-    m = sum(p + q for p, q in sig)
+    m = _ambient_dim(sig)
+    seq = parse_sequence(args.seq, m)
     m_target = seq.dim
     if m_target < m:
         raise DimError(f"sequence dimension {m_target} is below the algebra's {m}")
@@ -279,7 +283,7 @@ def _cmd_classify(args) -> int:
     if not args.algebra and not args.signature:
         raise ParseError("classify needs --algebra or --signature")
     sig = parse_algebra(args.algebra) if args.algebra else parse_signature(args.signature)
-    deg = geometry_limit(sig, parse_sequence(args.seq))
+    deg = geometry_limit(sig, parse_sequence(args.seq, _ambient_dim(sig)))
     points = [ProjPoint(coords) for coords in _split_points(args.points)]
     reports = [classify_point_limit(deg, point) for point in points]
     payload = {
@@ -392,7 +396,7 @@ def _cmd_correlator(args) -> int:
         sig = parse_signature(args.geometry)
         reps = _parse_rep_list(args.reps)
         spec = make_correlator(sig, reps)
-        seq = parse_sequence(args.seq)
+        seq = parse_sequence(args.seq, _ambient_dim(spec.geometry))
         perm = parse_permutation(args.perm, seq.dim) if args.perm else None
         points = _split_points(args.points) if args.points else None
         report = degenerate(spec, seq, perm, points)

@@ -199,67 +199,54 @@ class _SchurAction:
 
     def __init__(self, lam: tuple[int, ...]):
         basis, tuples = symmetrizer_basis(lam)
-        self.p = len(tuples[0]) if tuples else 0
         self.dim = len(basis[0])
         self.index_of = {tup: k for k, tup in enumerate(tuples)}
         self.tuples = tuples
         self.basis_cols = _sparse_columns(basis)
         gram = mat_mul(transpose(basis), basis)
-        self.left_inverse = mat_mul(inverse(gram), transpose(basis))  # d x 5^p
+        left_inverse = mat_mul(inverse(gram), transpose(basis))  # d x 5^p
+        # One sparse column of the left inverse per tensor index: the
+        # coordinates that index feeds, with their nonzero weights.
+        self.coord_cols = [list(col.items()) for col in _sparse_columns(left_inverse)]
 
-    def _tensor_image(self, g_cols: list[dict[int, object]], col: dict[int, object], laurent: bool):
+    def _tensor_image(self, g_cols: list[dict[int, object]], col: dict[int, object]):
         """Apply g tensor p to one sparse basis column."""
         out: dict[int, object] = {}
         for flat, coeff in col.items():
-            tup = self.tuples[flat]
-            start = LaurentScalar.constant(coeff) if laurent else coeff
-            # Build (g e_{j1}) tensor ... tensor (g e_{jp}) sparsely.
-            partial: dict[tuple[int, ...], object] = {(): start}
-            for j in tup:
+            # Build (g e_{j1}) tensor ... tensor (g e_{jp}) sparsely, starting
+            # from the rational coefficient.
+            partial: dict[tuple[int, ...], object] = {(): coeff}
+            for j in self.tuples[flat]:
                 nxt: dict[tuple[int, ...], object] = {}
                 for prefix, value in partial.items():
                     for i, gij in g_cols[j].items():
                         key = prefix + (i,)
                         term = value * gij
-                        if key in nxt:
-                            nxt[key] = nxt[key] + term
-                        else:
-                            nxt[key] = term
+                        nxt[key] = nxt[key] + term if key in nxt else term
                 partial = nxt
             for tup_out, value in partial.items():
                 flat_out = self.index_of[tup_out]
-                if flat_out in out:
-                    out[flat_out] = out[flat_out] + value
-                else:
-                    out[flat_out] = value
+                out[flat_out] = out[flat_out] + value if flat_out in out else value
         return out
 
-    def matrix_of(self, g, laurent: bool):
-        """Matrix of the induced action of the 5 x 5 matrix g (d x d)."""
+    def matrix_of(self, g):
+        """Matrix of the induced action of the 5 x 5 matrix g (d x d), over
+        the ring of g's entries (rationals or Laurent scalars)."""
         if len(g) != DIM_FUND or any(len(row) != DIM_FUND for row in g):
             raise DimError(f"schur tags act on {DIM_FUND}x{DIM_FUND} matrices only")
-        zero = LaurentScalar.zero() if laurent else Fraction(0)
+        zero = LaurentScalar.zero() if isinstance(g[0][0], LaurentScalar) else Fraction(0)
         g_cols = _sparse_columns(g)
-        if self.p == 0:
-            one = LaurentScalar.one() if laurent else Fraction(1)
-            return [[one]]
         columns = []
         for col in self.basis_cols:
-            image = self._tensor_image(g_cols, col, laurent)
-            coords = []
-            for i in range(self.dim):
-                total = zero
-                for r, value in image.items():
-                    c = self.left_inverse[i][r]
-                    if c == 0:
-                        continue
-                    if laurent:
-                        total = total + value.scale(c)
-                    else:
-                        total = total + c * value
-                coords.append(total)
+            coords: dict[int, object] = {}
+            for r, value in self._tensor_image(g_cols, col).items():
+                if not value:
+                    continue
+                for i, c in self.coord_cols[r]:
+                    term = value * c
+                    coords[i] = coords[i] + term if i in coords else term
             columns.append(coords)
-        return [[columns[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        return [[columns[j].get(i, zero) for j in range(self.dim)] for i in range(self.dim)]
 
 
 _SCHUR_CACHE: Dict[tuple[int, ...], _SchurAction] = {}
@@ -281,7 +268,7 @@ def rep_matrix(rep: RepTag, g: Mat) -> Mat:
         return inverse(g)
     lam, dual = _schur_side(rep.pair)
     base = transpose(inverse(g)) if dual else g
-    return _schur_action(lam).matrix_of(base, laurent=False)
+    return _schur_action(lam).matrix_of(base)
 
 
 def rho_infinity(rep: RepTag, b: FactoredSequence) -> ProjMatrix:
@@ -303,7 +290,7 @@ def rho_infinity(rep: RepTag, b: FactoredSequence) -> ProjMatrix:
         return b.matrix()
     lam, dual = _schur_side(rep.pair)
     base = transpose(b.matrix().rows) if dual else b.inverse().matrix().rows
-    return ProjMatrix(_schur_action(lam).matrix_of(base, laurent=True))
+    return ProjMatrix(_schur_action(lam).matrix_of(base))
 
 
 def _nonzero_rows(pm: ProjMatrix) -> tuple[int, ...]:
@@ -637,11 +624,11 @@ def rep_limit_commute_check(
             lam, dual = _schur_side(rep.pair)
             action = _schur_action(lam)
             base_laurent = transpose(conj_pm.rows) if dual else conj_pm.rows
-            lhs = ProjMatrix(action.matrix_of(base_laurent, laurent=True)).limit()
+            lhs = ProjMatrix(action.matrix_of(base_laurent)).limit()
             limit_rows = conj_pm.limit().constant_rows()
             base_rational = transpose(limit_rows) if dual else limit_rows
             rhs = ProjMatrix(
-                lmat_from_rational(action.matrix_of(base_rational, laurent=False))
+                lmat_from_rational(action.matrix_of(base_rational))
             )
         if lhs != rhs:
             return False

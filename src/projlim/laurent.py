@@ -22,6 +22,8 @@ MAX_EXPONENT = 10**6
 
 Rat = int | Fraction
 
+_ZERO = Fraction(0)
+
 
 def _check_exponent(k: int) -> int:
     if abs(k) > MAX_EXPONENT:
@@ -54,19 +56,27 @@ class LaurentScalar:
                 clean[_check_exponent(int(k))] = c
         self._terms = clean
 
+    @classmethod
+    def _of(cls, terms: dict[int, Fraction]) -> LaurentScalar:
+        """Wrap ``terms`` whose coefficients are already ``Fraction`` and whose
+        exponents are already checked; zero coefficients are dropped."""
+        out = object.__new__(cls)
+        out._terms = {k: c for k, c in terms.items() if c}
+        return out
+
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls) -> LaurentScalar:
-        return cls({})
+        return cls._of({})
 
     @classmethod
     def one(cls) -> LaurentScalar:
-        return cls({0: 1})
+        return cls._of({0: Fraction(1)})
 
     @classmethod
     def constant(cls, c: Rat) -> LaurentScalar:
-        return cls({0: Fraction(c)})
+        return cls._of({0: Fraction(c)})
 
     @classmethod
     def t(cls, exponent: int = 1) -> LaurentScalar:
@@ -95,7 +105,7 @@ class LaurentScalar:
         return min(self._terms)
 
     def coefficient(self, k: int) -> Fraction:
-        return self._terms.get(k, Fraction(0))
+        return self._terms.get(k, _ZERO)
 
     def constant_value(self) -> Fraction:
         """The value as a rational number; requires a constant scalar."""
@@ -133,13 +143,13 @@ class LaurentScalar:
             return NotImplemented
         terms = dict(self._terms)
         for k, c in o._terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + c
-        return LaurentScalar(terms)
+            terms[k] = terms[k] + c if k in terms else c
+        return LaurentScalar._of(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentScalar:
-        return LaurentScalar({k: -c for k, c in self._terms.items()})
+        return LaurentScalar._of({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: LaurentScalar | Rat) -> LaurentScalar:
         o = self._coerce(other)
@@ -151,15 +161,18 @@ class LaurentScalar:
         return (-self) + other
 
     def __mul__(self, other: LaurentScalar | Rat) -> LaurentScalar:
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, (int, Fraction)):
+            # Scaling keeps every exponent, so none needs checking again.
+            c = Fraction(other)
+            return LaurentScalar._of({k: v * c for k, v in self._terms.items()})
+        if not isinstance(other, LaurentScalar):
             return NotImplemented
         terms: dict[int, Fraction] = {}
         for k1, c1 in self._terms.items():
-            for k2, c2 in o._terms.items():
+            for k2, c2 in other._terms.items():
                 k = _check_exponent(k1 + k2)
-                terms[k] = terms.get(k, Fraction(0)) + c1 * c2
-        return LaurentScalar(terms)
+                terms[k] = terms[k] + c1 * c2 if k in terms else c1 * c2
+        return LaurentScalar._of(terms)
 
     __rmul__ = __mul__
 
@@ -170,7 +183,7 @@ class LaurentScalar:
             if not self.is_monomial():
                 raise ZeroScalar(f"cannot invert non-monomial {self}")
             k = self.min_exponent()
-            return LaurentScalar({_check_exponent(k * n): self._terms[k] ** n})
+            return LaurentScalar._of({_check_exponent(k * n): self._terms[k] ** n})
         out = LaurentScalar.one()
         for _ in range(n):
             out = out * self
@@ -178,7 +191,7 @@ class LaurentScalar:
 
     def shift(self, k: int) -> LaurentScalar:
         """Multiply by t^k."""
-        return LaurentScalar({_check_exponent(e + k): c for e, c in self._terms.items()})
+        return LaurentScalar._of({_check_exponent(e + k): c for e, c in self._terms.items()})
 
     def scale(self, c: Rat) -> LaurentScalar:
         return self * Fraction(c)

@@ -242,7 +242,7 @@ def parse_permutation(text: str, n: int = 5) -> tuple[int, ...]:
 # -- factored sequences --------------------------------------------------------
 
 
-def _parse_sequence(tk: _Tokens):
+def _parse_sequence(tk: _Tokens, n: int):
     from . import linalg
     from .projective import FactoredSequence, permutation_matrix
 
@@ -268,15 +268,15 @@ def _parse_sequence(tk: _Tokens):
     if kind == "name" and value == "perm":
         tk.next()
         tk.expect("(")
-        perm = _parse_cycles(tk, 5)
+        perm = _parse_cycles(tk, n)
         tk.expect(")")
         return FactoredSequence.constant(permutation_matrix(perm))
     if kind == "name" and value == "compose":
         tk.next()
         tk.expect("(")
-        seqs = [_parse_sequence(tk)]
+        seqs = [_parse_sequence(tk, n)]
         while tk.accept(","):
-            seqs.append(_parse_sequence(tk))
+            seqs.append(_parse_sequence(tk, n))
         tk.expect(")")
         out = seqs[0]
         for s in seqs[1:]:
@@ -293,9 +293,10 @@ def _parse_sequence(tk: _Tokens):
     raise ParseError(f"expected a sequence (diag/perm/compose/[[...]]), found {value!r}", pos)
 
 
-def parse_sequence(text: str):
+def parse_sequence(text: str, n: int = 5):
+    """Parse a factored sequence; ``perm(...)`` factors are n x n."""
     tk = _Tokens(text)
-    seq = _parse_sequence(tk)
+    seq = _parse_sequence(tk, n)
     tk.done()
     return seq
 

@@ -31,17 +31,34 @@ def _to_laurent_rows(entries) -> LMat:
 
 
 def _canonicalize(rows: LMat) -> LMat:
-    """Canonical representative of the projective class of ``rows``."""
-    exps = [e.min_exponent() for row in rows for e in row if not e.is_zero()]
+    """Canonical representative of the projective class of ``rows``.
+
+    Zero entries are kept as they are, and the shift and the rescaling are
+    skipped when they would change nothing.
+    """
+    exps = [e.min_exponent() for row in rows for e in row if e]
     if not exps:
         raise ZeroMatrix("projective class of the zero matrix is undefined")
     shift = -min(exps)
-    rows = [[e.shift(shift) for e in row] for row in rows]
-    lead = next(
-        e.coefficient(0) for row in rows for e in row if e.coefficient(0) != 0
-    )
-    inv = Fraction(1) / lead
-    return [[e.scale(inv) for e in row] for row in rows]
+    if shift:
+        rows = [[e.shift(shift) if e else e for e in row] for row in rows]
+    lead = next(c for row in rows for e in row if (c := e.coefficient(0)) != 0)
+    if lead != 1:
+        inv = 1 / lead
+        rows = [[e.scale(inv) if e else e for e in row] for row in rows]
+    return rows
+
+
+def _limit_rows(rows: LMat) -> LMat:
+    """Entrywise t -> 0 limit of a canonical representative.
+
+    The result is canonical too: the minimum exponent is 0, so some entry has
+    a nonzero constant term, and the first such term is 1.
+    """
+    return [
+        [e if e.is_constant() else LaurentScalar.constant(e.limit_at_zero()) for e in row]
+        for row in rows
+    ]
 
 
 class ProjMatrix:
@@ -84,12 +101,12 @@ class ProjMatrix:
     def limit(self) -> "ProjMatrix":
         """Entrywise t -> 0 limit of the canonical representative.
 
-        Always converges (canonical form has no poles); raises ZeroMatrix only
-        if the limit matrix vanishes, which cannot happen for canonical input.
+        Always converges (canonical form has no poles), and the limit is
+        canonical itself, so it is not normalized again.
         """
-        return ProjMatrix(
-            [[LaurentScalar.constant(e.limit_at_zero()) for e in row] for row in self.rows]
-        )
+        out = object.__new__(ProjMatrix)
+        out.rows = _limit_rows(self.rows)
+        return out
 
     def rank_at_limit(self) -> int:
         return linalg.rank(self.limit().constant_rows())
@@ -127,7 +144,9 @@ class ProjPoint:
         return len(self.coords)
 
     def limit(self) -> "ProjPoint":
-        return ProjPoint([LaurentScalar.constant(c.limit_at_zero()) for c in self.coords])
+        out = object.__new__(ProjPoint)
+        out.coords = _limit_rows([self.coords])[0]
+        return out
 
     def constant_coords(self) -> linalg.Vec:
         return [c.constant_value() for c in self.coords]

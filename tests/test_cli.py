@@ -57,6 +57,18 @@ class TestLimit:
         assert (code, out) == (1, "")
         assert err == "error: limit span is not a permuted orthogonal block algebra\n"
 
+    def test_perm_sequence_at_the_algebra_dimension(self, capsys):
+        code, out, _ = run(capsys, "limit", "--algebra", "po(2,1)", "--seq", "perm((0 1))")
+        assert code == 0
+        assert "dimension:        3" in out
+
+    def test_composed_perm_at_m6(self, capsys):
+        code, out, _ = run(
+            capsys, "limit", "--algebra", "po(5,1)", "--seq", "compose(perm((0 1)),diag(t,1,1,1,1,1))"
+        )
+        assert code == 0
+        assert "limit signature:  po((1),(4,1))" in out
+
     def test_json_deterministic(self, capsys):
         args = ("limit", "--algebra", "po((3,2))", "--seq", "diag(t^-1,t^-1,t^-1,t^-1,t^4)", "--format", "json")
         _, first, _ = run(capsys, *args)
@@ -211,6 +223,25 @@ class TestCorrelator:
         assert doc["surviving"] == [[1, 5], [2, 3, 4]]
 
 
+    def test_schur_tags_on_both_sides(self, capsys):
+        reps = ",".join(SCHUR_TAGS)
+        code, out, _ = run(
+            capsys, "correlator", "--geometry", "((1),(3,1))", "--reps", reps, "--seq", GALILEI_SEQ,
+            "--format", "json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc["surviving"]) == 12
+        assert set(doc["rho_inf"]) == set(SCHUR_TAGS)
+
+    def test_four_box_tag_exits_1(self, capsys):
+        code, out, err = run(
+            capsys, "correlator", "--geometry", "((1),(3,1))", "--reps", FOUR_BOX_TAG, "--seq", GALILEI_SEQ
+        )
+        assert (code, out) == (1, "")
+        assert "capped at 3 boxes" in err
+
+
 class TestFigure1:
     def test_json_matches_golden(self, capsys):
         code, out, _ = run(capsys, "figure1", "--format", "json")
@@ -328,8 +359,13 @@ def sequence_text(draw, m):
     n = draw(st.sampled_from((m, m, m, 1, 2, 3, 4, 5)))
     entry = st.sampled_from(("1", "t", "-t", "2*t", "t^-1", "t^2", "t^-2", "t^4", "t^-4"))
     text = "diag(" + ",".join(draw(entry) for _ in range(n)) + ")"
-    if n == 5 and draw(st.booleans()):
+    factor = draw(st.sampled_from(("none", "none", "perm", "dense")))
+    if factor == "perm" and n == 5:
         text = f"compose(perm((0 4)),{text})"
+    elif factor == "dense":
+        cell = st.sampled_from(("0", "1", "-1", "1", "-1", "2"))
+        rows = ("[" + ",".join(draw(cell) for _ in range(n)) + "]" for _ in range(n))
+        text = "compose([" + ",".join(rows) + f"],{text})"
     return text
 
 
@@ -360,6 +396,15 @@ def classify_argv(draw):
     ]
 
 
+# Every single-sided diagram of at most three boxes, on either side.
+SCHUR_TAGS = tuple(
+    f"schur({lam},[])" if side == 0 else f"schur([],{lam})"
+    for lam in ("[1]", "[2]", "[1,1]", "[3]", "[2,1]", "[1,1,1]")
+    for side in (0, 1)
+)
+FOUR_BOX_TAG = "schur([2,1,1],[])"
+
+
 @st.composite
 def correlator_argv(draw):
     if draw(st.booleans()):
@@ -369,7 +414,7 @@ def correlator_argv(draw):
         return argv
     sig = draw(signature_text())
     m = _dim(sig, 5)
-    reps = st.sampled_from(("fundamental", "right_action", "schur([1],[])", "schur([1,1],[])", "schur([2],[1])"))
+    reps = st.sampled_from(("fundamental", "right_action", "schur([2],[1])", FOUR_BOX_TAG) + SCHUR_TAGS)
     argv = [
         "correlator",
         "--geometry",
@@ -446,6 +491,8 @@ class TestFuzz:
         assert code in (0, 1, 2)
         assert "Traceback" not in err
         assert seconds < SECONDS_PER_RUN
+        if "--reps" in argv and FOUR_BOX_TAG in argv[argv.index("--reps") + 1]:
+            assert code != 0  # the symmetrizers stop at three boxes
 
     @given(limit_argv())
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

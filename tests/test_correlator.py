@@ -1,7 +1,9 @@
 """Correlator degeneration: component survival, scale limits, functoriality."""
 
+import functools
 import importlib.resources
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,10 +26,12 @@ from projlim.correlator import (
     surviving_components,
     uv_ir_report,
 )
+from projlim.laurent import LaurentScalar
 from projlim.lie import build_po
-from projlim.linalg import identity, mat_mul
+from projlim.linalg import determinant, identity, inverse, mat_mul, transpose
 from projlim.parsing import parse_sequence
-from projlim.projective import FactoredSequence
+from projlim.projective import FactoredSequence, ProjMatrix, permutation_matrix
+from projlim.young import symmetrizer_basis
 
 FLAT = ((1, 0), (3, 1))
 DS_SEQ = parse_sequence("diag(t^4,t^-1,t^-1,t^-1,t^-1)")
@@ -265,3 +269,124 @@ class TestSchurDimensions:
     def test_m5_keeps_the_symmetrizer_dimension(self):
         rho = rho_infinity(RepTag("schur", ((1, 1), ())), GALILEI_SEQ)
         assert len(rho.rows) == len(rho.rows[0]) == 10
+
+
+# -- the dense-left-inverse Schur action, kept as an oracle ----------------------
+
+
+def _dense_is_zero(value):
+    return value.is_zero() if isinstance(value, LaurentScalar) else value == 0
+
+
+def _dense_sparse_columns(matrix):
+    out = [dict() for _ in matrix[0]]
+    for i, row in enumerate(matrix):
+        for j, value in enumerate(row):
+            if not _dense_is_zero(value):
+                out[j][i] = value
+    return out
+
+
+@functools.cache
+def _dense_setup(lam):
+    basis, tuples = symmetrizer_basis(lam)
+    left_inverse = mat_mul(inverse(mat_mul(transpose(basis), basis)), transpose(basis))
+    return basis, tuples, left_inverse
+
+
+def reference_matrix_of(lam, g, laurent):
+    """The induced action with a dense d x 5^p left inverse: every coordinate
+    scans the whole tensor image and tests each weight for zero."""
+    basis, tuples, left_inverse = _dense_setup(lam)
+    p = len(tuples[0]) if tuples else 0
+    dim = len(basis[0])
+    index_of = {tup: k for k, tup in enumerate(tuples)}
+    zero = LaurentScalar.zero() if laurent else Fraction(0)
+    if p == 0:
+        return [[LaurentScalar.one() if laurent else Fraction(1)]]
+    g_cols = _dense_sparse_columns(g)
+    columns = []
+    for col in _dense_sparse_columns(basis):
+        image = {}
+        for flat, coeff in col.items():
+            partial = {(): LaurentScalar.constant(coeff) if laurent else coeff}
+            for j in tuples[flat]:
+                nxt = {}
+                for prefix, value in partial.items():
+                    for i, gij in g_cols[j].items():
+                        key = prefix + (i,)
+                        nxt[key] = nxt[key] + value * gij if key in nxt else value * gij
+                partial = nxt
+            for tup_out, value in partial.items():
+                flat_out = index_of[tup_out]
+                image[flat_out] = image[flat_out] + value if flat_out in image else value
+        coords = []
+        for i in range(dim):
+            total = zero
+            for r, value in image.items():
+                c = left_inverse[i][r]
+                if c == 0:
+                    continue
+                total = total + (value.scale(c) if laurent else c * value)
+            coords.append(total)
+        columns.append(coords)
+    return [[columns[j][i] for j in range(dim)] for i in range(dim)]
+
+
+def reference_rho_infinity(lam, dual, b):
+    base = transpose(b.matrix().rows) if dual else b.inverse().matrix().rows
+    return ProjMatrix(reference_matrix_of(lam, base, laurent=True))
+
+
+SMALL_TAGS = [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
+
+
+def _dense_pm1(rng):
+    while True:
+        m = [[Fraction(rng.choice((-1, 1))) if rng.random() < 0.6 else Fraction(0) for _ in range(5)]
+             for _ in range(5)]
+        if determinant(m) != 0:
+            return m
+
+
+def schur_sequences(seed=9):
+    """Seeded diagonal, permuted and dense +-1 sequences at m = 5."""
+    rng = random.Random(seed)
+
+    def weights():
+        return [rng.randint(-3, 3) for _ in range(5)]
+
+    eye = identity(5)
+    out = [FactoredSequence.diagonal(weights()) for _ in range(3)]
+    for _ in range(2):
+        perm = list(range(5))
+        rng.shuffle(perm)
+        out.append(FactoredSequence.build(permutation_matrix(tuple(perm)), weights(), eye))
+    out.append(FactoredSequence.build(_dense_pm1(rng), [rng.randint(-1, 1) for _ in range(5)], eye))
+    return out, [_dense_pm1(rng) for _ in range(2)] + [permutation_matrix((1, 2, 0, 4, 3))]
+
+
+SEQUENCES, RATIONAL_GS = schur_sequences()
+
+
+class TestSchurActionAgainstReference:
+    @pytest.mark.parametrize("lam", SMALL_TAGS)
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_rho_infinity(self, lam, dual):
+        tag = RepTag("schur", ((), lam) if dual else (lam, ()))
+        for b in SEQUENCES:
+            rho = rho_infinity(tag, b)
+            expected = reference_rho_infinity(lam, dual, b)
+            assert rho == expected
+            assert str(rho) == str(expected)
+            assert str(rho.limit()) == str(expected.limit())
+
+    @pytest.mark.parametrize("lam", SMALL_TAGS)
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_rep_matrix(self, lam, dual):
+        tag = RepTag("schur", ((), lam) if dual else (lam, ()))
+        for g in RATIONAL_GS:
+            base = transpose(inverse(g)) if dual else g
+            got = rep_matrix(tag, g)
+            assert got == reference_matrix_of(lam, base, laurent=False)
+            assert all(type(x) is Fraction for row in got for x in row)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projlim import DivergentLimit, LaurentScalar
+from projlim import DivergentLimit, ExponentOverflow, LaurentScalar
+from projlim.laurent import MAX_EXPONENT
 from projlim.parsing import parse_scalar
 
 ZERO = LaurentScalar.zero()
@@ -109,3 +110,70 @@ class TestPrinting:
     @settings(max_examples=80, deadline=None)
     def test_parse_roundtrip(self, a):
         assert parse_scalar(str(a)) == a
+
+
+def stored(x):
+    """The stored (exponent, coefficient) terms of a scalar."""
+    return x._terms
+
+
+def assert_clean(x):
+    assert all(type(c) is Fraction and c != 0 for c in stored(x).values())
+    assert all(type(k) is int for k in stored(x))
+
+
+rationals = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=4)
+)
+
+
+class TestInvariants:
+    """Arithmetic results store no zero coefficient, exponents stay bounded,
+    and rational factors act like constants."""
+
+    def test_cancellation_stores_no_zero(self):
+        a = LaurentScalar({0: 1, 1: 1})
+        b = LaurentScalar({0: -1, 1: 1})
+        assert stored(a + b) == {1: 2}
+        assert stored(a - LaurentScalar({0: 1})) == {1: 1}
+        assert stored(a * b) == {0: -1, 2: 1}
+        assert stored(a + (-a)) == {}
+        assert stored(a - a) == {}
+        assert stored(a + (-1)) == {1: 1}
+        assert stored(a * 0) == {} and stored(0 * a) == {}
+
+    @given(scalars(), scalars(), rationals)
+    @settings(max_examples=80, deadline=None)
+    def test_results_are_clean(self, a, b, c):
+        for x in (a + b, a - b, a * b, -a, a + c, c + a, a - c, c - a, a * c, c * a, a.shift(2)):
+            assert_clean(x)
+
+    def test_exponent_overflow(self):
+        top = LaurentScalar.t(MAX_EXPONENT)
+        assert (top * LaurentScalar.t(-1)).min_exponent() == MAX_EXPONENT - 1
+        with pytest.raises(ExponentOverflow):
+            top * T
+        with pytest.raises(ExponentOverflow):
+            top.shift(1)
+        with pytest.raises(ExponentOverflow):
+            LaurentScalar.t(-MAX_EXPONENT).shift(-1)
+        half = LaurentScalar.t(MAX_EXPONENT // 2 + 1)
+        with pytest.raises(ExponentOverflow):
+            half**2
+        with pytest.raises(ExponentOverflow):
+            half**-2
+        assert (top**-1).min_exponent() == -MAX_EXPONENT
+
+    @given(scalars(), rationals)
+    @settings(max_examples=80, deadline=None)
+    def test_rational_factor_in_either_order(self, a, c):
+        as_constant = a * LaurentScalar.constant(c)
+        assert c * a == a * c == a.scale(c) == as_constant
+        assert str(c * a) == str(as_constant)
+
+    @given(rationals, scalars())
+    @settings(max_examples=60, deadline=None)
+    def test_constants_hash_like_their_value(self, c, a):
+        assert hash(LaurentScalar.constant(c)) == hash(c)
+        # A constant reached through arithmetic hashes the same way.
+        assert hash((a + c) - a) == hash(Fraction(c))

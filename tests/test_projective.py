@@ -1,5 +1,6 @@
 """Projective canonical forms, factored sequences, and their limits."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from projlim import (
 from projlim.parsing import parse_matrix, parse_point, parse_sequence
 from projlim.projective import (
     FactoredSequence,
+    _canonicalize,
     invert_permutation,
     lmat_from_rational,
     permutation_matrix,
@@ -141,3 +143,127 @@ class TestParsing:
         seq = parse_sequence("diag(t^-1,1)")
         assert seq.matrix() == ProjMatrix([[LaurentScalar.one(), LaurentScalar.zero()], [LaurentScalar.zero(), T]])
         assert seq.matrix().limit().constant_rows() == [[1, 0], [0, 0]]
+
+
+class TestParseDimension:
+    def test_perm_takes_the_given_dimension(self):
+        assert parse_sequence("perm((0 1))", 3).left_rows() == [
+            [0, 1, 0],
+            [1, 0, 0],
+            [0, 0, 1],
+        ]
+        assert parse_sequence("perm((0 1))").dim == 5
+
+    def test_perm_inside_compose_at_m6(self):
+        seq = parse_sequence("compose(perm((0 1)),diag(t,1,1,1,1,1))", 6)
+        assert seq.matrix() == ProjMatrix(
+            parse_matrix(
+                "[[0,1,0,0,0,0],[t,0,0,0,0,0],[0,0,1,0,0,0],"
+                "[0,0,0,1,0,0],[0,0,0,0,1,0],[0,0,0,0,0,1]]"
+            )
+        )
+
+
+# -- the canonical form before it skipped no-op work, kept as an oracle ----------
+
+
+def reference_canonicalize(rows):
+    """Always shift and always rescale, zero entries included."""
+    exps = [e.min_exponent() for row in rows for e in row if not e.is_zero()]
+    if not exps:
+        raise ZeroMatrix("projective class of the zero matrix is undefined")
+    shift = -min(exps)
+    rows = [[e.shift(shift) for e in row] for row in rows]
+    lead = next(e.coefficient(0) for row in rows for e in row if e.coefficient(0) != 0)
+    inv = Fraction(1) / lead
+    return [[e.scale(inv) for e in row] for row in rows]
+
+
+def reference_limit(rows):
+    """Entrywise limit of a canonical representative, canonicalized again."""
+    return reference_canonicalize(
+        [[LaurentScalar.constant(e.limit_at_zero()) for e in row] for row in rows]
+    )
+
+
+COEFFS = [Fraction(c) for c in (1, -1, 2, -3)] + [Fraction(1, 2), Fraction(-3, 4)]
+
+
+def random_scalar(rng, zero_frac, constant):
+    if rng.random() < zero_frac:
+        return LaurentScalar.zero()
+    if constant:
+        return LaurentScalar.constant(rng.choice(COEFFS))
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        terms[rng.randint(-3, 3)] = rng.choice(COEFFS)
+    return LaurentScalar(terms)
+
+
+def laurent_grid(seed=20261018):
+    """Seeded Laurent matrices: zero entries, negative exponents, leading
+    constants other than 1, 1x1 and all-constant ones, and each also in its
+    canonical form, which must come back unchanged."""
+    rng = random.Random(seed)
+    shapes = [(1, 1), (1, 1), (1, 3), (1, 5), (2, 2), (3, 3), (2, 5), (5, 5)]
+    grid = []
+    for index in range(120):
+        nrows, ncols = shapes[index % len(shapes)]
+        constant = index % 5 == 0
+        zero_frac = (0.0, 0.3, 0.7)[index % 3]
+        rows = [[random_scalar(rng, zero_frac, constant) for _ in range(ncols)] for _ in range(nrows)]
+        if all(e.is_zero() for row in rows for e in row):
+            rows[rng.randrange(nrows)][rng.randrange(ncols)] = LaurentScalar.t(rng.randint(-3, 3))
+        grid.append(rows)
+        grid.append(reference_canonicalize(rows))
+    return grid
+
+
+GRID = laurent_grid()
+
+
+class TestCanonicalFormAgainstReference:
+    def test_grid_covers_the_cases(self):
+        entries = [e for rows in GRID for row in rows for e in row]
+        assert any(e.is_zero() for e in entries)
+        assert any(not e.is_zero() and e.min_exponent() < 0 for e in entries)
+        assert any(len(rows) == len(rows[0]) == 1 for rows in GRID)
+        assert any(all(e.is_constant() for row in rows for e in row) for rows in GRID)
+        leads = [
+            next(e.coefficient(0) for row in rows for e in row if e.coefficient(0) != 0)
+            for rows in GRID
+            if any(e.coefficient(0) != 0 for row in rows for e in row)
+        ]
+        assert any(lead != 1 for lead in leads) and any(lead == 1 for lead in leads)
+
+    def test_matrices(self):
+        for rows in GRID:
+            pm = ProjMatrix(rows)
+            expected = reference_canonicalize(rows)
+            assert pm.rows == expected
+            assert str(pm) == str(ProjMatrix(expected))
+            limit = pm.limit()
+            assert limit.rows == reference_limit(pm.rows)
+            assert str(limit) == "[" + ", ".join(
+                "[" + ", ".join(map(str, row)) + "]" for row in reference_limit(pm.rows)
+            ) + "]"
+            assert _canonicalize(limit.rows) == limit.rows
+
+    def test_points(self):
+        for rows in GRID:
+            for row in rows:
+                if all(e.is_zero() for e in row):
+                    with pytest.raises(ZeroMatrix):
+                        ProjPoint(row)
+                    continue
+                point = ProjPoint(row)
+                [expected] = reference_canonicalize([row])
+                assert point.coords == expected
+                assert str(point) == "[" + ", ".join(map(str, expected)) + "]"
+                [expected_limit] = reference_limit([point.coords])
+                assert point.limit().coords == expected_limit
+                assert str(point.limit()) == "[" + ", ".join(map(str, expected_limit)) + "]"
+
+    def test_zero_matrix_still_rejected(self):
+        with pytest.raises(ZeroMatrix):
+            ProjMatrix([[LaurentScalar.zero(), LaurentScalar.zero()]])
