@@ -100,30 +100,21 @@ def _perm_str(perm: Sequence[int]) -> str:
 
 
 def _table_sparse(table) -> list[dict]:
-    n = table.dim
-    entries = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                if table.c[i][j][k] != 0:
-                    entries.append({"i": i, "j": j, "k": k, "coeff": str(table.c[i][j][k])})
-    return entries
+    return [
+        {"i": i, "j": j, "k": k, "coeff": str(c)}
+        for i, j, coeffs in table.brackets()
+        if i < j
+        for k, c in coeffs.items()
+    ]
+
 
 def _table_lines(table) -> list[str]:
-    lines = []
-    n = table.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            terms = [
-                (f"{table.c[i][j][k]}*e{k}" if table.c[i][j][k] != 1 else f"e{k}")
-                for k in range(n)
-                if table.c[i][j][k] != 0
-            ]
-            if terms:
-                lines.append(f"[e{i}, e{j}] = " + " + ".join(terms))
-    if not lines:
-        lines.append("all brackets vanish")
-    return lines
+    lines = [
+        f"[e{i}, e{j}] = " + " + ".join(f"{c}*e{k}" if c != 1 else f"e{k}" for k, c in coeffs.items())
+        for i, j, coeffs in table.brackets()
+        if i < j
+    ]
+    return lines or ["all brackets vanish"]
 
 
 # ---------------------------------------------------------------------------

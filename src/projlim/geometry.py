@@ -174,6 +174,9 @@ def geometry_limit(sig: Signature, seq: FactoredSequence) -> Degeneration:
     permuted block algebra.
     """
     sig = validate_signature(sig)
+    m = sum(p + q for p, q in sig)
+    if seq.dim != m:  # refuse before build_po, whose cost grows steeply with m
+        raise DimError(f"sequence dimension {seq.dim} != algebra ambient {m}")
     limit = conjugacy_limit(build_po(sig), seq)
     limit_sig, perm = match_limit_geometry(limit)
     return Degeneration(sig, seq, limit, limit_sig, perm, seq.matrix().rank_at_limit())

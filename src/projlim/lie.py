@@ -2,13 +2,17 @@
 
 Subalgebras are stored as spans of trace-free rational matrices, each with the
 reduced echelon form of its flattened basis; membership, closure, structure
-constants and span equality all reduce against that one echelon form.
+constants and span equality all reduce against that one echelon form.  The
+closure check brackets each pair of basis elements once, from their nonzero
+entries, and the span keeps the structure-constant table it yields.
 Conjugacy limits along factored sequences are computed exactly through the
 weight filtration: in the diagonal frame, grade every matrix position (i, j)
 by w_i - w_j, run one elimination with the columns in ascending grade order,
 keep the lowest-grade part of each echelon row (its initial form), and
 conjugate the resulting span back.  Abstract (basis-only) Lie algebras are
-handled as structure-constant tables, which is what contractions produce.
+handled as structure-constant tables, which is what contractions produce; a
+table stores only its nonzero entries, and invariants, contractions and
+morphism checks iterate over those.
 """
 
 from __future__ import annotations
@@ -40,6 +44,32 @@ def _unflatten(v: Vec, m: int) -> Mat:
     return [list(v[i * m : (i + 1) * m]) for i in range(m)]
 
 
+def _nonzero_flat(x: Mat) -> dict[int, Fraction]:
+    """The nonzero entries of the flattened matrix, as {position: value}."""
+    m = len(x)
+    return {i * m + j: v for i, row in enumerate(x) for j, v in enumerate(row) if v}
+
+
+def _nonzero_rows(x: Mat) -> list[list[tuple[int, Fraction]]]:
+    """For each row of the matrix, its nonzero (column, value) entries."""
+    return [[(j, v) for j, v in enumerate(row) if v] for row in x]
+
+
+def _sparse_bracket(a, b, m: int) -> dict[int, Fraction]:
+    """The nonzero entries of the flattened commutator ab - ba of two m x m
+    matrices given by their ``_nonzero_rows``."""
+    out: dict[int, Fraction] = {}
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        for i, row in enumerate(x):
+            for k, u in row:
+                if sign < 0:
+                    u = -u
+                for j, v in y[k]:
+                    p = i * m + j
+                    out[p] = out.get(p, 0) + u * v
+    return {p: v for p, v in out.items() if v}
+
+
 def _echelon_by(vectors: list[Vec], key: list) -> list[tuple[object, Vec]]:
     """Echelon basis of span(vectors), eliminating columns in ascending ``key``.
 
@@ -64,6 +94,8 @@ class LieAlgebraSpan:
 
     The basis is kept exactly as given (after removing traces); closure under
     the bracket is verified on construction unless ``check_closed=False``.
+    The closure check brackets every pair of basis elements once and keeps
+    the structure-constant table it builds.
     """
 
     def __init__(self, m: int, basis, *, check_closed: bool = True):
@@ -73,6 +105,15 @@ class LieAlgebraSpan:
         self._echelon, self._pivots = linalg.rref(self.flattened())
         if len(self._pivots) != len(self.basis):
             raise DimError("basis matrices are linearly dependent after trace removal")
+        self._pivot_row = {p: r for r, p in enumerate(self._pivots)}
+        # Nonzero (column, value) entries of each echelon row off the pivots.
+        self._tails = [
+            [(c, x) for c, x in enumerate(row) if x and c not in self._pivot_row]
+            for row in self._echelon
+        ]
+        self._nonzero_basis = [_nonzero_rows(x) for x in self.basis]
+        self._table: BracketTable | None = None
+        self._from_echelon: list[list[tuple[int, Fraction]]] | None = None
         if check_closed and not self.is_closed():
             raise NotClosed("span is not closed under the matrix commutator")
 
@@ -87,15 +128,43 @@ class LieAlgebraSpan:
                 rows[i][i] -= shift
         return rows
 
-    def _coordinates(self, v: Vec) -> Vec | None:
-        """Coordinates of a flattened matrix in the echelon basis (the rows of
+    def _echelon_coordinates(self, v: dict[int, Fraction]) -> dict[int, Fraction] | None:
+        """Coordinates {r: y} of a flattened matrix, given by its nonzero
+        entries {position: value}, in the echelon basis (the rows of
         ``span_basis()``), or None when it lies outside the span."""
-        coords = [v[p] for p in self._pivots]
-        residual = v
-        for y, row in zip(coords, self._echelon):
-            if y:
-                residual = [r - y * x if x else r for r, x in zip(residual, row)]
-        return None if any(residual) else coords
+        coords: dict[int, Fraction] = {}
+        residual: dict[int, Fraction] = {}
+        for p, x in v.items():
+            r = self._pivot_row.get(p)
+            if r is None:
+                residual[p] = x
+            else:
+                coords[r] = x
+        for r, y in coords.items():
+            for c, x in self._tails[r]:
+                residual[c] = residual.get(c, 0) - y * x
+        return None if any(residual.values()) else coords
+
+    def _coordinates(self, v: dict[int, Fraction]) -> dict[int, Fraction] | None:
+        """Nonzero coordinates {k: x} in the given basis of a flattened matrix
+        (as in ``_echelon_coordinates``), or None outside the span."""
+        coords = self._echelon_coordinates(v)
+        if coords is None:
+            return None
+        if self._from_echelon is None:
+            # The echelon rows are T @ basis with T the inverse of the basis
+            # restricted to the pivot columns: echelon row r is sum_k T[r][k] e_k.
+            m = self.m
+            pivot_block = [[x[p // m][p % m] for p in self._pivots] for x in self.basis]
+            self._from_echelon = [
+                [(k, t) for k, t in enumerate(row) if t]
+                for row in linalg.inverse(pivot_block)
+            ]
+        out: dict[int, Fraction] = {}
+        for r, y in coords.items():
+            for k, t in self._from_echelon[r]:
+                out[k] = out.get(k, 0) + y * t
+        return {k: x for k, x in sorted(out.items()) if x}
 
     @property
     def dim(self) -> int:
@@ -109,40 +178,45 @@ class LieAlgebraSpan:
         return [row[:] for row in self._echelon]
 
     def contains(self, x: Mat) -> bool:
-        return self._coordinates(_flatten(self._trace_free(x))) is not None
+        return self._echelon_coordinates(_nonzero_flat(self._trace_free(x))) is not None
 
     def is_closed(self) -> bool:
-        return all(
-            self._coordinates(_flatten(linalg.commutator(self.basis[i], self.basis[j])))
-            is not None
-            for i in range(self.dim)
-            for j in range(i + 1, self.dim)
-        )
+        """Whether every bracket of basis elements stays in the span.  A
+        closed span keeps the table this check builds, so that
+        ``structure_constants()`` costs nothing more."""
+        if self._table is None:
+            try:
+                self._table = self._bracket_table()
+            except NotClosed:
+                return False
+        return True
 
     def span_equals(self, other: "LieAlgebraSpan") -> bool:
         return self.m == other.m and self._echelon == other._echelon
 
     def structure_constants(self) -> "BracketTable":
-        """Structure constants c^k_{ij} with [e_i, e_j] = sum_k c^k_{ij} e_k."""
-        n = self.dim
-        # The echelon rows are T @ basis with T the inverse of the basis
-        # restricted to the pivot columns; from_echelon is T transposed.
-        pivot_block = [[row[p] for p in self._pivots] for row in self.flattened()]
-        from_echelon = linalg.transpose(linalg.inverse(pivot_block))
-        c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                br = _flatten(linalg.commutator(self.basis[i], self.basis[j]))
-                echelon_coords = self._coordinates(br)
-                if echelon_coords is None:
-                    raise NotClosed(
-                        f"bracket of basis elements {i}, {j} leaves the span"
-                    )
-                coords = linalg.mat_vec(from_echelon, echelon_coords)
-                for k in range(n):
-                    c[i][j][k] = coords[k]
-                    c[j][i][k] = -coords[k]
-        return BracketTable(c)
+        """Structure constants c^k_{ij} with [e_i, e_j] = sum_k c^k_{ij} e_k.
+
+        The table of the closure check; an unchecked span builds it here, and
+        raises NotClosed when a bracket leaves the span.
+        """
+        if self._table is None:
+            self._table = self._bracket_table()
+        return self._table
+
+    def _bracket_table(self) -> "BracketTable":
+        """Bracket each pair of basis elements once and reduce it against the
+        echelon rows; NotClosed when a bracket leaves the span."""
+        brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for i in range(self.dim):
+            for j in range(i + 1, self.dim):
+                br = _sparse_bracket(self._nonzero_basis[i], self._nonzero_basis[j], self.m)
+                coords = self._coordinates(br)
+                if coords is None:
+                    raise NotClosed(f"bracket of basis elements {i}, {j} leaves the span")
+                brackets[i, j] = coords
+                brackets[j, i] = {k: -x for k, x in coords.items()}
+        return BracketTable._from_brackets(self.dim, brackets)
 
     def conjugated(self, g: Mat) -> "LieAlgebraSpan":
         """Ad_g of the span, for an invertible rational matrix g."""
@@ -155,46 +229,75 @@ class LieAlgebraSpan:
 
 
 class BracketTable:
-    """Structure constants of an abstract Lie algebra in a fixed basis."""
+    """Structure constants of an abstract Lie algebra in a fixed basis.
 
-    __slots__ = ("c",)
+    Only the nonzero entries are stored: for each (i, j) with a nonzero
+    bracket, {k: c^k_{ij}} in ascending k.  Every invariant below iterates
+    over those entries.  ``c`` is the dense c[i][j][k] array, derived on
+    demand and read-only.
+    """
+
+    __slots__ = ("dim", "_rows")
 
     def __init__(self, c):
-        frozen = tuple(
-            tuple(tuple(Fraction(x) for x in row) for row in plane) for plane in c
-        )
-        n = len(frozen)
-        if any(len(plane) != n or any(len(row) != n for row in plane) for plane in frozen):
+        planes = [[list(row) for row in plane] for plane in c]
+        n = len(planes)
+        if any(len(plane) != n or any(len(row) != n for row in plane) for plane in planes):
             raise DimError("structure constants must form an n x n x n array")
-        self.c: tuple[tuple[tuple[Fraction, ...], ...], ...] = frozen
+        self._fill(
+            n,
+            {(i, j): dict(enumerate(row)) for i, plane in enumerate(planes) for j, row in enumerate(plane)},
+        )
+
+    @classmethod
+    def _from_brackets(cls, n: int, brackets: dict) -> "BracketTable":
+        """The table with [e_i, e_j] = sum_k brackets[i, j][k] e_k (missing
+        pairs and zero values are zero brackets)."""
+        table = cls.__new__(cls)
+        table._fill(n, brackets)
+        return table
+
+    def _fill(self, n: int, brackets: dict) -> None:
+        rows: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(n)]
+        for (i, j), coeffs in sorted(brackets.items()):
+            nonzero = {k: Fraction(x) for k, x in sorted(coeffs.items()) if x}
+            if nonzero:
+                rows[i][j] = nonzero
+        self.dim = n
+        # _rows[i][j] = {k: c^k_ij}, nonzero entries only, keys ascending.
+        self._rows = tuple(rows)
 
     @property
-    def dim(self) -> int:
-        return len(self.c)
+    def c(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        n = self.dim
+        zero = Fraction(0)
+        return tuple(
+            tuple(tuple(row.get(j, {}).get(k, zero) for k in range(n)) for j in range(n))
+            for row in self._rows
+        )
+
+    def brackets(self):
+        """Every nonzero bracket as (i, j, {k: c^k_ij}), in ascending (i, j)."""
+        for i, row in enumerate(self._rows):
+            for j, coeffs in row.items():
+                yield i, j, coeffs
 
     def bracket_coords(self, u: Vec, v: Vec) -> Vec:
-        n = self.dim
-        out = [Fraction(0)] * n
-        for i in range(n):
-            if u[i] == 0:
-                continue
-            for j in range(n):
-                if v[j] == 0:
-                    continue
-                f = u[i] * v[j]
-                row = self.c[i][j]
-                for k in range(n):
-                    if row[k] != 0:
-                        out[k] += f * row[k]
+        out = [Fraction(0)] * self.dim
+        for i, x in enumerate(u):
+            if x:
+                for j, coeffs in self._rows[i].items():
+                    y = v[j]
+                    if y:
+                        f = x * y
+                        for k, c in coeffs.items():
+                            out[k] += f * c
         return out
 
     def is_antisymmetric(self) -> bool:
-        n = self.dim
         return all(
-            self.c[i][j][k] == -self.c[j][i][k]
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
+            self._rows[j].get(i) == {k: -c for k, c in coeffs.items()}
+            for i, j, coeffs in self.brackets()
         )
 
     def satisfies_jacobi(self) -> bool:
@@ -214,73 +317,73 @@ class BracketTable:
         return True
 
     def is_abelian(self) -> bool:
-        return all(
-            x == 0 for plane in self.c for row in plane for x in row
-        )
+        return not any(self._rows)
 
     # -- subspace machinery for invariants --------------------------------
 
     def _product_space(self, a: list[Vec], b: list[Vec]) -> list[Vec]:
-        prods = [self.bracket_coords(u, v) for u in a for v in b]
-        return linalg.row_space_basis([p for p in prods if any(x != 0 for x in p)])
+        """RREF basis of span{[u, v] : u in a, v in b}; products that are zero
+        or a multiple of an earlier one are dropped before the elimination."""
+        prods: dict[tuple[Fraction, ...], None] = {}
+        for u in a:
+            for v in b:
+                p = self.bracket_coords(u, v)
+                lead = next((x for x in p if x), None)
+                if lead is not None:
+                    prods[tuple(x / lead if x else x for x in p)] = None
+        return linalg.row_space_basis([list(p) for p in prods])
 
     def derived_series_dims(self) -> tuple[int, ...]:
-        cur = linalg.identity(self.dim)
-        dims = [self.dim]
-        while True:
-            nxt = self._product_space(cur, cur)
-            if len(nxt) == dims[-1]:
-                break
-            dims.append(len(nxt))
-            cur = nxt
-            if not nxt:
-                break
-        return tuple(dims)
+        return self._series_dims(lambda cur: self._product_space(cur, cur))
 
     def lower_central_dims(self) -> tuple[int, ...]:
         full = linalg.identity(self.dim)
-        cur = full
+        return self._series_dims(lambda cur: self._product_space(full, cur))
+
+    def _series_dims(self, step) -> tuple[int, ...]:
+        """Dimensions of g, step(g), step(step(g)), ... until they stop falling."""
+        cur = linalg.identity(self.dim)
         dims = [self.dim]
-        while True:
-            nxt = self._product_space(full, cur)
-            if len(nxt) == dims[-1]:
+        while dims[-1]:
+            cur = step(cur)
+            if len(cur) == dims[-1]:
                 break
-            dims.append(len(nxt))
-            cur = nxt
-            if not nxt:
-                break
+            dims.append(len(cur))
         return tuple(dims)
 
     def center_dim(self) -> int:
         n = self.dim
-        # rows: for each j, k the linear form  x -> sum_i x_i c^k_{ij}
-        constraints: list[Vec] = []
-        for j in range(n):
-            for k in range(n):
-                constraints.append([self.c[i][j][k] for i in range(n)])
-        return len(linalg.nullspace(constraints))
+        # For each (j, k) with a nonzero entry, the linear form
+        # x -> sum_i x_i c^k_{ij}; the center is their common kernel.
+        constraints: dict[tuple[int, int], Vec] = {}
+        for i, j, coeffs in self.brackets():
+            for k, c in coeffs.items():
+                constraints.setdefault((j, k), [Fraction(0)] * n)[i] = c
+        return n - linalg.rank(list(constraints.values()))
 
     def killing_matrix(self) -> Mat:
+        """K_ij = tr(ad_i ad_j) = sum_{k,l} c^l_{ik} c^k_{jl}, symmetric."""
         n = self.dim
         k_mat = linalg.zeros(n, n)
         for i in range(n):
-            for j in range(n):
+            for j in range(i, n):
+                row_j = self._rows[j]
                 acc = Fraction(0)
-                for k in range(n):
-                    row = self.c[i][k]
-                    for l in range(n):
-                        if row[l] != 0 and self.c[j][l][k] != 0:
-                            acc += row[l] * self.c[j][l][k]
-                k_mat[i][j] = acc
+                for k, coeffs in self._rows[i].items():
+                    for l, a in coeffs.items():
+                        b = row_j.get(l, {}).get(k)
+                        if b:
+                            acc += a * b
+                k_mat[i][j] = k_mat[j][i] = acc
         return k_mat
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BracketTable):
             return NotImplemented
-        return self.c == other.c
+        return self.dim == other.dim and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash(self.c)
+        return hash((self.dim, tuple((i, j, tuple(coeffs.items())) for i, j, coeffs in self.brackets())))
 
     def __repr__(self) -> str:
         return f"BracketTable(dim={self.dim})"
@@ -580,24 +683,18 @@ def contract(h: BracketTable | LieAlgebraSpan, t_indices) -> BracketTable:
     if any(i < 0 or i >= n for i in t_set):
         raise DimError(f"contraction indices out of range for dimension {n}")
     in_t = [i in t_set for i in range(n)]
-    for i in t_set:
-        for j in t_set:
-            if any(table.c[i][j][k] != 0 for k in range(n) if not in_t[k]):
+    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for i, j, coeffs in table.brackets():
+        if in_t[i] and in_t[j]:
+            if any(not in_t[k] for k in coeffs):
                 raise NotSubalgebra(
                     f"indices {t_set} do not span a subalgebra: "
                     f"[e_{i}, e_{j}] leaves the span"
                 )
-    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if in_t[i] and in_t[j]:
-                for k in range(n):
-                    c[i][j][k] = table.c[i][j][k]
-            elif in_t[i] != in_t[j]:
-                for k in range(n):
-                    if not in_t[k]:
-                        c[i][j][k] = table.c[i][j][k]
-    return BracketTable(c)
+            brackets[i, j] = coeffs
+        elif in_t[i] != in_t[j]:
+            brackets[i, j] = {k: c for k, c in coeffs.items() if not in_t[k]}
+    return BracketTable._from_brackets(n, brackets)
 
 
 def verify_morphism(map_matrix: Mat, src: BracketTable, dst: BracketTable) -> bool:
@@ -615,11 +712,15 @@ def verify_morphism(map_matrix: Mat, src: BracketTable, dst: BracketTable) -> bo
     if linalg.determinant(mm) == 0:
         return False
     cols = [[mm[r][i] for r in range(n)] for i in range(n)]
+    nonzero_cols = [[(r, x) for r, x in enumerate(col) if x] for col in cols]
     for i in range(n):
+        src_row = src._rows[i]
         for j in range(n):
-            lhs = linalg.mat_vec(mm, src.c[i][j])
-            rhs = dst.bracket_coords(cols[i], cols[j])
-            if lhs != rhs:
+            lhs = [Fraction(0)] * n
+            for k, c in src_row.get(j, {}).items():
+                for r, x in nonzero_cols[k]:
+                    lhs[r] += c * x
+            if lhs != dst.bracket_coords(cols[i], cols[j]):
                 return False
     return True
 
@@ -723,20 +824,17 @@ def _limit_morphism(
     images: list[Mat], source: BracketTable, limit: LieAlgebraSpan
 ) -> tuple[Mat, bool]:
     """The map sending source basis vector i to ``images[i]``, as a matrix in
-    the canonical basis of ``limit``, and whether it is an isomorphism of Lie
-    algebras onto the limit.  An image outside the limit gets a zero column
-    and fails the check.
+    the basis of ``limit``, and whether it is an isomorphism of Lie algebras
+    onto the limit.  An image outside the limit gets a zero column and fails
+    the check.
     """
     n = len(images)
-    coords = [limit._coordinates(_flatten(img)) for img in images]
-    cols = [c if c is not None else [Fraction(0)] * n for c in coords]
-    morphism = [[cols[i][r] for i in range(n)] for r in range(n)]
+    coords = [limit._coordinates(_nonzero_flat(img)) for img in images]
+    zero = Fraction(0)
+    morphism = [[(c or {}).get(r, zero) for c in coords] for r in range(n)]
     if any(c is None for c in coords):
         return morphism, False
-    canonical = LieAlgebraSpan(
-        limit.m, [_unflatten(v, limit.m) for v in limit.span_basis()], check_closed=False
-    )
-    return morphism, verify_morphism(morphism, source, canonical.structure_constants())
+    return morphism, verify_morphism(morphism, source, limit.structure_constants())
 
 
 def sigma_chain(p: int, q: int, weights) -> ChainResult:

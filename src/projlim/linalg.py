@@ -45,10 +45,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return out
 
 
-def mat_vec(a: Mat, v: Vec) -> Vec:
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j] != 0), Fraction(0)) for row in a]
-
-
 def mat_sub(a: Mat, b: Mat) -> Mat:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -132,7 +128,8 @@ def nullspace(a: Mat) -> Mat:
 
 def inverse(a: Mat) -> Mat:
     n = len(a)
-    aug = [a[i][:] + identity(n)[i] for i in range(n)]
+    eye = identity(n)
+    aug = [a[i][:] + eye[i] for i in range(n)]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise NotInvertible("matrix is singular")

@@ -84,6 +84,20 @@ class TestContractAndInvariants:
         assert code == 0
         assert "[e0, e2]" in out
 
+    def test_contract_output_bytes(self, capsys):
+        _, out, _ = run(capsys, "contract", "--algebra", "po(2,1)", "--indices", "0")
+        assert out == (
+            "contraction of po(2,1) along indices [0]:\n"
+            "[e0, e1] = -1*e2\n[e0, e2] = e1\nabelian: False\ncenter dim: 0\n"
+        )
+        _, out, _ = run(capsys, "contract", "--algebra", "po(3)", "--indices", "")
+        assert out == "contraction of po(3) along indices []:\nall brackets vanish\nabelian: True\ncenter dim: 3\n"
+        _, out, _ = run(capsys, "contract", "--algebra", "po(2,1)", "--indices", "0", "--format", "json")
+        assert json.loads(out)["structure_constants"] == [
+            {"coeff": "-1", "i": 0, "j": 1, "k": 2},
+            {"coeff": "1", "i": 0, "j": 2, "k": 1},
+        ]
+
     def test_invariants_json(self, capsys):
         code, out, _ = run(
             capsys, "invariants", "--algebra", "po((4,1))", "--format", "json"
@@ -298,6 +312,13 @@ class TestPlumbing:
         assert code == 1
         assert "error" in err
 
+    def test_dimension_mismatch_is_refused_before_the_algebra_is_built(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "limit", "--algebra", "po(30)", "--seq", "diag(t,1)")
+        assert time.perf_counter() - start < 0.2
+        assert (code, out) == (1, "")
+        assert err == "error: sequence dimension 2 != algebra ambient 30\n"
+
     def test_outside_point_exits_1(self, capsys):
         code, _, err = run(
             capsys,
@@ -315,8 +336,9 @@ class TestPlumbing:
 # -- fuzzing argument text -------------------------------------------------------
 
 # Inserted or substituted characters carry no digits, and the grammar never
-# puts two digits side by side, so every number stays as drawn: m <= 5, or
-# m <= 7 for ``limit``.
+# puts two digits side by side in a signature or a sequence, so every number
+# stays as drawn (an index list may only lose digits): m <= 5, m <= 6 for
+# ``contract``, ``invariants`` and ``sigma-chain``, or m <= 7 for ``limit``.
 PUNCTUATION = "()[],;^t-* "
 SECONDS_PER_RUN = 5.0
 
@@ -461,6 +483,42 @@ def limit_argv(draw):
     ]
 
 
+@st.composite
+def algebra_argv(draw):
+    """``contract`` or ``invariants`` of po(sig) at m <= 6, with index lists
+    that may leave the range, repeat, or not span a subalgebra."""
+    command = draw(st.sampled_from(("contract", "invariants")))
+    sig = draw(signature_text(max_m=6))
+    m = _dim(sig, 5, max_m=6)
+    argv = [command, "--algebra", draw(mutated(st.just("po" + sig)))]
+    if command == "contract" or draw(st.booleans()):
+        indices = st.lists(st.integers(-1, m * (m - 1) // 2), max_size=4).map(lambda xs: ",".join(map(str, xs)))
+        argv += ["--indices", draw(mutated(indices))]
+    return argv + ["--format", draw(st.sampled_from(("table", "json")))]
+
+
+@st.composite
+def sigma_chain_argv(draw):
+    """``sigma-chain`` at m <= 6: mostly weakly decreasing weights of the
+    right length, sometimes too few, too many or out of order."""
+    m = draw(st.integers(1, 6))
+    q = draw(st.integers(0, m // 2))
+    sig = draw(st.sampled_from((f"({m - q},{q})",) * 4 + (f"({m})", f"(({m - q}),({q}))")))
+    n = draw(st.sampled_from((m,) * 6 + (m - 1, m + 1)))
+    weights = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    if draw(st.integers(0, 3)):
+        weights = sorted(weights, reverse=True)
+    return [
+        "sigma-chain",
+        "--signature",
+        draw(mutated(st.just(sig))),
+        "--weights",
+        draw(mutated(st.just(",".join(map(str, weights))))),
+        "--format",
+        draw(st.sampled_from(("table", "json"))),
+    ]
+
+
 def run_isolated(argv):
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
@@ -497,6 +555,22 @@ class TestFuzz:
     @given(limit_argv())
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_limit(self, argv):
+        code, err, seconds = run_isolated(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert seconds < SECONDS_PER_RUN
+
+    @given(algebra_argv())
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_contract_and_invariants(self, argv):
+        code, err, seconds = run_isolated(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert seconds < SECONDS_PER_RUN
+
+    @given(sigma_chain_argv())
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_sigma_chain(self, argv):
         code, err, seconds = run_isolated(argv)
         assert code in (0, 1, 2)
         assert "Traceback" not in err

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projlim import linalg
+from projlim import lie as lie_module
+from projlim.cli import main as cli_main
 from projlim.errors import (
     DecompositionError,
     DimError,
@@ -36,6 +38,7 @@ from projlim.lie import (
     verify_morphism,
     z_and_nplus,
 )
+from projlim.geometry import geometry_limit
 from projlim.parsing import parse_sequence
 from projlim.projective import FactoredSequence, invert_permutation, permutation_matrix
 
@@ -487,3 +490,309 @@ class TestMatchAgainstReference:
             outcomes.append(got)
         assert outcomes.count(NoMatch) >= 10
         assert len(outcomes) - outcomes.count(NoMatch) >= 40
+
+
+# -- reference dense routines: per-pair closure, n^3 tables and invariants -----
+
+
+def _mat_vec(a, v):
+    return [sum((row[j] * v[j] for j in range(len(v)) if v[j] != 0), Fraction(0)) for row in a]
+
+
+def _dense_echelon(span):
+    red, pivots = linalg.rref(span.flattened())
+    return red[: len(pivots)], pivots
+
+
+def reference_coordinates(echelon, pivots, v):
+    coords = [v[p] for p in pivots]
+    residual = v
+    for y, row in zip(coords, echelon):
+        if y:
+            residual = [r - y * x if x else r for r, x in zip(residual, row)]
+    return None if any(residual) else coords
+
+
+def reference_is_closed(span):
+    echelon, pivots = _dense_echelon(span)
+    return all(
+        reference_coordinates(echelon, pivots, _flat(linalg.commutator(span.basis[i], span.basis[j])))
+        is not None
+        for i in range(span.dim)
+        for j in range(i + 1, span.dim)
+    )
+
+
+def reference_echelon_structure_constants(span):
+    """Dense c[i][j][k], through the echelon form and the pivot-block inverse."""
+    n = span.dim
+    echelon, pivots = _dense_echelon(span)
+    pivot_block = [[row[p] for p in pivots] for row in span.flattened()]
+    from_echelon = linalg.transpose(linalg.inverse(pivot_block))
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            br = _flat(linalg.commutator(span.basis[i], span.basis[j]))
+            echelon_coords = reference_coordinates(echelon, pivots, br)
+            if echelon_coords is None:
+                raise NotClosed(f"bracket of basis elements {i}, {j} leaves the span")
+            coords = _mat_vec(from_echelon, echelon_coords)
+            for k in range(n):
+                c[i][j][k] = coords[k]
+                c[j][i][k] = -coords[k]
+    return c
+
+
+def reference_bracket_coords(c, u, v):
+    n = len(c)
+    out = [Fraction(0)] * n
+    for i in range(n):
+        if u[i] == 0:
+            continue
+        for j in range(n):
+            if v[j] == 0:
+                continue
+            f = u[i] * v[j]
+            for k in range(n):
+                if c[i][j][k] != 0:
+                    out[k] += f * c[i][j][k]
+    return out
+
+
+def _reference_product_space(c, a, b):
+    prods = [reference_bracket_coords(c, u, v) for u in a for v in b]
+    return linalg.row_space_basis([p for p in prods if any(x != 0 for x in p)])
+
+
+def reference_derived_series_dims(c):
+    cur = linalg.identity(len(c))
+    dims = [len(c)]
+    while True:
+        nxt = _reference_product_space(c, cur, cur)
+        if len(nxt) == dims[-1]:
+            break
+        dims.append(len(nxt))
+        cur = nxt
+        if not nxt:
+            break
+    return tuple(dims)
+
+
+def reference_lower_central_dims(c):
+    full = linalg.identity(len(c))
+    cur = full
+    dims = [len(c)]
+    while True:
+        nxt = _reference_product_space(c, full, cur)
+        if len(nxt) == dims[-1]:
+            break
+        dims.append(len(nxt))
+        cur = nxt
+        if not nxt:
+            break
+    return tuple(dims)
+
+
+def reference_center_dim(c):
+    n = len(c)
+    constraints = [[c[i][j][k] for i in range(n)] for j in range(n) for k in range(n)]
+    return len(linalg.nullspace(constraints))
+
+
+def reference_killing_matrix(c):
+    n = len(c)
+    k_mat = linalg.zeros(n, n)
+    for i in range(n):
+        for j in range(n):
+            acc = Fraction(0)
+            for k in range(n):
+                for l in range(n):
+                    if c[i][k][l] != 0 and c[j][l][k] != 0:
+                        acc += c[i][k][l] * c[j][l][k]
+            k_mat[i][j] = acc
+    return k_mat
+
+
+def reference_contract(c, t_indices):
+    n = len(c)
+    t_set = sorted(set(t_indices))
+    in_t = [i in t_set for i in range(n)]
+    for i in t_set:
+        for j in t_set:
+            if any(c[i][j][k] != 0 for k in range(n) if not in_t[k]):
+                raise NotSubalgebra(
+                    f"indices {t_set} do not span a subalgebra: [e_{i}, e_{j}] leaves the span"
+                )
+    out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if (in_t[i] and in_t[j]) or (in_t[i] != in_t[j] and not in_t[k]):
+                    out[i][j][k] = c[i][j][k]
+    return out
+
+
+def reference_is_antisymmetric(c):
+    n = len(c)
+    return all(c[i][j][k] == -c[j][i][k] for i in range(n) for j in range(n) for k in range(n))
+
+
+def reference_verify_morphism(map_matrix, src_c, dst_c):
+    n = len(src_c)
+    mm = linalg.frac_rows(map_matrix)
+    if linalg.determinant(mm) == 0:
+        return False
+    cols = [[mm[r][i] for r in range(n)] for i in range(n)]
+    return all(
+        _mat_vec(mm, src_c[i][j]) == reference_bracket_coords(dst_c, cols[i], cols[j])
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+def _raised(fn, *args):
+    """fn(*args), or the type and text of the NotClosed or NotSubalgebra it raises."""
+    try:
+        return fn(*args)
+    except (NotClosed, NotSubalgebra) as exc:
+        return type(exc), str(exc)
+
+
+def _table_cases():
+    """Seeded tables at m = 3-6: limit spans along permuted and dense +-1
+    sequences, sub-spans of those limits (closed or not), contractions of po
+    tables along random index sets (subalgebras or not) and along none (an
+    abelian table), and the step tables of sigma chains with their limits;
+    plus random tables that are not antisymmetric."""
+    rng = random.Random(20261020)
+    for n in (2, 3, 3, 4, 4, 5):
+        c = [[[0] * n for _ in range(n)] for _ in range(n)]
+        for _ in range(rng.randint(1, 2 * n)):
+            c[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] = rng.choice((1, -1, 2))
+        yield "random", c
+    for m, count in ((3, 4), (4, 4), (5, 3), (6, 2)):
+        signatures = enumerate_signatures(m)
+        for k in range(count):
+            sig = rng.choice(signatures)
+            left = _random_invertible(rng, m) if k % 2 else permutation_matrix(tuple(rng.sample(range(m), m)))
+            seq = FactoredSequence.build(left, [rng.randint(-2, 2) for _ in range(m)], _random_invertible(rng, m))
+            limit = conjugacy_limit(build_po(sig), seq)
+            yield "limit", limit
+            part = rng.sample(limit.basis, rng.randint(2, min(4, limit.dim)))
+            yield "sub-span", LieAlgebraSpan(m, part, check_closed=False)
+            po = build_po(sig)
+            yield "contraction", (po, ())
+            for _ in range(2):
+                yield "contraction", (po, tuple(rng.sample(range(po.dim), rng.randint(1, 3))))
+    for m in (3, 4, 5, 6):
+        q = rng.randint(0, m // 2)
+        weights = sorted((rng.randint(-3, 3) for _ in range(m)), reverse=True)
+        yield "chain", (m - q, q, weights)
+
+
+def _dense(c):
+    return tuple(tuple(tuple(row) for row in plane) for plane in c)
+
+
+def _check_invariants(table):
+    c = table.c
+    assert table.derived_series_dims() == reference_derived_series_dims(c)
+    assert table.lower_central_dims() == reference_lower_central_dims(c)
+    assert table.center_dim() == reference_center_dim(c)
+    assert table.killing_matrix() == reference_killing_matrix(c)
+    assert table.is_abelian() == all(x == 0 for plane in c for row in plane for x in row)
+    assert table.is_antisymmetric() == reference_is_antisymmetric(c)
+
+
+def _check_morphisms(rng, src, dst):
+    n = src.dim
+    identity = linalg.identity(n)
+    maps = [identity, [[Fraction(rng.choice((-1, 0, 0, 1))) for _ in range(n)] for _ in range(n)]]
+    outcomes = []
+    for mm in maps:
+        got = verify_morphism(mm, src, dst)
+        assert got == reference_verify_morphism(mm, src.c, dst.c)
+        outcomes.append(got)
+    return outcomes
+
+
+class TestSparseAgainstDenseReference:
+    def test_tables_invariants_contractions_and_morphisms(self):
+        rng = random.Random(7)
+        seen = {"not closed": 0, "not subalgebra": 0, "contraction": 0, "non-isomorphism": 0, "isomorphism": 0}
+        for kind, case in _table_cases():
+            if kind in ("limit", "sub-span"):
+                span = case
+                assert span.is_closed() == reference_is_closed(span)
+                got = _raised(span.structure_constants)
+                want = _raised(reference_echelon_structure_constants, span)
+                if isinstance(want, tuple):
+                    assert got == want
+                    seen["not closed"] += 1
+                    continue
+                assert _dense(want) == got.c
+                assert got == BracketTable(want) and hash(got) == hash(BracketTable(want))
+                _check_invariants(got)
+                for ok in _check_morphisms(rng, got, got):
+                    seen["isomorphism" if ok else "non-isomorphism"] += 1
+            elif kind == "contraction":
+                po, indices = case
+                table = po.structure_constants()
+                got = _raised(contract, table, indices)
+                want = _raised(reference_contract, table.c, indices)
+                if isinstance(want, tuple):
+                    assert got == want
+                    seen["not subalgebra"] += 1
+                    continue
+                assert got.c == _dense(want) and got == BracketTable(want)
+                _check_invariants(got)
+                for ok in _check_morphisms(rng, got, table):
+                    seen["isomorphism" if ok else "non-isomorphism"] += 1
+                seen["contraction"] += 1
+            elif kind == "random":
+                table = BracketTable(case)
+                assert table.c == _dense(case)
+                _check_invariants(table)
+            else:
+                p, q, weights = case
+                result = sigma_chain(p, q, weights)
+                assert result.all_verified
+                po = build_po(((p, q),))
+                composite = [0] * (p + q)
+                for step in result.steps:
+                    composite = [w - (i >= step.split) for i, w in enumerate(composite)]
+                    limit = conjugacy_limit(po, FactoredSequence.diagonal(composite))
+                    limit_c = reference_echelon_structure_constants(limit)
+                    assert reference_verify_morphism(step.morphism, step.table.c, limit_c) == step.verified
+                    _check_invariants(step.table)
+        assert seen["not closed"] >= 3 and seen["not subalgebra"] >= 3, seen
+        assert seen["contraction"] >= 5 and seen["non-isomorphism"] >= 5 and seen["isomorphism"] >= 5, seen
+
+
+class TestOneBracketPassPerSpan:
+    """A limit request forms each basis commutator of its limit exactly once:
+    the closure check builds the table that the invariants then read."""
+
+    @pytest.fixture
+    def bracket_calls(self, monkeypatch):
+        calls = []
+        original = lie_module._sparse_bracket
+
+        def counted(a, b, m):
+            calls.append((id(a), id(b)))
+            return original(a, b, m)
+
+        monkeypatch.setattr(lie_module, "_sparse_bracket", counted)
+        return calls
+
+    def test_geometry_limit_then_invariants(self, bracket_calls):
+        deg = geometry_limit(((5, 1),), parse_sequence("diag(t,t^2,1,1,t^-1,1)", 6))
+        invariant_profile(deg.limit)
+        rows = deg.limit._nonzero_basis
+        n = deg.limit.dim
+        assert sorted(bracket_calls) == sorted((id(rows[i]), id(rows[j])) for i in range(n) for j in range(i + 1, n))
+
+    def test_cli_limit_at_m6(self, bracket_calls, capsys):
+        assert cli_main(["limit", "--algebra", "po((3),(2,1))", "--seq", "compose(perm((0 5)),diag(t,1,t^2,1,t^-1,1))"]) == 0
+        capsys.readouterr()
+        assert len(bracket_calls) == len(set(bracket_calls)) == 15 * 14 // 2
