@@ -1,24 +1,28 @@
 """Lie subalgebras of pgl_m(R): spans, limits, contractions, invariants.
 
-Subalgebras are stored as spans of trace-free rational matrices, each with the
-reduced echelon form of its flattened basis; membership, closure, structure
-constants and span equality all reduce against that one echelon form.  The
-closure check brackets each pair of basis elements once, from their nonzero
-entries, and the span keeps the structure-constant table it yields.
-Conjugacy limits along factored sequences are computed exactly through the
-weight filtration: in the diagonal frame, grade every matrix position (i, j)
-by w_i - w_j, run one elimination with the columns in ascending grade order,
-keep the lowest-grade part of each echelon row (its initial form), and
-conjugate the resulting span back.  Abstract (basis-only) Lie algebras are
-handled as structure-constant tables, which is what contractions produce; a
-table stores only its nonzero entries, and invariants, contractions and
-morphism checks iterate over those.
+Spans, limits, matches and invariants eliminate with one sparse type,
+``linalg.Echelon``, over the nonzero entries of their vectors; the dense
+``linalg`` routines are left for small square matrices (inverses,
+determinants, the Killing form's signature).  Subalgebras are stored as spans
+of trace-free rational matrices, each with the echelon of its flattened
+basis; membership, closure, structure constants, span equality and limit
+matching all reduce against it.  The closure check brackets each pair of
+basis elements once, from their nonzero entries, and the span keeps the
+structure-constant table it yields.  Conjugacy limits along factored
+sequences are computed exactly through the weight filtration: in the
+diagonal frame, grade every matrix position (i, j) by w_i - w_j, eliminate
+with the columns in ascending grade order, keep the lowest-grade part of each
+echelon row (its initial form), and conjugate the resulting span back.
+Abstract (basis-only) Lie algebras are handled as structure-constant tables,
+which is what contractions produce; a table stores only its nonzero entries,
+and invariants, contractions and morphism checks iterate over those.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from . import linalg
 from .errors import (
@@ -31,20 +35,13 @@ from .errors import (
     SignatureError,
 )
 from .linalg import Mat, Vec
-from .projective import FactoredSequence
+from .projective import FactoredSequence, invert_permutation
 
 Signature = tuple[tuple[int, int], ...]
+Sparse = dict[int, Fraction]  # nonzero entries {position: value} of a vector
 
 
-def _flatten(x: Mat) -> Vec:
-    return [c for row in x for c in row]
-
-
-def _unflatten(v: Vec, m: int) -> Mat:
-    return [list(v[i * m : (i + 1) * m]) for i in range(m)]
-
-
-def _nonzero_flat(x: Mat) -> dict[int, Fraction]:
+def _nonzero_flat(x: Mat) -> Sparse:
     """The nonzero entries of the flattened matrix, as {position: value}."""
     m = len(x)
     return {i * m + j: v for i, row in enumerate(x) for j, v in enumerate(row) if v}
@@ -70,23 +67,45 @@ def _sparse_bracket(a, b, m: int) -> dict[int, Fraction]:
     return {p: v for p, v in out.items() if v}
 
 
-def _echelon_by(vectors: list[Vec], key: list) -> list[tuple[object, Vec]]:
+def _matrix(v: Sparse, m: int) -> Mat:
+    """The m x m matrix with the given nonzero flattened entries."""
+    x = linalg.zeros(m, m)
+    for p, c in v.items():
+        x[p // m][p % m] = c
+    return x
+
+
+def _conjugate(g: Mat, ginv: Mat, vectors: list[Sparse], m: int) -> list[Sparse]:
+    """g x g^-1 for each flattened matrix x, from the nonzero entries only:
+    (g x g^-1)_il = sum over nonzero x_jk of g_ij x_jk (g^-1)_kl."""
+    columns = [[(i, g[i][j]) for i in range(m) if g[i][j]] for j in range(m)]
+    inv_rows = _nonzero_rows(ginv)
+    out = []
+    for v in vectors:
+        acc: Sparse = {}
+        for p, x in v.items():
+            j, k = divmod(p, m)
+            for l, b in inv_rows[k]:
+                xb = x * b
+                for i, a in columns[j]:
+                    q = i * m + l
+                    acc[q] = acc.get(q, 0) + a * xb
+        out.append({q: y for q, y in acc.items() if y})
+    return out
+
+
+def _echelon_by(vectors: list[Sparse], key: list) -> list[tuple[object, Sparse]]:
     """Echelon basis of span(vectors), eliminating columns in ascending ``key``.
 
-    Returns (key of the pivot column, row) pairs with rows in the original
-    column order.  Each row vanishes on every column whose key is below the
-    key of its pivot, so the rows whose pivot key is at least k span the
-    vectors of the span that vanish on all columns with key below k.
+    Returns (key of the pivot column, row) pairs in pivot order, with rows
+    in the original columns.  Each row vanishes on every column whose key is
+    below the key of its pivot, so the rows whose pivot key is at least k
+    span the vectors of the span that vanish on all columns with key below k.
     """
-    order = sorted(range(len(key)), key=key.__getitem__)
-    red, pivots = linalg.rref([[v[p] for p in order] for v in vectors])
-    out: list[tuple[object, Vec]] = []
-    for row, c in zip(red, pivots):
-        vec = [Fraction(0)] * len(key)
-        for p, x in zip(order, row):
-            vec[p] = x
-        out.append((key[order[c]], vec))
-    return out
+    echelon = linalg.Echelon(sorted(range(len(key)), key=key.__getitem__))
+    for v in vectors:
+        echelon.insert(v)
+    return [(key[p], row) for p, row in echelon.canonical()]
 
 
 class LieAlgebraSpan:
@@ -101,19 +120,14 @@ class LieAlgebraSpan:
     def __init__(self, m: int, basis, *, check_closed: bool = True):
         self.m = int(m)
         self.basis: list[Mat] = [self._trace_free(b) for b in basis]
-        # The one elimination of the span: RREF rows and their pivot columns.
-        self._echelon, self._pivots = linalg.rref(self.flattened())
-        if len(self._pivots) != len(self.basis):
+        self._flat = [_nonzero_flat(x) for x in self.basis]
+        # The one elimination of the span: the echelon of the flattened basis.
+        self._echelon = linalg.Echelon()
+        if not all(self._echelon.insert(v) for v in self._flat):
             raise DimError("basis matrices are linearly dependent after trace removal")
-        self._pivot_row = {p: r for r, p in enumerate(self._pivots)}
-        # Nonzero (column, value) entries of each echelon row off the pivots.
-        self._tails = [
-            [(c, x) for c, x in enumerate(row) if x and c not in self._pivot_row]
-            for row in self._echelon
-        ]
         self._nonzero_basis = [_nonzero_rows(x) for x in self.basis]
         self._table: BracketTable | None = None
-        self._from_echelon: list[list[tuple[int, Fraction]]] | None = None
+        self._from_echelon: dict[int, list[tuple[int, Fraction]]] | None = None
         if check_closed and not self.is_closed():
             raise NotClosed("span is not closed under the matrix commutator")
 
@@ -128,41 +142,24 @@ class LieAlgebraSpan:
                 rows[i][i] -= shift
         return rows
 
-    def _echelon_coordinates(self, v: dict[int, Fraction]) -> dict[int, Fraction] | None:
-        """Coordinates {r: y} of a flattened matrix, given by its nonzero
-        entries {position: value}, in the echelon basis (the rows of
-        ``span_basis()``), or None when it lies outside the span."""
-        coords: dict[int, Fraction] = {}
-        residual: dict[int, Fraction] = {}
-        for p, x in v.items():
-            r = self._pivot_row.get(p)
-            if r is None:
-                residual[p] = x
-            else:
-                coords[r] = x
-        for r, y in coords.items():
-            for c, x in self._tails[r]:
-                residual[c] = residual.get(c, 0) - y * x
-        return None if any(residual.values()) else coords
-
-    def _coordinates(self, v: dict[int, Fraction]) -> dict[int, Fraction] | None:
-        """Nonzero coordinates {k: x} in the given basis of a flattened matrix
-        (as in ``_echelon_coordinates``), or None outside the span."""
-        coords = self._echelon_coordinates(v)
+    def _coordinates(self, v: Sparse) -> Sparse | None:
+        """Nonzero coordinates {k: x} in the given basis of a flattened matrix,
+        given by its nonzero entries, or None when it lies outside the span."""
+        coords = self._echelon.coordinates(v)
         if coords is None:
             return None
         if self._from_echelon is None:
             # The echelon rows are T @ basis with T the inverse of the basis
-            # restricted to the pivot columns: echelon row r is sum_k T[r][k] e_k.
-            m = self.m
-            pivot_block = [[x[p // m][p % m] for p in self._pivots] for x in self.basis]
-            self._from_echelon = [
-                [(k, t) for k, t in enumerate(row) if t]
-                for row in linalg.inverse(pivot_block)
-            ]
-        out: dict[int, Fraction] = {}
-        for r, y in coords.items():
-            for k, t in self._from_echelon[r]:
+            # restricted to the pivot columns: row p is sum_k T[p][k] e_k.
+            pivots = list(self._echelon.rows)
+            pivot_block = [[x.get(p, 0) for p in pivots] for x in self._flat]
+            self._from_echelon = {
+                p: [(k, t) for k, t in enumerate(row) if t]
+                for p, row in zip(pivots, linalg.inverse(pivot_block))
+            }
+        out: Sparse = {}
+        for p, y in coords.items():
+            for k, t in self._from_echelon[p]:
                 out[k] = out.get(k, 0) + y * t
         return {k: x for k, x in sorted(out.items()) if x}
 
@@ -170,15 +167,13 @@ class LieAlgebraSpan:
     def dim(self) -> int:
         return len(self.basis)
 
-    def flattened(self) -> list[Vec]:
-        return [_flatten(x) for x in self.basis]
-
     def span_basis(self) -> list[Vec]:
-        """Canonical (RREF) basis of the flattened span."""
-        return [row[:] for row in self._echelon]
+        """Canonical (RREF) basis of the flattened span, as dense rows."""
+        zero = Fraction(0)
+        return [[row.get(c, zero) for c in range(self.m * self.m)] for _, row in self._echelon.canonical()]
 
     def contains(self, x: Mat) -> bool:
-        return self._echelon_coordinates(_nonzero_flat(self._trace_free(x))) is not None
+        return self._echelon.coordinates(_nonzero_flat(self._trace_free(x))) is not None
 
     def is_closed(self) -> bool:
         """Whether every bracket of basis elements stays in the span.  A
@@ -192,7 +187,7 @@ class LieAlgebraSpan:
         return True
 
     def span_equals(self, other: "LieAlgebraSpan") -> bool:
-        return self.m == other.m and self._echelon == other._echelon
+        return self.m == other.m and self._echelon.rows == other._echelon.rows
 
     def structure_constants(self) -> "BracketTable":
         """Structure constants c^k_{ij} with [e_i, e_j] = sum_k c^k_{ij} e_k.
@@ -207,7 +202,7 @@ class LieAlgebraSpan:
     def _bracket_table(self) -> "BracketTable":
         """Bracket each pair of basis elements once and reduce it against the
         echelon rows; NotClosed when a bracket leaves the span."""
-        brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+        brackets: dict[tuple[int, int], Sparse] = {}
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 br = _sparse_bracket(self._nonzero_basis[i], self._nonzero_basis[j], self.m)
@@ -218,12 +213,6 @@ class LieAlgebraSpan:
                 brackets[j, i] = {k: -x for k, x in coords.items()}
         return BracketTable._from_brackets(self.dim, brackets)
 
-    def conjugated(self, g: Mat) -> "LieAlgebraSpan":
-        """Ad_g of the span, for an invertible rational matrix g."""
-        ginv = linalg.inverse(linalg.frac_rows(g))
-        new = [linalg.mat_mul(linalg.mat_mul(linalg.frac_rows(g), x), ginv) for x in self.basis]
-        return LieAlgebraSpan(self.m, new, check_closed=False)
-
     def __repr__(self) -> str:
         return f"LieAlgebraSpan(m={self.m}, dim={self.dim})"
 
@@ -233,8 +222,7 @@ class BracketTable:
 
     Only the nonzero entries are stored: for each (i, j) with a nonzero
     bracket, {k: c^k_{ij}} in ascending k.  Every invariant below iterates
-    over those entries.  ``c`` is the dense c[i][j][k] array, derived on
-    demand and read-only.
+    over those entries.
     """
 
     __slots__ = ("dim", "_rows")
@@ -244,37 +232,24 @@ class BracketTable:
         n = len(planes)
         if any(len(plane) != n or any(len(row) != n for row in plane) for plane in planes):
             raise DimError("structure constants must form an n x n x n array")
-        self._fill(
-            n,
-            {(i, j): dict(enumerate(row)) for i, plane in enumerate(planes) for j, row in enumerate(plane)},
-        )
+        brackets = {(i, j): dict(enumerate(row)) for i, plane in enumerate(planes) for j, row in enumerate(plane)}
+        table = self._from_brackets(n, brackets)
+        self.dim, self._rows = table.dim, table._rows
 
     @classmethod
     def _from_brackets(cls, n: int, brackets: dict) -> "BracketTable":
         """The table with [e_i, e_j] = sum_k brackets[i, j][k] e_k (missing
         pairs and zero values are zero brackets)."""
-        table = cls.__new__(cls)
-        table._fill(n, brackets)
-        return table
-
-    def _fill(self, n: int, brackets: dict) -> None:
         rows: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(n)]
         for (i, j), coeffs in sorted(brackets.items()):
             nonzero = {k: Fraction(x) for k, x in sorted(coeffs.items()) if x}
             if nonzero:
                 rows[i][j] = nonzero
-        self.dim = n
+        table = cls.__new__(cls)
+        table.dim = n
         # _rows[i][j] = {k: c^k_ij}, nonzero entries only, keys ascending.
-        self._rows = tuple(rows)
-
-    @property
-    def c(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-        n = self.dim
-        zero = Fraction(0)
-        return tuple(
-            tuple(tuple(row.get(j, {}).get(k, zero) for k in range(n)) for j in range(n))
-            for row in self._rows
-        )
+        table._rows = tuple(rows)
+        return table
 
     def brackets(self):
         """Every nonzero bracket as (i, j, {k: c^k_ij}), in ascending (i, j)."""
@@ -282,38 +257,42 @@ class BracketTable:
             for j, coeffs in row.items():
                 yield i, j, coeffs
 
-    def bracket_coords(self, u: Vec, v: Vec) -> Vec:
-        out = [Fraction(0)] * self.dim
-        for i, x in enumerate(u):
-            if x:
-                for j, coeffs in self._rows[i].items():
-                    y = v[j]
-                    if y:
-                        f = x * y
-                        for k, c in coeffs.items():
-                            out[k] += f * c
-        return out
-
     def is_antisymmetric(self) -> bool:
         return all(
             self._rows[j].get(i) == {k: -c for k, c in coeffs.items()}
             for i, j, coeffs in self.brackets()
         )
 
+    def _ad(self, i: int, v: Sparse) -> Sparse:
+        """[e_i, v] for a vector given by its nonzero coordinates."""
+        out: Sparse = {}
+        row = self._rows[i]
+        for j, y in v.items():
+            coeffs = row.get(j)
+            if coeffs:
+                for k, c in coeffs.items():
+                    out[k] = out.get(k, 0) + y * c
+        return out
+
+    def _bracket(self, u: Sparse, v: Sparse) -> Sparse:
+        """[u, v] for vectors given by their nonzero coordinates."""
+        out: Sparse = {}
+        for i, x in u.items():
+            for k, z in self._ad(i, v).items():
+                out[k] = out.get(k, 0) + x * z
+        return out
+
     def satisfies_jacobi(self) -> bool:
-        n = self.dim
-        basis = [[Fraction(1 if s == i else 0) for s in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    total = [Fraction(0)] * n
-                    for a, b, c_ in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = self.bracket_coords(basis[b], basis[c_])
-                        term = self.bracket_coords(basis[a], inner)
-                        for s in range(n):
-                            total[s] += term[s]
-                    if any(x != 0 for x in total):
-                        return False
+        """Whether [e_i, [e_j, e_k]] summed cyclically vanishes for every
+        i < j < k.  The s-th entry of [e_a, [e_b, e_c]] is the sum of
+        c^l_{bc} c^s_{al} over the nonzero entries only."""
+        for i, j, k in combinations(range(self.dim), 3):
+            total: Sparse = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for s, y in self._ad(a, self._rows[b].get(c, {})).items():
+                    total[s] = total.get(s, 0) + y
+            if any(total.values()):
+                return False
         return True
 
     def is_abelian(self) -> bool:
@@ -321,45 +300,47 @@ class BracketTable:
 
     # -- subspace machinery for invariants --------------------------------
 
-    def _product_space(self, a: list[Vec], b: list[Vec]) -> list[Vec]:
-        """RREF basis of span{[u, v] : u in a, v in b}; products that are zero
-        or a multiple of an earlier one are dropped before the elimination."""
-        prods: dict[tuple[Fraction, ...], None] = {}
-        for u in a:
-            for v in b:
-                p = self.bracket_coords(u, v)
-                lead = next((x for x in p if x), None)
-                if lead is not None:
-                    prods[tuple(x / lead if x else x for x in p)] = None
-        return linalg.row_space_basis([list(p) for p in prods])
-
     def derived_series_dims(self) -> tuple[int, ...]:
-        return self._series_dims(lambda cur: self._product_space(cur, cur))
+        # With [v, u] = -[u, v] the pairs u before v span the same space.
+        anti = self.is_antisymmetric()
+        return self._series_dims(
+            lambda cur: (self._bracket(u, v) for r, u in enumerate(cur) for v in (cur[r + 1 :] if anti else cur))
+        )
 
     def lower_central_dims(self) -> tuple[int, ...]:
-        full = linalg.identity(self.dim)
-        return self._series_dims(lambda cur: self._product_space(full, cur))
+        return self._series_dims(lambda cur: (self._ad(i, v) for i in range(self.dim) for v in cur))
 
     def _series_dims(self, step) -> tuple[int, ...]:
-        """Dimensions of g, step(g), step(step(g)), ... until they stop falling."""
-        cur = linalg.identity(self.dim)
+        """Dimensions of g, g_1, g_2, ... until they stop falling.  g_1 = [g, g]
+        is spanned by the nonzero brackets of basis elements, and g_{r+1} by
+        the vectors ``step`` yields from the echelon rows of g_r."""
         dims = [self.dim]
+        products = (coeffs for _, _, coeffs in self.brackets())
         while dims[-1]:
-            cur = step(cur)
-            if len(cur) == dims[-1]:
+            span = linalg.Echelon()
+            for p in products:
+                if p:
+                    span.insert(p)
+            if len(span) == dims[-1]:
                 break
-            dims.append(len(cur))
+            dims.append(len(span))
+            products = step(list(span.rows.values()))
         return tuple(dims)
 
     def center_dim(self) -> int:
         n = self.dim
         # For each (j, k) with a nonzero entry, the linear form
         # x -> sum_i x_i c^k_{ij}; the center is their common kernel.
-        constraints: dict[tuple[int, int], Vec] = {}
+        constraints: dict[tuple[int, int], Sparse] = {}
         for i, j, coeffs in self.brackets():
             for k, c in coeffs.items():
-                constraints.setdefault((j, k), [Fraction(0)] * n)[i] = c
-        return n - linalg.rank(list(constraints.values()))
+                constraints.setdefault((j, k), {})[i] = c
+        forms = linalg.Echelon()
+        for v in constraints.values():
+            forms.insert(v)
+            if len(forms) == n:
+                break
+        return n - len(forms)
 
     def killing_matrix(self) -> Mat:
         """K_ij = tr(ad_i ad_j) = sum_{k,l} c^l_{ik} c^k_{jl}, symmetric."""
@@ -404,8 +385,7 @@ def truncated_exp(x: Mat, order: int) -> Mat:
     for r in range(1, order + 1):
         power = linalg.mat_mul(power, x)
         fact *= r
-        term = linalg.mat_scale(power, Fraction(1, fact))
-        out = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(out, term)]
+        out = [[a + b / fact for a, b in zip(ra, rb)] for ra, rb in zip(out, power)]
     return out
 
 
@@ -463,20 +443,10 @@ def build_po(sig, m: int | None = None) -> LieAlgebraSpan:
     block = [k for k, (p, q) in enumerate(sig) for _ in range(p + q)]
     jdiag = [j for p, q in sig for j in [-1] * p + [1] * q]
     m = len(block)
-    basis: list[Mat] = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            if block[a] == block[b]:
-                x = linalg.zeros(m, m)
-                x[a][b] = Fraction(1)
-                x[b][a] = Fraction(-jdiag[a] * jdiag[b])
-                basis.append(x)
-    for r in range(m):
-        for c in range(m):
-            if block[r] > block[c]:
-                x = linalg.zeros(m, m)
-                x[r][c] = Fraction(1)
-                basis.append(x)
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m) if block[a] == block[b]]
+    units = [(r, c) for r in range(m) for c in range(m) if block[r] > block[c]]
+    basis = [_matrix({a * m + b: Fraction(1), b * m + a: Fraction(-jdiag[a] * jdiag[b])}, m) for a, b in pairs]
+    basis += [_matrix({r * m + c: Fraction(1)}, m) for r, c in units]
     return LieAlgebraSpan(m, basis, check_closed=False)
 
 
@@ -485,24 +455,22 @@ def build_po(sig, m: int | None = None) -> LieAlgebraSpan:
 # ---------------------------------------------------------------------------
 
 
-def _graded_frame(alg: LieAlgebraSpan, seq: FactoredSequence) -> tuple[list[Vec], list[int]]:
+def _graded_frame(alg: LieAlgebraSpan, seq: FactoredSequence) -> tuple[list[Sparse], list[int]]:
     """The flattened basis of Ad_R alg (R the right factor of seq) and the
     grade w_i - w_j of every flattened position (i, j)."""
     m = alg.m
     if seq.dim != m:
         raise DimError(f"sequence dimension {seq.dim} != algebra ambient {m}")
     right = seq.right_rows()
-    rinv = linalg.inverse(right)
-    vectors = [_flatten(linalg.mat_mul(linalg.mat_mul(right, x), rinv)) for x in alg.basis]
+    vectors = _conjugate(right, linalg.inverse(right), alg._flat, m)
     w = seq.weights
     return vectors, [w[i] - w[j] for i in range(m) for j in range(m)]
 
 
-def _conjugate_back(seq: FactoredSequence, vecs: list[Vec], m: int) -> list[Mat]:
+def _conjugate_back(seq: FactoredSequence, vecs: list[Sparse], m: int) -> list[Mat]:
     """Ad_L of flattened matrices, L the left factor of seq."""
     left = seq.left_rows()
-    linv = linalg.inverse(left)
-    return [linalg.mat_mul(linalg.mat_mul(left, _unflatten(v, m)), linv) for v in vecs]
+    return [_matrix(v, m) for v in _conjugate(left, linalg.inverse(left), vecs, m)]
 
 
 def conjugacy_limit(alg: LieAlgebraSpan, seq: FactoredSequence) -> LieAlgebraSpan:
@@ -514,11 +482,10 @@ def conjugacy_limit(alg: LieAlgebraSpan, seq: FactoredSequence) -> LieAlgebraSpa
     vectors, grade = _graded_frame(alg, seq)
     # Ordered by grade, the echelon rows are a basis adapted to the weight
     # filtration, so their initial (lowest-grade) parts span the limit.
-    initial = [
-        [x if grade[p] == d else Fraction(0) for p, x in enumerate(row)]
-        for d, row in _echelon_by(vectors, grade)
-    ]
-    basis_vecs = linalg.row_space_basis(initial)
+    initial = linalg.Echelon()
+    for d, row in _echelon_by(vectors, grade):
+        initial.insert({p: x for p, x in row.items() if grade[p] == d})
+    basis_vecs = [row for _, row in initial.canonical()]
     return LieAlgebraSpan(alg.m, _conjugate_back(seq, basis_vecs, alg.m), check_closed=True)
 
 
@@ -539,19 +506,13 @@ def z_and_nplus(
 
     limit = conjugacy_limit(alg, seq)
     left = seq.left_rows()
-    linv = linalg.inverse(left)
-    limit_frame = [
-        _flatten(linalg.mat_mul(linalg.mat_mul(linv, x), left)) for x in limit.basis
-    ]
+    limit_frame = _conjugate(linalg.inverse(left), left, limit._flat, m)
     negative = [g < 0 for g in grade]
     nplus_vecs = [row for neg, row in _echelon_by(limit_frame, negative) if neg]
 
-    if len(z_vecs) + len(nplus_vecs) != limit.dim or linalg.rank(
-        z_vecs + nplus_vecs
-    ) != limit.dim:
-        raise DecompositionError(
-            "centralizer + positive part do not span the conjugacy limit"
-        )
+    both = linalg.Echelon()
+    if len(z_vecs) + len(nplus_vecs) != limit.dim or not all(both.insert(v) for v in z_vecs + nplus_vecs):
+        raise DecompositionError("centralizer + positive part do not span the conjugacy limit")
     return (
         LieAlgebraSpan(m, _conjugate_back(seq, z_vecs, m)),
         LieAlgebraSpan(m, _conjugate_back(seq, nplus_vecs, m)),
@@ -625,8 +586,8 @@ def match_limit_geometry(limit: LieAlgebraSpan) -> tuple[Signature, tuple[int, .
     permuted po(sig) confirms the match, or raises NoMatch.
     """
     m = limit.m
-    target = limit.span_basis()
-    reach = [[i == j or any(vec[i * m + j] for vec in target) for j in range(m)] for i in range(m)]
+    support = {p for vec in limit._flat for p in vec}
+    reach = [[i == j or i * m + j in support for j in range(m)] for i in range(m)]
     for k in range(m):
         for i in range(m):
             if reach[i][k]:
@@ -642,28 +603,31 @@ def match_limit_geometry(limit: LieAlgebraSpan) -> tuple[Signature, tuple[int, .
         a = block[0]
         same, other = [a], []
         for b in block[1:]:
-            unit = linalg.zeros(m, m)
-            unit[a][b] = Fraction(1)
-            unit[b][a] = Fraction(-1)
-            if limit.contains(unit):
-                same.append(b)
-                continue
-            unit[b][a] = Fraction(1)
-            if not limit.contains(unit):
+            for sign, part in ((-1, same), (1, other)):
+                if limit._echelon.coordinates({a * m + b: 1, b * m + a: sign}) is not None:
+                    part.append(b)
+                    break
+            else:
                 raise NoMatch("limit span is not a permuted orthogonal block algebra")
-            other.append(b)
         p_part, q_part = (same, other) if len(same) >= len(other) else (other, same)
         for k in p_part + q_part:
             perm[k] = next(free)
         sig.append((len(p_part), len(q_part)))
-    # Ad_P E_ij = E_{perm^-1(i), perm^-1(j)}: target entry (k, l) is base (perm k, perm l).
-    mapped = [
-        [vec[perm[k] * m + perm[l]] for k in range(m) for l in range(m)]
-        for vec in build_po(tuple(sig), m).flattened()
-    ]
-    if linalg.row_space_basis(mapped) != target:
+    if not _spans_permuted_po(limit, tuple(sig), tuple(perm)):
         raise NoMatch("limit span is not a permuted orthogonal block algebra")
     return tuple(sig), tuple(perm)
+
+
+def _spans_permuted_po(limit: LieAlgebraSpan, sig: Signature, perm: tuple[int, ...]) -> bool:
+    """Whether the limit span is Ad_{P(perm)} po(sig): the permuted basis has
+    the limit's dimension and reduces to zero against the limit's echelon."""
+    m = limit.m
+    inv = invert_permutation(perm)  # Ad_P E_ij = E_{perm^-1(i), perm^-1(j)}
+    base = build_po(sig, m)
+    return base.dim == limit.dim and all(
+        limit._echelon.coordinates({inv[p // m] * m + inv[p % m]: x for p, x in vec.items()}) is not None
+        for vec in base._flat
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +647,7 @@ def contract(h: BracketTable | LieAlgebraSpan, t_indices) -> BracketTable:
     if any(i < 0 or i >= n for i in t_set):
         raise DimError(f"contraction indices out of range for dimension {n}")
     in_t = [i in t_set for i in range(n)]
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    brackets: dict[tuple[int, int], Sparse] = {}
     for i, j, coeffs in table.brackets():
         if in_t[i] and in_t[j]:
             if any(not in_t[k] for k in coeffs):
@@ -711,16 +675,15 @@ def verify_morphism(map_matrix: Mat, src: BracketTable, dst: BracketTable) -> bo
         raise DimError(f"map must be {n}x{n}")
     if linalg.determinant(mm) == 0:
         return False
-    cols = [[mm[r][i] for r in range(n)] for i in range(n)]
-    nonzero_cols = [[(r, x) for r, x in enumerate(col) if x] for col in cols]
+    cols = [{r: mm[r][i] for r in range(n) if mm[r][i]} for i in range(n)]
     for i in range(n):
-        src_row = src._rows[i]
         for j in range(n):
-            lhs = [Fraction(0)] * n
-            for k, c in src_row.get(j, {}).items():
-                for r, x in nonzero_cols[k]:
-                    lhs[r] += c * x
-            if lhs != dst.bracket_coords(cols[i], cols[j]):
+            # [M e_i, M e_j] - M [e_i, e_j] must vanish.
+            diff = dst._bracket(cols[i], cols[j])
+            for k, c in src._rows[i].get(j, {}).items():
+                for r, x in cols[k].items():
+                    diff[r] = diff.get(r, 0) - c * x
+            if any(diff.values()):
                 return False
     return True
 
@@ -806,30 +769,23 @@ class ChainResult:
         return all(s.verified for s in self.steps) and self.final_matches_limit
 
 
-def _min_grade_projection(x: Mat, u: list[int]) -> Mat:
-    m = len(x)
-    grades = [
-        u[i] - u[j] for i in range(m) for j in range(m) if x[i][j] != 0
-    ]
-    if not grades:
-        return [row[:] for row in x]
-    d = min(grades)
-    return [
-        [x[i][j] if u[i] - u[j] == d else Fraction(0) for j in range(m)]
-        for i in range(m)
-    ]
+def _min_grade_projection(v: Sparse, u: list[int], m: int) -> Sparse:
+    """The entries of a flattened matrix at its lowest grade u_i - u_j."""
+    grade = {p: u[p // m] - u[p % m] for p in v}
+    d = min(grade.values(), default=0)
+    return {p: x for p, x in v.items() if grade[p] == d}
 
 
 def _limit_morphism(
-    images: list[Mat], source: BracketTable, limit: LieAlgebraSpan
+    images: list[Sparse], source: BracketTable, limit: LieAlgebraSpan
 ) -> tuple[Mat, bool]:
-    """The map sending source basis vector i to ``images[i]``, as a matrix in
-    the basis of ``limit``, and whether it is an isomorphism of Lie algebras
-    onto the limit.  An image outside the limit gets a zero column and fails
-    the check.
+    """The map sending source basis vector i to the flattened matrix
+    ``images[i]``, as a matrix in the basis of ``limit``, and whether it is
+    an isomorphism of Lie algebras onto the limit.  An image outside the
+    limit gets a zero column and fails the check.
     """
     n = len(images)
-    coords = [limit._coordinates(_nonzero_flat(img)) for img in images]
+    coords = [limit._coordinates(img) for img in images]
     zero = Fraction(0)
     morphism = [[(c or {}).get(r, zero) for c in coords] for r in range(n)]
     if any(c is None for c in coords):
@@ -853,32 +809,22 @@ def sigma_chain(p: int, q: int, weights) -> ChainResult:
     if any(w[i] < w[i + 1] for i in range(m - 1)):
         raise SignatureError("weights must be weakly decreasing")
     po = build_po(((p, q),), m)
-    table = po.structure_constants()
     n = po.dim
-    sigma_images = [[row[:] for row in x] for x in po.basis]
+    sigma_images = po._flat
     splits = tuple(i for i in range(1, m) if w[i - 1] > w[i])
 
     steps: list[ChainStep] = []
     composite = [0] * m
-    current = table
+    current = po.structure_constants()
     for split in splits:
         u = [0] * split + [-1] * (m - split)
         fixed = tuple(
-            idx
-            for idx in range(n)
-            if all(
-                u[i] == u[j]
-                for i in range(m)
-                for j in range(m)
-                if sigma_images[idx][i][j] != 0
-            )
+            idx for idx in range(n) if all(u[p // m] == u[p % m] for p in sigma_images[idx])
         )
         current = contract(current, fixed)
         sigma_images = [
-            sigma_images[idx]
-            if idx in fixed
-            else _min_grade_projection(sigma_images[idx], u)
-            for idx in range(n)
+            img if idx in fixed else _min_grade_projection(img, u, m)
+            for idx, img in enumerate(sigma_images)
         ]
         composite = [a + b for a, b in zip(composite, u)]
         limit = conjugacy_limit(po, FactoredSequence.diagonal(composite))

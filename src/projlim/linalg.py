@@ -1,8 +1,15 @@
-"""Exact linear algebra over Q, list-of-lists style.
+"""Exact linear algebra over Q.
 
-Vectors are lists of Fraction, matrices are lists of rows.  Everything is
-small (at most a few hundred rows), so plain Gaussian elimination with exact
-pivoting is both fast enough and free of numerical questions.
+Dense vectors are lists of Fraction, matrices are lists of rows.  Everything
+is small (at most a few hundred rows), so plain Gaussian elimination with
+exact pivoting is both fast enough and free of numerical questions.
+
+Sparse vectors are {column: value} dicts of their nonzero entries.
+``Echelon`` keeps the reduced row echelon form of a growing set of them; it
+is the one elimination of the Lie core, whose vectors are flattened matrices
+and structure-constant coordinates that are mostly zero.  The dense ``rref``
+stays for the dense callers: inverses, solves and the small matrices of the
+other modules.
 """
 
 from __future__ import annotations
@@ -45,20 +52,12 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return out
 
 
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Mat, c: Fraction) -> Mat:
-    return [[c * x for x in row] for row in a]
-
-
 def transpose(a: Mat) -> Mat:
     return [list(col) for col in zip(*a)]
 
 
 def commutator(a: Mat, b: Mat) -> Mat:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(mat_mul(a, b), mat_mul(b, a))]
 
 
 def rref(rows: Mat) -> tuple[Mat, list[int]]:
@@ -90,10 +89,64 @@ def rank(rows: Mat) -> int:
     return len(rref(rows)[1])
 
 
-def row_space_basis(rows: Mat) -> Mat:
-    """Canonical (RREF) basis of the row space; rows of zeros dropped."""
-    red, pivots = rref(rows)
-    return red[: len(pivots)]
+class Echelon:
+    """Reduced row echelon form of the span of sparse vectors, kept up to date.
+
+    ``rows`` maps each pivot column to its row {column: value}: 1 at its own
+    pivot, 0 at every other pivot, and 0 before its pivot in ``order`` (the
+    columns in ascending index by default).  These are the nonzero rows of
+    the RREF with the columns permuted into ``order``, whatever the order of
+    insertion.
+    """
+
+    __slots__ = ("rows", "_key")
+
+    def __init__(self, order=None):
+        self.rows: dict[int, dict[int, Fraction]] = {}
+        self._key = None if order is None else {c: k for k, c in enumerate(order)}.__getitem__
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _reduce(self, v: dict[int, Fraction]) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
+        """(coords, residual), nonzero entries only, with v = residual + the
+        sum of coords[p] rows[p]; the residual is zero on every pivot."""
+        coords = {c: x for c, x in v.items() if x and c in self.rows}
+        residual = {c: x for c, x in v.items() if x and c not in self.rows}
+        for p, y in coords.items():
+            for c, x in self.rows[p].items():
+                if c != p:
+                    residual[c] = residual.get(c, 0) - y * x
+        return coords, {c: x for c, x in residual.items() if x}
+
+    def coordinates(self, v: dict[int, Fraction]) -> dict[int, Fraction] | None:
+        """{pivot: y} with v = sum y rows[pivot], or None when v is outside the span."""
+        coords, residual = self._reduce(v)
+        return None if residual else coords
+
+    def insert(self, v: dict[int, Fraction]) -> bool:
+        """Add v to the span; whether the rank grew."""
+        residual = self._reduce(v)[1]
+        if not residual:
+            return False
+        p = min(residual, key=self._key)
+        inv = Fraction(1) / residual[p]
+        new = {c: x * inv for c, x in residual.items()}
+        for row in self.rows.values():
+            f = row.get(p)
+            if f:
+                for c, x in new.items():
+                    y = row.get(c, 0) - f * x
+                    if y:
+                        row[c] = y
+                    else:
+                        del row[c]
+        self.rows[p] = new
+        return True
+
+    def canonical(self) -> list[tuple[int, dict[int, Fraction]]]:
+        """(pivot, row) pairs in ascending pivot order: the RREF rows."""
+        return [(p, self.rows[p]) for p in sorted(self.rows, key=self._key)]
 
 
 def solve(a: Mat, rhs: Vec) -> Vec | None:

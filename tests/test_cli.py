@@ -255,6 +255,14 @@ class TestCorrelator:
         assert (code, out) == (1, "")
         assert "capped at 3 boxes" in err
 
+    def test_factor_count_over_the_cap_exits_1_at_once(self, capsys):
+        for mode in ("uv", "ir"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "correlator", "--mode", mode, "--ell", "1000000")
+            assert time.perf_counter() - start < 0.1
+            assert (code, out) == (1, "")
+            assert err == "error: a scale-limit correlator is capped at 8192 factors, got 1000000\n"
+
 
 class TestFigure1:
     def test_json_matches_golden(self, capsys):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from projlim import correlator as correlator_module
 from projlim.errors import DimError, NotInvertible, ProjlimError, TooLarge
 from projlim.correlator import (
     FUNDAMENTAL,
@@ -227,6 +228,14 @@ class TestScaleLimits:
     def test_bad_mode(self):
         with pytest.raises(ProjlimError):
             uv_ir_report(1, "lateral")
+
+    def test_factor_count_over_the_cap_raises_before_building(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the correlator was built")
+
+        monkeypatch.setattr(correlator_module, "make_correlator", refuse)
+        with pytest.raises(TooLarge):
+            uv_ir_report(correlator_module._MAX_FACTORS + 1, "ir")
 
 
 class TestCommutation:

@@ -1,6 +1,7 @@
 """Block algebras, conjugacy limits, contractions, and contraction chains."""
 
 import random
+import sys
 import time
 from fractions import Fraction
 from itertools import permutations
@@ -22,6 +23,9 @@ from projlim.errors import (
 )
 from projlim.lie import (
     BracketTable,
+    _echelon_by,
+    _graded_frame,
+    _spans_permuted_po,
     LieAlgebraSpan,
     bracket,
     build_po,
@@ -48,6 +52,31 @@ def _matrix(m, entries):
     for (i, j), c in entries.items():
         out[i][j] = Fraction(c)
     return out
+
+
+def _flat(x):
+    return [c for row in x for c in row]
+
+
+def _flattened(span):
+    return [_flat(x) for x in span.basis]
+
+
+def _row_space_basis(rows):
+    """Canonical (RREF) basis of the row space, from the dense ``linalg.rref``."""
+    red, pivots = linalg.rref(rows)
+    return red[: len(pivots)]
+
+
+def _dense_c(table):
+    """The dense c[i][j][k] array of a BracketTable, as nested tuples."""
+    n = table.dim
+    zero = Fraction(0)
+    c = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for i, j, coeffs in table.brackets():
+        for k, x in coeffs.items():
+            c[i][j][k] = x
+    return tuple(tuple(tuple(row) for row in plane) for plane in c)
 
 
 # Basis of the rotation algebra in three variables and of its flat partners.
@@ -97,9 +126,9 @@ class TestRotationContractionChain:
         flat = LieAlgebraSpan(3, [Y1, Y2, X3]).structure_constants()
         assert table == flat
         # [X1', X2'] = 0, [X1', X3'] = -X2', [X2', X3'] = X1'
-        assert table.c[0][1] == (0, 0, 0)
-        assert table.c[0][2] == (0, -1, 0)
-        assert table.c[1][2] == (1, 0, 0)
+        assert _dense_c(table)[0][1] == (0, 0, 0)
+        assert _dense_c(table)[0][2] == (0, -1, 0)
+        assert _dense_c(table)[1][2] == (1, 0, 0)
 
     def test_second_contraction_is_heisenberg(self):
         flat = LieAlgebraSpan(3, [Y1, Y2, X3])
@@ -286,10 +315,6 @@ class TestSpanChecks:
 # -- reference implementations: one nullspace per grade, one solve per bracket --
 
 
-def _flat(x):
-    return [c for row in x for c in row]
-
-
 def _unflat(v, m):
     return [list(v[i * m : (i + 1) * m]) for i in range(m)]
 
@@ -338,7 +363,7 @@ def reference_conjugacy_limit(alg, seq):
             lead = [x if grade[p] == d else Fraction(0) for p, x in enumerate(v)]
             if any(x != 0 for x in lead):
                 limit_vecs.append(lead)
-    basis_vecs = linalg.row_space_basis(limit_vecs)
+    basis_vecs = _row_space_basis(limit_vecs)
     assert len(basis_vecs) == alg.dim
     return LieAlgebraSpan(m, _back(seq, basis_vecs, m))
 
@@ -359,7 +384,7 @@ def reference_z_and_nplus(alg, seq):
 
 def reference_structure_constants(span):
     n = span.dim
-    basis_cols = linalg.transpose(span.flattened())
+    basis_cols = linalg.transpose(_flattened(span))
     c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -426,7 +451,7 @@ def reference_match_limit_geometry(limit):
     target = limit.span_basis()
     target_support = {p for vec in target for p in range(m * m) if vec[p] != 0}
     for sig in enumerate_signatures(m):
-        base_flat = build_po(sig, m).flattened()
+        base_flat = _flattened(build_po(sig, m))
         base_support = {(p // m, p % m) for vec in base_flat for p in range(m * m) if vec[p] != 0}
         for perm in permutations(range(m)):
             inv = invert_permutation(perm)
@@ -440,7 +465,7 @@ def reference_match_limit_geometry(limit):
                         if vec[i * m + j] != 0:
                             new[inv[i] * m + inv[j]] = vec[i * m + j]
                 mapped.append(new)
-            if linalg.row_space_basis(mapped) == target:
+            if _row_space_basis(mapped) == target:
                 return sig, tuple(perm)
     raise NoMatch("limit span is not a permuted orthogonal block algebra")
 
@@ -499,8 +524,9 @@ def _mat_vec(a, v):
     return [sum((row[j] * v[j] for j in range(len(v)) if v[j] != 0), Fraction(0)) for row in a]
 
 
-def _dense_echelon(span):
-    red, pivots = linalg.rref(span.flattened())
+def reference_span_echelon(span):
+    """The RREF rows and pivots of the flattened basis, by the dense ``linalg.rref``."""
+    red, pivots = linalg.rref(_flattened(span))
     return red[: len(pivots)], pivots
 
 
@@ -514,7 +540,7 @@ def reference_coordinates(echelon, pivots, v):
 
 
 def reference_is_closed(span):
-    echelon, pivots = _dense_echelon(span)
+    echelon, pivots = reference_span_echelon(span)
     return all(
         reference_coordinates(echelon, pivots, _flat(linalg.commutator(span.basis[i], span.basis[j])))
         is not None
@@ -526,8 +552,8 @@ def reference_is_closed(span):
 def reference_echelon_structure_constants(span):
     """Dense c[i][j][k], through the echelon form and the pivot-block inverse."""
     n = span.dim
-    echelon, pivots = _dense_echelon(span)
-    pivot_block = [[row[p] for p in pivots] for row in span.flattened()]
+    echelon, pivots = reference_span_echelon(span)
+    pivot_block = [[row[p] for p in pivots] for row in _flattened(span)]
     from_echelon = linalg.transpose(linalg.inverse(pivot_block))
     c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
@@ -561,7 +587,7 @@ def reference_bracket_coords(c, u, v):
 
 def _reference_product_space(c, a, b):
     prods = [reference_bracket_coords(c, u, v) for u in a for v in b]
-    return linalg.row_space_basis([p for p in prods if any(x != 0 for x in p)])
+    return _row_space_basis([p for p in prods if any(x != 0 for x in p)])
 
 
 def reference_derived_series_dims(c):
@@ -695,7 +721,7 @@ def _dense(c):
 
 
 def _check_invariants(table):
-    c = table.c
+    c = _dense_c(table)
     assert table.derived_series_dims() == reference_derived_series_dims(c)
     assert table.lower_central_dims() == reference_lower_central_dims(c)
     assert table.center_dim() == reference_center_dim(c)
@@ -711,7 +737,7 @@ def _check_morphisms(rng, src, dst):
     outcomes = []
     for mm in maps:
         got = verify_morphism(mm, src, dst)
-        assert got == reference_verify_morphism(mm, src.c, dst.c)
+        assert got == reference_verify_morphism(mm, _dense_c(src), _dense_c(dst))
         outcomes.append(got)
     return outcomes
 
@@ -730,7 +756,7 @@ class TestSparseAgainstDenseReference:
                     assert got == want
                     seen["not closed"] += 1
                     continue
-                assert _dense(want) == got.c
+                assert _dense(want) == _dense_c(got)
                 assert got == BracketTable(want) and hash(got) == hash(BracketTable(want))
                 _check_invariants(got)
                 for ok in _check_morphisms(rng, got, got):
@@ -739,19 +765,19 @@ class TestSparseAgainstDenseReference:
                 po, indices = case
                 table = po.structure_constants()
                 got = _raised(contract, table, indices)
-                want = _raised(reference_contract, table.c, indices)
+                want = _raised(reference_contract, _dense_c(table), indices)
                 if isinstance(want, tuple):
                     assert got == want
                     seen["not subalgebra"] += 1
                     continue
-                assert got.c == _dense(want) and got == BracketTable(want)
+                assert _dense_c(got) == _dense(want) and got == BracketTable(want)
                 _check_invariants(got)
                 for ok in _check_morphisms(rng, got, table):
                     seen["isomorphism" if ok else "non-isomorphism"] += 1
                 seen["contraction"] += 1
             elif kind == "random":
                 table = BracketTable(case)
-                assert table.c == _dense(case)
+                assert _dense_c(table) == _dense(case)
                 _check_invariants(table)
             else:
                 p, q, weights = case
@@ -763,7 +789,7 @@ class TestSparseAgainstDenseReference:
                     composite = [w - (i >= step.split) for i, w in enumerate(composite)]
                     limit = conjugacy_limit(po, FactoredSequence.diagonal(composite))
                     limit_c = reference_echelon_structure_constants(limit)
-                    assert reference_verify_morphism(step.morphism, step.table.c, limit_c) == step.verified
+                    assert reference_verify_morphism(step.morphism, _dense_c(step.table), limit_c) == step.verified
                     _check_invariants(step.table)
         assert seen["not closed"] >= 3 and seen["not subalgebra"] >= 3, seen
         assert seen["contraction"] >= 5 and seen["non-isomorphism"] >= 5 and seen["isomorphism"] >= 5, seen
@@ -796,3 +822,180 @@ class TestOneBracketPassPerSpan:
         assert cli_main(["limit", "--algebra", "po((3),(2,1))", "--seq", "compose(perm((0 5)),diag(t,1,t^2,1,t^-1,1))"]) == 0
         capsys.readouterr()
         assert len(bracket_calls) == len(set(bracket_calls)) == 15 * 14 // 2
+
+
+# -- reference dense eliminations: graded echelon, limit basis, match check ----
+
+
+def reference_echelon_by(vectors, key):
+    """(key of the pivot column, row) pairs of the dense RREF with the columns
+    in ascending ``key``, rows mapped back to the original columns."""
+    order = sorted(range(len(key)), key=key.__getitem__)
+    red, pivots = linalg.rref([[v[p] for p in order] for v in vectors])
+    out = []
+    for row, c in zip(red, pivots):
+        vec = [Fraction(0)] * len(key)
+        for p, x in zip(order, row):
+            vec[p] = x
+        out.append((key[order[c]], vec))
+    return out
+
+
+def reference_limit_basis(vectors, grade):
+    """The RREF basis of the initial parts of the grade-ordered echelon rows."""
+    initial = [
+        [x if grade[p] == d else Fraction(0) for p, x in enumerate(row)]
+        for d, row in reference_echelon_by(vectors, grade)
+    ]
+    return _row_space_basis(initial)
+
+
+def reference_spans_permuted_po(limit, sig, perm):
+    """Whether the RREF of the permuted po(sig) basis equals the limit's."""
+    m = limit.m
+    mapped = [[vec[perm[k] * m + perm[l]] for k in range(m) for l in range(m)] for vec in _flattened(build_po(sig, m))]
+    return _row_space_basis(mapped) == reference_span_echelon(limit)[0]
+
+
+def _densify(v, size):
+    out = [Fraction(0)] * size
+    for p, x in v.items():
+        out[p] = x
+    return out
+
+
+def _limit_grid():
+    """Seeded limits of po(sig) at m = 3-6 along sequences whose factors are
+    permutations or dense +-1 matrices."""
+    rng = random.Random(20261021)
+    for m, count in ((3, 8), (4, 8), (5, 6), (6, 4)):
+        signatures = enumerate_signatures(m)
+        for k in range(count):
+            factors = [
+                _random_invertible(rng, m) if (k >> bit) % 2 else permutation_matrix(tuple(rng.sample(range(m), m)))
+                for bit in (0, 1)
+            ]
+            yield rng.choice(signatures), FactoredSequence.build(factors[0], [rng.randint(-3, 3) for _ in range(m)], factors[1])
+
+
+class TestSparseEchelonAgainstDense:
+    def test_graded_echelon_limit_basis_and_span_echelon(self):
+        for sig, seq in _limit_grid():
+            alg = build_po(sig)
+            m = alg.m
+            vectors, grade = _graded_frame(alg, seq)
+            dense_vectors, dense_grade = _frame(alg, seq)
+            assert [_densify(v, m * m) for v in vectors] == dense_vectors and grade == dense_grade
+            for key in (grade, [g == 0 for g in grade], [g < 0 for g in grade]):
+                got = [(d, _densify(row, m * m)) for d, row in _echelon_by(vectors, key)]
+                assert got == reference_echelon_by(dense_vectors, key), (sig, seq)
+            limit = conjugacy_limit(alg, seq)
+            assert limit.basis == _back(seq, reference_limit_basis(dense_vectors, grade), m), (sig, seq)
+            echelon, pivots = reference_span_echelon(limit)
+            assert limit.span_basis() == echelon
+            assert [p for p, _ in limit._echelon.canonical()] == pivots
+
+    def test_match_confirmation(self):
+        rng = random.Random(5)
+        outcomes = []
+        limits = [conjugacy_limit(build_po(sig), seq) for sig, seq in _limit_grid()]
+        for limit in limits + [limit for _, limit in _match_cases()]:
+            m = limit.m
+            candidates = [(rng.choice(enumerate_signatures(m)), tuple(rng.sample(range(m), m)))]
+            try:
+                limit_sig, perm = match_limit_geometry(limit)
+                shuffled = list(perm)
+                rng.shuffle(shuffled)
+                candidates += [(limit_sig, perm), (limit_sig, tuple(shuffled))]
+            except NoMatch:
+                pass
+            spans = [limit]
+            if len(candidates) > 1:
+                # The matched basis inside a larger span: equal containment, unequal span.
+                diagonal = _matrix(m, {(0, 0): 1, (1, 1): -1})
+                if not limit.contains(diagonal):
+                    spans.append(LieAlgebraSpan(m, limit.basis + [diagonal], check_closed=False))
+            for span in spans:
+                for cand_sig, cand_perm in candidates:
+                    got = _spans_permuted_po(span, cand_sig, cand_perm)
+                    assert got == reference_spans_permuted_po(span, cand_sig, cand_perm), (span.basis, cand_sig, cand_perm)
+                    outcomes.append(got)
+        assert outcomes.count(True) >= 30 and outcomes.count(False) >= 60, outcomes
+
+
+# -- reference Jacobi check: two dense bracket_coords per cyclic term ----------
+
+
+def reference_satisfies_jacobi(c):
+    n = len(c)
+    basis = [[Fraction(1 if s == i else 0) for s in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                total = [Fraction(0)] * n
+                for a, b, c_ in ((i, j, k), (j, k, i), (k, i, j)):
+                    inner = reference_bracket_coords(c, basis[b], basis[c_])
+                    term = reference_bracket_coords(c, basis[a], inner)
+                    for s in range(n):
+                        total[s] += term[s]
+                if any(x != 0 for x in total):
+                    return False
+    return True
+
+
+def _jacobi_cases():
+    """Seeded tables: po(sig) at m = 3-5, their contractions, the same tables
+    with one antisymmetric pair of entries changed, and random tables that
+    are not antisymmetric."""
+    rng = random.Random(20261022)
+    for m in (3, 4, 5):
+        for sig in rng.sample(enumerate_signatures(m), 3):
+            table = build_po(sig).structure_constants()
+            yield table
+            try:
+                yield contract(table, rng.sample(range(table.dim), rng.randint(1, 3)))
+            except NotSubalgebra:
+                pass
+            for _ in range(2):
+                c = [[list(row) for row in plane] for plane in _dense_c(table)]
+                i, j = rng.sample(range(table.dim), 2)
+                k = rng.randrange(table.dim)
+                delta = rng.choice((1, -1, 2))
+                c[i][j][k] += delta
+                c[j][i][k] -= delta
+                yield BracketTable(c)
+    for n in (3, 4, 4, 5, 5, 6):
+        c = [[[0] * n for _ in range(n)] for _ in range(n)]
+        for _ in range(rng.randint(1, 2 * n)):
+            c[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] = rng.choice((1, -1, 2))
+        yield BracketTable(c)
+
+
+class TestSparseJacobi:
+    def test_against_dense_reference(self):
+        verdicts = []
+        for table in _jacobi_cases():
+            got = table.satisfies_jacobi()
+            assert got == reference_satisfies_jacobi(_dense_c(table))
+            verdicts.append(got)
+        assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10, verdicts
+
+
+class TestNoDenseEliminationInLie:
+    """A limit request at m = 6 runs no dense RREF from the Lie core; the
+    ones left are inside linalg.inverse and the rank of the sequence."""
+
+    def test_geometry_limit_then_invariants(self, monkeypatch):
+        callers = []
+        original = linalg.rref
+
+        def counted(rows):
+            frame = sys._getframe(1)
+            callers.append((frame.f_globals["__name__"], frame.f_code.co_name))
+            return original(rows)
+
+        monkeypatch.setattr(linalg, "rref", counted)
+        deg = geometry_limit(((3, 1), (2, 0)), parse_sequence("compose(perm((0 5)),diag(t,1,t^2,1,t^-1,1))", 6))
+        invariant_profile(deg.limit)
+        assert ("projlim.linalg", "inverse") in callers
+        assert set(callers) <= {("projlim.linalg", "inverse"), ("projlim.linalg", "rank")}, callers
