@@ -25,7 +25,7 @@ from .geometry import (
 )
 from .laurent import LaurentScalar
 from .lie import LieAlgebraSpan, Signature, truncated_exp, validate_signature
-from .linalg import Mat, frac_rows, identity, inverse, mat_mul, transpose
+from .linalg import Echelon, Mat, frac_rows, identity, inverse, mat_mul, pivot_inverse, transpose
 from .projective import (
     FactoredSequence,
     ProjMatrix,
@@ -207,11 +207,13 @@ class _SchurAction:
         self.index_of = {tup: k for k, tup in enumerate(tuples)}
         self.tuples = tuples
         self.basis_cols = _sparse_columns(basis)
-        gram = mat_mul(transpose(basis), basis)
-        left_inverse = mat_mul(inverse(gram), transpose(basis))  # d x 5^p
-        # One sparse column of the left inverse per tensor index: the
-        # coordinates that index feeds, with their nonzero weights.
-        self.coord_cols = [list(col.items()) for col in _sparse_columns(left_inverse)]
+        echelon = Echelon()
+        for col in self.basis_cols:
+            echelon.insert(col)
+        # The coordinates each pivot tensor index feeds, with their nonzero
+        # weights.  Images under g tensor p stay in the symmetrizer image, so
+        # the other indices feed none.
+        self.coord_cols = pivot_inverse(self.basis_cols, list(echelon.rows))
 
     def _tensor_image(self, g_cols: list[dict[int, object]], col: dict[int, object]):
         """Apply g tensor p to one sparse basis column."""
@@ -246,7 +248,7 @@ class _SchurAction:
             for r, value in self._tensor_image(g_cols, col).items():
                 if not value:
                     continue
-                for i, c in self.coord_cols[r]:
+                for i, c in self.coord_cols.get(r, ()):
                     term = value * c
                     coords[i] = coords[i] + term if i in coords else term
             columns.append(coords)

@@ -1,21 +1,20 @@
 """Lie subalgebras of pgl_m(R): spans, limits, contractions, invariants.
 
-Spans, limits, matches and invariants eliminate with one sparse type,
-``linalg.Echelon``, over the nonzero entries of their vectors; the dense
-``linalg`` routines are left for small square matrices (inverses,
-determinants, the Killing form's signature).  Subalgebras are stored as spans
-of trace-free rational matrices, each with the echelon of its flattened
-basis; membership, closure, structure constants, span equality and limit
-matching all reduce against it.  The closure check brackets each pair of
-basis elements once, from their nonzero entries, and the span keeps the
-structure-constant table it yields.  Conjugacy limits along factored
-sequences are computed exactly through the weight filtration: in the
-diagonal frame, grade every matrix position (i, j) by w_i - w_j, eliminate
-with the columns in ascending grade order, keep the lowest-grade part of each
-echelon row (its initial form), and conjugate the resulting span back.
-Abstract (basis-only) Lie algebras are handled as structure-constant tables,
-which is what contractions produce; a table stores only its nonzero entries,
-and invariants, contractions and morphism checks iterate over those.
+Spans, limits, matches and invariants eliminate with ``linalg.Echelon``, the
+one row elimination, over the nonzero entries of their vectors, and read
+coordinates in a basis off its pivots with ``linalg.pivot_inverse``.
+Subalgebras are stored as spans of trace-free rational matrices, each with
+the echelon of its flattened basis; membership, closure, structure constants,
+span equality and limit matching all reduce against it.  The closure check
+brackets each pair of basis elements once, from their nonzero entries, and
+the span keeps the structure-constant table it yields.  Conjugacy limits
+along factored sequences are computed exactly through the weight filtration:
+in the diagonal frame, grade every matrix position (i, j) by w_i - w_j,
+eliminate with the columns in ascending grade order, keep the lowest-grade
+part of each echelon row (its initial form), and conjugate the resulting span
+back.  Abstract (basis-only) Lie algebras are handled as structure-constant
+tables, which is what contractions produce; a table stores only its nonzero
+entries, and invariants, contractions and morphism checks iterate over those.
 """
 
 from __future__ import annotations
@@ -149,14 +148,7 @@ class LieAlgebraSpan:
         if coords is None:
             return None
         if self._from_echelon is None:
-            # The echelon rows are T @ basis with T the inverse of the basis
-            # restricted to the pivot columns: row p is sum_k T[p][k] e_k.
-            pivots = list(self._echelon.rows)
-            pivot_block = [[x.get(p, 0) for p in pivots] for x in self._flat]
-            self._from_echelon = {
-                p: [(k, t) for k, t in enumerate(row) if t]
-                for p, row in zip(pivots, linalg.inverse(pivot_block))
-            }
+            self._from_echelon = linalg.pivot_inverse(self._flat, list(self._echelon.rows))
         out: Sparse = {}
         for p, y in coords.items():
             for k, t in self._from_echelon[p]:
@@ -673,7 +665,7 @@ def verify_morphism(map_matrix: Mat, src: BracketTable, dst: BracketTable) -> bo
     mm = linalg.frac_rows(map_matrix)
     if len(mm) != n or any(len(r) != n for r in mm):
         raise DimError(f"map must be {n}x{n}")
-    if linalg.determinant(mm) == 0:
+    if linalg.rank(mm) < n:
         return False
     cols = [{r: mm[r][i] for r in range(n) if mm[r][i]} for i in range(n)]
     for i in range(n):

@@ -1,15 +1,15 @@
 """Exact linear algebra over Q.
 
-Dense vectors are lists of Fraction, matrices are lists of rows.  Everything
-is small (at most a few hundred rows), so plain Gaussian elimination with
-exact pivoting is both fast enough and free of numerical questions.
-
-Sparse vectors are {column: value} dicts of their nonzero entries.
-``Echelon`` keeps the reduced row echelon form of a growing set of them; it
-is the one elimination of the Lie core, whose vectors are flattened matrices
-and structure-constant coordinates that are mostly zero.  The dense ``rref``
-stays for the dense callers: inverses, solves and the small matrices of the
-other modules.
+Dense vectors are lists of Fraction, matrices are lists of rows; sparse
+vectors are {column: value} dicts of their nonzero entries.  There is one
+row elimination, ``Echelon``: it keeps the reduced row echelon form of a
+growing set of sparse vectors, with exact pivoting and no numerical
+questions.  The vectors met here (flattened matrices, structure constants,
+symmetrizers, factors of sequences) are mostly zero, so it touches only
+nonzero entries.  The dense ``rref`` reads its rows off an ``Echelon``, and
+``rank``, ``solve``, ``nullspace`` and ``inverse`` read theirs off ``rref``.
+``pivot_inverse`` gives coordinates in a basis from its echelon pivots.
+``symmetric_signature`` does its own congruence elimination.
 """
 
 from __future__ import annotations
@@ -58,35 +58,6 @@ def transpose(a: Mat) -> Mat:
 
 def commutator(a: Mat, b: Mat) -> Mat:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(mat_mul(a, b), mat_mul(b, a))]
-
-
-def rref(rows: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and pivot columns.  Input is not modified."""
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r] + [[Fraction(0)] * ncols for _ in range(nrows - r)], pivots
-
-
-def rank(rows: Mat) -> int:
-    return len(rref(rows)[1])
 
 
 class Echelon:
@@ -149,6 +120,23 @@ class Echelon:
         return [(p, self.rows[p]) for p in sorted(self.rows, key=self._key)]
 
 
+def rref(rows: Mat) -> tuple[Mat, list[int]]:
+    """Reduced row echelon form and pivot columns, read off an ``Echelon``
+    of the rows.  Input is not modified."""
+    ncols = len(rows[0]) if rows else 0
+    echelon = Echelon()
+    for row in rows:
+        echelon.insert({c: x for c, x in enumerate(row) if x})
+    zero = Fraction(0)
+    canonical = echelon.canonical()
+    red = [[row.get(c, zero) for c in range(ncols)] for _, row in canonical]
+    return red + [[zero] * ncols for _ in range(len(rows) - len(red))], [p for p, _ in canonical]
+
+
+def rank(rows: Mat) -> int:
+    return len(rref(rows)[1])
+
+
 def solve(a: Mat, rhs: Vec) -> Vec | None:
     """One exact solution of A x = rhs, or None if inconsistent."""
     n, m = len(a), len(a[0])
@@ -181,33 +169,25 @@ def nullspace(a: Mat) -> Mat:
 
 def inverse(a: Mat) -> Mat:
     n = len(a)
-    eye = identity(n)
-    aug = [a[i][:] + eye[i] for i in range(n)]
+    if any(len(row) != n for row in a):
+        raise NotInvertible(f"only a square matrix has an inverse: {n} rows of lengths {[len(r) for r in a]}")
+    aug = [list(row) + e for row, e in zip(a, identity(n))]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise NotInvertible("matrix is singular")
     return [row[n:] for row in red[:n]]
 
 
-def determinant(a: Mat) -> Fraction:
-    n = len(a)
-    m = [row[:] for row in a]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                for j in range(c, n):
-                    m[i][j] -= f * m[c][j]
-    return det
+def pivot_inverse(vectors: list[dict[int, Fraction]], pivots: list[int]) -> dict[int, list[tuple[int, Fraction]]]:
+    """Coordinates in the basis ``vectors`` (independent, sparse), read off
+    the ``pivots`` of their echelon: {p: [(k, t_pk) for nonzero t_pk]}, with
+    (t_pk) the inverse of the pivot block (vectors[k][p]).
+
+    Echelon row p is sum_k t_pk vectors[k], so a member x of the span is
+    sum_k (sum_p x[p] t_pk) vectors[k].
+    """
+    block = [[v.get(p, 0) for p in pivots] for v in vectors]
+    return {p: [(k, t) for k, t in enumerate(row) if t] for p, row in zip(pivots, inverse(block))}
 
 
 def symmetric_signature(a: Mat) -> tuple[int, int, int]:

@@ -255,9 +255,9 @@ class FactoredSequence:
         right = linalg.frac_rows(right)
         weights = tuple(int(w) for w in weights)
         n = len(weights)
-        if len(left) != n or len(right) != n:
-            raise NotInvertible("factor dimensions do not match the weight count")
-        if linalg.determinant(left) == 0 or linalg.determinant(right) == 0:
+        if any(len(f) != n or any(len(row) != n for row in f) for f in (left, right)):
+            raise NotInvertible(f"factors must be {n}x{n} to match the weight count")
+        if linalg.rank(left) < n or linalg.rank(right) < n:
             raise NotInvertible("factored sequence requires invertible factors")
         return cls(cls._freeze(left), weights, cls._freeze(right))
 

@@ -29,7 +29,7 @@ from projlim.correlator import (
 )
 from projlim.laurent import LaurentScalar
 from projlim.lie import build_po
-from projlim.linalg import determinant, identity, inverse, mat_mul, transpose
+from projlim.linalg import identity, inverse, mat_mul, rank, transpose
 from projlim.parsing import parse_sequence
 from projlim.projective import FactoredSequence, ProjMatrix, permutation_matrix
 from projlim.young import symmetrizer_basis
@@ -354,7 +354,7 @@ def _dense_pm1(rng):
     while True:
         m = [[Fraction(rng.choice((-1, 1))) if rng.random() < 0.6 else Fraction(0) for _ in range(5)]
              for _ in range(5)]
-        if determinant(m) != 0:
+        if rank(m) == 5:
             return m
 
 

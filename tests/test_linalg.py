@@ -1,10 +1,65 @@
-"""The sparse echelon against the dense reduced row echelon form."""
+"""The one row elimination, ``Echelon``, and the dense routines read off it,
+against a dense Gauss-Jordan reference and a reference determinant."""
 
 import random
 from fractions import Fraction
 
+import pytest
+
 from projlim import linalg
+from projlim.errors import NotInvertible
 from projlim.linalg import Echelon
+
+
+def reference_rref(rows):
+    """Reduced row echelon form and pivot columns by dense Gauss-Jordan."""
+    m = [row[:] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m[:r] + [[Fraction(0)] * ncols for _ in range(nrows - r)], pivots
+
+
+def reference_rank(rows):
+    return len(reference_rref(rows)[1])
+
+
+def reference_determinant(a):
+    """Determinant by elimination below the diagonal, with row swaps."""
+    n = len(a)
+    m = [row[:] for row in a]
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        inv = Fraction(1) / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] * inv
+                for j in range(c, n):
+                    m[i][j] -= f * m[c][j]
+    return det
 
 
 def _sparse(row):
@@ -40,17 +95,19 @@ def _insert_all(echelon, rows):
 
 
 class TestEchelonAgainstRref:
+    """Against the Gauss-Jordan ``reference_rref``."""
+
     def test_rows_pivots_and_rank(self):
         seen = {"empty": 0, "dependent": 0, "full rank": 0}
         for _, rows, ncols in _matrices():
             echelon = Echelon()
             grew = _insert_all(echelon, rows)
-            red, pivots = linalg.rref(rows)
+            red, pivots = reference_rref(rows)
             rank = len(pivots)
             assert _dense_rows(echelon, ncols) == (red[:rank], pivots)
             assert len(echelon) == rank
             # insert reports growth exactly when the rank of the prefix grows
-            assert grew == [linalg.rank(rows[: r + 1]) > linalg.rank(rows[:r]) for r in range(len(rows))]
+            assert grew == [reference_rank(rows[: r + 1]) > reference_rank(rows[:r]) for r in range(len(rows))]
             if not rows:
                 seen["empty"] += 1
             elif rank < len(rows):
@@ -65,7 +122,7 @@ class TestEchelonAgainstRref:
             order = rng.sample(range(ncols), ncols)
             echelon = Echelon(order)
             _insert_all(echelon, rows)
-            red, pivots = linalg.rref([[row[c] for c in order] for row in rows])
+            red, pivots = reference_rref([[row[c] for c in order] for row in rows])
             want = []
             for row in red[: len(pivots)]:
                 vec = [Fraction(0)] * ncols
@@ -93,7 +150,117 @@ class TestEchelonAgainstRref:
             assert combo == v
             inside += 1
             w = [Fraction(rng.choice((0, 1, -1))) for _ in range(ncols)]
-            in_span = linalg.rank(rows + [w]) == linalg.rank(rows) if rows else not any(w)
+            in_span = reference_rank(rows + [w]) == reference_rank(rows) if rows else not any(w)
             assert (echelon.coordinates(_sparse(w)) is not None) == in_span
             outside += not in_span
         assert inside >= 300 and outside >= 100
+
+
+def _square_matrices():
+    """Seeded n x n matrices, n = 0..6, with 0/+-1/2 entries; about a third
+    made singular by a row that is a combination of the others."""
+    rng = random.Random(20261019)
+    for k in range(240):
+        n = k % 7
+        rows = [[Fraction(rng.choice((0, 0, 1, -1, 2))) for _ in range(n)] for _ in range(n)]
+        if n >= 2 and k % 3 == 0:
+            weights = [rng.choice((0, 1, -1, 2)) for _ in range(n - 1)]
+            rows[-1] = [sum((w * row[c] for w, row in zip(weights, rows)), Fraction(0)) for c in range(n)]
+            rng.shuffle(rows)
+        yield rows
+
+
+def _mat_vec(a, x):
+    return [sum((r * y for r, y in zip(row, x)), Fraction(0)) for row in a]
+
+
+class TestDenseRoutinesAgainstReference:
+    """rref, rank, solve, nullspace and inverse, read off the one elimination,
+    against the Gauss-Jordan ``reference_rref`` and ``reference_determinant``."""
+
+    def test_rref_and_rank(self):
+        for _, rows, _ in _matrices():
+            before = [row[:] for row in rows]
+            assert linalg.rref(rows) == reference_rref(rows)
+            assert rows == before
+            assert linalg.rank(rows) == reference_rank(rows)
+
+    def test_solve(self):
+        consistent = inconsistent = 0
+        for rng, rows, ncols in _matrices():
+            if not rows:
+                continue
+            weights = [Fraction(rng.choice((0, 1, -1, 2))) for _ in range(ncols)]
+            for rhs in (_mat_vec(rows, weights), [Fraction(rng.choice((0, 1, -1))) for _ in rows]):
+                red, pivots = reference_rref([row + [b] for row, b in zip(rows, rhs)])
+                x = linalg.solve(rows, rhs)
+                if ncols in pivots:
+                    assert x is None
+                    inconsistent += 1
+                    continue
+                want = [Fraction(0)] * ncols
+                for r, c in enumerate(pivots):
+                    want[c] = red[r][ncols]
+                assert x == want and _mat_vec(rows, x) == rhs
+                consistent += 1
+        assert consistent >= 300 and inconsistent >= 50
+
+    def test_nullspace(self):
+        for _, rows, ncols in _matrices():
+            kernel = linalg.nullspace(rows)
+            if not rows:
+                assert kernel == []
+                continue
+            red, pivots = reference_rref(rows)
+            want = []
+            for f in (c for c in range(ncols) if c not in pivots):
+                v = [Fraction(0)] * ncols
+                v[f] = Fraction(1)
+                for r, c in enumerate(pivots):
+                    v[c] = -red[r][f]
+                want.append(v)
+            assert kernel == want
+            assert all(not any(_mat_vec(rows, v)) for v in kernel)
+
+    def test_inverse_and_singularity(self):
+        seen = {"invertible": 0, "singular": 0}
+        for rows in _square_matrices():
+            n = len(rows)
+            singular = reference_determinant(rows) == 0
+            assert (linalg.rank(rows) < n) == singular
+            if singular:
+                with pytest.raises(NotInvertible):
+                    linalg.inverse(rows)
+                seen["singular"] += 1
+                continue
+            eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+            red, _ = reference_rref([row + e for row, e in zip(rows, eye)])
+            inv = linalg.inverse(rows)
+            assert inv == [row[n:] for row in red]
+            assert not n or linalg.mat_mul(rows, inv) == eye
+            seen["invertible"] += 1
+        assert min(seen.values()) >= 60, seen
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1, 2, 3], [4, 5, 6]], [[1, 0], [0, 1, 5]], [[1, 0], [0, 1], [1, 1]], [[1, 2]]],
+    )
+    def test_non_square_has_no_inverse(self, rows):
+        with pytest.raises(NotInvertible, match="only a square matrix"):
+            linalg.inverse(linalg.frac_rows(rows))
+
+    def test_pivot_inverse_gives_echelon_rows(self):
+        checked = 0
+        for _, rows, ncols in _matrices():
+            echelon = Echelon()
+            independent = [_sparse(row) for row in rows if echelon.insert(_sparse(row))]
+            inverse = linalg.pivot_inverse(independent, list(echelon.rows))
+            assert set(inverse) == set(echelon.rows)
+            for p, row in echelon.rows.items():
+                combo = {}
+                for k, t in inverse[p]:
+                    for c, x in independent[k].items():
+                        combo[c] = combo.get(c, 0) + t * x
+                assert {c: x for c, x in combo.items() if x} == row
+                checked += 1
+        assert checked >= 600

@@ -95,6 +95,18 @@ class TestFactoredSequence:
         with pytest.raises(NotInvertible):
             FactoredSequence.build([[1, 1], [1, 1]], (0, 0), [[1, 0], [0, 1]])
 
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            ([[1, 0], [0, 1, 5]], [[1, 0], [0, 1]]),  # a ragged row of full rank
+            ([[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0]]),  # 2x3, full rank on its first two columns
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0], [0, 1]]),  # 3x3 against two weights
+        ],
+    )
+    def test_non_square_factor_rejected(self, left, right):
+        with pytest.raises(NotInvertible, match="must be 2x2"):
+            FactoredSequence.build(left, (1, 0), right)
+
     def test_conjugation_of_boost(self):
         boost = [[Fraction(0)] * 5 for _ in range(5)]
         boost[3][4] = boost[4][3] = Fraction(1)
