@@ -8,7 +8,8 @@ questions.  The vectors met here (flattened matrices, structure constants,
 symmetrizers, factors of sequences) are mostly zero, so it touches only
 nonzero entries.  The dense ``rref`` reads its rows off an ``Echelon``, and
 ``rank``, ``solve``, ``nullspace`` and ``inverse`` read theirs off ``rref``.
-``pivot_inverse`` gives coordinates in a basis from its echelon pivots.
+``pivot_inverse`` gives coordinates in a basis from its echelon pivots,
+with one more ``Echelon`` over the pivot block.
 ``symmetric_signature`` does its own congruence elimination.
 """
 
@@ -184,10 +185,17 @@ def pivot_inverse(vectors: list[dict[int, Fraction]], pivots: list[int]) -> dict
     (t_pk) the inverse of the pivot block (vectors[k][p]).
 
     Echelon row p is sum_k t_pk vectors[k], so a member x of the span is
-    sum_k (sum_p x[p] t_pk) vectors[k].
+    sum_k (sum_p x[p] t_pk) vectors[k].  The block rows, each with a tag
+    column -1-k for its vector, go into one ``Echelon`` with the pivots
+    first: row p ends up 1 at p and t_pk at tag k.
     """
-    block = [[v.get(p, 0) for p in pivots] for v in vectors]
-    return {p: [(k, t) for k, t in enumerate(row) if t] for p, row in zip(pivots, inverse(block))}
+    tags = [-1 - k for k in range(len(vectors))]
+    echelon = Echelon(list(pivots) + tags)
+    for tag, v in zip(tags, vectors):
+        echelon.insert({**{p: v[p] for p in pivots if p in v}, tag: Fraction(1)})
+    if any(p not in echelon.rows for p in pivots):
+        raise NotInvertible("the pivot block is singular")
+    return {p: [(-1 - c, t) for c, t in sorted(echelon.rows[p].items(), reverse=True) if c < 0] for p in pivots}
 
 
 def symmetric_signature(a: Mat) -> tuple[int, int, int]:

@@ -249,23 +249,32 @@ class FactoredSequence:
     def _freeze(m: linalg.Mat) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(Fraction(x) for x in row) for row in m)
 
+    @staticmethod
+    def _check_invertible(factor: linalg.Mat, n: int) -> None:
+        if len(factor) != n or any(len(row) != n for row in factor):
+            raise NotInvertible(f"factors must be {n}x{n} to match the weight count")
+        if linalg.rank(factor) < n:
+            raise NotInvertible("factored sequence requires invertible factors")
+
     @classmethod
     def build(cls, left, weights, right) -> "FactoredSequence":
         left = linalg.frac_rows(left)
         right = linalg.frac_rows(right)
         weights = tuple(int(w) for w in weights)
         n = len(weights)
-        if any(len(f) != n or any(len(row) != n for row in f) for f in (left, right)):
-            raise NotInvertible(f"factors must be {n}x{n} to match the weight count")
-        if linalg.rank(left) < n or linalg.rank(right) < n:
-            raise NotInvertible("factored sequence requires invertible factors")
-        return cls(cls._freeze(left), weights, cls._freeze(right))
+        cls._check_invertible(left, n)
+        cls._check_invertible(right, n)
+        return cls._of(left, weights, right)
+
+    @classmethod
+    def _of(cls, left, weights, right) -> "FactoredSequence":
+        """The sequence of factors already known to be n x n and invertible."""
+        return cls(cls._freeze(left), tuple(int(w) for w in weights), cls._freeze(right))
 
     @classmethod
     def diagonal(cls, weights) -> "FactoredSequence":
-        n = len(weights)
-        eye = linalg.identity(n)
-        return cls.build(eye, weights, eye)
+        eye = linalg.identity(len(weights))
+        return cls._of(eye, weights, eye)
 
     @classmethod
     def constant(cls, matrix) -> "FactoredSequence":
@@ -297,7 +306,7 @@ class FactoredSequence:
         return lmat_mul(lmat_from_rational(self.left_rows()), lmat_mul(diag, lmat_from_rational(self.right_rows())))
 
     def inverse(self) -> "FactoredSequence":
-        return FactoredSequence.build(
+        return FactoredSequence._of(
             linalg.inverse(self.right_rows()),
             tuple(-w for w in self.weights),
             linalg.inverse(self.left_rows()),
@@ -305,9 +314,9 @@ class FactoredSequence:
 
     def premultiply(self, const: linalg.Mat) -> "FactoredSequence":
         """const * b(t) for an invertible rational matrix."""
-        return FactoredSequence.build(
-            linalg.mat_mul(linalg.frac_rows(const), self.left_rows()), self.weights, self.right_rows()
-        )
+        const = linalg.frac_rows(const)
+        self._check_invertible(const, self.dim)
+        return FactoredSequence._of(linalg.mat_mul(const, self.left_rows()), self.weights, self.right_rows())
 
     def compose(self, other: "FactoredSequence") -> "FactoredSequence":
         """The product sequence self(t) * other(t), kept in factored form.
@@ -321,7 +330,7 @@ class FactoredSequence:
         if self.is_constant():
             shift = self.weights[0]
             c = linalg.mat_mul(self.left_rows(), self.right_rows())
-            return FactoredSequence.build(
+            return FactoredSequence._of(
                 linalg.mat_mul(c, other.left_rows()),
                 tuple(w + shift for w in other.weights),
                 other.right_rows(),
@@ -329,7 +338,7 @@ class FactoredSequence:
         if other.is_constant():
             shift = other.weights[0]
             c = linalg.mat_mul(other.left_rows(), other.right_rows())
-            return FactoredSequence.build(
+            return FactoredSequence._of(
                 self.left_rows(),
                 tuple(w + shift for w in self.weights),
                 linalg.mat_mul(self.right_rows(), c),
@@ -348,7 +357,7 @@ class FactoredSequence:
         # nonzero entry per row i in column perm[i].
         permuted = tuple(self.weights[i] for i in invert_permutation(perm))
         new_left = linalg.mat_mul(self.left_rows(), mid)
-        return FactoredSequence.build(
+        return FactoredSequence._of(
             new_left,
             tuple(p + w for p, w in zip(permuted, other.weights)),
             other.right_rows(),

@@ -29,10 +29,12 @@ from projlim.correlator import (
 )
 from projlim.laurent import LaurentScalar
 from projlim.lie import build_po
-from projlim.linalg import identity, inverse, mat_mul, rank, transpose
+from projlim.linalg import identity, mat_mul, transpose
 from projlim.parsing import parse_sequence
 from projlim.projective import FactoredSequence, ProjMatrix, permutation_matrix
 from projlim.young import symmetrizer_basis
+
+from _reference import reference_inverse, reference_rank
 
 FLAT = ((1, 0), (3, 1))
 DS_SEQ = parse_sequence("diag(t^4,t^-1,t^-1,t^-1,t^-1)")
@@ -299,7 +301,7 @@ def _dense_sparse_columns(matrix):
 @functools.cache
 def _dense_setup(lam):
     basis, tuples = symmetrizer_basis(lam)
-    left_inverse = mat_mul(inverse(mat_mul(transpose(basis), basis)), transpose(basis))
+    left_inverse = mat_mul(reference_inverse(mat_mul(transpose(basis), basis)), transpose(basis))
     return basis, tuples, left_inverse
 
 
@@ -354,7 +356,7 @@ def _dense_pm1(rng):
     while True:
         m = [[Fraction(rng.choice((-1, 1))) if rng.random() < 0.6 else Fraction(0) for _ in range(5)]
              for _ in range(5)]
-        if rank(m) == 5:
+        if reference_rank(m) == 5:
             return m
 
 
@@ -395,7 +397,7 @@ class TestSchurActionAgainstReference:
     def test_rep_matrix(self, lam, dual):
         tag = RepTag("schur", ((), lam) if dual else (lam, ()))
         for g in RATIONAL_GS:
-            base = transpose(inverse(g)) if dual else g
+            base = transpose(reference_inverse(g)) if dual else g
             got = rep_matrix(tag, g)
             assert got == reference_matrix_of(lam, base, laurent=False)
             assert all(type(x) is Fraction for row in got for x in row)

@@ -46,6 +46,8 @@ from projlim.geometry import geometry_limit
 from projlim.parsing import parse_sequence
 from projlim.projective import FactoredSequence, invert_permutation, permutation_matrix
 
+from _reference import reference_inverse, reference_nullspace, reference_rank, reference_rref, reference_solve
+
 
 def _matrix(m, entries):
     out = [[Fraction(0)] * m for _ in range(m)]
@@ -63,8 +65,8 @@ def _flattened(span):
 
 
 def _row_space_basis(rows):
-    """Canonical (RREF) basis of the row space, from the dense ``linalg.rref``."""
-    red, pivots = linalg.rref(rows)
+    """Canonical (RREF) basis of the row space, by the Gauss-Jordan ``reference_rref``."""
+    red, pivots = reference_rref(rows)
     return red[: len(pivots)]
 
 
@@ -328,7 +330,7 @@ def _subspace_with_zeros(vectors, positions):
     constraint = [[v[p] for v in vectors] for p in positions]
     out = []
     n = len(vectors[0])
-    for c in linalg.nullspace(constraint):
+    for c in reference_nullspace(constraint):
         vec = [Fraction(0)] * n
         for coeff, v in zip(c, vectors):
             if coeff != 0:
@@ -341,7 +343,7 @@ def _subspace_with_zeros(vectors, positions):
 def _frame(alg, seq):
     m = alg.m
     right = seq.right_rows()
-    rinv = linalg.inverse(right)
+    rinv = reference_inverse(right)
     vectors = [_flat(linalg.mat_mul(linalg.mat_mul(right, x), rinv)) for x in alg.basis]
     w = seq.weights
     return vectors, [w[i] - w[j] for i in range(m) for j in range(m)]
@@ -349,7 +351,7 @@ def _frame(alg, seq):
 
 def _back(seq, vecs, m):
     left = seq.left_rows()
-    linv = linalg.inverse(left)
+    linv = reference_inverse(left)
     return [linalg.mat_mul(linalg.mat_mul(left, _unflat(v, m)), linv) for v in vecs]
 
 
@@ -374,10 +376,10 @@ def reference_z_and_nplus(alg, seq):
     z_vecs = _subspace_with_zeros(vectors, [p for p in range(m * m) if grade[p] != 0])
     limit = reference_conjugacy_limit(alg, seq)
     left = seq.left_rows()
-    linv = linalg.inverse(left)
+    linv = reference_inverse(left)
     limit_frame = [_flat(linalg.mat_mul(linalg.mat_mul(linv, x), left)) for x in limit.basis]
     nplus_vecs = _subspace_with_zeros(limit_frame, [p for p in range(m * m) if grade[p] >= 0])
-    if len(z_vecs) + len(nplus_vecs) != limit.dim or linalg.rank(z_vecs + nplus_vecs) != limit.dim:
+    if len(z_vecs) + len(nplus_vecs) != limit.dim or reference_rank(z_vecs + nplus_vecs) != limit.dim:
         raise DecompositionError("centralizer + positive part do not span the conjugacy limit")
     return LieAlgebraSpan(m, _back(seq, z_vecs, m)), LieAlgebraSpan(m, _back(seq, nplus_vecs, m))
 
@@ -388,7 +390,7 @@ def reference_structure_constants(span):
     c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            coords = linalg.solve(basis_cols, _flat(linalg.commutator(span.basis[i], span.basis[j])))
+            coords = reference_solve(basis_cols, _flat(linalg.commutator(span.basis[i], span.basis[j])))
             assert coords is not None
             for k in range(n):
                 c[i][j][k] = coords[k]
@@ -399,7 +401,7 @@ def reference_structure_constants(span):
 def _random_invertible(rng, m):
     while True:
         mat = [[rng.randint(-1, 1) for _ in range(m)] for _ in range(m)]
-        if linalg.rank(linalg.frac_rows(mat)) == m:
+        if reference_rank(linalg.frac_rows(mat)) == m:
             return mat
 
 
@@ -490,7 +492,7 @@ def _match_cases():
     def dense(m):
         while True:
             mat = [[rng.choice((-1, 1)) for _ in range(m)] for _ in range(m)]
-            if linalg.rank(linalg.frac_rows(mat)) == m:
+            if reference_rank(linalg.frac_rows(mat)) == m:
                 return mat
 
     for m, count in ((2, 4), (3, 6), (4, 6), (5, 6), (6, 2)):
@@ -525,8 +527,8 @@ def _mat_vec(a, v):
 
 
 def reference_span_echelon(span):
-    """The RREF rows and pivots of the flattened basis, by the dense ``linalg.rref``."""
-    red, pivots = linalg.rref(_flattened(span))
+    """The RREF rows and pivots of the flattened basis, by the Gauss-Jordan ``reference_rref``."""
+    red, pivots = reference_rref(_flattened(span))
     return red[: len(pivots)], pivots
 
 
@@ -554,7 +556,7 @@ def reference_echelon_structure_constants(span):
     n = span.dim
     echelon, pivots = reference_span_echelon(span)
     pivot_block = [[row[p] for p in pivots] for row in _flattened(span)]
-    from_echelon = linalg.transpose(linalg.inverse(pivot_block))
+    from_echelon = linalg.transpose(reference_inverse(pivot_block))
     c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -622,7 +624,7 @@ def reference_lower_central_dims(c):
 def reference_center_dim(c):
     n = len(c)
     constraints = [[c[i][j][k] for i in range(n)] for j in range(n) for k in range(n)]
-    return len(linalg.nullspace(constraints))
+    return len(reference_nullspace(constraints))
 
 
 def reference_killing_matrix(c):
@@ -666,7 +668,7 @@ def reference_is_antisymmetric(c):
 def reference_verify_morphism(map_matrix, src_c, dst_c):
     n = len(src_c)
     mm = linalg.frac_rows(map_matrix)
-    if linalg.rank(mm) < n:
+    if reference_rank(mm) < n:
         return False
     cols = [[mm[r][i] for r in range(n)] for i in range(n)]
     return all(
@@ -831,7 +833,7 @@ def reference_echelon_by(vectors, key):
     """(key of the pivot column, row) pairs of the dense RREF with the columns
     in ascending ``key``, rows mapped back to the original columns."""
     order = sorted(range(len(key)), key=key.__getitem__)
-    red, pivots = linalg.rref([[v[p] for p in order] for v in vectors])
+    red, pivots = reference_rref([[v[p] for p in order] for v in vectors])
     out = []
     for row, c in zip(red, pivots):
         vec = [Fraction(0)] * len(key)

@@ -10,56 +10,14 @@ from projlim import linalg
 from projlim.errors import NotInvertible
 from projlim.linalg import Echelon
 
-
-def reference_rref(rows):
-    """Reduced row echelon form and pivot columns by dense Gauss-Jordan."""
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r] + [[Fraction(0)] * ncols for _ in range(nrows - r)], pivots
-
-
-def reference_rank(rows):
-    return len(reference_rref(rows)[1])
-
-
-def reference_determinant(a):
-    """Determinant by elimination below the diagonal, with row swaps."""
-    n = len(a)
-    m = [row[:] for row in a]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                for j in range(c, n):
-                    m[i][j] -= f * m[c][j]
-    return det
+from _reference import (
+    reference_determinant,
+    reference_inverse,
+    reference_nullspace,
+    reference_rank,
+    reference_rref,
+    reference_solve,
+)
 
 
 def _sparse(row):
@@ -192,34 +150,20 @@ class TestDenseRoutinesAgainstReference:
                 continue
             weights = [Fraction(rng.choice((0, 1, -1, 2))) for _ in range(ncols)]
             for rhs in (_mat_vec(rows, weights), [Fraction(rng.choice((0, 1, -1))) for _ in rows]):
-                red, pivots = reference_rref([row + [b] for row, b in zip(rows, rhs)])
                 x = linalg.solve(rows, rhs)
-                if ncols in pivots:
-                    assert x is None
+                want = reference_solve(rows, rhs)
+                assert x == want
+                if want is None:
                     inconsistent += 1
                     continue
-                want = [Fraction(0)] * ncols
-                for r, c in enumerate(pivots):
-                    want[c] = red[r][ncols]
-                assert x == want and _mat_vec(rows, x) == rhs
+                assert _mat_vec(rows, x) == rhs
                 consistent += 1
         assert consistent >= 300 and inconsistent >= 50
 
     def test_nullspace(self):
-        for _, rows, ncols in _matrices():
+        for _, rows, _ in _matrices():
             kernel = linalg.nullspace(rows)
-            if not rows:
-                assert kernel == []
-                continue
-            red, pivots = reference_rref(rows)
-            want = []
-            for f in (c for c in range(ncols) if c not in pivots):
-                v = [Fraction(0)] * ncols
-                v[f] = Fraction(1)
-                for r, c in enumerate(pivots):
-                    v[c] = -red[r][f]
-                want.append(v)
-            assert kernel == want
+            assert kernel == reference_nullspace(rows)
             assert all(not any(_mat_vec(rows, v)) for v in kernel)
 
     def test_inverse_and_singularity(self):
@@ -229,15 +173,14 @@ class TestDenseRoutinesAgainstReference:
             singular = reference_determinant(rows) == 0
             assert (linalg.rank(rows) < n) == singular
             if singular:
+                assert reference_inverse(rows) is None
                 with pytest.raises(NotInvertible):
                     linalg.inverse(rows)
                 seen["singular"] += 1
                 continue
-            eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-            red, _ = reference_rref([row + e for row, e in zip(rows, eye)])
             inv = linalg.inverse(rows)
-            assert inv == [row[n:] for row in red]
-            assert not n or linalg.mat_mul(rows, inv) == eye
+            assert inv == reference_inverse(rows)
+            assert not n or linalg.mat_mul(rows, inv) == linalg.identity(n)
             seen["invertible"] += 1
         assert min(seen.values()) >= 60, seen
 
@@ -254,8 +197,10 @@ class TestDenseRoutinesAgainstReference:
         for _, rows, ncols in _matrices():
             echelon = Echelon()
             independent = [_sparse(row) for row in rows if echelon.insert(_sparse(row))]
-            inverse = linalg.pivot_inverse(independent, list(echelon.rows))
-            assert set(inverse) == set(echelon.rows)
+            pivots = list(echelon.rows)
+            inverse = linalg.pivot_inverse(independent, pivots)
+            block = reference_inverse([[v.get(p, Fraction(0)) for p in pivots] for v in independent])
+            assert inverse == {p: [(k, t) for k, t in enumerate(row) if t] for p, row in zip(pivots, block)}
             for p, row in echelon.rows.items():
                 combo = {}
                 for k, t in inverse[p]:
@@ -264,3 +209,8 @@ class TestDenseRoutinesAgainstReference:
                 assert {c: x for c, x in combo.items() if x} == row
                 checked += 1
         assert checked >= 600
+
+    def test_pivot_inverse_of_a_singular_block(self):
+        vectors = [{0: Fraction(1), 1: Fraction(1), 2: Fraction(1)}, {0: Fraction(2), 1: Fraction(2)}]
+        with pytest.raises(NotInvertible, match="pivot block is singular"):
+            linalg.pivot_inverse(vectors, [0, 1])

@@ -107,6 +107,14 @@ class TestFactoredSequence:
         with pytest.raises(NotInvertible, match="must be 2x2"):
             FactoredSequence.build(left, (1, 0), right)
 
+    @pytest.mark.parametrize(
+        "const, message",
+        [([[1, 1], [1, 1]], "invertible factors"), ([[1, 0, 0], [0, 1, 0]], "must be 2x2")],
+    )
+    def test_singular_or_non_square_premultiplier_rejected(self, const, message):
+        with pytest.raises(NotInvertible, match=message):
+            FactoredSequence.diagonal([1, 0]).premultiply(const)
+
     def test_conjugation_of_boost(self):
         boost = [[Fraction(0)] * 5 for _ in range(5)]
         boost[3][4] = boost[4][3] = Fraction(1)
