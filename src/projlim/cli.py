@@ -320,7 +320,7 @@ def _cmd_schur(args) -> int:
             for s in branch.summands
         ),
         f"single summand: {branch.single_summand}",
-        f"spin:       {spin if spin is not None else 'undefined (not column-only)'}",
+        f"spin:       {spin if spin is not None else 'undefined (not column-only, or the module is zero)'}",
         f"statistics: {statistics(pair)}",
         f"poincare irreducible: {bool(verdict)} ({verdict.reason})",
     ]

@@ -3,18 +3,18 @@
 Spans, limits, matches and invariants eliminate with ``linalg.Echelon``, the
 one row elimination, over the nonzero entries of their vectors, and read
 coordinates in a basis off its pivots with ``linalg.pivot_inverse``.
-Subalgebras are stored as spans of trace-free rational matrices, each with
-the echelon of its flattened basis; membership, closure, structure constants,
-span equality and limit matching all reduce against it.  The closure check
-brackets each pair of basis elements once, from their nonzero entries, and
-the span keeps the structure-constant table it yields.  Conjugacy limits
-along factored sequences are computed exactly through the weight filtration:
-in the diagonal frame, grade every matrix position (i, j) by w_i - w_j,
-eliminate with the columns in ascending grade order, keep the lowest-grade
-part of each echelon row (its initial form), and conjugate the resulting span
-back.  Abstract (basis-only) Lie algebras are handled as structure-constant
-tables, which is what contractions produce; a table stores only its nonzero
-entries, and invariants, contractions and morphism checks iterate over those.
+Subalgebras are stored as spans of trace-free matrices, flattened to their
+nonzero entries (``basis`` is a dense view), each with the echelon of its
+basis; membership, closure, structure constants, span equality and limit
+matching all reduce against it, and the closure check keeps the table of
+structure constants it builds.  Conjugacy limits along factored sequences
+are computed exactly through the weight filtration: in the diagonal frame,
+grade every matrix position (i, j) by w_i - w_j, eliminate with the columns
+in ascending grade order, keep the lowest-grade part of each echelon row (its
+initial form), and conjugate the resulting span back.  Abstract (basis-only)
+Lie algebras are handled as structure-constant tables, which is what
+contractions produce; a table stores only its nonzero entries, and
+invariants, contractions and morphism checks iterate over those.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import (
     NotSubalgebra,
     SignatureError,
 )
-from .linalg import Mat, Vec
+from .linalg import Mat
 from .projective import FactoredSequence, invert_permutation
 
 Signature = tuple[tuple[int, int], ...]
@@ -46,9 +46,9 @@ def _nonzero_flat(x: Mat) -> Sparse:
     return {i * m + j: v for i, row in enumerate(x) for j, v in enumerate(row) if v}
 
 
-def _nonzero_rows(x: Mat) -> list[list[tuple[int, Fraction]]]:
-    """For each row of the matrix, its nonzero (column, value) entries."""
-    return [[(j, v) for j, v in enumerate(row) if v] for row in x]
+def _nonzero_rows(v: Sparse, m: int) -> list[list[tuple[int, Fraction]]]:
+    """For each row of the flattened m x m matrix v, its nonzero (column, value) entries."""
+    return [[(p % m, x) for p, x in v.items() if p // m == i] for i in range(m)]
 
 
 def _sparse_bracket(a, b, m: int) -> dict[int, Fraction]:
@@ -78,7 +78,7 @@ def _conjugate(g: Mat, ginv: Mat, vectors: list[Sparse], m: int) -> list[Sparse]
     """g x g^-1 for each flattened matrix x, from the nonzero entries only:
     (g x g^-1)_il = sum over nonzero x_jk of g_ij x_jk (g^-1)_kl."""
     columns = [[(i, g[i][j]) for i in range(m) if g[i][j]] for j in range(m)]
-    inv_rows = _nonzero_rows(ginv)
+    inv_rows = _nonzero_rows(_nonzero_flat(ginv), m)
     out = []
     for v in vectors:
         acc: Sparse = {}
@@ -110,27 +110,39 @@ def _echelon_by(vectors: list[Sparse], key: list) -> list[tuple[object, Sparse]]
 class LieAlgebraSpan:
     """Span of trace-free matrices in pgl_m(R), closed under the commutator.
 
-    The basis is kept exactly as given (after removing traces); closure under
-    the bracket is verified on construction unless ``check_closed=False``.
-    The closure check brackets every pair of basis elements once and keeps
-    the structure-constant table it builds.
+    The basis is stored once, in the given order, as the nonzero entries of
+    each flattened matrix; ``basis`` is a dense view.  Closure is verified
+    unless ``check_closed=False`` by bracketing every pair of basis elements
+    once, and the span keeps the structure-constant table this builds.
     """
 
     def __init__(self, m: int, basis, *, check_closed: bool = True):
         self.m = int(m)
-        self.basis: list[Mat] = [self._trace_free(b) for b in basis]
-        self._flat = [_nonzero_flat(x) for x in self.basis]
+        self._init([self._trace_free(x) for x in basis], check_closed)
+
+    @classmethod
+    def _of(cls, m: int, flat: list[Sparse], check_closed: bool = True) -> "LieAlgebraSpan":
+        """The span of flattened matrices, with no trace removal: the spans
+        built here are conjugates, initial (lowest-grade) forms or paddings
+        of trace-free matrices, so they are trace-free already."""
+        span = cls.__new__(cls)
+        span.m = m
+        span._init(flat, check_closed)
+        return span
+
+    def _init(self, flat: list[Sparse], check_closed: bool) -> None:
+        self._flat = flat
         # The one elimination of the span: the echelon of the flattened basis.
         self._echelon = linalg.Echelon()
-        if not all(self._echelon.insert(v) for v in self._flat):
+        if not all(self._echelon.insert(v) for v in flat):
             raise DimError("basis matrices are linearly dependent after trace removal")
-        self._nonzero_basis = [_nonzero_rows(x) for x in self.basis]
+        self._nonzero_basis = [_nonzero_rows(v, self.m) for v in flat]
         self._table: BracketTable | None = None
         self._from_echelon: dict[int, list[tuple[int, Fraction]]] | None = None
         if check_closed and not self.is_closed():
             raise NotClosed("span is not closed under the matrix commutator")
 
-    def _trace_free(self, x) -> Mat:
+    def _trace_free(self, x) -> Sparse:
         rows = linalg.frac_rows(x)
         if len(rows) != self.m or any(len(r) != self.m for r in rows):
             raise DimError(f"basis matrix is not {self.m}x{self.m}")
@@ -139,7 +151,7 @@ class LieAlgebraSpan:
             shift = tr / self.m
             for i in range(self.m):
                 rows[i][i] -= shift
-        return rows
+        return _nonzero_flat(rows)
 
     def _coordinates(self, v: Sparse) -> Sparse | None:
         """Nonzero coordinates {k: x} in the given basis of a flattened matrix,
@@ -157,15 +169,15 @@ class LieAlgebraSpan:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._flat)
 
-    def span_basis(self) -> list[Vec]:
-        """Canonical (RREF) basis of the flattened span, as dense rows."""
-        zero = Fraction(0)
-        return [[row.get(c, zero) for c in range(self.m * self.m)] for _, row in self._echelon.canonical()]
+    @property
+    def basis(self) -> list[Mat]:
+        """The basis as dense m x m matrices, built afresh on each access."""
+        return [_matrix(v, self.m) for v in self._flat]
 
     def contains(self, x: Mat) -> bool:
-        return self._echelon.coordinates(_nonzero_flat(self._trace_free(x))) is not None
+        return self._echelon.coordinates(self._trace_free(x)) is not None
 
     def is_closed(self) -> bool:
         """Whether every bracket of basis elements stays in the span.  A
@@ -362,11 +374,6 @@ class BracketTable:
         return f"BracketTable(dim={self.dim})"
 
 
-def bracket(x: Mat, y: Mat) -> Mat:
-    """Matrix commutator [x, y] = xy - yx."""
-    return linalg.commutator(linalg.frac_rows(x), linalg.frac_rows(y))
-
-
 def truncated_exp(x: Mat, order: int) -> Mat:
     """sum_{r<=order} x^r / r! -- a rational approximation of exp(x)."""
     m = len(x)
@@ -437,9 +444,9 @@ def build_po(sig, m: int | None = None) -> LieAlgebraSpan:
     m = len(block)
     pairs = [(a, b) for a in range(m) for b in range(a + 1, m) if block[a] == block[b]]
     units = [(r, c) for r in range(m) for c in range(m) if block[r] > block[c]]
-    basis = [_matrix({a * m + b: Fraction(1), b * m + a: Fraction(-jdiag[a] * jdiag[b])}, m) for a, b in pairs]
-    basis += [_matrix({r * m + c: Fraction(1)}, m) for r, c in units]
-    return LieAlgebraSpan(m, basis, check_closed=False)
+    flat = [{a * m + b: Fraction(1), b * m + a: Fraction(-jdiag[a] * jdiag[b])} for a, b in pairs]
+    flat += [{r * m + c: Fraction(1)} for r, c in units]
+    return LieAlgebraSpan._of(m, flat, check_closed=False)
 
 
 # ---------------------------------------------------------------------------
@@ -459,10 +466,10 @@ def _graded_frame(alg: LieAlgebraSpan, seq: FactoredSequence) -> tuple[list[Spar
     return vectors, [w[i] - w[j] for i in range(m) for j in range(m)]
 
 
-def _conjugate_back(seq: FactoredSequence, vecs: list[Sparse], m: int) -> list[Mat]:
+def _conjugate_back(seq: FactoredSequence, vecs: list[Sparse], m: int) -> list[Sparse]:
     """Ad_L of flattened matrices, L the left factor of seq."""
     left = seq.left_rows()
-    return [_matrix(v, m) for v in _conjugate(left, linalg.inverse(left), vecs, m)]
+    return _conjugate(left, linalg.inverse(left), vecs, m)
 
 
 def conjugacy_limit(alg: LieAlgebraSpan, seq: FactoredSequence) -> LieAlgebraSpan:
@@ -478,7 +485,7 @@ def conjugacy_limit(alg: LieAlgebraSpan, seq: FactoredSequence) -> LieAlgebraSpa
     for d, row in _echelon_by(vectors, grade):
         initial.insert({p: x for p, x in row.items() if grade[p] == d})
     basis_vecs = [row for _, row in initial.canonical()]
-    return LieAlgebraSpan(alg.m, _conjugate_back(seq, basis_vecs, alg.m), check_closed=True)
+    return LieAlgebraSpan._of(alg.m, _conjugate_back(seq, basis_vecs, alg.m))
 
 
 def z_and_nplus(
@@ -506,8 +513,8 @@ def z_and_nplus(
     if len(z_vecs) + len(nplus_vecs) != limit.dim or not all(both.insert(v) for v in z_vecs + nplus_vecs):
         raise DecompositionError("centralizer + positive part do not span the conjugacy limit")
     return (
-        LieAlgebraSpan(m, _conjugate_back(seq, z_vecs, m)),
-        LieAlgebraSpan(m, _conjugate_back(seq, nplus_vecs, m)),
+        LieAlgebraSpan._of(m, _conjugate_back(seq, z_vecs, m)),
+        LieAlgebraSpan._of(m, _conjugate_back(seq, nplus_vecs, m)),
     )
 
 
@@ -535,13 +542,10 @@ def embed_and_limit(
 
 
 def pad_span(alg: LieAlgebraSpan, m_target: int) -> LieAlgebraSpan:
-    """``alg`` in the top-left block of pgl_{m_target}, zeros elsewhere."""
-    pad = [Fraction(0)] * (m_target - alg.m)
-    padded = [
-        [list(row) + pad for row in x] + linalg.zeros(m_target - alg.m, m_target)
-        for x in alg.basis
-    ]
-    return LieAlgebraSpan(m_target, padded, check_closed=False)
+    """``alg`` in the top-left block of pgl_{m_target} (m_target >= alg.m), zeros elsewhere."""
+    m = alg.m
+    padded = [{(p // m) * m_target + p % m: x for p, x in v.items()} for v in alg._flat]
+    return LieAlgebraSpan._of(m_target, padded, check_closed=False)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ growing set of sparse vectors, with exact pivoting and no numerical
 questions.  The vectors met here (flattened matrices, structure constants,
 symmetrizers, factors of sequences) are mostly zero, so it touches only
 nonzero entries.  The dense ``rref`` reads its rows off an ``Echelon``, and
-``rank``, ``solve``, ``nullspace`` and ``inverse`` read theirs off ``rref``.
-``pivot_inverse`` gives coordinates in a basis from its echelon pivots,
-with one more ``Echelon`` over the pivot block.
+``rank``, ``solve`` and ``nullspace`` read theirs off ``rref``.  ``inverse``
+and ``pivot_inverse`` (coordinates in a basis from its echelon pivots) read
+an inverse off one ``Echelon`` with a tag column per row, not off ``rref``.
 ``symmetric_signature`` does its own congruence elimination.
 """
 
@@ -55,10 +55,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 def transpose(a: Mat) -> Mat:
     return [list(col) for col in zip(*a)]
-
-
-def commutator(a: Mat, b: Mat) -> Mat:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(mat_mul(a, b), mat_mul(b, a))]
 
 
 class Echelon:
@@ -172,11 +168,11 @@ def inverse(a: Mat) -> Mat:
     n = len(a)
     if any(len(row) != n for row in a):
         raise NotInvertible(f"only a square matrix has an inverse: {n} rows of lengths {[len(r) for r in a]}")
-    aug = [list(row) + e for row, e in zip(a, identity(n))]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise NotInvertible("matrix is singular")
-    return [row[n:] for row in red[:n]]
+    # Every column of an invertible matrix is a pivot: the pivot block is the matrix.
+    block = pivot_inverse([{c: x for c, x in enumerate(row) if x} for row in a], list(range(n)))
+    zero = Fraction(0)
+    rows = [dict(block[c]) for c in range(n)]
+    return [[row.get(k, zero) for k in range(n)] for row in rows]
 
 
 def pivot_inverse(vectors: list[dict[int, Fraction]], pivots: list[int]) -> dict[int, list[tuple[int, Fraction]]]:
@@ -185,17 +181,17 @@ def pivot_inverse(vectors: list[dict[int, Fraction]], pivots: list[int]) -> dict
     (t_pk) the inverse of the pivot block (vectors[k][p]).
 
     Echelon row p is sum_k t_pk vectors[k], so a member x of the span is
-    sum_k (sum_p x[p] t_pk) vectors[k].  The block rows, each with a tag
-    column -1-k for its vector, go into one ``Echelon`` with the pivots
-    first: row p ends up 1 at p and t_pk at tag k.
+    sum_k (sum_p x[p] t_pk) vectors[k].  The block rows, each with a 1 at a
+    tag column base + k after every pivot, go into one ``Echelon``, which
+    eliminates the pivots first: row p ends up 1 at p and t_pk at tag k.
     """
-    tags = [-1 - k for k in range(len(vectors))]
-    echelon = Echelon(list(pivots) + tags)
-    for tag, v in zip(tags, vectors):
-        echelon.insert({**{p: v[p] for p in pivots if p in v}, tag: Fraction(1)})
+    base = max(pivots, default=-1) + 1
+    echelon = Echelon()
+    for k, v in enumerate(vectors):
+        echelon.insert({**{p: v[p] for p in pivots if p in v}, base + k: Fraction(1)})
     if any(p not in echelon.rows for p in pivots):
         raise NotInvertible("the pivot block is singular")
-    return {p: [(-1 - c, t) for c, t in sorted(echelon.rows[p].items(), reverse=True) if c < 0] for p in pivots}
+    return {p: [(c - base, t) for c, t in sorted(echelon.rows[p].items()) if c >= base] for p in pivots}
 
 
 def symmetric_signature(a: Mat) -> tuple[int, int, int]:

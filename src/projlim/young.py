@@ -429,7 +429,10 @@ _COLUMN_SPIN2 = (0, 1, 2, 1, 0)
 
 
 def _column_boxes(lam: Diagram) -> int:
-    """Box count of a column-only diagram, after stripping height-5 columns."""
+    """Box count of a column-only diagram, after stripping height-5 columns.
+    A diagram of height > 5 labels the zero module, which has no spin."""
+    if height(lam) > DIM_FUND:
+        raise NotColumnOnly(f"diagram {diagram_str(lam)} has height > {DIM_FUND}: the module is zero")
     lam = _strip_full_columns(lam)
     if any(r != 1 for r in lam):
         raise NotColumnOnly(f"diagram {diagram_str(lam)} is not a single column")
@@ -440,7 +443,8 @@ def spin_total(pair: Sequence[Iterable[int]]) -> Fraction:
     """Total spin s(lam) + s(lam_bar) of a column-only pair.
 
     Columns with 0..4 boxes carry spin 0, 1/2, 1, 1/2, 0; height-5 columns
-    are trivial and are stripped first.
+    are trivial and are stripped first.  A side of height > 5 labels the
+    zero module: NotColumnOnly, as for a side that is not a column.
 
     >>> spin_total(((1,), ()))
     Fraction(1, 2)

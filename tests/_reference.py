@@ -1,4 +1,5 @@
-"""Dense Gauss-Jordan references for the exact linear algebra.
+"""Dense Gauss-Jordan references for the exact linear algebra, and the
+matrix commutator for the dense Lie oracles.
 
 They share no code with ``projlim.linalg``, so the tests that check the one
 row elimination (``linalg.Echelon``) and the routines read off it, and the
@@ -97,3 +98,9 @@ def reference_inverse(a):
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in red]
+
+
+def reference_commutator(a, b):
+    """The matrix commutator ab - ba, entry by entry."""
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]

@@ -210,6 +210,15 @@ class TestSchur:
         assert doc["spin"] is None
         assert doc["poincare_irreducible"] is False
 
+    def test_zero_module_has_no_spin(self, capsys):
+        code, out, _ = run(capsys, "schur", "--pair", "([1],[1,1,1,1,1,1])", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["dimension"], doc["spin"]) == (0, None)
+        code, out, _ = run(capsys, "schur", "--pair", "([],[1,1,1,1,1,1,1])")
+        assert code == 0
+        assert "dimension:  0" in out and "spin:       undefined" in out
+
 
 class TestCorrelator:
     def test_uv_mode(self, capsys):

@@ -27,7 +27,6 @@ from projlim.lie import (
     _graded_frame,
     _spans_permuted_po,
     LieAlgebraSpan,
-    bracket,
     build_po,
     conjugacy_limit,
     contract,
@@ -35,6 +34,7 @@ from projlim.lie import (
     enumerate_signatures,
     invariant_profile,
     match_limit_geometry,
+    pad_span,
     sigma_chain,
     signature_str,
     truncated_exp,
@@ -46,7 +46,14 @@ from projlim.geometry import geometry_limit
 from projlim.parsing import parse_sequence
 from projlim.projective import FactoredSequence, invert_permutation, permutation_matrix
 
-from _reference import reference_inverse, reference_nullspace, reference_rank, reference_rref, reference_solve
+from _reference import (
+    reference_commutator,
+    reference_inverse,
+    reference_nullspace,
+    reference_rank,
+    reference_rref,
+    reference_solve,
+)
 
 
 def _matrix(m, entries):
@@ -62,6 +69,12 @@ def _flat(x):
 
 def _flattened(span):
     return [_flat(x) for x in span.basis]
+
+
+def _span_basis(span):
+    """The canonical (RREF) basis of the flattened span, as dense rows."""
+    zero = Fraction(0)
+    return [[row.get(c, zero) for c in range(span.m * span.m)] for _, row in span._echelon.canonical()]
 
 
 def _row_space_basis(rows):
@@ -283,10 +296,6 @@ class TestTruncatedExp:
             [Fraction(0), Fraction(0), Fraction(1)],
         ]
 
-    def test_bracket_is_commutator(self):
-        assert bracket(X1, X2) == X3
-        assert bracket(X2, X1) == [[-c for c in row] for row in X3]
-
 
 class TestSpanChecks:
     def test_dependent_basis_raises(self):
@@ -386,11 +395,12 @@ def reference_z_and_nplus(alg, seq):
 
 def reference_structure_constants(span):
     n = span.dim
-    basis_cols = linalg.transpose(_flattened(span))
+    basis = span.basis
+    basis_cols = linalg.transpose([_flat(x) for x in basis])
     c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            coords = reference_solve(basis_cols, _flat(linalg.commutator(span.basis[i], span.basis[j])))
+            coords = reference_solve(basis_cols, _flat(reference_commutator(basis[i], basis[j])))
             assert coords is not None
             for k in range(n):
                 c[i][j][k] = coords[k]
@@ -450,7 +460,7 @@ class TestAgainstReference:
 
 def reference_match_limit_geometry(limit):
     m = limit.m
-    target = limit.span_basis()
+    target = _span_basis(limit)
     target_support = {p for vec in target for p in range(m * m) if vec[p] != 0}
     for sig in enumerate_signatures(m):
         base_flat = _flattened(build_po(sig, m))
@@ -543,8 +553,9 @@ def reference_coordinates(echelon, pivots, v):
 
 def reference_is_closed(span):
     echelon, pivots = reference_span_echelon(span)
+    basis = span.basis
     return all(
-        reference_coordinates(echelon, pivots, _flat(linalg.commutator(span.basis[i], span.basis[j])))
+        reference_coordinates(echelon, pivots, _flat(reference_commutator(basis[i], basis[j])))
         is not None
         for i in range(span.dim)
         for j in range(i + 1, span.dim)
@@ -557,10 +568,11 @@ def reference_echelon_structure_constants(span):
     echelon, pivots = reference_span_echelon(span)
     pivot_block = [[row[p] for p in pivots] for row in _flattened(span)]
     from_echelon = linalg.transpose(reference_inverse(pivot_block))
+    basis = span.basis
     c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            br = _flat(linalg.commutator(span.basis[i], span.basis[j]))
+            br = _flat(reference_commutator(basis[i], basis[j]))
             echelon_coords = reference_coordinates(echelon, pivots, br)
             if echelon_coords is None:
                 raise NotClosed(f"bracket of basis elements {i}, {j} leaves the span")
@@ -894,7 +906,7 @@ class TestSparseEchelonAgainstDense:
             limit = conjugacy_limit(alg, seq)
             assert limit.basis == _back(seq, reference_limit_basis(dense_vectors, grade), m), (sig, seq)
             echelon, pivots = reference_span_echelon(limit)
-            assert limit.span_basis() == echelon
+            assert _span_basis(limit) == echelon
             assert [p for p, _ in limit._echelon.canonical()] == pivots
 
     def test_match_confirmation(self):
@@ -984,8 +996,9 @@ class TestSparseJacobi:
 
 
 class TestNoDenseEliminationInLie:
-    """A limit request at m = 6 runs no dense RREF from the Lie core; the
-    ones left are inside linalg.inverse and the rank of the sequence."""
+    """A limit request at m = 6 runs no dense RREF from the Lie core or from
+    linalg.inverse; the only ones left are the rank tests of the parsed
+    sequence's factors."""
 
     def test_geometry_limit_then_invariants(self, monkeypatch):
         callers = []
@@ -999,5 +1012,92 @@ class TestNoDenseEliminationInLie:
         monkeypatch.setattr(linalg, "rref", counted)
         deg = geometry_limit(((3, 1), (2, 0)), parse_sequence("compose(perm((0 5)),diag(t,1,t^2,1,t^-1,1))", 6))
         invariant_profile(deg.limit)
-        assert ("projlim.linalg", "inverse") in callers
-        assert set(callers) <= {("projlim.linalg", "inverse"), ("projlim.linalg", "rank")}, callers
+        assert set(callers) == {("projlim.linalg", "rank")}, callers
+
+    def test_spans_are_built_without_dense_matrices(self, monkeypatch):
+        """The spans the Lie core builds make no dense copy: no Fraction copy
+        of a matrix, no trace removal and no dense basis matrix."""
+        seq = parse_sequence("compose(perm((0 5)),diag(t,1,t^2,1,t^-1,1))", 6)
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(linalg, "frac_rows", counted("frac_rows", linalg.frac_rows))
+        monkeypatch.setattr(lie_module, "_matrix", counted("_matrix", lie_module._matrix))
+        monkeypatch.setattr(LieAlgebraSpan, "_trace_free", counted("_trace_free", LieAlgebraSpan._trace_free))
+        deg = geometry_limit(((3, 1), (2, 0)), seq)
+        invariant_profile(deg.limit)
+        assert deg.limit.dim == 15
+        assert calls == []
+
+
+# -- sparse construction against the dense constructor ------------------------
+
+
+def reference_po_basis(sig):
+    """The dense po(sig) basis in the order of ``build_po``."""
+    block = [k for k, (p, q) in enumerate(sig) for _ in range(p + q)]
+    jdiag = [j for p, q in sig for j in [-1] * p + [1] * q]
+    m = len(block)
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m) if block[a] == block[b]]
+    units = [(r, c) for r in range(m) for c in range(m) if block[r] > block[c]]
+    return [_matrix(m, {(a, b): 1, (b, a): -jdiag[a] * jdiag[b]}) for a, b in pairs] + [
+        _matrix(m, {(r, c): 1}) for r, c in units
+    ]
+
+
+def _row_view(span):
+    """The nonzero (column, value) entries of every row of every basis
+    matrix, each row in ascending column."""
+    return [[sorted(row) for row in rows] for rows in span._nonzero_basis]
+
+
+def _same_span_data(span, dense):
+    return (
+        span.m == dense.m
+        and span._flat == dense._flat
+        and span.basis == dense.basis
+        and _row_view(span) == _row_view(dense)
+        and span._echelon.rows == dense._echelon.rows
+    )
+
+
+class TestSparseSpanConstruction:
+    def test_build_po_equals_dense_construction(self):
+        for m in range(1, 8):
+            for sig in enumerate_signatures(m):
+                basis = reference_po_basis(sig)
+                span = build_po(sig)
+                assert _same_span_data(span, LieAlgebraSpan(m, basis, check_closed=False)), sig
+                assert span.basis == basis, sig
+
+    def test_built_spans_pass_the_dense_constructor_unchanged(self):
+        """Limits, their z and n_plus parts and their paddings are trace-free:
+        the dense constructor, which removes traces, rebuilds each unchanged.
+        Padding keeps every entry in place."""
+        limits = splits = 0
+        zero = Fraction(0)
+        for sig, seq in list(_oracle_cases()) + list(_limit_grid()):
+            alg = build_po(sig)
+            limit = conjugacy_limit(alg, seq)
+            m = limit.m
+            spans = [limit]
+            for extra in (1, 2):
+                padded = pad_span(limit, m + extra)
+                zero_rows = [[zero] * (m + extra) for _ in range(extra)]
+                assert padded.basis == [[row + [zero] * extra for row in x] + zero_rows for x in limit.basis]
+                spans.append(padded)
+            try:
+                spans += z_and_nplus(alg, seq)
+                splits += 1
+            except DecompositionError:
+                pass
+            for span in spans:
+                assert _same_span_data(span, LieAlgebraSpan(span.m, span.basis, check_closed=False)), (sig, seq)
+            limits += 1
+        assert limits >= 50 and splits >= 10, (limits, splits)

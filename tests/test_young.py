@@ -402,8 +402,13 @@ class TestSpinAndStatistics:
         assert spin_total(((1, 1), (1,))) == Fraction(3, 2)
 
     def test_spin_undefined_off_columns(self):
-        with pytest.raises(NotColumnOnly):
-            spin_total(((2,), ()))
+        # Not a column, or a side of height > 5 (the zero module).
+        for pair in (((2,), ()), ((1,), (1,) * 6), ((2, 1, 1, 1, 1, 1), ()), ((), (1,) * 7), ((1,) * 6, (1,) * 6)):
+            with pytest.raises(NotColumnOnly):
+                spin_total(pair)
+        # Height-5 columns are stripped, not refused.
+        assert spin_total(((2, 1, 1, 1, 1), ())) == Fraction(1, 2)
+        assert spin_total(((1,) * 5, ())) == Fraction(0)
 
     def test_exterior_power_content(self):
         dims = {p: sum(ir.dimension * ir.multiplicity for ir in exterior_power_spins(p)) for p in range(5)}
