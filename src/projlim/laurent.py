@@ -234,6 +234,20 @@ class LaurentScalar:
         return f"LaurentScalar({self})"
 
 
+def rational_combination(pairs) -> LaurentScalar:
+    """The sum of c * s over pairs (c, s) of a rational c and a LaurentScalar
+    s, with no scalar built per term (the exponents of s are checked already).
+
+    >>> str(rational_combination([(2, lau("t")), (Fraction(1, 2), lau("1 + t^-1"))]))
+    '1/2*t^-1 + 1/2 + 2*t'
+    """
+    terms: dict[int, Fraction] = {}
+    for c, s in pairs:
+        for k, x in s._terms.items():
+            terms[k] = terms[k] + c * x if k in terms else c * x
+    return LaurentScalar._of(terms)
+
+
 def lau(x: LaurentScalar | Rat | str) -> LaurentScalar:
     """Coerce a number or expression string to a LaurentScalar.
 

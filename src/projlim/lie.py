@@ -11,10 +11,18 @@ structure constants it builds.  Conjugacy limits along factored sequences
 are computed exactly through the weight filtration: in the diagonal frame,
 grade every matrix position (i, j) by w_i - w_j, eliminate with the columns
 in ascending grade order, keep the lowest-grade part of each echelon row (its
-initial form), and conjugate the resulting span back.  Abstract (basis-only)
-Lie algebras are handled as structure-constant tables, which is what
-contractions produce; a table stores only its nonzero entries, and
-invariants, contractions and morphism checks iterate over those.
+initial form), and conjugate the resulting span back, with the factor
+inverses the sequence keeps.  Abstract (basis-only) Lie algebras are handled
+as structure-constant tables, which is what contractions produce; a table
+stores only its nonzero entries, and invariants, contractions and morphism
+checks iterate over those.
+
+Contractions set brackets to zero, so most products vanish for want of
+support.  Brackets are formed only for partner pairs (``_partners``): two
+matrices where a column of one meets a row of the other, or two table
+vectors where a key of ``_rows[a]``, a in the support of one, lies in the
+support of the other.  Every other pair brackets to zero, so the closure
+check, the series, the Killing form and the morphism checks skip it exactly.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from .errors import (
     SignatureError,
 )
 from .linalg import Mat
-from .projective import FactoredSequence, invert_permutation
+from .projective import FactoredSequence, SparseRows, invert_permutation, sparse_rows
 
 Signature = tuple[tuple[int, int], ...]
 Sparse = dict[int, Fraction]  # nonzero entries {position: value} of a vector
@@ -74,17 +82,43 @@ def _matrix(v: Sparse, m: int) -> Mat:
     return x
 
 
-def _conjugate(g: Mat, ginv: Mat, vectors: list[Sparse], m: int) -> list[Sparse]:
+def _partners(outs, ins) -> set[tuple[int, int]]:
+    """The pairs (a, b) for which some key of outs[a] is a key of ins[b].
+
+    A bilinear product x * y whose value is zero unless an output key of x
+    meets an input key of y can be nonzero only for these pairs: for
+    matrices, a column of x meets a row of y; for a table, a key b of
+    ``_rows[a]`` for some a in the support of x meets the support of y.
+    Every other pair multiplies to zero, so skipping it is exact.
+    """
+    holders: dict[int, list[int]] = {}
+    for b, keys in enumerate(ins):
+        for key in keys:
+            holders.setdefault(key, []).append(b)
+    return {(a, b) for a, keys in enumerate(outs) for key in keys for b in holders.get(key, ())}
+
+
+def _commutator_partners(flat: list[Sparse], m: int) -> list[tuple[int, int]]:
+    """The pairs i < j of flattened m x m matrices whose commutator can be
+    nonzero (a column of one meets a row of the other), in ascending order."""
+    pairs = _partners([{p % m for p in v} for v in flat], [{p // m for p in v} for v in flat])
+    return sorted({(a, b) if a < b else (b, a) for a, b in pairs if a != b})
+
+
+def _conjugate(g: SparseRows, ginv: SparseRows, vectors: list[Sparse], m: int) -> list[Sparse]:
     """g x g^-1 for each flattened matrix x, from the nonzero entries only:
-    (g x g^-1)_il = sum over nonzero x_jk of g_ij x_jk (g^-1)_kl."""
-    columns = [[(i, g[i][j]) for i in range(m) if g[i][j]] for j in range(m)]
-    inv_rows = _nonzero_rows(_nonzero_flat(ginv), m)
+    (g x g^-1)_il = sum over nonzero x_jk of g_ij x_jk (g^-1)_kl.  g and g^-1
+    are given by the nonzero (column, value) entries of each row."""
+    columns: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
+    for i, row in enumerate(g):
+        for j, a in row:
+            columns[j].append((i, a))
     out = []
     for v in vectors:
         acc: Sparse = {}
         for p, x in v.items():
             j, k = divmod(p, m)
-            for l, b in inv_rows[k]:
+            for l, b in ginv[k]:
                 xb = x * b
                 for i, a in columns[j]:
                     q = i * m + l
@@ -204,18 +238,19 @@ class LieAlgebraSpan:
         return self._table
 
     def _bracket_table(self) -> "BracketTable":
-        """Bracket each pair of basis elements once and reduce it against the
-        echelon rows; NotClosed when a bracket leaves the span."""
-        brackets: dict[tuple[int, int], Sparse] = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                br = _sparse_bracket(self._nonzero_basis[i], self._nonzero_basis[j], self.m)
-                coords = self._coordinates(br)
-                if coords is None:
-                    raise NotClosed(f"bracket of basis elements {i}, {j} leaves the span")
-                brackets[i, j] = coords
-                brackets[j, i] = {k: -x for k, x in coords.items()}
-        return BracketTable._from_brackets(self.dim, brackets)
+        """Bracket each partner pair i < j of basis elements once (every other
+        pair brackets to zero) and reduce it against the echelon rows;
+        NotClosed when a bracket leaves the span.  The rows are written in
+        place: ascending keys, nonzero ``Fraction`` entries, antisymmetric."""
+        rows: list[dict[int, Sparse]] = [{} for _ in range(self.dim)]
+        for i, j in _commutator_partners(self._flat, self.m):
+            coords = self._coordinates(_sparse_bracket(self._nonzero_basis[i], self._nonzero_basis[j], self.m))
+            if coords is None:
+                raise NotClosed(f"bracket of basis elements {i}, {j} leaves the span")
+            if coords:
+                rows[i][j] = coords
+                rows[j][i] = {k: -x for k, x in coords.items()}
+        return BracketTable._of(rows, antisymmetric=True)
 
     def __repr__(self) -> str:
         return f"LieAlgebraSpan(m={self.m}, dim={self.dim})"
@@ -226,10 +261,12 @@ class BracketTable:
 
     Only the nonzero entries are stored: for each (i, j) with a nonzero
     bracket, {k: c^k_{ij}} in ascending k.  Every invariant below iterates
-    over those entries.
+    over those entries, and the series and morphism checks form only the
+    products of partner pairs (``_partners``): u and v are partners when
+    some c_ab with a in the support of u and b in that of v is nonzero.
     """
 
-    __slots__ = ("dim", "_rows")
+    __slots__ = ("dim", "_rows", "_antisymmetric")
 
     def __init__(self, c):
         planes = [[list(row) for row in plane] for plane in c]
@@ -238,7 +275,7 @@ class BracketTable:
             raise DimError("structure constants must form an n x n x n array")
         brackets = {(i, j): dict(enumerate(row)) for i, plane in enumerate(planes) for j, row in enumerate(plane)}
         table = self._from_brackets(n, brackets)
-        self.dim, self._rows = table.dim, table._rows
+        self.dim, self._rows, self._antisymmetric = table.dim, table._rows, None
 
     @classmethod
     def _from_brackets(cls, n: int, brackets: dict) -> "BracketTable":
@@ -249,10 +286,17 @@ class BracketTable:
             nonzero = {k: Fraction(x) for k, x in sorted(coeffs.items()) if x}
             if nonzero:
                 rows[i][j] = nonzero
+        return cls._of(rows)
+
+    @classmethod
+    def _of(cls, rows: list[dict[int, Sparse]], antisymmetric: bool | None = None) -> "BracketTable":
+        """The table of rows already in stored form; ``antisymmetric`` when
+        known (None: computed on first request)."""
         table = cls.__new__(cls)
-        table.dim = n
+        table.dim = len(rows)
         # _rows[i][j] = {k: c^k_ij}, nonzero entries only, keys ascending.
         table._rows = tuple(rows)
+        table._antisymmetric = antisymmetric
         return table
 
     def brackets(self):
@@ -262,10 +306,16 @@ class BracketTable:
                 yield i, j, coeffs
 
     def is_antisymmetric(self) -> bool:
-        return all(
-            self._rows[j].get(i) == {k: -c for k, c in coeffs.items()}
-            for i, j, coeffs in self.brackets()
-        )
+        if self._antisymmetric is None:
+            self._antisymmetric = all(
+                self._rows[j].get(i) == {k: -c for k, c in coeffs.items()}
+                for i, j, coeffs in self.brackets()
+            )
+        return self._antisymmetric
+
+    def _reach(self, v: Sparse) -> set[int]:
+        """The keys b with c_ab nonzero for some a in the support of v."""
+        return {b for a in v for b in self._rows[a]}
 
     def _ad(self, i: int, v: Sparse) -> Sparse:
         """[e_i, v] for a vector given by its nonzero coordinates."""
@@ -305,21 +355,29 @@ class BracketTable:
     # -- subspace machinery for invariants --------------------------------
 
     def derived_series_dims(self) -> tuple[int, ...]:
-        # With [v, u] = -[u, v] the pairs u before v span the same space.
-        anti = self.is_antisymmetric()
-        return self._series_dims(
-            lambda cur: (self._bracket(u, v) for r, u in enumerate(cur) for v in (cur[r + 1 :] if anti else cur))
-        )
+        def step(cur):
+            pairs = _partners([self._reach(u) for u in cur], cur)
+            if self.is_antisymmetric():
+                # Partnership is symmetric, and [v, u] = -[u, v]: the pairs
+                # u before v span the same space.
+                pairs = [(r, s) for r, s in pairs if r < s]
+            return (self._bracket(cur[r], cur[s]) for r, s in pairs)
+
+        return self._series_dims(step)
 
     def lower_central_dims(self) -> tuple[int, ...]:
-        return self._series_dims(lambda cur: (self._ad(i, v) for i in range(self.dim) for v in cur))
+        return self._series_dims(
+            lambda cur: (self._ad(i, cur[r]) for i, r in _partners(self._rows, cur))
+        )
 
     def _series_dims(self, step) -> tuple[int, ...]:
         """Dimensions of g, g_1, g_2, ... until they stop falling.  g_1 = [g, g]
-        is spanned by the nonzero brackets of basis elements, and g_{r+1} by
-        the vectors ``step`` yields from the echelon rows of g_r."""
+        is spanned by the nonzero brackets of basis elements (those with
+        i < j for an antisymmetric table), and g_{r+1} by the vectors ``step``
+        yields from the echelon rows of g_r."""
         dims = [self.dim]
-        products = (coeffs for _, _, coeffs in self.brackets())
+        anti = self.is_antisymmetric()
+        products = (coeffs for i, j, coeffs in self.brackets() if i < j or not anti)
         while dims[-1]:
             span = linalg.Echelon()
             for p in products:
@@ -347,19 +405,22 @@ class BracketTable:
         return n - len(forms)
 
     def killing_matrix(self) -> Mat:
-        """K_ij = tr(ad_i ad_j) = sum_{k,l} c^l_{ik} c^k_{jl}, symmetric."""
+        """K_ij = tr(ad_i ad_j) = sum_{k,l} c^l_{ik} c^k_{jl}, symmetric.  Each
+        entry c^l_ik meets only the entries c^k_jl listed under (l, k)."""
         n = self.dim
+        under: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+        for j, l, coeffs in self.brackets():
+            for k, b in coeffs.items():
+                under.setdefault((l, k), []).append((j, b))
         k_mat = linalg.zeros(n, n)
+        for i, k, coeffs in self.brackets():
+            for l, a in coeffs.items():
+                for j, b in under.get((l, k), ()):
+                    if j >= i:
+                        k_mat[i][j] += a * b
         for i in range(n):
-            for j in range(i, n):
-                row_j = self._rows[j]
-                acc = Fraction(0)
-                for k, coeffs in self._rows[i].items():
-                    for l, a in coeffs.items():
-                        b = row_j.get(l, {}).get(k)
-                        if b:
-                            acc += a * b
-                k_mat[i][j] = k_mat[j][i] = acc
+            for j in range(i):
+                k_mat[i][j] = k_mat[j][i]
         return k_mat
 
     def __eq__(self, other: object) -> bool:
@@ -460,16 +521,14 @@ def _graded_frame(alg: LieAlgebraSpan, seq: FactoredSequence) -> tuple[list[Spar
     m = alg.m
     if seq.dim != m:
         raise DimError(f"sequence dimension {seq.dim} != algebra ambient {m}")
-    right = seq.right_rows()
-    vectors = _conjugate(right, linalg.inverse(right), alg._flat, m)
+    vectors = _conjugate(sparse_rows(seq.right), seq.right_inv, alg._flat, m)
     w = seq.weights
     return vectors, [w[i] - w[j] for i in range(m) for j in range(m)]
 
 
 def _conjugate_back(seq: FactoredSequence, vecs: list[Sparse], m: int) -> list[Sparse]:
     """Ad_L of flattened matrices, L the left factor of seq."""
-    left = seq.left_rows()
-    return _conjugate(left, linalg.inverse(left), vecs, m)
+    return _conjugate(sparse_rows(seq.left), seq.left_inv, vecs, m)
 
 
 def conjugacy_limit(alg: LieAlgebraSpan, seq: FactoredSequence) -> LieAlgebraSpan:
@@ -504,8 +563,7 @@ def z_and_nplus(
     z_vecs = [row for zero, row in _echelon_by(vectors, [g == 0 for g in grade]) if zero]
 
     limit = conjugacy_limit(alg, seq)
-    left = seq.left_rows()
-    limit_frame = _conjugate(linalg.inverse(left), left, limit._flat, m)
+    limit_frame = _conjugate(seq.left_inv, sparse_rows(seq.left), limit._flat, m)
     negative = [g < 0 for g in grade]
     nplus_vecs = [row for neg, row in _echelon_by(limit_frame, negative) if neg]
 
@@ -661,7 +719,9 @@ def verify_morphism(map_matrix: Mat, src: BracketTable, dst: BracketTable) -> bo
     """Whether x -> M x is a Lie algebra isomorphism from src onto dst.
 
     The i-th column of M holds the dst-coordinates of the image of the i-th
-    src basis vector.
+    src basis vector.  [M e_i, M e_j] - M [e_i, e_j] is formed for the
+    partner pairs of the columns under dst and the pairs with a nonzero
+    src bracket; for every other pair both terms are zero.
     """
     n = src.dim
     if dst.dim != n:
@@ -672,15 +732,14 @@ def verify_morphism(map_matrix: Mat, src: BracketTable, dst: BracketTable) -> bo
     if linalg.rank(mm) < n:
         return False
     cols = [{r: mm[r][i] for r in range(n) if mm[r][i]} for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            # [M e_i, M e_j] - M [e_i, e_j] must vanish.
-            diff = dst._bracket(cols[i], cols[j])
-            for k, c in src._rows[i].get(j, {}).items():
-                for r, x in cols[k].items():
-                    diff[r] = diff.get(r, 0) - c * x
-            if any(diff.values()):
-                return False
+    pairs = _partners([dst._reach(col) for col in cols], cols) | {(i, j) for i, j, _ in src.brackets()}
+    for i, j in pairs:
+        diff = dst._bracket(cols[i], cols[j])
+        for k, c in src._rows[i].get(j, {}).items():
+            for r, x in cols[k].items():
+                diff[r] = diff.get(r, 0) - c * x
+        if any(diff.values()):
+            return False
     return True
 
 
@@ -777,16 +836,36 @@ def _limit_morphism(
 ) -> tuple[Mat, bool]:
     """The map sending source basis vector i to the flattened matrix
     ``images[i]``, as a matrix in the basis of ``limit``, and whether it is
-    an isomorphism of Lie algebras onto the limit.  An image outside the
-    limit gets a zero column and fails the check.
+    an isomorphism of Lie algebras onto the limit (of the same dimension).
+
+    The check reads the images directly, which is ``verify_morphism``
+    against the limit's table: they lie in the limit and are independent,
+    and [img_i, img_j] = sum_k c^k_ij img_k as matrices for the commutator
+    partners of the images and the pairs with c_ij nonzero (both sides are
+    zero for every other pair).  Commutators are antisymmetric, so a source
+    table that is not fails.  An image outside the limit gets a zero column.
     """
-    n = len(images)
+    n, m = len(images), limit.m
     coords = [limit._coordinates(img) for img in images]
     zero = Fraction(0)
     morphism = [[(c or {}).get(r, zero) for c in coords] for r in range(n)]
-    if any(c is None for c in coords):
+    independent = linalg.Echelon()
+    if (
+        any(c is None for c in coords)
+        or not all(independent.insert(c) for c in coords)
+        or not source.is_antisymmetric()
+    ):
         return morphism, False
-    return morphism, verify_morphism(morphism, source, limit.structure_constants())
+    rows = [_nonzero_rows(img, m) for img in images]
+    pairs = set(_commutator_partners(images, m)) | {(i, j) for i, j, _ in source.brackets() if i < j}
+    for i, j in pairs:
+        image: Sparse = {}
+        for k, c in source._rows[i].get(j, {}).items():
+            for p, x in images[k].items():
+                image[p] = image.get(p, 0) + c * x
+        if _sparse_bracket(rows[i], rows[j], m) != {p: x for p, x in image.items() if x}:
+            return morphism, False
+    return morphism, True
 
 
 def sigma_chain(p: int, q: int, weights) -> ChainResult:
@@ -794,8 +873,9 @@ def sigma_chain(p: int, q: int, weights) -> ChainResult:
 
     ``weights`` must be weakly decreasing; each strict drop contributes one
     single-split factor, processed in ascending split position.  Every step
-    contracts along the subalgebra fixed by its factor and is verified (via
-    verify_morphism) to be isomorphic to the conjugacy limit up to that step;
+    contracts along the subalgebra fixed by its factor and is verified (by
+    ``_limit_morphism`` on its images) to be isomorphic to the conjugacy
+    limit up to that step;
     the last step's limit is the conjugacy limit along the full sequence.
     """
     m = p + q

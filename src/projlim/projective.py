@@ -11,19 +11,23 @@ Degenerating sequences b(t) are kept in factored form
     b(t) = left * diag(t^w_0, ..., t^w_{m-1}) * right
 
 with exact rational invertible ``left``/``right``.  This makes conjugation,
-inversion and the t -> 0 limit exact symbolic operations.
+inversion and the t -> 0 limit exact symbolic operations.  A sequence keeps
+the nonzero entries of each row of left^-1 and right^-1, computed once when
+it is made: the check that its factors are invertible computes them, and
+inversion swaps them, so no conjugation inverts a factor again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .errors import NotFactorable, NotInvertible, ZeroMatrix
-from .laurent import LaurentScalar, lau
+from .errors import DimError, NotFactorable, NotInvertible, ZeroMatrix
+from .laurent import LaurentScalar, lau, rational_combination
 
 LMat = list[list[LaurentScalar]]
+SparseRows = tuple[tuple[tuple[int, Fraction], ...], ...]  # nonzero (column, value) entries per row
 
 
 def _to_laurent_rows(entries) -> LMat:
@@ -194,17 +198,6 @@ def lmat_from_rational(m: linalg.Mat) -> LMat:
     return [[LaurentScalar.constant(x) for x in row] for row in m]
 
 
-def lmat_vec(a: LMat, v: list[LaurentScalar]) -> list[LaurentScalar]:
-    out = []
-    for row in a:
-        acc = LaurentScalar.zero()
-        for c, x in zip(row, v):
-            if not c.is_zero() and not x.is_zero():
-                acc = acc + c * x
-        out.append(acc)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Permutations
 # ---------------------------------------------------------------------------
@@ -237,24 +230,53 @@ def invert_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+def sparse_rows(rows) -> SparseRows:
+    """The nonzero (column, value) entries of each row of a dense matrix."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
+
+
+def _dense_rows(rows: SparseRows, n: int) -> linalg.Mat:
+    out = linalg.zeros(n, n)
+    for i, row in enumerate(rows):
+        for j, x in row:
+            out[i][j] = x
+    return out
+
+
+def _inverse_rows(factor) -> SparseRows:
+    """The nonzero entries of each row of factor^-1 (n x n), from one
+    ``pivot_inverse`` with every column a pivot; NotInvertible when singular."""
+    n = len(factor)
+    try:
+        inv = linalg.pivot_inverse([dict(row) for row in sparse_rows(factor)], list(range(n)))
+    except NotInvertible:
+        raise NotInvertible("factored sequence requires invertible factors") from None
+    return tuple(tuple(inv[c]) for c in range(n))
+
+
 @dataclass(frozen=True)
 class FactoredSequence:
-    """b(t) = left * diag(t^weights) * right with rational invertible factors."""
+    """b(t) = left * diag(t^weights) * right with rational invertible factors.
+
+    ``left_inv`` and ``right_inv`` hold the nonzero (column, value) entries of
+    each row of left^-1 and right^-1; they take no part in equality, hashing
+    or the repr.
+    """
 
     left: tuple[tuple[Fraction, ...], ...]
     weights: tuple[int, ...]
     right: tuple[tuple[Fraction, ...], ...]
+    left_inv: SparseRows = field(repr=False, compare=False)
+    right_inv: SparseRows = field(repr=False, compare=False)
 
     @staticmethod
     def _freeze(m: linalg.Mat) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(Fraction(x) for x in row) for row in m)
 
     @staticmethod
-    def _check_invertible(factor: linalg.Mat, n: int) -> None:
+    def _check_shape(factor: linalg.Mat, n: int) -> None:
         if len(factor) != n or any(len(row) != n for row in factor):
             raise NotInvertible(f"factors must be {n}x{n} to match the weight count")
-        if linalg.rank(factor) < n:
-            raise NotInvertible("factored sequence requires invertible factors")
 
     @classmethod
     def build(cls, left, weights, right) -> "FactoredSequence":
@@ -262,19 +284,29 @@ class FactoredSequence:
         right = linalg.frac_rows(right)
         weights = tuple(int(w) for w in weights)
         n = len(weights)
-        cls._check_invertible(left, n)
-        cls._check_invertible(right, n)
-        return cls._of(left, weights, right)
+        cls._check_shape(left, n)
+        left_inv = _inverse_rows(left)
+        cls._check_shape(right, n)
+        return cls._of(left, weights, right, left_inv=left_inv)
 
     @classmethod
-    def _of(cls, left, weights, right) -> "FactoredSequence":
-        """The sequence of factors already known to be n x n and invertible."""
-        return cls(cls._freeze(left), tuple(int(w) for w in weights), cls._freeze(right))
+    def _of(cls, left, weights, right, left_inv=None, right_inv=None) -> "FactoredSequence":
+        """The sequence of n x n factors.  An inverse not given is computed
+        here, which raises NotInvertible for a singular factor."""
+        left, right = cls._freeze(left), cls._freeze(right)
+        return cls(
+            left,
+            tuple(int(w) for w in weights),
+            right,
+            _inverse_rows(left) if left_inv is None else left_inv,
+            _inverse_rows(right) if right_inv is None else right_inv,
+        )
 
     @classmethod
     def diagonal(cls, weights) -> "FactoredSequence":
         eye = linalg.identity(len(weights))
-        return cls._of(eye, weights, eye)
+        eye_rows = sparse_rows(eye)
+        return cls._of(eye, weights, eye, eye_rows, eye_rows)
 
     @classmethod
     def constant(cls, matrix) -> "FactoredSequence":
@@ -295,28 +327,40 @@ class FactoredSequence:
         return all(w == self.weights[0] for w in self.weights)
 
     def matrix(self) -> ProjMatrix:
-        """b(t) as a projective Laurent matrix."""
-        return ProjMatrix(self._laurent_rows())
-
-    def _laurent_rows(self) -> LMat:
-        diag = [
-            [LaurentScalar.t(self.weights[i]) if i == j else LaurentScalar.zero() for j in range(self.dim)]
-            for i in range(self.dim)
-        ]
-        return lmat_mul(lmat_from_rational(self.left_rows()), lmat_mul(diag, lmat_from_rational(self.right_rows())))
+        """b(t) as a projective Laurent matrix: entry (i, j) is the sum over k
+        of left_ik right_kj t^w_k, each t^w_k built (and its exponent
+        checked) once."""
+        powers = [LaurentScalar.t(w) for w in self.weights]
+        right = self.right
+        return ProjMatrix(
+            [
+                [
+                    rational_combination((a * right[k][j], powers[k]) for k, a in row if right[k][j])
+                    for j in range(self.dim)
+                ]
+                for row in sparse_rows(self.left)
+            ]
+        )
 
     def inverse(self) -> "FactoredSequence":
+        """right^-1 diag(t^-w) left^-1, from the stored inverses."""
+        n = self.dim
         return FactoredSequence._of(
-            linalg.inverse(self.right_rows()),
+            _dense_rows(self.right_inv, n),
             tuple(-w for w in self.weights),
-            linalg.inverse(self.left_rows()),
+            _dense_rows(self.left_inv, n),
+            left_inv=sparse_rows(self.right),
+            right_inv=sparse_rows(self.left),
         )
 
     def premultiply(self, const: linalg.Mat) -> "FactoredSequence":
-        """const * b(t) for an invertible rational matrix."""
+        """const * b(t) for an invertible rational matrix (the inverse of the
+        new left factor is computed, which refuses a singular const)."""
         const = linalg.frac_rows(const)
-        self._check_invertible(const, self.dim)
-        return FactoredSequence._of(linalg.mat_mul(const, self.left_rows()), self.weights, self.right_rows())
+        self._check_shape(const, self.dim)
+        return FactoredSequence._of(
+            linalg.mat_mul(const, self.left_rows()), self.weights, self.right_rows(), right_inv=self.right_inv
+        )
 
     def compose(self, other: "FactoredSequence") -> "FactoredSequence":
         """The product sequence self(t) * other(t), kept in factored form.
@@ -334,6 +378,7 @@ class FactoredSequence:
                 linalg.mat_mul(c, other.left_rows()),
                 tuple(w + shift for w in other.weights),
                 other.right_rows(),
+                right_inv=other.right_inv,
             )
         if other.is_constant():
             shift = other.weights[0]
@@ -342,6 +387,7 @@ class FactoredSequence:
                 self.left_rows(),
                 tuple(w + shift for w in self.weights),
                 linalg.mat_mul(self.right_rows(), c),
+                left_inv=self.left_inv,
             )
         mid = linalg.mat_mul(self.right_rows(), other.left_rows())
         n = self.dim
@@ -361,6 +407,7 @@ class FactoredSequence:
             new_left,
             tuple(p + w for p, w in zip(permuted, other.weights)),
             other.right_rows(),
+            right_inv=other.right_inv,
         )
 
     # -- actions -------------------------------------------------------
@@ -371,12 +418,12 @@ class FactoredSequence:
             xr = x.rows
         else:
             xr = _to_laurent_rows(x)
-        r = lmat_from_rational(self.right_rows())
-        r_inv = lmat_from_rational(linalg.inverse(self.right_rows()))
-        l = lmat_from_rational(self.left_rows())
-        l_inv = lmat_from_rational(linalg.inverse(self.left_rows()))
-        y = lmat_mul(r, lmat_mul(xr, r_inv))
         n = self.dim
+        r = lmat_from_rational(self.right_rows())
+        r_inv = lmat_from_rational(_dense_rows(self.right_inv, n))
+        l = lmat_from_rational(self.left_rows())
+        l_inv = lmat_from_rational(_dense_rows(self.left_inv, n))
+        y = lmat_mul(r, lmat_mul(xr, r_inv))
         y = [
             [y[i][j].shift(self.weights[i] - self.weights[j]) for j in range(n)]
             for i in range(n)
@@ -384,13 +431,16 @@ class FactoredSequence:
         return ProjMatrix(lmat_mul(l, lmat_mul(y, l_inv)))
 
     def apply_to_point(self, point: ProjPoint | list) -> ProjPoint:
-        """b(t) x as a projective point."""
-        coords = point.coords if isinstance(point, ProjPoint) else [lau(c) for c in point]
-        r = lmat_from_rational(self.right_rows())
-        v = lmat_vec(r, list(coords))
-        v = [c.shift(w) for c, w in zip(v, self.weights)]
-        v = lmat_vec(lmat_from_rational(self.left_rows()), v)
-        return ProjPoint(v)
+        """b(t) x as a projective point: the rational rows of right, the
+        weights and the rational rows of left applied to the Laurent vector."""
+        x = point.coords if isinstance(point, ProjPoint) else [lau(c) for c in point]
+        if len(x) != self.dim:
+            raise DimError(f"point has {len(x)} coordinates, sequence dimension is {self.dim}")
+        v = [
+            rational_combination((a, x[j]) for j, a in row).shift(w)
+            for row, w in zip(sparse_rows(self.right), self.weights)
+        ]
+        return ProjPoint([rational_combination((a, v[j]) for j, a in row) for row in sparse_rows(self.left)])
 
 
 def point_limit(seq: FactoredSequence, point: ProjPoint | list) -> ProjPoint:

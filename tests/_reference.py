@@ -101,6 +101,14 @@ def reference_inverse(a):
 
 
 def reference_commutator(a, b):
-    """The matrix commutator ab - ba, entry by entry."""
+    """The matrix commutator ab - ba, dense row by row: row i adds a_ik times
+    row k of b and subtracts b_ik times row k of a (zero factors skipped)."""
     n = len(a)
-    return [[sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            for x, y, sign in ((a[i][k], b[k], 1), (b[i][k], a[k], -1)):
+                if x:
+                    for j in range(n):
+                        out[i][j] += sign * x * y[j]
+    return out

@@ -4,7 +4,7 @@ import random
 import sys
 import time
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +25,7 @@ from projlim.lie import (
     BracketTable,
     _echelon_by,
     _graded_frame,
+    _limit_morphism,
     _spans_permuted_po,
     LieAlgebraSpan,
     build_po,
@@ -703,7 +704,8 @@ def _table_cases():
     sequences, sub-spans of those limits (closed or not), contractions of po
     tables along random index sets (subalgebras or not) and along none (an
     abelian table), and the step tables of sigma chains with their limits;
-    plus random tables that are not antisymmetric."""
+    plus random tables that are not antisymmetric.  Then the larger cases of
+    ``_large_table_cases``."""
     rng = random.Random(20261020)
     for n in (2, 3, 3, 4, 4, 5):
         c = [[[0] * n for _ in range(n)] for _ in range(n)]
@@ -728,6 +730,36 @@ def _table_cases():
         q = rng.randint(0, m // 2)
         weights = sorted((rng.randint(-3, 3) for _ in range(m)), reverse=True)
         yield "chain", (m - q, q, weights)
+    yield from _large_table_cases()
+
+
+def _large_table_cases():
+    """Seeded cases at m = 7-8, where partner pairs skip most pairs: limits
+    along permutation factors (and a dense +-1 right factor at m = 7), two
+    sub-spans of each (a random one, and one that is not closed), each
+    limit's table with one entry changed on one side only (not
+    antisymmetric), and an m = 7 sigma chain with two splits."""
+    rng = random.Random(20261023)
+    for m, dense_right in ((7, True), (7, False), (8, False)):
+        sig = rng.choice(enumerate_signatures(m))
+        left = permutation_matrix(tuple(rng.sample(range(m), m)))
+        right = _random_invertible(rng, m) if dense_right else permutation_matrix(tuple(rng.sample(range(m), m)))
+        seq = FactoredSequence.build(left, [rng.randint(-3, 3) for _ in range(m)], right)
+        limit = conjugacy_limit(build_po(sig), seq)
+        yield "limit", limit
+        basis = limit.basis
+        yield "sub-span", LieAlgebraSpan(m, rng.sample(basis, rng.randint(2, 4)), check_closed=False)
+        # Two basis elements whose bracket has a part outside their span.
+        table = limit.structure_constants()
+        i, j = next((i, j) for i, j, coeffs in table.brackets() if set(coeffs) - {i, j})
+        yield "sub-span", LieAlgebraSpan(m, [basis[i], basis[j]], check_closed=False)
+        c = [[list(row) for row in plane] for plane in _dense_c(table)]
+        i, j, k = (rng.randrange(limit.dim) for _ in range(3))
+        c[i][j][k] += rng.choice((1, -1, 2))
+        yield "random", c
+    q = rng.randint(0, 3)
+    cuts = sorted(rng.sample(range(1, 7), 2))
+    yield "chain", (7 - q, q, [3] * cuts[0] + [0] * (cuts[1] - cuts[0]) + [-2] * (7 - cuts[1]))
 
 
 def _dense(c):
@@ -786,7 +818,9 @@ class TestSparseAgainstDenseReference:
                     continue
                 assert _dense_c(got) == _dense(want) and got == BracketTable(want)
                 _check_invariants(got)
-                for ok in _check_morphisms(rng, got, table):
+                # Both directions: the contraction's brackets are among the
+                # original's, so only the source table shows the rest.
+                for ok in _check_morphisms(rng, got, table) + _check_morphisms(rng, table, got):
                     seen["isomorphism" if ok else "non-isomorphism"] += 1
                 seen["contraction"] += 1
             elif kind == "random":
@@ -808,10 +842,80 @@ class TestSparseAgainstDenseReference:
         assert seen["not closed"] >= 3 and seen["not subalgebra"] >= 3, seen
         assert seen["contraction"] >= 5 and seen["non-isomorphism"] >= 5 and seen["isomorphism"] >= 5, seen
 
+    def test_limit_morphism_against_reference(self):
+        """The direct image check of sigma chains against the dense
+        ``verify_morphism`` oracle on the limit's own table: the identity, a
+        relabelling of the basis with the relabelled table, a mixing of the
+        images, a table that is not antisymmetric, a table with a bracket
+        between commuting images, and an image outside the limit."""
+        rng = random.Random(11)
+        verdicts = []
+        for sig, seq in list(_limit_grid())[::3]:
+            limit = conjugacy_limit(build_po(sig), seq)
+            m, n, flat = limit.m, limit.dim, limit._flat
+            table_c = reference_echelon_structure_constants(limit)
+            perm = rng.sample(range(n), n)
+            relabelled = [[[table_c[perm[i]][perm[j]][perm[k]] for k in range(n)] for j in range(n)] for i in range(n)]
+            mix = [[Fraction(rng.choice((-1, 0, 0, 1))) for _ in range(n)] for _ in range(n)]
+            mixed = []
+            for i in range(n):
+                img = {}
+                for r in range(n):
+                    for p, x in flat[r].items():
+                        img[p] = img.get(p, 0) + mix[r][i] * x
+                mixed.append({p: x for p, x in img.items() if x})
+            perturbed = [[list(row) for row in plane] for plane in table_c]
+            perturbed[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] += 1
+            # An antisymmetric table with a nonzero bracket of two basis
+            # elements whose images commute: only the table shows the pair.
+            commuting = sorted(set(combinations(range(n), 2)) - _support_partners(limit))
+            if commuting:
+                i, j = rng.choice(commuting)
+                k = rng.randrange(n)
+                extra = [[list(row) for row in plane] for plane in table_c]
+                extra[i][j][k] += 1
+                extra[j][i][k] -= 1
+            relabelling = [[Fraction(int(r == perm[i])) for i in range(n)] for r in range(n)]
+            cases = [
+                (flat, table_c, linalg.identity(n)),
+                ([flat[p] for p in perm], relabelled, relabelling),
+                (mixed, table_c, mix),
+                (flat, perturbed, linalg.identity(n)),
+            ]
+            if commuting:
+                cases.append((flat, extra, linalg.identity(n)))
+            diagonal = {0: Fraction(1), m + 1: Fraction(-1)}  # E_00 - E_11
+            if limit._echelon.coordinates(diagonal) is None:
+                outside = [diagonal] + flat[1:]
+                zero_column = [[Fraction(0)] + row[1:] for row in linalg.identity(n)]
+                cases.append((outside, table_c, zero_column))
+            for images, source_c, want_map in cases:
+                morphism, ok = _limit_morphism(images, BracketTable(source_c), limit)
+                assert morphism == want_map
+                assert ok == reference_verify_morphism(morphism, source_c, table_c), (sig, seq)
+                verdicts.append(ok)
+        assert verdicts.count(True) >= 10 and verdicts.count(False) >= 15, verdicts
+
+
+def _support_partners(span):
+    """The pairs i < j of basis matrices where a column of one meets a row of
+    the other, read off the dense basis: the only pairs whose commutator can
+    be nonzero."""
+    m, basis = span.m, span.basis
+    cols = [{c for r in range(m) for c in range(m) if x[r][c]} for x in basis]
+    rows = [{r for r in range(m) for c in range(m) if x[r][c]} for x in basis]
+    return {
+        (i, j)
+        for i in range(span.dim)
+        for j in range(i + 1, span.dim)
+        if cols[i] & rows[j] or cols[j] & rows[i]
+    }
+
 
 class TestOneBracketPassPerSpan:
-    """A limit request forms each basis commutator of its limit exactly once:
-    the closure check builds the table that the invariants then read."""
+    """A limit request forms the commutator of each partner pair of its limit's
+    basis exactly once, and no other: the closure check builds the table
+    that the invariants then read, and every other pair brackets to zero."""
 
     @pytest.fixture
     def bracket_calls(self, monkeypatch):
@@ -827,15 +931,67 @@ class TestOneBracketPassPerSpan:
 
     def test_geometry_limit_then_invariants(self, bracket_calls):
         deg = geometry_limit(((5, 1),), parse_sequence("diag(t,t^2,1,1,t^-1,1)", 6))
+        formed = list(bracket_calls)
         invariant_profile(deg.limit)
-        rows = deg.limit._nonzero_basis
+        assert bracket_calls == formed
+        index = {id(rows): k for k, rows in enumerate(deg.limit._nonzero_basis)}
+        pairs = [(index[a], index[b]) for a, b in formed]
+        assert len(pairs) == len(set(pairs))
         n = deg.limit.dim
-        assert sorted(bracket_calls) == sorted((id(rows[i]), id(rows[j])) for i in range(n) for j in range(i + 1, n))
+        assert set(pairs) == _support_partners(deg.limit) and len(pairs) < n * (n - 1) // 2
 
     def test_cli_limit_at_m6(self, bracket_calls, capsys):
-        assert cli_main(["limit", "--algebra", "po((3),(2,1))", "--seq", "compose(perm((0 5)),diag(t,1,t^2,1,t^-1,1))"]) == 0
+        seq = "compose(perm((0 5)),diag(t,1,t^2,1,t^-1,1))"
+        assert cli_main(["limit", "--algebra", "po((3),(2,1))", "--seq", seq]) == 0
         capsys.readouterr()
-        assert len(bracket_calls) == len(set(bracket_calls)) == 15 * 14 // 2
+        formed = list(bracket_calls)
+        limit = geometry_limit(((3, 0), (2, 1)), parse_sequence(seq, 6)).limit
+        assert limit.dim == 15
+        assert len(formed) == len(set(formed)) == len(_support_partners(limit)) < 15 * 14 // 2
+
+
+class TestWorkBound:
+    """Call counts of the Lie core for fixed inputs, so that a return to
+    all-pairs products fails on any host: an m = 7 limit with its match and
+    invariants, and an m = 6 sigma chain.  No factor is inverted or ranked
+    densely along either."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(lie_module, "_sparse_bracket")
+        counted(BracketTable, "_bracket")
+        counted(BracketTable, "_ad")
+        counted(linalg, "inverse")
+        counted(linalg, "rank")
+        return counts
+
+    def test_m7_limit_match_and_invariants(self, calls):
+        left, right = permutation_matrix((3, 0, 6, 1, 5, 2, 4)), permutation_matrix((1, 4, 0, 6, 2, 5, 3))
+        seq = FactoredSequence.build(left, [2, -1, 0, 3, -3, 1, 0], right)
+        limit = conjugacy_limit(build_po(((3, 1), (2, 0), (1, 0))), seq)
+        match_limit_geometry(limit)
+        invariant_profile(limit)
+        # All pairs: 210 commutators, 164 table brackets and 1130 ad calls.
+        # No inverse or rank key: neither is called.
+        assert calls == {"_sparse_bracket": 40, "_bracket": 17, "_ad": 163}
+
+    def test_m6_sigma_chain(self, calls):
+        result = sigma_chain(4, 2, [2, 2, 0, 0, 0, -1])
+        assert result.all_verified
+        # All pairs: 420 commutators, 675 table brackets and 675 ad calls,
+        # 6 inverses and 3 ranks.  The morphism checks bracket the images.
+        assert calls == {"_sparse_bracket": 288}
 
 
 # -- reference dense eliminations: graded echelon, limit basis, match check ----
@@ -997,8 +1153,8 @@ class TestSparseJacobi:
 
 class TestNoDenseEliminationInLie:
     """A limit request at m = 6 runs no dense RREF from the Lie core or from
-    linalg.inverse; the only ones left are the rank tests of the parsed
-    sequence's factors."""
+    linalg.inverse; the only one left is the rank of the sequence at its
+    limit (``Degeneration.rank``)."""
 
     def test_geometry_limit_then_invariants(self, monkeypatch):
         callers = []

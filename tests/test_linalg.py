@@ -9,6 +9,7 @@ import pytest
 from projlim import linalg
 from projlim.errors import NotInvertible
 from projlim.linalg import Echelon
+from projlim.projective import FactoredSequence
 
 from _reference import (
     reference_determinant,
@@ -128,6 +129,15 @@ def _square_matrices():
         yield rows
 
 
+def _dense_inverse(rows, n):
+    """The dense matrix of the stored (column, value) rows of an inverse."""
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, x in row:
+            out[i][j] = x
+    return out
+
+
 def _mat_vec(a, x):
     return [sum((r * y for r, y in zip(row, x)), Fraction(0)) for row in a]
 
@@ -181,6 +191,40 @@ class TestDenseRoutinesAgainstReference:
             inv = linalg.inverse(rows)
             assert inv == reference_inverse(rows)
             assert not n or linalg.mat_mul(rows, inv) == linalg.identity(n)
+            seen["invertible"] += 1
+        assert min(seen.values()) >= 60, seen
+
+    def test_sequence_factor_inverses(self):
+        """A factored sequence keeps the inverses of its factors from its
+        invertibility check: equal to the reference inverse on every side a
+        factor can take, and a singular factor raises the same text there."""
+        seen = {"invertible": 0, "singular": 0}
+        for rows in _square_matrices():
+            n = len(rows)
+            if not n:
+                continue  # a sequence has at least one weight
+            eye, weights = linalg.identity(n), list(range(n))
+            want = reference_inverse(rows)
+            if want is None:
+                for make in (
+                    lambda: FactoredSequence.build(rows, weights, eye),
+                    lambda: FactoredSequence.build(eye, weights, rows),
+                    lambda: FactoredSequence.diagonal(weights).premultiply(rows),
+                ):
+                    with pytest.raises(NotInvertible, match="^factored sequence requires invertible factors$"):
+                        make()
+                seen["singular"] += 1
+                continue
+            left = FactoredSequence.build(rows, weights, eye)
+            right = FactoredSequence.build(eye, weights, rows)
+            premultiplied = FactoredSequence.diagonal(weights).premultiply(rows)
+            for inverse_rows in (left.left_inv, right.right_inv, premultiplied.left_inv):
+                assert _dense_inverse(inverse_rows, n) == want
+            assert [list(row) for row in left.inverse().right] == want
+            assert [list(row) for row in right.inverse().left] == want
+            assert _dense_inverse(left.inverse().right_inv, n) == rows
+            assert _dense_inverse(right.inverse().left_inv, n) == rows
+            assert left.inverse().inverse() == left
             seen["invertible"] += 1
         assert min(seen.values()) >= 60, seen
 

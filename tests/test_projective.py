@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projlim import (
+    DimError,
     LaurentScalar,
     NotInvertible,
     ProjMatrix,
@@ -15,11 +16,14 @@ from projlim import (
     ZeroMatrix,
 )
 from projlim.parsing import parse_matrix, parse_point, parse_sequence
+
+from _reference import reference_rank
 from projlim.projective import (
     FactoredSequence,
     _canonicalize,
     invert_permutation,
     lmat_from_rational,
+    lmat_mul,
     permutation_matrix,
     point_limit,
 )
@@ -287,3 +291,65 @@ class TestCanonicalFormAgainstReference:
     def test_zero_matrix_still_rejected(self):
         with pytest.raises(ZeroMatrix):
             ProjMatrix([[LaurentScalar.zero(), LaurentScalar.zero()]])
+
+
+# -- sequences as dense Laurent products, kept as an oracle ----------------------
+
+
+def reference_sequence_rows(seq):
+    """left * diag(t^w) * right, every factor a dense Laurent matrix."""
+    n = seq.dim
+    zero = LaurentScalar.zero()
+    diag = [[LaurentScalar.t(seq.weights[i]) if i == j else zero for j in range(n)] for i in range(n)]
+    left, right = lmat_from_rational(seq.left_rows()), lmat_from_rational(seq.right_rows())
+    return lmat_mul(left, lmat_mul(diag, right))
+
+
+def reference_apply(seq, coords):
+    """b(t) x as the dense Laurent matrix times the vector, entry by entry."""
+    out = []
+    for row in reference_sequence_rows(seq):
+        acc = LaurentScalar.zero()
+        for c, x in zip(row, coords):
+            acc = acc + c * x
+        out.append(acc)
+    return out
+
+
+def sequence_grid(seed=20261024):
+    """Seeded sequences at m = 1, 3, 5 (the point lengths of ``GRID``) with
+    invertible 0/+-1/2 factors and weights in -3..3, and their inverses."""
+    rng = random.Random(seed)
+    for index in range(36):
+        m = (1, 3, 5)[index % 3]
+        factors = []
+        while len(factors) < 2:
+            rows = [[Fraction(rng.choice((0, 0, 1, -1, 2))) for _ in range(m)] for _ in range(m)]
+            if reference_rank(rows) == m:
+                factors.append(rows)
+        seq = FactoredSequence.build(factors[0], [rng.randint(-3, 3) for _ in range(m)], factors[1])
+        yield seq
+        yield seq.inverse()
+
+
+class TestSequenceAgainstDenseProducts:
+    def test_matrix_and_sample_points(self):
+        points = {}
+        for rows in GRID:
+            for row in rows:
+                if any(not e.is_zero() for e in row):
+                    points.setdefault(len(row), []).append(row)
+        checked = 0
+        for seq in sequence_grid():
+            assert seq.matrix().rows == reference_canonicalize(reference_sequence_rows(seq))
+            for coords in points[seq.dim][:6]:
+                [expected] = reference_canonicalize([reference_apply(seq, coords)])
+                assert seq.apply_to_point(ProjPoint(coords)).coords == expected
+                assert point_limit(seq, coords) == ProjPoint(expected).limit()
+                checked += 1
+        assert checked >= 300
+
+    @pytest.mark.parametrize("coords", [[1, 2], [1, 2, 3, 4]])
+    def test_point_of_the_wrong_length_is_refused(self, coords):
+        with pytest.raises(DimError, match="point has"):
+            point_limit(FactoredSequence.diagonal([1, 0, 0]), coords)
