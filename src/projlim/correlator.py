@@ -16,14 +16,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .errors import DimError, ProjlimError, TooLarge
+from .errors import DimError, NotInvertible, ProjlimError, TooLarge
 from .geometry import (
     classify_point_limit,
     geometry_limit,
     in_model_space,
     scale_matrix,
 )
-from .laurent import LaurentScalar
+from .laurent import LaurentScalar, rational_combination
 from .lie import LieAlgebraSpan, Signature, truncated_exp, validate_signature
 from .linalg import Echelon, Mat, frac_rows, identity, inverse, mat_mul, pivot_inverse, transpose
 from .projective import (
@@ -33,6 +33,7 @@ from .projective import (
     invert_permutation,
     lmat_from_rational,
     permutation_matrix,
+    sparse_rows,
 )
 from .young import DIM_FUND, DiagramPair, pair_str, symmetrizer_basis, validate_pair
 
@@ -199,7 +200,15 @@ def _schur_side(pair: DiagramPair) -> tuple[tuple[int, ...], bool]:
 
 
 class _SchurAction:
-    """Induced action of 5x5 matrices on the symmetrizer image of a diagram."""
+    """Induced action of 5x5 matrices on the symmetrizer image of a diagram.
+
+    Each basis column is the Young symmetrizer applied to one tensor
+    e_{j1...jp}; the symmetrizer only permutes tensor slots, so every term of
+    the column has the same index multiset {j1, ..., jp}, kept in
+    ``multisets``.  The basis is therefore a weight basis: a diagonal matrix
+    diag(t^w) acts on column k by t^(w_j1 + ... + w_jp), and only rational
+    factors need the tensor action (``factored_matrix``).
+    """
 
     def __init__(self, lam: tuple[int, ...]):
         basis, tuples = symmetrizer_basis(lam)
@@ -207,6 +216,7 @@ class _SchurAction:
         self.index_of = {tup: k for k, tup in enumerate(tuples)}
         self.tuples = tuples
         self.basis_cols = _sparse_columns(basis)
+        self.multisets = [tuple(sorted(tuples[next(iter(col))])) for col in self.basis_cols]
         echelon = Echelon()
         for col in self.basis_cols:
             echelon.insert(col)
@@ -254,6 +264,37 @@ class _SchurAction:
             columns.append(coords)
         return [[columns[j].get(i, zero) for j in range(self.dim)] for i in range(self.dim)]
 
+    def factored_matrix(self, outer: Mat, weights: Sequence[int], inner: Mat) -> list[list[LaurentScalar]]:
+        """Matrix of the induced action of outer * diag(t^weights) * inner for
+        rational invertible 5 x 5 factors, divided by t^e with e the least
+        column exponent (the same projective class).
+
+        rho is a homomorphism and rho(diag(t^w)) is diagonal in the weight
+        basis, so entry (i, j) is the sum over k of rho(outer)_ik
+        rho(inner)_kj t^e_k, with e_k the sum of the weights over column k's
+        multiset.  Every e_k occurs in the product (both factors are
+        invertible), so the least exponent of the result is 0, and
+        ExponentOverflow is raised exactly when the canonical matrix would
+        have an exponent beyond the bound.  Each t^e_k is built once, and an
+        identity factor gets no tensor action."""
+        exponents = [sum(weights[j] for j in ms) for ms in self.multisets]
+        low = min(exponents)
+        powers = [LaurentScalar.t(e - low) for e in exponents]
+        eye = identity(DIM_FUND)
+        one = Fraction(1)
+        unit = [((k, one),) for k in range(self.dim)]
+        outer_rows = unit if outer == eye else sparse_rows(self.matrix_of(outer))
+        inner_rows = unit if inner == eye else sparse_rows(self.matrix_of(inner))
+        zero = LaurentScalar.zero()
+        rows = []
+        for outer_row in outer_rows:
+            terms: dict[int, list[tuple[Fraction, LaurentScalar]]] = {}
+            for k, a in outer_row:
+                for j, c in inner_rows[k]:
+                    terms.setdefault(j, []).append((a * c, powers[k]))
+            rows.append([rational_combination(terms[j]) if j in terms else zero for j in range(self.dim)])
+        return rows
+
 
 _SCHUR_CACHE: Dict[tuple[int, ...], _SchurAction] = {}
 
@@ -266,14 +307,20 @@ def _schur_action(lam: tuple[int, ...]) -> _SchurAction:
 
 def rep_matrix(rep: RepTag, g: Mat) -> Mat:
     """rho(g) for a rational group element: the matrix a factor of this tag
-    picks up when the correlator is deformed by g^-1."""
+    picks up when the correlator is deformed by g^-1.  A g that is not
+    invertible is refused with NotInvertible, whatever the tag."""
     g = frac_rows(g)
+    try:
+        g_inv = inverse(g)
+    except NotInvertible:
+        text = "[" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in g) + "]"
+        raise NotInvertible(f"rho(g) needs an invertible group element g, got g = {text}") from None
     if rep.kind == "fundamental":
         return g
     if rep.kind == "right_action":
-        return inverse(g)
+        return g_inv
     lam, dual = _schur_side(rep.pair)
-    base = transpose(inverse(g)) if dual else g
+    base = transpose(g_inv) if dual else g
     return _schur_action(lam).matrix_of(base)
 
 
@@ -282,7 +329,12 @@ def rho_infinity(rep: RepTag, b: FactoredSequence) -> ProjMatrix:
 
     fundamental: limit of b^-1; right_action: limit of b itself; schur tags:
     the induced matrix on the symmetrizer image (single-sided, <= 3 boxes;
-    the dual side uses the transpose of b).
+    the dual side uses the transpose of b).  For a schur tag rho is a
+    homomorphism, so with b = L diag(t^w) R the matrix is
+    rho(R^-1) rho(diag(t^-w)) rho(L^-1), or rho(R^T) rho(diag(t^w)) rho(L^T)
+    on the dual side; the diagonal factor acts diagonally on the weight
+    basis of the symmetrizer image, so only the rational factors (read off
+    the stored inverses, none inverted again) get the tensor action.
 
     >>> from .parsing import parse_sequence
     >>> b = parse_sequence("diag(t^4,t^-1,t^-1,t^-1,t^-1)")
@@ -295,23 +347,23 @@ def rho_infinity(rep: RepTag, b: FactoredSequence) -> ProjMatrix:
     if rep.kind == "right_action":
         return b.matrix()
     lam, dual = _schur_side(rep.pair)
-    base = transpose(b.matrix().rows) if dual else b.inverse().matrix().rows
-    return ProjMatrix(_schur_action(lam).matrix_of(base))
+    action = _schur_action(lam)
+    if b.dim != DIM_FUND:
+        raise DimError(f"schur tags act on {DIM_FUND}x{DIM_FUND} matrices only")
+    if dual:  # b^T = R^T diag(t^w) L^T
+        outer, weights, inner = transpose(b.right_rows()), b.weights, transpose(b.left_rows())
+    else:  # b^-1 = R^-1 diag(t^-w) L^-1
+        inv = b.inverse()
+        outer, weights, inner = inv.left_rows(), inv.weights, inv.right_rows()
+    return ProjMatrix(action.factored_matrix(outer, weights, inner))
 
 
 def _nonzero_rows(pm: ProjMatrix) -> tuple[int, ...]:
-    limit = pm.limit().constant_rows()
-    return tuple(
-        i + 1 for i, row in enumerate(limit) if any(x != 0 for x in row)
-    )
+    return tuple(i + 1 for i, row in enumerate(pm.rows) if any(e.coefficient(0) for e in row))
 
 
 def _nonzero_columns(pm: ProjMatrix) -> tuple[int, ...]:
-    limit = pm.limit().constant_rows()
-    n = len(limit[0])
-    return tuple(
-        j + 1 for j in range(n) if any(row[j] != 0 for row in limit)
-    )
+    return tuple(j + 1 for j in range(pm.ncols) if any(row[j].coefficient(0) for row in pm.rows))
 
 
 def surviving_components(rep: RepTag, rho_inf: ProjMatrix) -> tuple[int, ...]:
@@ -320,6 +372,8 @@ def surviving_components(rep: RepTag, rho_inf: ProjMatrix) -> tuple[int, ...]:
     Components carrying the defining (or an induced) action transform
     contravariantly, so they survive along the nonzero columns of
     rho-infinity; right-action components survive along its nonzero rows.
+    Both are read off the t^0 coefficients of the canonical representative,
+    which has minimum exponent 0: they are its limit.
     """
     if rep.kind == "right_action":
         return _nonzero_rows(rho_inf)

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projlim import correlator as correlator_module
-from projlim.errors import DimError, NotInvertible, ProjlimError, TooLarge
+from projlim import laurent
+from projlim.errors import DimError, ExponentOverflow, NotInvertible, ProjlimError, TooLarge
 from projlim.correlator import (
     FUNDAMENTAL,
     RIGHT_ACTION,
@@ -27,7 +28,7 @@ from projlim.correlator import (
     surviving_components,
     uv_ir_report,
 )
-from projlim.laurent import LaurentScalar
+from projlim.laurent import MAX_EXPONENT, LaurentScalar
 from projlim.lie import build_po
 from projlim.linalg import identity, mat_mul, transpose
 from projlim.parsing import parse_sequence
@@ -349,7 +350,7 @@ def reference_rho_infinity(lam, dual, b):
     return ProjMatrix(reference_matrix_of(lam, base, laurent=True))
 
 
-SMALL_TAGS = [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
+SMALL_TAGS = [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
 
 
 def _dense_pm1(rng):
@@ -361,43 +362,181 @@ def _dense_pm1(rng):
 
 
 def schur_sequences(seed=9):
-    """Seeded diagonal, permuted and dense +-1 sequences at m = 5."""
+    """Seeded m = 5 sequences: diagonal, a permuted or dense +-1 left factor,
+    a permuted right factor, dense +-1 factors on both sides, and weights up
+    to +-MAX_EXPONENT/3."""
     rng = random.Random(seed)
 
-    def weights():
-        return [rng.randint(-3, 3) for _ in range(5)]
+    def weights(bound=3):
+        return [rng.randint(-bound, bound) for _ in range(5)]
+
+    def perm():
+        order = list(range(5))
+        rng.shuffle(order)
+        return permutation_matrix(tuple(order))
 
     eye = identity(5)
     out = [FactoredSequence.diagonal(weights()) for _ in range(3)]
     for _ in range(2):
-        perm = list(range(5))
-        rng.shuffle(perm)
-        out.append(FactoredSequence.build(permutation_matrix(tuple(perm)), weights(), eye))
-    out.append(FactoredSequence.build(_dense_pm1(rng), [rng.randint(-1, 1) for _ in range(5)], eye))
-    return out, [_dense_pm1(rng) for _ in range(2)] + [permutation_matrix((1, 2, 0, 4, 3))]
+        out.append(FactoredSequence.build(perm(), weights(), eye))
+    out.append(FactoredSequence.build(_dense_pm1(rng), weights(1), eye))
+    gs = [_dense_pm1(rng) for _ in range(2)] + [permutation_matrix((1, 2, 0, 4, 3))]
+    big = MAX_EXPONENT // 3
+    out += [
+        FactoredSequence.build(eye, weights(), perm()),
+        FactoredSequence.build(perm(), weights(), perm()),
+        FactoredSequence.build(_dense_pm1(rng), weights(1), _dense_pm1(rng)),
+        FactoredSequence.diagonal(weights(big)),
+        FactoredSequence.build(perm(), [rng.randint(0, big) for _ in range(5)], perm()),
+        FactoredSequence.build(_dense_pm1(rng), weights(big), _dense_pm1(rng)),
+    ]
+    return out, gs
 
 
 SEQUENCES, RATIONAL_GS = schur_sequences()
 
 
+def _schur_tag(lam, dual):
+    return RepTag("schur", ((), lam) if dual else (lam, ()))
+
+
+def _column_exponents(lam, dual, b):
+    """The exponent of t on each symmetrizer basis column under the diagonal
+    factor of b^-1 (of b^T on the dual side), less the least of them: the
+    exponents of the canonical rho-infinity."""
+    basis, tuples = symmetrizer_basis(lam)
+    signed = b.weights if dual else [-w for w in b.weights]
+    out = []
+    for j in range(len(basis[0])):
+        tup = next(tuples[r] for r, row in enumerate(basis) if row[j] != 0)
+        out.append(sum(signed[i] for i in tup))
+    return [e - min(out) for e in out]
+
+
+def reference_surviving(rep, rho):
+    """Survivors read off the limit matrix, as surviving_components did."""
+    limit = rho.limit().constant_rows()
+    if rep.kind == "right_action":
+        return tuple(i + 1 for i, row in enumerate(limit) if any(x != 0 for x in row))
+    return tuple(j + 1 for j in range(len(limit[0])) if any(row[j] != 0 for row in limit))
+
+
 class TestSchurActionAgainstReference:
     @pytest.mark.parametrize("lam", SMALL_TAGS)
     @pytest.mark.parametrize("dual", [False, True])
-    def test_rho_infinity(self, lam, dual):
-        tag = RepTag("schur", ((), lam) if dual else (lam, ()))
+    def test_rho_infinity(self, lam, dual, monkeypatch):
+        """Equal to the dense Laurent action of b(t)^-1 (of b(t)^T on the dual
+        side), with the same survivors as the limit matrix gives.  The
+        factored action raises ExponentOverflow exactly when a canonical
+        exponent exceeds the bound, and the reference raises then too.  The
+        reference multiplies canonical factors, whose exponents can exceed
+        those of the result (the diagonal sequence with weights up to
+        MAX_EXPONENT/3 and lam = (1, 1, 1) does), so there it is compared
+        with the bound lifted."""
+        tag = _schur_tag(lam, dual)
         for b in SEQUENCES:
+            if max(_column_exponents(lam, dual, b)) > MAX_EXPONENT:
+                with pytest.raises(ExponentOverflow):
+                    rho_infinity(tag, b)
+                with pytest.raises(ExponentOverflow):
+                    reference_rho_infinity(lam, dual, b)
+                continue
             rho = rho_infinity(tag, b)
-            expected = reference_rho_infinity(lam, dual, b)
+            try:
+                expected = reference_rho_infinity(lam, dual, b)
+            except ExponentOverflow:
+                with monkeypatch.context() as lifted:
+                    lifted.setattr(laurent, "MAX_EXPONENT", 3 * MAX_EXPONENT)
+                    expected = reference_rho_infinity(lam, dual, b)
             assert rho == expected
             assert str(rho) == str(expected)
             assert str(rho.limit()) == str(expected.limit())
+            assert surviving_components(tag, rho) == reference_surviving(tag, rho)
 
     @pytest.mark.parametrize("lam", SMALL_TAGS)
     @pytest.mark.parametrize("dual", [False, True])
     def test_rep_matrix(self, lam, dual):
-        tag = RepTag("schur", ((), lam) if dual else (lam, ()))
+        tag = _schur_tag(lam, dual)
         for g in RATIONAL_GS:
             base = transpose(reference_inverse(g)) if dual else g
             got = rep_matrix(tag, g)
             assert got == reference_matrix_of(lam, base, laurent=False)
             assert all(type(x) is Fraction for row in got for x in row)
+
+    @pytest.mark.parametrize("lam", SMALL_TAGS)
+    def test_weight_shift_changes_nothing(self, lam):
+        """rho(t^k b) = t^(pk) rho(b) is the same projective matrix, also when
+        the shifted weights exceed the exponent bound (the dense action of
+        b^-1 builds t^-w and raised there)."""
+        for dual in (False, True):
+            tag = _schur_tag(lam, dual)
+            for b in SEQUENCES[:3]:
+                shifted = FactoredSequence.diagonal([w + MAX_EXPONENT for w in b.weights])
+                assert str(rho_infinity(tag, shifted)) == str(rho_infinity(tag, b))
+
+    @pytest.mark.parametrize("rep", [FUNDAMENTAL, RIGHT_ACTION])
+    def test_plain_survivors(self, rep):
+        for b in SEQUENCES:
+            rho = rho_infinity(rep, b)
+            assert surviving_components(rep, rho) == reference_surviving(rep, rho)
+
+
+class TestRepMatrixRefusesSingular:
+    @pytest.mark.parametrize(
+        "rep",
+        [FUNDAMENTAL, RIGHT_ACTION, RepTag("schur", ((1, 1), ())), RepTag("schur", ((), (1, 1)))],
+        ids=str,
+    )
+    def test_one_refusal_for_every_kind(self, rep):
+        g = [[1, 0, 0, 0, 0]] * 5
+        with pytest.raises(NotInvertible) as caught:
+            rep_matrix(rep, g)
+        assert str(caught.value) == (
+            "rho(g) needs an invertible group element g, got g = "
+            "[[1, 0, 0, 0, 0], [1, 0, 0, 0, 0], [1, 0, 0, 0, 0], [1, 0, 0, 0, 0], [1, 0, 0, 0, 0]]"
+        )
+
+
+class TestSchurWorkBound:
+    """Call counts of rho_infinity for schur tags, so that a return to the
+    Laurent tensor product fails on any host: the diagonal factor never gets
+    the tensor action, and a rational factor gets it once per basis column."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"laurent_mul": 0, "tensor_image": 0, "rings": set()}
+        mul = LaurentScalar.__mul__
+        image = correlator_module._SchurAction._tensor_image
+
+        def counted_mul(self, other):
+            counts["laurent_mul"] += 1
+            return mul(self, other)
+
+        def counted_image(self, g_cols, col):
+            counts["tensor_image"] += 1
+            counts["rings"].update(type(x) for column in g_cols for x in column.values())
+            return image(self, g_cols, col)
+
+        monkeypatch.setattr(LaurentScalar, "__mul__", counted_mul)
+        monkeypatch.setattr(LaurentScalar, "__rmul__", counted_mul)
+        monkeypatch.setattr(correlator_module._SchurAction, "_tensor_image", counted_image)
+        return counts
+
+    @pytest.mark.parametrize("lam", SMALL_TAGS)
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_diagonal_sequence(self, calls, lam, dual):
+        tag = _schur_tag(lam, dual)
+        rho = rho_infinity(tag, FactoredSequence.diagonal([3, -1, 0, 2, -2]))
+        surviving_components(tag, rho)
+        assert calls == {"laurent_mul": 0, "tensor_image": 0, "rings": set()}
+
+    @pytest.mark.parametrize("lam", SMALL_TAGS)
+    @pytest.mark.parametrize("dual", [False, True])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_one_rational_factor(self, calls, lam, dual, side):
+        eye = identity(5)
+        factor = [[1, 2, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 1, 0, 0], [0, -1, 0, 0, 3]]
+        left, right = (factor, eye) if side == "left" else (eye, factor)
+        rho_infinity(_schur_tag(lam, dual), FactoredSequence.build(left, [3, -1, 0, 2, -2], right))
+        assert calls["tensor_image"] == len(symmetrizer_basis(lam)[0][0])
+        assert calls["rings"] == {Fraction}

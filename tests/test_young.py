@@ -470,6 +470,18 @@ class TestSymmetrizer:
         with pytest.raises(TooLarge):
             symmetrizer_matrix((4,))
 
+    @pytest.mark.parametrize("lam", SMALL)
+    def test_basis_columns_are_weight_vectors(self, lam):
+        """Every basis column has one index multiset over its support, so a
+        diagonal matrix acts on it by one scalar.  The schur action of a
+        factored sequence rests on this; the cap makes SMALL every diagram a
+        symmetrizer is built for."""
+        basis, tuples = symmetrizer_basis(lam)
+        for j in range(len(basis[0])):
+            support = [tuples[r] for r, row in enumerate(basis) if row[j] != 0]
+            assert support
+            assert len({tuple(sorted(tup)) for tup in support}) == 1
+
 
 class TestTensorPowers:
     def test_total_dimension(self):
