@@ -23,13 +23,14 @@ from .geometry import (
     in_model_space,
     scale_matrix,
 )
-from .laurent import LaurentScalar, rational_combination
+from .laurent import LaurentScalar
 from .lie import LieAlgebraSpan, Signature, truncated_exp, validate_signature
 from .linalg import Echelon, Mat, frac_rows, identity, inverse, mat_mul, pivot_inverse, transpose
 from .projective import (
     FactoredSequence,
     ProjMatrix,
     ProjPoint,
+    factored_product,
     invert_permutation,
     lmat_from_rational,
     permutation_matrix,
@@ -275,25 +276,17 @@ class _SchurAction:
         multiset.  Every e_k occurs in the product (both factors are
         invertible), so the least exponent of the result is 0, and
         ExponentOverflow is raised exactly when the canonical matrix would
-        have an exponent beyond the bound.  Each t^e_k is built once, and an
-        identity factor gets no tensor action."""
+        have an exponent beyond the bound.  Each t^e_k is built once, an
+        identity factor gets no tensor action, and the product is
+        ``projective.factored_product``, the one that gives b(t) itself."""
         exponents = [sum(weights[j] for j in ms) for ms in self.multisets]
         low = min(exponents)
         powers = [LaurentScalar.t(e - low) for e in exponents]
         eye = identity(DIM_FUND)
-        one = Fraction(1)
-        unit = [((k, one),) for k in range(self.dim)]
+        unit = tuple(((k, Fraction(1)),) for k in range(self.dim))
         outer_rows = unit if outer == eye else sparse_rows(self.matrix_of(outer))
         inner_rows = unit if inner == eye else sparse_rows(self.matrix_of(inner))
-        zero = LaurentScalar.zero()
-        rows = []
-        for outer_row in outer_rows:
-            terms: dict[int, list[tuple[Fraction, LaurentScalar]]] = {}
-            for k, a in outer_row:
-                for j, c in inner_rows[k]:
-                    terms.setdefault(j, []).append((a * c, powers[k]))
-            rows.append([rational_combination(terms[j]) if j in terms else zero for j in range(self.dim)])
-        return rows
+        return factored_product(outer_rows, powers, inner_rows)
 
 
 _SCHUR_CACHE: Dict[tuple[int, ...], _SchurAction] = {}

@@ -11,8 +11,9 @@ structure constants it builds.  Conjugacy limits along factored sequences
 are computed exactly through the weight filtration: in the diagonal frame,
 grade every matrix position (i, j) by w_i - w_j, eliminate with the columns
 in ascending grade order, keep the lowest-grade part of each echelon row (its
-initial form), and conjugate the resulting span back, with the factor
-inverses the sequence keeps.  Abstract (basis-only) Lie algebras are handled
+initial form), and conjugate the resulting span back.  Every conjugation is
+``projective.conjugate_flat`` on the sparse factor rows and inverses the
+sequence keeps.  Abstract (basis-only) Lie algebras are handled
 as structure-constant tables, which is what contractions produce; a table
 stores only its nonzero entries, and invariants, contractions and morphism
 checks iterate over those.
@@ -42,7 +43,7 @@ from .errors import (
     SignatureError,
 )
 from .linalg import Mat
-from .projective import FactoredSequence, SparseRows, invert_permutation, sparse_rows
+from .projective import FactoredSequence, conjugate_flat, invert_permutation
 
 Signature = tuple[tuple[int, int], ...]
 Sparse = dict[int, Fraction]  # nonzero entries {position: value} of a vector
@@ -103,28 +104,6 @@ def _commutator_partners(flat: list[Sparse], m: int) -> list[tuple[int, int]]:
     nonzero (a column of one meets a row of the other), in ascending order."""
     pairs = _partners([{p % m for p in v} for v in flat], [{p // m for p in v} for v in flat])
     return sorted({(a, b) if a < b else (b, a) for a, b in pairs if a != b})
-
-
-def _conjugate(g: SparseRows, ginv: SparseRows, vectors: list[Sparse], m: int) -> list[Sparse]:
-    """g x g^-1 for each flattened matrix x, from the nonzero entries only:
-    (g x g^-1)_il = sum over nonzero x_jk of g_ij x_jk (g^-1)_kl.  g and g^-1
-    are given by the nonzero (column, value) entries of each row."""
-    columns: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
-    for i, row in enumerate(g):
-        for j, a in row:
-            columns[j].append((i, a))
-    out = []
-    for v in vectors:
-        acc: Sparse = {}
-        for p, x in v.items():
-            j, k = divmod(p, m)
-            for l, b in ginv[k]:
-                xb = x * b
-                for i, a in columns[j]:
-                    q = i * m + l
-                    acc[q] = acc.get(q, 0) + a * xb
-        out.append({q: y for q, y in acc.items() if y})
-    return out
 
 
 def _echelon_by(vectors: list[Sparse], key: list) -> list[tuple[object, Sparse]]:
@@ -515,20 +494,23 @@ def build_po(sig, m: int | None = None) -> LieAlgebraSpan:
 # ---------------------------------------------------------------------------
 
 
-def _graded_frame(alg: LieAlgebraSpan, seq: FactoredSequence) -> tuple[list[Sparse], list[int]]:
-    """The flattened basis of Ad_R alg (R the right factor of seq) and the
-    grade w_i - w_j of every flattened position (i, j)."""
+def _limit_in_frame(alg: LieAlgebraSpan, seq: FactoredSequence) -> tuple[list[Sparse], list[int], list[Sparse]]:
+    """The conjugacy limit of ``alg`` along ``seq`` before Ad_L (L the left
+    factor of seq): the flattened basis of Ad_R alg (R the right factor),
+    the grade w_i - w_j of every flattened position (i, j), and a basis of
+    the limit in that diagonal frame."""
     m = alg.m
     if seq.dim != m:
         raise DimError(f"sequence dimension {seq.dim} != algebra ambient {m}")
-    vectors = _conjugate(sparse_rows(seq.right), seq.right_inv, alg._flat, m)
+    vectors = conjugate_flat(seq.right, seq.right_inv, alg._flat, m)
     w = seq.weights
-    return vectors, [w[i] - w[j] for i in range(m) for j in range(m)]
-
-
-def _conjugate_back(seq: FactoredSequence, vecs: list[Sparse], m: int) -> list[Sparse]:
-    """Ad_L of flattened matrices, L the left factor of seq."""
-    return _conjugate(sparse_rows(seq.left), seq.left_inv, vecs, m)
+    grade = [w[i] - w[j] for i in range(m) for j in range(m)]
+    # Ordered by grade, the echelon rows are a basis adapted to the weight
+    # filtration, so their initial (lowest-grade) parts span the limit.
+    initial = linalg.Echelon()
+    for d, row in _echelon_by(vectors, grade):
+        initial.insert({p: x for p, x in row.items() if grade[p] == d})
+    return vectors, grade, [row for _, row in initial.canonical()]
 
 
 def conjugacy_limit(alg: LieAlgebraSpan, seq: FactoredSequence) -> LieAlgebraSpan:
@@ -537,14 +519,8 @@ def conjugacy_limit(alg: LieAlgebraSpan, seq: FactoredSequence) -> LieAlgebraSpa
     The limit always has the same dimension as ``alg`` and is verified to be
     bracket-closed.
     """
-    vectors, grade = _graded_frame(alg, seq)
-    # Ordered by grade, the echelon rows are a basis adapted to the weight
-    # filtration, so their initial (lowest-grade) parts span the limit.
-    initial = linalg.Echelon()
-    for d, row in _echelon_by(vectors, grade):
-        initial.insert({p: x for p, x in row.items() if grade[p] == d})
-    basis_vecs = [row for _, row in initial.canonical()]
-    return LieAlgebraSpan._of(alg.m, _conjugate_back(seq, basis_vecs, alg.m))
+    limit = _limit_in_frame(alg, seq)[2]
+    return LieAlgebraSpan._of(alg.m, conjugate_flat(seq.left, seq.left_inv, limit, alg.m))
 
 
 def z_and_nplus(
@@ -556,23 +532,19 @@ def z_and_nplus(
     generator (grade-0 in the diagonal frame), n_plus the strictly-positive
     part of the limit with respect to the generator X_b of b_n = exp(n X_b)
     (equivalently the strictly *negative* t-grades).  Their direct sum must be
-    the whole conjugacy limit; DecompositionError otherwise.
+    the whole conjugacy limit; DecompositionError otherwise.  Both are read
+    off the one frame of ``_limit_in_frame``.
     """
     m = alg.m
-    vectors, grade = _graded_frame(alg, seq)
+    vectors, grade, limit = _limit_in_frame(alg, seq)
     z_vecs = [row for zero, row in _echelon_by(vectors, [g == 0 for g in grade]) if zero]
-
-    limit = conjugacy_limit(alg, seq)
-    limit_frame = _conjugate(seq.left_inv, sparse_rows(seq.left), limit._flat, m)
-    negative = [g < 0 for g in grade]
-    nplus_vecs = [row for neg, row in _echelon_by(limit_frame, negative) if neg]
-
+    nplus_vecs = [row for neg, row in _echelon_by(limit, [g < 0 for g in grade]) if neg]
     both = linalg.Echelon()
-    if len(z_vecs) + len(nplus_vecs) != limit.dim or not all(both.insert(v) for v in z_vecs + nplus_vecs):
+    if len(z_vecs) + len(nplus_vecs) != len(limit) or not all(both.insert(v) for v in z_vecs + nplus_vecs):
         raise DecompositionError("centralizer + positive part do not span the conjugacy limit")
     return (
-        LieAlgebraSpan._of(m, _conjugate_back(seq, z_vecs, m)),
-        LieAlgebraSpan._of(m, _conjugate_back(seq, nplus_vecs, m)),
+        LieAlgebraSpan._of(m, conjugate_flat(seq.left, seq.left_inv, z_vecs, m)),
+        LieAlgebraSpan._of(m, conjugate_flat(seq.left, seq.left_inv, nplus_vecs, m)),
     )
 
 
@@ -589,13 +561,9 @@ def embed_and_limit(
         raise EmbeddingError(f"target dimension {m_target} below ambient {m}")
     if seq.dim != m_target:
         raise DimError(f"sequence dimension {seq.dim} != target {m_target}")
-    for mat in (seq.left_rows(), seq.right_rows()):
-        for i in range(m_target):
-            for j in range(m_target):
-                if (i < m) != (j < m) and mat[i][j] != 0:
-                    raise EmbeddingError(
-                        "sequence factors mix embedded block with padding"
-                    )
+    for rows in (seq.left, seq.right):
+        if any((i < m) != (j < m) for i, row in enumerate(rows) for j, _ in row):
+            raise EmbeddingError("sequence factors mix embedded block with padding")
     return conjugacy_limit(pad_span(alg, m_target), seq)
 
 

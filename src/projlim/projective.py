@@ -11,10 +11,16 @@ Degenerating sequences b(t) are kept in factored form
     b(t) = left * diag(t^w_0, ..., t^w_{m-1}) * right
 
 with exact rational invertible ``left``/``right``.  This makes conjugation,
-inversion and the t -> 0 limit exact symbolic operations.  A sequence keeps
-the nonzero entries of each row of left^-1 and right^-1, computed once when
-it is made: the check that its factors are invertible computes them, and
-inversion swaps them, so no conjugation inverts a factor again.
+inversion and the t -> 0 limit exact symbolic operations.  Each factor is
+stored once, as its sparse rows (the nonzero (column, value) entries of each
+row), beside the sparse rows of its inverse, computed once when the sequence
+is made: the check that its factors are invertible computes them, and
+inversion swaps the four, so nothing is inverted again.  Dense factors are
+only views.  There is one conjugation of flattened sparse matrices,
+``conjugate_flat`` (rational or Laurent entries; an identity factor costs
+nothing), which the Lie limits use too, and one factored product
+``factored_product`` of sparse rows and a diagonal of Laurent powers, which
+gives b(t) and the Schur-tag rho-infinity.
 """
 
 from __future__ import annotations
@@ -179,21 +185,6 @@ class ProjPoint:
 # ---------------------------------------------------------------------------
 
 
-def lmat_mul(a: LMat, b: LMat) -> LMat:
-    n, k, m = len(a), len(b), len(b[0])
-    zero = LaurentScalar.zero()
-    out: LMat = [[zero for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for s in range(k):
-            c = a[i][s]
-            if c.is_zero():
-                continue
-            for j in range(m):
-                if not b[s][j].is_zero():
-                    out[i][j] = out[i][j] + c * b[s][j]
-    return out
-
-
 def lmat_from_rational(m: linalg.Mat) -> LMat:
     return [[LaurentScalar.constant(x) for x in row] for row in m]
 
@@ -235,43 +226,85 @@ def sparse_rows(rows) -> SparseRows:
     return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
 
 
-def _dense_rows(rows: SparseRows, n: int) -> linalg.Mat:
-    out = linalg.zeros(n, n)
+def _dense_rows(rows: SparseRows) -> linalg.Mat:
+    """The square matrix with the given sparse rows."""
+    out = linalg.zeros(len(rows), len(rows))
     for i, row in enumerate(rows):
         for j, x in row:
             out[i][j] = x
     return out
 
 
-def _inverse_rows(factor) -> SparseRows:
-    """The nonzero entries of each row of factor^-1 (n x n), from one
-    ``pivot_inverse`` with every column a pivot; NotInvertible when singular."""
+def _inverse_rows(factor: SparseRows) -> SparseRows:
+    """The sparse rows of factor^-1 (n x n), from one ``pivot_inverse`` with
+    every column a pivot; NotInvertible when singular."""
     n = len(factor)
     try:
-        inv = linalg.pivot_inverse([dict(row) for row in sparse_rows(factor)], list(range(n)))
+        inv = linalg.pivot_inverse([dict(row) for row in factor], list(range(n)))
     except NotInvertible:
         raise NotInvertible("factored sequence requires invertible factors") from None
     return tuple(tuple(inv[c]) for c in range(n))
+
+
+def conjugate_flat(g: SparseRows, ginv: SparseRows, vectors: list[dict], m: int) -> list[dict]:
+    """g x g^-1 for each flattened m x m matrix x, from the nonzero entries only:
+    (g x g^-1)_il = sum over nonzero x_jk of g_ij x_jk (g^-1)_kl.
+
+    The vectors are {i * m + j: x_ij} dicts of rational or Laurent values; g
+    and g^-1 are rational sparse rows.  For an identity g the vectors are
+    returned as they are, with no products formed.
+    """
+    if all(row == ((i, 1),) for i, row in enumerate(g)):
+        return vectors
+    columns: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
+    for i, row in enumerate(g):
+        for j, a in row:
+            columns[j].append((i, a))
+    out = []
+    for v in vectors:
+        acc: dict = {}
+        for p, x in v.items():
+            j, k = divmod(p, m)
+            for l, b in ginv[k]:
+                xb = x * b
+                for i, a in columns[j]:
+                    q = i * m + l
+                    acc[q] = acc.get(q, 0) + a * xb
+        out.append({q: y for q, y in acc.items() if y})
+    return out
+
+
+def factored_product(left: SparseRows, powers: list[LaurentScalar], right: SparseRows) -> LMat:
+    """left * diag(powers) * right for square rational factors given by their
+    sparse rows: entry (i, j) is one ``rational_combination`` of the
+    left_ik right_kj powers_k over the k where both factors are nonzero."""
+    zero = LaurentScalar.zero()
+    out = []
+    for row in left:
+        terms: dict[int, list[tuple[Fraction, LaurentScalar]]] = {}
+        for k, a in row:
+            for j, c in right[k]:
+                terms.setdefault(j, []).append((a * c, powers[k]))
+        out.append([rational_combination(terms[j]) if j in terms else zero for j in range(len(right))])
+    return out
 
 
 @dataclass(frozen=True)
 class FactoredSequence:
     """b(t) = left * diag(t^weights) * right with rational invertible factors.
 
-    ``left_inv`` and ``right_inv`` hold the nonzero (column, value) entries of
-    each row of left^-1 and right^-1; they take no part in equality, hashing
-    or the repr.
+    Each factor is stored once, as its sparse rows: the nonzero (column,
+    value) entries of each row, in ascending column order.  ``left_inv`` and
+    ``right_inv`` hold the sparse rows of left^-1 and right^-1; they take no
+    part in equality, hashing or the repr.  ``left_rows``/``right_rows`` are
+    dense views.
     """
 
-    left: tuple[tuple[Fraction, ...], ...]
+    left: SparseRows
     weights: tuple[int, ...]
-    right: tuple[tuple[Fraction, ...], ...]
+    right: SparseRows
     left_inv: SparseRows = field(repr=False, compare=False)
     right_inv: SparseRows = field(repr=False, compare=False)
-
-    @staticmethod
-    def _freeze(m: linalg.Mat) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(Fraction(x) for x in row) for row in m)
 
     @staticmethod
     def _check_shape(factor: linalg.Mat, n: int) -> None:
@@ -285,18 +318,18 @@ class FactoredSequence:
         weights = tuple(int(w) for w in weights)
         n = len(weights)
         cls._check_shape(left, n)
+        left = sparse_rows(left)
         left_inv = _inverse_rows(left)
         cls._check_shape(right, n)
-        return cls._of(left, weights, right, left_inv=left_inv)
+        return cls._of(left, weights, sparse_rows(right), left_inv=left_inv)
 
     @classmethod
-    def _of(cls, left, weights, right, left_inv=None, right_inv=None) -> "FactoredSequence":
+    def _of(cls, left: SparseRows, weights, right: SparseRows, left_inv=None, right_inv=None) -> "FactoredSequence":
         """The sequence of n x n factors.  An inverse not given is computed
         here, which raises NotInvertible for a singular factor."""
-        left, right = cls._freeze(left), cls._freeze(right)
         return cls(
             left,
-            tuple(int(w) for w in weights),
+            weights,
             right,
             _inverse_rows(left) if left_inv is None else left_inv,
             _inverse_rows(right) if right_inv is None else right_inv,
@@ -304,9 +337,8 @@ class FactoredSequence:
 
     @classmethod
     def diagonal(cls, weights) -> "FactoredSequence":
-        eye = linalg.identity(len(weights))
-        eye_rows = sparse_rows(eye)
-        return cls._of(eye, weights, eye, eye_rows, eye_rows)
+        eye = tuple(((i, Fraction(1)),) for i in range(len(weights)))
+        return cls(eye, tuple(int(w) for w in weights), eye, eye, eye)
 
     @classmethod
     def constant(cls, matrix) -> "FactoredSequence":
@@ -318,39 +350,23 @@ class FactoredSequence:
         return len(self.weights)
 
     def left_rows(self) -> linalg.Mat:
-        return [list(r) for r in self.left]
+        return _dense_rows(self.left)
 
     def right_rows(self) -> linalg.Mat:
-        return [list(r) for r in self.right]
+        return _dense_rows(self.right)
 
     def is_constant(self) -> bool:
         return all(w == self.weights[0] for w in self.weights)
 
     def matrix(self) -> ProjMatrix:
-        """b(t) as a projective Laurent matrix: entry (i, j) is the sum over k
-        of left_ik right_kj t^w_k, each t^w_k built (and its exponent
-        checked) once."""
-        powers = [LaurentScalar.t(w) for w in self.weights]
-        right = self.right
-        return ProjMatrix(
-            [
-                [
-                    rational_combination((a * right[k][j], powers[k]) for k, a in row if right[k][j])
-                    for j in range(self.dim)
-                ]
-                for row in sparse_rows(self.left)
-            ]
-        )
+        """b(t) as a projective Laurent matrix, each t^w_k built (and its
+        exponent checked) once."""
+        return ProjMatrix(factored_product(self.left, [LaurentScalar.t(w) for w in self.weights], self.right))
 
     def inverse(self) -> "FactoredSequence":
-        """right^-1 diag(t^-w) left^-1, from the stored inverses."""
-        n = self.dim
-        return FactoredSequence._of(
-            _dense_rows(self.right_inv, n),
-            tuple(-w for w in self.weights),
-            _dense_rows(self.left_inv, n),
-            left_inv=sparse_rows(self.right),
-            right_inv=sparse_rows(self.left),
+        """right^-1 diag(t^-w) left^-1: the stored factors and inverses swapped."""
+        return FactoredSequence(
+            self.right_inv, tuple(-w for w in self.weights), self.left_inv, self.right, self.left
         )
 
     def premultiply(self, const: linalg.Mat) -> "FactoredSequence":
@@ -359,7 +375,7 @@ class FactoredSequence:
         const = linalg.frac_rows(const)
         self._check_shape(const, self.dim)
         return FactoredSequence._of(
-            linalg.mat_mul(const, self.left_rows()), self.weights, self.right_rows(), right_inv=self.right_inv
+            sparse_rows(linalg.mat_mul(const, self.left_rows())), self.weights, self.right, right_inv=self.right_inv
         )
 
     def compose(self, other: "FactoredSequence") -> "FactoredSequence":
@@ -375,18 +391,18 @@ class FactoredSequence:
             shift = self.weights[0]
             c = linalg.mat_mul(self.left_rows(), self.right_rows())
             return FactoredSequence._of(
-                linalg.mat_mul(c, other.left_rows()),
+                sparse_rows(linalg.mat_mul(c, other.left_rows())),
                 tuple(w + shift for w in other.weights),
-                other.right_rows(),
+                other.right,
                 right_inv=other.right_inv,
             )
         if other.is_constant():
             shift = other.weights[0]
             c = linalg.mat_mul(other.left_rows(), other.right_rows())
             return FactoredSequence._of(
-                self.left_rows(),
+                self.left,
                 tuple(w + shift for w in self.weights),
-                linalg.mat_mul(self.right_rows(), c),
+                sparse_rows(linalg.mat_mul(self.right_rows(), c)),
                 left_inv=self.left_inv,
             )
         mid = linalg.mat_mul(self.right_rows(), other.left_rows())
@@ -404,31 +420,28 @@ class FactoredSequence:
         permuted = tuple(self.weights[i] for i in invert_permutation(perm))
         new_left = linalg.mat_mul(self.left_rows(), mid)
         return FactoredSequence._of(
-            new_left,
+            sparse_rows(new_left),
             tuple(p + w for p, w in zip(permuted, other.weights)),
-            other.right_rows(),
+            other.right,
             right_inv=other.right_inv,
         )
 
     # -- actions -------------------------------------------------------
 
     def conjugate(self, x) -> ProjMatrix:
-        """Ad_{b(t)} x = b(t) x b(t)^-1 for a rational (or Laurent) matrix x."""
-        if isinstance(x, ProjMatrix):
-            xr = x.rows
-        else:
-            xr = _to_laurent_rows(x)
+        """Ad_{b(t)} x = b(t) x b(t)^-1 for a rational n x n matrix x: Ad_R,
+        then t^(w_i - w_j) on entry (i, j), then Ad_L."""
         n = self.dim
-        r = lmat_from_rational(self.right_rows())
-        r_inv = lmat_from_rational(_dense_rows(self.right_inv, n))
-        l = lmat_from_rational(self.left_rows())
-        l_inv = lmat_from_rational(_dense_rows(self.left_inv, n))
-        y = lmat_mul(r, lmat_mul(xr, r_inv))
-        y = [
-            [y[i][j].shift(self.weights[i] - self.weights[j]) for j in range(n)]
-            for i in range(n)
-        ]
-        return ProjMatrix(lmat_mul(l, lmat_mul(y, l_inv)))
+        x = linalg.frac_rows(x)
+        if len(x) != n or any(len(row) != n for row in x):
+            raise DimError(f"conjugation by a sequence of dimension {n} needs a {n}x{n} matrix")
+        flat = {i * n + j: v for i, row in enumerate(x) for j, v in enumerate(row) if v}
+        [y] = conjugate_flat(self.right, self.right_inv, [flat], n)
+        w = self.weights
+        graded = {p: LaurentScalar.monomial(v, w[p // n] - w[p % n]) for p, v in y.items()}
+        [z] = conjugate_flat(self.left, self.left_inv, [graded], n)
+        zero = LaurentScalar.zero()
+        return ProjMatrix([[z.get(i * n + j, zero) for j in range(n)] for i in range(n)])
 
     def apply_to_point(self, point: ProjPoint | list) -> ProjPoint:
         """b(t) x as a projective point: the rational rows of right, the
@@ -436,11 +449,8 @@ class FactoredSequence:
         x = point.coords if isinstance(point, ProjPoint) else [lau(c) for c in point]
         if len(x) != self.dim:
             raise DimError(f"point has {len(x)} coordinates, sequence dimension is {self.dim}")
-        v = [
-            rational_combination((a, x[j]) for j, a in row).shift(w)
-            for row, w in zip(sparse_rows(self.right), self.weights)
-        ]
-        return ProjPoint([rational_combination((a, v[j]) for j, a in row) for row in sparse_rows(self.left)])
+        v = [rational_combination((a, x[j]) for j, a in row).shift(w) for row, w in zip(self.right, self.weights)]
+        return ProjPoint([rational_combination((a, v[j]) for j, a in row) for row in self.left])
 
 
 def point_limit(seq: FactoredSequence, point: ProjPoint | list) -> ProjPoint:

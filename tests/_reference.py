@@ -1,5 +1,6 @@
-"""Dense Gauss-Jordan references for the exact linear algebra, and the
-matrix commutator for the dense Lie oracles.
+"""Dense Gauss-Jordan references for the exact linear algebra, the matrix
+commutator for the dense Lie oracles, and the dense Laurent matrix product
+for the factored-sequence oracles.
 
 They share no code with ``projlim.linalg``, so the tests that check the one
 row elimination (``linalg.Echelon``) and the routines read off it, and the
@@ -8,6 +9,8 @@ independent elimination.
 """
 
 from fractions import Fraction
+
+from projlim.laurent import LaurentScalar
 
 
 def reference_rref(rows):
@@ -111,4 +114,19 @@ def reference_commutator(a, b):
                 if x:
                     for j in range(n):
                         out[i][j] += sign * x * y[j]
+    return out
+
+
+def lmat_mul(a, b):
+    """The product of two dense matrices of Laurent scalars, entry by entry."""
+    n, k, m = len(a), len(b), len(b[0])
+    out = [[LaurentScalar.zero() for _ in range(m)] for _ in range(n)]
+    for i in range(n):
+        for s in range(k):
+            c = a[i][s]
+            if c.is_zero():
+                continue
+            for j in range(m):
+                if not b[s][j].is_zero():
+                    out[i][j] = out[i][j] + c * b[s][j]
     return out

@@ -24,7 +24,7 @@ from projlim.errors import (
 from projlim.lie import (
     BracketTable,
     _echelon_by,
-    _graded_frame,
+    _limit_in_frame,
     _limit_morphism,
     _spans_permuted_po,
     LieAlgebraSpan,
@@ -994,6 +994,51 @@ class TestWorkBound:
         assert calls == {"_sparse_bracket": 288}
 
 
+class TestConjugationWork:
+    """The one conjugation, ``projective.conjugate_flat``, forms products only
+    for a factor that is not the identity, and a z / n+ split conjugates the
+    algebra into the diagonal frame once and never back out of it."""
+
+    @pytest.fixture
+    def conjugations(self, monkeypatch):
+        calls = []  # (factor, Fraction products formed)
+        original = lie_module.conjugate_flat
+        fraction_mul = Fraction.__mul__
+
+        def spy(g, ginv, vectors, m):
+            products = 0
+
+            def counted(a, b):
+                nonlocal products
+                products += 1
+                return fraction_mul(a, b)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(Fraction, "__mul__", counted)
+                out = original(g, ginv, vectors, m)
+            calls.append((g, products))
+            return out
+
+        monkeypatch.setattr(lie_module, "conjugate_flat", spy)
+        return calls
+
+    def test_sigma_chain_forms_no_conjugation_product(self, conjugations):
+        assert sigma_chain(4, 2, [2, 2, 0, 0, 0, -1]).all_verified
+        # Two steps and the final check each take a limit along a diagonal
+        # sequence: Ad_R and Ad_L by identity factors, no product formed.
+        assert len(conjugations) == 6
+        assert all(products == 0 for _, products in conjugations)
+
+    def test_z_and_nplus_conjugates_its_frame_once(self, conjugations):
+        left = [[1, 1, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 2, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 1, 1]]
+        seq = FactoredSequence.build(left, [4, -1, -1, -1, -1], permutation_matrix((1, 2, 3, 4, 0)))
+        z, nplus = z_and_nplus(build_po(((4, 1),)), seq)
+        assert (z.dim, nplus.dim) == (6, 4)
+        # One Ad_R of the basis, then Ad_L of z and of n+; no Ad_{L^-1}.
+        assert [g for g, _ in conjugations] == [seq.right, seq.left, seq.left]
+        assert all(products > 0 for _, products in conjugations)
+
+
 # -- reference dense eliminations: graded echelon, limit basis, match check ----
 
 
@@ -1053,9 +1098,10 @@ class TestSparseEchelonAgainstDense:
         for sig, seq in _limit_grid():
             alg = build_po(sig)
             m = alg.m
-            vectors, grade = _graded_frame(alg, seq)
+            vectors, grade, frame_limit = _limit_in_frame(alg, seq)
             dense_vectors, dense_grade = _frame(alg, seq)
             assert [_densify(v, m * m) for v in vectors] == dense_vectors and grade == dense_grade
+            assert [_densify(v, m * m) for v in frame_limit] == reference_limit_basis(dense_vectors, grade)
             for key in (grade, [g == 0 for g in grade], [g < 0 for g in grade]):
                 got = [(d, _densify(row, m * m)) for d, row in _echelon_by(vectors, key)]
                 assert got == reference_echelon_by(dense_vectors, key), (sig, seq)

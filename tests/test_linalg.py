@@ -220,8 +220,8 @@ class TestDenseRoutinesAgainstReference:
             premultiplied = FactoredSequence.diagonal(weights).premultiply(rows)
             for inverse_rows in (left.left_inv, right.right_inv, premultiplied.left_inv):
                 assert _dense_inverse(inverse_rows, n) == want
-            assert [list(row) for row in left.inverse().right] == want
-            assert [list(row) for row in right.inverse().left] == want
+            assert left.inverse().right_rows() == want
+            assert right.inverse().left_rows() == want
             assert _dense_inverse(left.inverse().right_inv, n) == rows
             assert _dense_inverse(right.inverse().left_inv, n) == rows
             assert left.inverse().inverse() == left

@@ -17,13 +17,12 @@ from projlim import (
 )
 from projlim.parsing import parse_matrix, parse_point, parse_sequence
 
-from _reference import reference_rank
+from _reference import lmat_mul, reference_inverse, reference_rank
 from projlim.projective import (
     FactoredSequence,
     _canonicalize,
     invert_permutation,
     lmat_from_rational,
-    lmat_mul,
     permutation_matrix,
     point_limit,
 )
@@ -353,3 +352,107 @@ class TestSequenceAgainstDenseProducts:
     def test_point_of_the_wrong_length_is_refused(self, coords):
         with pytest.raises(DimError, match="point has"):
             point_limit(FactoredSequence.diagonal([1, 0, 0]), coords)
+
+    @pytest.mark.parametrize("x", [[[1, 2], [3, 4]], [[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 1], [0, 0, 1]]])
+    def test_matrix_of_the_wrong_size_is_refused(self, x):
+        with pytest.raises(DimError, match="needs a 3x3 matrix"):
+            FactoredSequence.diagonal([1, 0, 0]).conjugate(x)
+
+    def test_conjugate(self):
+        """Ad_b x against L D R x R^-1 D^-1 L^-1, every factor dense."""
+        rng = random.Random(20261018)
+        entries = [Fraction(c) for c in (0, 0, 0, 1, -1, 2)] + [Fraction(1, 2), Fraction(-3, 4)]
+        checked = 0
+        for seq in sequence_grid():
+            n = seq.dim
+            zero = LaurentScalar.zero()
+            left, right = seq.left_rows(), seq.right_rows()
+            chain = [
+                lmat_from_rational(left),
+                [[LaurentScalar.t(seq.weights[i]) if i == j else zero for j in range(n)] for i in range(n)],
+                lmat_from_rational(right),
+                None,
+                lmat_from_rational(reference_inverse(right)),
+                [[LaurentScalar.t(-seq.weights[i]) if i == j else zero for j in range(n)] for i in range(n)],
+                lmat_from_rational(reference_inverse(left)),
+            ]
+            for _ in range(3):
+                x = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+                if not any(any(row) for row in x):
+                    x[0][0] = Fraction(1)
+                chain[3] = lmat_from_rational(x)
+                product = chain[0]
+                for factor in chain[1:]:
+                    product = lmat_mul(product, factor)
+                assert seq.conjugate(x).rows == reference_canonicalize(product), (seq, x)
+                checked += 1
+        assert checked == 216
+
+
+def _canonical_rows(rows, n):
+    """Whether rows are n tuples of (column, value) pairs with ascending
+    columns below n and nonzero Fraction values."""
+    return len(rows) == n and all(
+        isinstance(row, tuple)
+        and all(a < b for (a, _), (b, _) in zip(row, row[1:]))
+        and all(0 <= j < n and isinstance(x, Fraction) and x != 0 for j, x in row)
+        for row in rows
+    )
+
+
+def _dense(rows, n):
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, x in row:
+            out[i][j] = x
+    return out
+
+
+class TestSparseFactorStorage:
+    """Every constructor stores each factor and each inverse once, as
+    canonical sparse rows, so equality and hashing of those tuples is
+    equality of the factors and weights."""
+
+    @staticmethod
+    def pool():
+        grid = [seq for seq in sequence_grid() if seq.dim == 3][:8]
+        eye = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+        perm = permutation_matrix((1, 2, 0))
+        const = [[2, 1, 0], [0, 1, 0], [1, 0, -1]]
+        made = list(grid)
+        for w in ([1, 0, -1], [2, 2, 2], [0, -1, -1]):
+            made += [FactoredSequence.diagonal(w), FactoredSequence.build(eye, w, eye)]
+        made += [FactoredSequence.constant(perm), FactoredSequence.build(perm, [0, 0, 0], eye)]
+        made += [FactoredSequence.constant(const), FactoredSequence.diagonal([0, 0, 0]).premultiply(const)]
+        for seq in grid[:4]:
+            made += [seq.inverse(), seq.inverse().inverse(), seq.premultiply(const), seq.premultiply(eye)]
+            made += [FactoredSequence.constant(perm).compose(seq), seq.compose(FactoredSequence.constant(const))]
+        diag = FactoredSequence.diagonal([2, 0, -1])
+        made += [diag.compose(diag), diag.compose(FactoredSequence.diagonal([1, 1, 0]).premultiply(perm))]
+        made += [FactoredSequence.diagonal([4, 0, -2]), diag.premultiply(perm).compose(diag)]
+        return made
+
+    def test_constructors_leave_canonical_rows(self):
+        for seq in self.pool():
+            n = seq.dim
+            eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+            for rows in (seq.left, seq.right, seq.left_inv, seq.right_inv):
+                assert _canonical_rows(rows, n), seq
+            assert seq.left_rows() == _dense(seq.left, n) and seq.right_rows() == _dense(seq.right, n)
+            assert reference_inverse(seq.left_rows()) == _dense(seq.left_inv, n)
+            assert reference_inverse(seq.right_rows()) == _dense(seq.right_inv, n)
+            assert all(isinstance(w, int) for w in seq.weights)
+            # An identity factor is stored as the unit rows the conjugation skips.
+            assert seq.left_rows() != eye or seq.left == tuple(((i, 1),) for i in range(n))
+
+    def test_equality_is_equality_of_factors(self):
+        pool = self.pool()
+        equal_pairs = 0
+        for a in pool:
+            for b in pool:
+                same = (a.left_rows(), a.weights, a.right_rows()) == (b.left_rows(), b.weights, b.right_rows())
+                assert (a == b) == same
+                if same:
+                    assert hash(a) == hash(b)
+                    equal_pairs += a is not b
+        assert equal_pairs >= 20
