@@ -6,6 +6,9 @@ carries a schema version.  Any flag value may be ``@path`` to read the actual
 value from a file.  Exit codes: 0 on success, 1 on a domain error (signature
 mismatch, divergent limit, singular matrix, ...), 2 on a syntax error in an
 input expression.
+
+The argparse parser is built once per process, on the first ``main`` call,
+and reused by every later request; parsing leaves no state on it.
 """
 
 from __future__ import annotations
@@ -505,9 +508,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None  # built by the first main call
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     for key, value in vars(args).items():
         if isinstance(value, str):
             setattr(args, key, _expand_at(value))

@@ -24,10 +24,17 @@ matrices where a column of one meets a row of the other, or two table
 vectors where a key of ``_rows[a]``, a in the support of one, lies in the
 support of the other.  Every other pair brackets to zero, so the closure
 check, the series, the Killing form and the morphism checks skip it exactly.
+
+Each block algebra po(sig) is built once per process (``build_po``) and
+shared.  A conjugacy limit's closure is proven once: ``conjugacy_limit``
+checks it by building the limit's table, while a limit identified as
+Ad_P po(sig) by ``match_limit_geometry`` is closed already, because po(sig)
+is and conjugation by a permutation is a Lie automorphism.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -152,8 +159,8 @@ class LieAlgebraSpan:
         self._nonzero_basis = [_nonzero_rows(v, self.m) for v in flat]
         self._table: BracketTable | None = None
         self._from_echelon: dict[int, list[tuple[int, Fraction]]] | None = None
-        if check_closed and not self.is_closed():
-            raise NotClosed("span is not closed under the matrix commutator")
+        if check_closed:
+            self._closed()
 
     def _trace_free(self, x) -> Sparse:
         rows = linalg.frac_rows(x)
@@ -202,6 +209,12 @@ class LieAlgebraSpan:
             except NotClosed:
                 return False
         return True
+
+    def _closed(self) -> "LieAlgebraSpan":
+        """This span, or NotClosed when a bracket of basis elements leaves it."""
+        if not self.is_closed():
+            raise NotClosed("span is not closed under the matrix commutator")
+        return self
 
     def span_equals(self, other: "LieAlgebraSpan") -> bool:
         return self.m == other.m and self._echelon.rows == other._echelon.rows
@@ -471,14 +484,25 @@ def signature_str(sig: Signature) -> str:
 
 
 def build_po(sig, m: int | None = None) -> LieAlgebraSpan:
-    """The block algebra po(sig) in pgl_m(R).
+    """The block algebra po(sig) in pgl_m(R), built once per process.
 
     Basis order: for each block in order, the generators
     M_ab = E_ab - J_a J_b E_ba for a < b inside the block (sorted by (a, b));
     then all strictly-lower cross-block matrix units E_rc sorted row-major.
     J is the block form: -1 on the first p coordinates of a block, +1 after.
+
+    The signature is validated on every call; the span is then shared by
+    every request for the same normalized signature (a bounded cache that
+    holds all 455 signatures at m <= 7), so it must not be modified.  Only
+    its deterministic lazy caches, the bracket table and the coordinate map,
+    fill in as it is used.
     """
-    sig = validate_signature(sig, m)
+    return _po(validate_signature(sig, m))
+
+
+@functools.lru_cache(maxsize=512)
+def _po(sig: Signature) -> LieAlgebraSpan:
+    """The span of ``build_po`` for a normalized signature."""
     block = [k for k, (p, q) in enumerate(sig) for _ in range(p + q)]
     jdiag = [j for p, q in sig for j in [-1] * p + [1] * q]
     m = len(block)
@@ -513,14 +537,21 @@ def _limit_in_frame(alg: LieAlgebraSpan, seq: FactoredSequence) -> tuple[list[Sp
     return vectors, grade, [row for _, row in initial.canonical()]
 
 
+def _limit_span(alg: LieAlgebraSpan, seq: FactoredSequence) -> LieAlgebraSpan:
+    """The conjugacy limit of ``alg`` along ``seq``, its closure not checked."""
+    limit = _limit_in_frame(alg, seq)[2]
+    return LieAlgebraSpan._of(alg.m, conjugate_flat(seq.left, seq.left_inv, limit, alg.m), check_closed=False)
+
+
 def conjugacy_limit(alg: LieAlgebraSpan, seq: FactoredSequence) -> LieAlgebraSpan:
     """The t -> 0 limit of Ad_{b(t)} alg for a factored sequence b.
 
     The limit always has the same dimension as ``alg`` and is verified to be
-    bracket-closed.
+    bracket-closed here, by building its table of structure constants.
+    (``geometry.geometry_limit`` instead lets ``match_limit_geometry`` prove
+    closure: the limit it matches equals a permuted po(sig).)
     """
-    limit = _limit_in_frame(alg, seq)[2]
-    return LieAlgebraSpan._of(alg.m, conjugate_flat(seq.left, seq.left_inv, limit, alg.m))
+    return _limit_span(alg, seq)._closed()
 
 
 def z_and_nplus(

@@ -4,11 +4,13 @@ import contextlib
 import importlib.resources
 import io
 import json
+import random
 import time
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from projlim import cli
 from projlim.cli import main
 
 DS_SEQ = "diag(t^4,t^-1,t^-1,t^-1,t^-1)"
@@ -19,6 +21,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def request(argv):
+    """(exit code, stdout, stderr) of one ``main`` call, argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestLimit:
@@ -350,6 +363,56 @@ class TestPlumbing:
         assert code == 1
 
 
+class TestOneParserPerProcess:
+    """The parser is built by the first request and reused; no request
+    leaves state behind, so a request answers the same in any order."""
+
+    @staticmethod
+    def requests(seed):
+        rng = random.Random(seed)
+        pool = [
+            lambda: ["limit", "--algebra", "po((4,1))", "--seq", f"diag({','.join(f't^{rng.randint(-2, 2)}' for _ in range(5))})"],
+            lambda: ["classify", "--algebra", "po((1),(3,1))", "--seq", GALILEI_SEQ, "--points", "[1,2,3,4,5];[1,0,0,0,7]"],
+            lambda: ["invariants", "--algebra", rng.choice(("po((3,1))", "po((2),(2,1))")), "--format", "json"],
+            lambda: ["sigma-chain", "--signature", "(3,1)", "--weights", "1,0,0,-1"],
+            lambda: ["schur", "--pair", rng.choice(("([1],[])", "([1,1],[])", "([2],[1])"))],
+            lambda: ["limit", "--algebra", "po((4,1))", "--seq", "diag(t,1)"],  # ProjlimError: exit 1
+            lambda: ["limit", "--algebra", "po((4,1)", "--seq", DS_SEQ],  # ParseError: exit 2
+            lambda: ["limit", "--algebra", "po((4,1))"],  # argparse: SystemExit(2)
+            lambda: ["schur", "--pair", "([1],[])", "--format", "xml"],  # argparse: SystemExit(2)
+        ]
+        return [rng.choice(pool)() for _ in range(16)]
+
+    def test_parser_is_built_once_over_twenty_requests(self, monkeypatch):
+        built = []
+        original = cli._build_parser
+
+        def counted():
+            built.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "_build_parser", counted)
+        codes = [request(argv)[0] for argv in self.requests(7) + self.requests(8)[:4]]
+        assert len(codes) == 20 and {0, 1, 2} <= set(codes)
+        assert len(built) == 1
+
+    def test_requests_answer_the_same_in_either_order(self, monkeypatch):
+        argvs = self.requests(21)
+        forward = [request(argv) for argv in argvs]
+        backward = [request(argv) for argv in reversed(argvs)][::-1]
+        assert forward == backward
+        fresh = []
+        for argv in argvs:
+            monkeypatch.setattr(cli, "_parser", None)
+            fresh.append(request(argv))
+        assert fresh == forward
+        codes = [code for code, _, _ in forward]
+        assert {0, 1, 2} <= set(codes)
+        assert any(err.startswith("usage: projlim") for _, _, err in forward)
+        assert any(err.startswith("syntax error") for _, _, err in forward)
+
+
 # -- fuzzing argument text -------------------------------------------------------
 
 # Inserted or substituted characters carry no digits, and the grammar never
@@ -537,14 +600,9 @@ def sigma_chain_argv(draw):
 
 
 def run_isolated(argv):
-    out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the command line
-            code = exc.code
-    return code, err.getvalue(), time.perf_counter() - start
+    code, _, err = request(argv)
+    return code, err, time.perf_counter() - start
 
 
 class TestFuzz:

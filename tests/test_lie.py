@@ -930,12 +930,13 @@ class TestOneBracketPassPerSpan:
         return calls
 
     def test_geometry_limit_then_invariants(self, bracket_calls):
+        """The match proves the limit closed, so ``geometry_limit`` forms no
+        commutator; the invariants then build the one table."""
         deg = geometry_limit(((5, 1),), parse_sequence("diag(t,t^2,1,1,t^-1,1)", 6))
-        formed = list(bracket_calls)
+        assert bracket_calls == []
         invariant_profile(deg.limit)
-        assert bracket_calls == formed
         index = {id(rows): k for k, rows in enumerate(deg.limit._nonzero_basis)}
-        pairs = [(index[a], index[b]) for a, b in formed]
+        pairs = [(index[a], index[b]) for a, b in bracket_calls]
         assert len(pairs) == len(set(pairs))
         n = deg.limit.dim
         assert set(pairs) == _support_partners(deg.limit) and len(pairs) < n * (n - 1) // 2
@@ -954,10 +955,12 @@ class TestWorkBound:
     """Call counts of the Lie core for fixed inputs, so that a return to
     all-pairs products fails on any host: an m = 7 limit with its match and
     invariants, and an m = 6 sigma chain.  No factor is inverted or ranked
-    densely along either."""
+    densely along either.  The shared po(sig) spans are built afresh, so a
+    table that an earlier test filled in is counted again."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        lie_module._po.cache_clear()
         counts = {}
 
         def counted(owner, name):
@@ -1079,11 +1082,11 @@ def _densify(v, size):
     return out
 
 
-def _limit_grid():
+def _limit_grid(seed=20261021, counts=((3, 8), (4, 8), (5, 6), (6, 4))):
     """Seeded limits of po(sig) at m = 3-6 along sequences whose factors are
     permutations or dense +-1 matrices."""
-    rng = random.Random(20261021)
-    for m, count in ((3, 8), (4, 8), (5, 6), (6, 4)):
+    rng = random.Random(seed)
+    for m, count in counts:
         signatures = enumerate_signatures(m)
         for k in range(count):
             factors = [
@@ -1303,3 +1306,73 @@ class TestSparseSpanConstruction:
                 assert _same_span_data(span, LieAlgebraSpan(span.m, span.basis, check_closed=False)), (sig, seq)
             limits += 1
         assert limits >= 50 and splits >= 10, (limits, splits)
+
+
+# -- work done once per process: shared po(sig), closure proven by the match --
+
+
+class TestSharedBlockAlgebras:
+    """``build_po`` validates every call and then returns the one span of the
+    normalized signature, which must stay equal to a freshly built one and
+    closed: closure proofs by ``match_limit_geometry`` rest on that."""
+
+    def test_every_spelling_of_a_signature_gives_the_same_span(self):
+        sig = ((1, 0), (3, 1))
+        assert build_po(sig) is build_po(list(sig)) is build_po([list(b) for b in sig]) is build_po(((1,), (3, 1)), 5)
+        assert build_po((4, 1)) is build_po(((4, 1),)) is build_po([[4, 1]])
+        with pytest.raises(SignatureError):
+            build_po(sig, 6)
+
+    def test_shared_spans_equal_fresh_ones_and_are_closed(self):
+        for m in range(1, 7):
+            for sig in enumerate_signatures(m):
+                shared, fresh = build_po(sig), lie_module._po.__wrapped__(sig)
+                assert shared is not fresh
+                assert shared._flat == fresh._flat and shared._echelon.rows == fresh._echelon.rows, sig
+                assert shared.is_closed() and shared.structure_constants() == fresh.structure_constants(), sig
+
+
+class TestClosureProvenByMatch:
+    """``geometry_limit`` builds no bracket table: the match identifies its
+    limit as Ad_P po(sig), which is closed.  A limit that does not match is
+    checked for closure before NoMatch is raised."""
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        spans = []
+        original = LieAlgebraSpan._bracket_table
+
+        def counted(self):
+            spans.append(self)
+            return original(self)
+
+        monkeypatch.setattr(LieAlgebraSpan, "_bracket_table", counted)
+        return spans
+
+    def test_geometry_limit_equals_the_checked_limit(self, tables):
+        matched = unmatched = 0
+        for sig, seq in _limit_grid(21, ((3, 12), (4, 12), (5, 12), (6, 12))):
+            tables.clear()
+            try:
+                deg = geometry_limit(sig, seq)
+            except NoMatch:
+                assert len(tables) == 1, (sig, seq)  # the closure check
+                conjugacy_limit(build_po(sig), seq)
+                unmatched += 1
+                continue
+            assert tables == [], (sig, seq)
+            checked = conjugacy_limit(build_po(sig), seq)
+            assert deg.limit.span_equals(checked) and deg.limit.is_closed(), (sig, seq)
+            assert deg.limit.structure_constants() == checked.structure_constants(), (sig, seq)
+            matched += 1
+        assert matched >= 12 and unmatched >= 12, (matched, unmatched)
+
+    def test_a_span_that_is_not_closed_raises_not_closed(self, monkeypatch):
+        from projlim import geometry as geometry_module
+
+        not_closed = LieAlgebraSpan(3, [X1, X2], check_closed=False)
+        monkeypatch.setattr(geometry_module, "_limit_span", lambda alg, seq: not_closed)
+        with pytest.raises(NoMatch):
+            match_limit_geometry(not_closed)
+        with pytest.raises(NotClosed):
+            geometry_limit(((3, 0),), FactoredSequence.diagonal([0, 0, 0]))
