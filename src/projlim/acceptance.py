@@ -51,6 +51,7 @@ from .parsing import (
 )
 from .projective import FactoredSequence, ProjMatrix, ProjPoint, lmat_from_rational
 from .young import (
+    _partitions_of,
     branch_to_lorentz,
     diagram_str,
     exterior_power_spins,
@@ -84,12 +85,11 @@ def _matrix(m: int, entries: dict[tuple[int, int], int]) -> list[list[Fraction]]
 
 def _table(dim: int, entries: dict[tuple[int, int], dict[int, int]]) -> BracketTable:
     """Bracket table from sparse structure constants [e_i, e_j] = sum c^k e_k."""
-    c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    brackets = {}
     for (i, j), image in entries.items():
-        for k, value in image.items():
-            c[i][j][k] = Fraction(value)
-            c[j][i][k] = Fraction(-value)
-    return BracketTable(c)
+        brackets[i, j] = image
+        brackets[j, i] = {k: -value for k, value in image.items()}
+    return BracketTable._from_brackets(dim, brackets)
 
 
 # Rotation generators of the 3-dimensional orthogonal algebra ...
@@ -304,21 +304,7 @@ def check_schur_dimensions() -> CheckResult:
 
 
 def _diagrams_up_to(n: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = [()]
-    for total in range(1, n + 1):
-        parts: list[tuple[int, ...]] = []
-
-        def extend(prefix: tuple[int, ...], remaining: int) -> None:
-            cap = prefix[-1] if prefix else remaining
-            for first in range(min(cap, remaining), 0, -1):
-                if first == remaining:
-                    parts.append(prefix + (first,))
-                else:
-                    extend(prefix + (first,), remaining - first)
-
-        extend((), total)
-        out.extend(parts)
-    return out
+    return [lam for total in range(n + 1) for lam in _partitions_of(total)]
 
 
 def check_lorentz_branching() -> CheckResult:

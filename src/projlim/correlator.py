@@ -11,6 +11,7 @@ limiting correlator can still depend on.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,7 +26,7 @@ from .geometry import (
 )
 from .laurent import LaurentScalar
 from .lie import LieAlgebraSpan, Signature, truncated_exp, validate_signature
-from .linalg import Echelon, Mat, frac_rows, identity, inverse, mat_mul, pivot_inverse, transpose
+from .linalg import Mat, frac_rows, identity, inverse, mat_mul, pivot_inverse, transpose
 from .projective import (
     FactoredSequence,
     ProjMatrix,
@@ -187,44 +188,30 @@ def _sparse_columns(matrix) -> list[dict[int, object]]:
     return out
 
 
-def _schur_side(pair: DiagramPair) -> tuple[tuple[int, ...], bool]:
-    """Single-sided schur data: (diagram, dual?).  Mixed pairs are refused."""
-    lam, lam_bar = pair
-    if lam and lam_bar:
-        raise TooLarge(
-            "mixed diagram pairs need the traceless composite module; "
-            "only single-sided schur tags are supported"
-        )
-    if lam_bar:
-        return lam_bar, True
-    return lam, False
-
-
 class _SchurAction:
     """Induced action of 5x5 matrices on the symmetrizer image of a diagram.
 
-    Each basis column is the Young symmetrizer applied to one tensor
-    e_{j1...jp}; the symmetrizer only permutes tensor slots, so every term of
-    the column has the same index multiset {j1, ..., jp}, kept in
+    The basis is ``young.symmetrizer_basis`` as built: sparse columns, each
+    the Young symmetrizer applied to one tensor e_{j1...jp}, and their
+    echelon pivots.  The symmetrizer only permutes tensor slots, so every
+    term of a column has the same index multiset {j1, ..., jp}, kept in
     ``multisets``.  The basis is therefore a weight basis: a diagonal matrix
     diag(t^w) acts on column k by t^(w_j1 + ... + w_jp), and only rational
-    factors need the tensor action (``factored_matrix``).
+    factors need the tensor action (``factored_matrix``).  ``_schur_module``
+    checks that g is 5x5.
     """
 
     def __init__(self, lam: tuple[int, ...]):
-        basis, tuples = symmetrizer_basis(lam)
-        self.dim = len(basis[0])
+        columns, pivots, tuples = symmetrizer_basis(lam)
+        self.dim = len(columns)
         self.index_of = {tup: k for k, tup in enumerate(tuples)}
         self.tuples = tuples
-        self.basis_cols = _sparse_columns(basis)
-        self.multisets = [tuple(sorted(tuples[next(iter(col))])) for col in self.basis_cols]
-        echelon = Echelon()
-        for col in self.basis_cols:
-            echelon.insert(col)
+        self.basis_cols = columns
+        self.multisets = [tuple(sorted(tuples[next(iter(col))])) for col in columns]
         # The coordinates each pivot tensor index feeds, with their nonzero
         # weights.  Images under g tensor p stay in the symmetrizer image, so
         # the other indices feed none.
-        self.coord_cols = pivot_inverse(self.basis_cols, list(echelon.rows))
+        self.coord_cols = pivot_inverse(columns, pivots)
 
     def _tensor_image(self, g_cols: list[dict[int, object]], col: dict[int, object]):
         """Apply g tensor p to one sparse basis column."""
@@ -249,8 +236,6 @@ class _SchurAction:
     def matrix_of(self, g):
         """Matrix of the induced action of the 5 x 5 matrix g (d x d), over
         the ring of g's entries (rationals or Laurent scalars)."""
-        if len(g) != DIM_FUND or any(len(row) != DIM_FUND for row in g):
-            raise DimError(f"schur tags act on {DIM_FUND}x{DIM_FUND} matrices only")
         zero = LaurentScalar.zero() if isinstance(g[0][0], LaurentScalar) else Fraction(0)
         g_cols = _sparse_columns(g)
         columns = []
@@ -289,13 +274,25 @@ class _SchurAction:
         return factored_product(outer_rows, powers, inner_rows)
 
 
-_SCHUR_CACHE: Dict[tuple[int, ...], _SchurAction] = {}
-
-
+@functools.cache
 def _schur_action(lam: tuple[int, ...]) -> _SchurAction:
-    if lam not in _SCHUR_CACHE:
-        _SCHUR_CACHE[lam] = _SchurAction(lam)
-    return _SCHUR_CACHE[lam]
+    return _SchurAction(lam)
+
+
+def _schur_module(rep: RepTag, n: int) -> tuple[_SchurAction, bool]:
+    """The action of a schur tag on n x n matrices, and whether the tag is
+    dual (its diagram on the contravariant side).  Refused, in this order: a
+    mixed pair, a diagram over the symmetrizer cap, n != 5."""
+    lam, lam_bar = rep.pair
+    if lam and lam_bar:
+        raise TooLarge(
+            "mixed diagram pairs need the traceless composite module; "
+            "only single-sided schur tags are supported"
+        )
+    action = _schur_action(lam_bar or lam)
+    if n != DIM_FUND:
+        raise DimError(f"schur tags act on {DIM_FUND}x{DIM_FUND} matrices only")
+    return action, bool(lam_bar)
 
 
 def rep_matrix(rep: RepTag, g: Mat) -> Mat:
@@ -312,17 +309,17 @@ def rep_matrix(rep: RepTag, g: Mat) -> Mat:
         return g
     if rep.kind == "right_action":
         return g_inv
-    lam, dual = _schur_side(rep.pair)
-    base = transpose(g_inv) if dual else g
-    return _schur_action(lam).matrix_of(base)
+    action, dual = _schur_module(rep, len(g))
+    return action.matrix_of(transpose(g_inv) if dual else g)
 
 
 def rho_infinity(rep: RepTag, b: FactoredSequence) -> ProjMatrix:
     """Canonical t->0 limit of rho(b(t)^-1).
 
     fundamental: limit of b^-1; right_action: limit of b itself; schur tags:
-    the induced matrix on the symmetrizer image (single-sided, <= 3 boxes;
-    the dual side uses the transpose of b).  For a schur tag rho is a
+    the induced matrix on the symmetrizer image (the dual side uses the
+    transpose of b); ``_schur_module`` refuses a mixed pair, a diagram of
+    more than 3 boxes and b of dimension other than 5.  For a schur tag rho is a
     homomorphism, so with b = L diag(t^w) R the matrix is
     rho(R^-1) rho(diag(t^-w)) rho(L^-1), or rho(R^T) rho(diag(t^w)) rho(L^T)
     on the dual side; the diagonal factor acts diagonally on the weight
@@ -339,10 +336,7 @@ def rho_infinity(rep: RepTag, b: FactoredSequence) -> ProjMatrix:
         return b.inverse().matrix()
     if rep.kind == "right_action":
         return b.matrix()
-    lam, dual = _schur_side(rep.pair)
-    action = _schur_action(lam)
-    if b.dim != DIM_FUND:
-        raise DimError(f"schur tags act on {DIM_FUND}x{DIM_FUND} matrices only")
+    action, dual = _schur_module(rep, b.dim)
     if dual:  # b^T = R^T diag(t^w) L^T
         outer, weights, inner = transpose(b.right_rows()), b.weights, transpose(b.left_rows())
     else:  # b^-1 = R^-1 diag(t^-w) L^-1
@@ -670,8 +664,7 @@ def rep_limit_commute_check(
                 lmat_from_rational(inverse(conj_pm.limit().constant_rows()))
             )
         else:
-            lam, dual = _schur_side(rep.pair)
-            action = _schur_action(lam)
+            action, dual = _schur_module(rep, b.dim)
             base_laurent = transpose(conj_pm.rows) if dual else conj_pm.rows
             lhs = ProjMatrix(action.matrix_of(base_laurent)).limit()
             limit_rows = conj_pm.limit().constant_rows()

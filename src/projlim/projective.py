@@ -381,40 +381,34 @@ class FactoredSequence:
     def compose(self, other: "FactoredSequence") -> "FactoredSequence":
         """The product sequence self(t) * other(t), kept in factored form.
 
-        Works whenever the middle product right_1 * left_2 is monomial (one
-        nonzero entry per row and column), e.g. for diagonal sequences or
-        permutation/constant factors; raises NotFactorable otherwise.
+        Works whenever one of the two is constant or the middle product
+        mid = right_1 * left_2 is monomial (one nonzero entry per row and
+        column), e.g. for diagonal sequences or permutation factors; raises
+        NotFactorable otherwise.  mid is formed once in every case.
         """
         if self.dim != other.dim:
             raise NotFactorable("dimension mismatch")
+        mid = linalg.mat_mul(self.right_rows(), other.left_rows())
+        n = self.dim
         if self.is_constant():
-            shift = self.weights[0]
-            c = linalg.mat_mul(self.left_rows(), self.right_rows())
-            return FactoredSequence._of(
-                sparse_rows(linalg.mat_mul(c, other.left_rows())),
-                tuple(w + shift for w in other.weights),
-                other.right,
-                right_inv=other.right_inv,
-            )
-        if other.is_constant():
+            perm = list(range(n))  # t^s commutes with any mid
+        elif other.is_constant():
             shift = other.weights[0]
-            c = linalg.mat_mul(other.left_rows(), other.right_rows())
             return FactoredSequence._of(
                 self.left,
                 tuple(w + shift for w in self.weights),
-                sparse_rows(linalg.mat_mul(self.right_rows(), c)),
+                sparse_rows(linalg.mat_mul(mid, other.right_rows())),
                 left_inv=self.left_inv,
             )
-        mid = linalg.mat_mul(self.right_rows(), other.left_rows())
-        n = self.dim
-        perm = [-1] * n  # column of the unique nonzero entry in each row
-        for i in range(n):
-            nz = [j for j in range(n) if mid[i][j] != 0]
-            if len(nz) != 1:
+        else:
+            perm = [-1] * n  # column of the unique nonzero entry in each row
+            for i in range(n):
+                nz = [j for j in range(n) if mid[i][j] != 0]
+                if len(nz) != 1:
+                    raise NotFactorable("middle factor is not monomial; product has no factored form")
+                perm[i] = nz[0]
+            if sorted(perm) != list(range(n)):
                 raise NotFactorable("middle factor is not monomial; product has no factored form")
-            perm[i] = nz[0]
-        if sorted(perm) != list(range(n)):
-            raise NotFactorable("middle factor is not monomial; product has no factored form")
         # diag(t^w1) * mid = mid * diag(t^{w1 permuted}) since mid has a single
         # nonzero entry per row i in column perm[i].
         permuted = tuple(self.weights[i] for i in invert_permutation(perm))

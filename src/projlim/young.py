@@ -15,6 +15,11 @@ the tally over lam/mu (c^lam_{mu,nu} = c^lam_{nu,mu}), and the product
 s_lam * s_mu the tally over lam * mu, with mu set north-east of lam
 (s_{lam * mu} = s_lam * s_mu).  Their work is capped by ``_LR_CAP``.
 
+The Young symmetrizer of a diagram of at most 3 boxes has one sparse weight
+basis of its image on the tensor power of C^5 (``symmetrizer_basis``): the
+symmetrized tensors c e_T that raise the rank of one ``Echelon``, which are
+the pivot columns of the symmetrizer's matrix.  That matrix is never formed.
+
 Diagrams are tuples of weakly decreasing positive row lengths; ``()`` denotes
 the empty diagram.  Half-integer spins are carried as doubled integers
 internally and surfaced as exact :class:`fractions.Fraction` values.
@@ -29,6 +34,7 @@ from math import factorial
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import DimError, NotColumnOnly, ShapeError, TooLarge
+from .linalg import Echelon
 
 __all__ = [
     "Diagram",
@@ -53,7 +59,6 @@ __all__ = [
     "statistics",
     "IrreducibilityVerdict",
     "is_poincare_irreducible",
-    "symmetrizer_matrix",
     "symmetrizer_basis",
     "symmetrizer_image_dim",
     "tensor_power_decompose",
@@ -511,7 +516,7 @@ def is_poincare_irreducible(pair: Sequence[Iterable[int]]) -> IrreducibilityVerd
 
 
 # ---------------------------------------------------------------------------
-# Young symmetrizers on small tensor powers (oracle-grade construction)
+# Young symmetrizers on small tensor powers: one sparse weight basis
 # ---------------------------------------------------------------------------
 
 
@@ -543,11 +548,16 @@ def _group_permutations(groups: list[list[int]], p: int) -> list[tuple[tuple[int
     return perms
 
 
-def symmetrizer_matrix(lam: Iterable[int]) -> tuple[list[list[Fraction]], list[tuple[int, ...]]]:
-    """Matrix of the Young symmetrizer c = (row symmetrize) o (column
-    antisymmetrize) on (C^5) tensor power boxes(lam), together with the
-    ordered list of index tuples labeling the tensor basis.
+def symmetrizer_basis(lam: Iterable[int]) -> tuple[list[Dict[int, Fraction]], list[int], list[tuple[int, ...]]]:
+    """A rational weight basis of the image of the Young symmetrizer
+    c = (row symmetrize) o (column antisymmetrize) on (C^5) tensor power
+    boxes(lam): sparse columns {flat index: value}, the ``Echelon`` pivots
+    they add, and the ordered index tuples (flat index k is ``tuples[k]``).
 
+    c e_T is kept exactly when it raises the rank of one ``Echelon``, T in
+    order; a column is an RREF pivot exactly when it is not in the span of
+    the columns before it, so these are the pivot columns of c's matrix.  c
+    only permutes the slots of T, so each column is a weight vector.
     Capped at 3 boxes (the 125-dimensional cube).
     """
     lam = validate_diagram(lam)
@@ -556,53 +566,39 @@ def symmetrizer_matrix(lam: Iterable[int]) -> tuple[list[list[Fraction]], list[t
         raise TooLarge(f"symmetrizer construction is capped at {_SYMMETRIZER_CAP} boxes")
     tuples = list(itertools.product(range(DIM_FUND), repeat=p))
     index_of = {tup: k for k, tup in enumerate(tuples)}
-    dim = DIM_FUND ** p
-    if p == 0:
-        return [[Fraction(1)]], tuples
-    cells = _diagram_cells(lam)
-    number = {cell: k for k, cell in enumerate(cells)}
-    rows = [
-        [number[(r, c)] for c in range(row_len)] for r, row_len in enumerate(lam)
-    ]
-    cols_shape = conjugate_diagram(lam)
+    number = {cell: k for k, cell in enumerate(_diagram_cells(lam))}
+    rows = [[number[(r, c)] for c in range(row_len)] for r, row_len in enumerate(lam)]
     cols = [
-        [number[(r, c)] for r in range(col_len)] for c, col_len in enumerate(cols_shape)
+        [number[(r, c)] for r in range(col_len)]
+        for c, col_len in enumerate(conjugate_diagram(lam))
     ]
     row_perms = _group_permutations(rows, p)
     col_perms = _group_permutations(cols, p)
 
-    # Apply b (antisymmetrize columns with signs), then a (symmetrize rows).
-    matrix = [[Fraction(0)] * dim for _ in range(dim)]
+    echelon = Echelon()
+    columns: list[Dict[int, Fraction]] = []
     for tup in tuples:
-        j = index_of[tup]
+        # Apply b (antisymmetrize columns with signs), then a (symmetrize rows).
         b_image: Dict[tuple[int, ...], int] = {}
         for perm, sign in col_perms:
             moved = tuple(tup[perm[k]] for k in range(p))
             b_image[moved] = b_image.get(moved, 0) + sign
+        image: Dict[int, int] = {}
         for mid, coeff in b_image.items():
             if coeff == 0:
                 continue
             for perm, _ in row_perms:
-                moved = tuple(mid[perm[k]] for k in range(p))
-                matrix[index_of[moved]][j] += coeff
-    return matrix, tuples
-
-
-def symmetrizer_basis(lam: Iterable[int]) -> tuple[list[list[Fraction]], list[tuple[int, ...]]]:
-    """A rational basis of the symmetrizer image: the pivot columns of the
-    symmetrizer matrix, returned as a (5^p) x d column matrix."""
-    from .linalg import rref
-
-    matrix, tuples = symmetrizer_matrix(lam)
-    _, pivots = rref(matrix)
-    basis = [[row[j] for j in pivots] for row in matrix]
-    return basis, tuples
+                flat = index_of[tuple(mid[perm[k]] for k in range(p))]
+                image[flat] = image.get(flat, 0) + coeff
+        column = {flat: Fraction(x) for flat, x in sorted(image.items()) if x}
+        if echelon.insert(column):
+            columns.append(column)
+    return columns, list(echelon.rows), tuples
 
 
 def symmetrizer_image_dim(lam: Iterable[int], on_power: int) -> int:
-    """Rank of the Young symmetrizer acting on (C^5) tensor power ``on_power``.
-
-    Exact brute-force construction, capped at 3 boxes.
+    """Rank of the Young symmetrizer acting on (C^5) tensor power ``on_power``:
+    the number of columns of :func:`symmetrizer_basis`, capped at 3 boxes.
 
     >>> symmetrizer_image_dim((2,), 2)
     15
@@ -613,8 +609,7 @@ def symmetrizer_image_dim(lam: Iterable[int], on_power: int) -> int:
     p = boxes(lam)
     if p != on_power:
         raise DimError(f"diagram has {p} boxes but the power is {on_power}")
-    basis, _ = symmetrizer_basis(lam)
-    return len(basis[0]) if basis else 0
+    return len(symmetrizer_basis(lam)[0])
 
 
 def _hook_lengths(lam: Diagram) -> list[int]:

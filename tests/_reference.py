@@ -1,6 +1,7 @@
 """Dense Gauss-Jordan references for the exact linear algebra, the matrix
-commutator for the dense Lie oracles, and the dense Laurent matrix product
-for the factored-sequence oracles.
+commutator for the dense Lie oracles, the dense Laurent matrix product for
+the factored-sequence oracles, and the dense Young symmetrizer matrix for
+the symmetrizer-basis oracles.
 
 They share no code with ``projlim.linalg``, so the tests that check the one
 row elimination (``linalg.Echelon``) and the routines read off it, and the
@@ -8,9 +9,21 @@ dense oracles of the Lie core and the correlator, compare against an
 independent elimination.
 """
 
+import itertools
 from fractions import Fraction
+from typing import Dict, Iterable
 
+from projlim.errors import TooLarge
 from projlim.laurent import LaurentScalar
+from projlim.young import (
+    _SYMMETRIZER_CAP,
+    DIM_FUND,
+    _diagram_cells,
+    _group_permutations,
+    boxes,
+    conjugate_diagram,
+    validate_diagram,
+)
 
 
 def reference_rref(rows):
@@ -130,3 +143,48 @@ def lmat_mul(a, b):
                 if not b[s][j].is_zero():
                     out[i][j] = out[i][j] + c * b[s][j]
     return out
+
+
+def reference_symmetrizer_matrix(lam: Iterable[int]) -> tuple[list[list[Fraction]], list[tuple[int, ...]]]:
+    """Matrix of the Young symmetrizer c = (row symmetrize) o (column
+    antisymmetrize) on (C^5) tensor power boxes(lam), together with the
+    ordered list of index tuples labeling the tensor basis.
+
+    Capped at 3 boxes (the 125-dimensional cube).
+    """
+    lam = validate_diagram(lam)
+    p = boxes(lam)
+    if p > _SYMMETRIZER_CAP:
+        raise TooLarge(f"symmetrizer construction is capped at {_SYMMETRIZER_CAP} boxes")
+    tuples = list(itertools.product(range(DIM_FUND), repeat=p))
+    index_of = {tup: k for k, tup in enumerate(tuples)}
+    dim = DIM_FUND ** p
+    if p == 0:
+        return [[Fraction(1)]], tuples
+    cells = _diagram_cells(lam)
+    number = {cell: k for k, cell in enumerate(cells)}
+    rows = [
+        [number[(r, c)] for c in range(row_len)] for r, row_len in enumerate(lam)
+    ]
+    cols_shape = conjugate_diagram(lam)
+    cols = [
+        [number[(r, c)] for r in range(col_len)] for c, col_len in enumerate(cols_shape)
+    ]
+    row_perms = _group_permutations(rows, p)
+    col_perms = _group_permutations(cols, p)
+
+    # Apply b (antisymmetrize columns with signs), then a (symmetrize rows).
+    matrix = [[Fraction(0)] * dim for _ in range(dim)]
+    for tup in tuples:
+        j = index_of[tup]
+        b_image: Dict[tuple[int, ...], int] = {}
+        for perm, sign in col_perms:
+            moved = tuple(tup[perm[k]] for k in range(p))
+            b_image[moved] = b_image.get(moved, 0) + sign
+        for mid, coeff in b_image.items():
+            if coeff == 0:
+                continue
+            for perm, _ in row_perms:
+                moved = tuple(mid[perm[k]] for k in range(p))
+                matrix[index_of[moved]][j] += coeff
+    return matrix, tuples

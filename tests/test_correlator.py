@@ -4,6 +4,7 @@ import functools
 import importlib.resources
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projlim import correlator as correlator_module
-from projlim import laurent
+from projlim import laurent, linalg
 from projlim.errors import DimError, ExponentOverflow, NotInvertible, ProjlimError, TooLarge
 from projlim.correlator import (
     FUNDAMENTAL,
@@ -33,9 +34,8 @@ from projlim.lie import build_po
 from projlim.linalg import identity, mat_mul, transpose
 from projlim.parsing import parse_sequence
 from projlim.projective import FactoredSequence, ProjMatrix, permutation_matrix
-from projlim.young import symmetrizer_basis
 
-from _reference import reference_inverse, reference_rank
+from _reference import reference_inverse, reference_rank, reference_rref, reference_symmetrizer_matrix
 
 FLAT = ((1, 0), (3, 1))
 DS_SEQ = parse_sequence("diag(t^4,t^-1,t^-1,t^-1,t^-1)")
@@ -301,7 +301,12 @@ def _dense_sparse_columns(matrix):
 
 @functools.cache
 def _dense_setup(lam):
-    basis, tuples = symmetrizer_basis(lam)
+    """The pivot columns of the dense symmetrizer matrix, as a 5^p x d
+    matrix, found by the dense Gauss-Jordan (no code shared with the sparse
+    builder), the index tuples and a dense left inverse of the basis."""
+    matrix, tuples = reference_symmetrizer_matrix(lam)
+    _, pivots = reference_rref(matrix)
+    basis = [[row[j] for j in pivots] for row in matrix]
     left_inverse = mat_mul(reference_inverse(mat_mul(transpose(basis), basis)), transpose(basis))
     return basis, tuples, left_inverse
 
@@ -404,7 +409,7 @@ def _column_exponents(lam, dual, b):
     """The exponent of t on each symmetrizer basis column under the diagonal
     factor of b^-1 (of b^T on the dual side), less the least of them: the
     exponents of the canonical rho-infinity."""
-    basis, tuples = symmetrizer_basis(lam)
+    basis, tuples, _ = _dense_setup(lam)
     signed = b.weights if dual else [-w for w in b.weights]
     out = []
     for j in range(len(basis[0])):
@@ -481,6 +486,93 @@ class TestSchurActionAgainstReference:
             assert surviving_components(rep, rho) == reference_surviving(rep, rho)
 
 
+class TestSchurBasisBuild:
+    """Building a schur action makes one elimination of the symmetrized
+    tensors and never a dense symmetrizer: no ``linalg.rref`` and no
+    ``linalg.zeros`` call (watched by code object, so an import under
+    another name is seen too)."""
+
+    def test_one_sparse_elimination_per_diagram(self, monkeypatch):
+        watched = {linalg.rref.__code__: "rref", linalg.zeros.__code__: "zeros"}
+        dense_calls = []
+        counts = {"echelons": 0, "inserts": 0}
+        init, insert = linalg.Echelon.__init__, linalg.Echelon.insert
+
+        def counted_init(self, order=None):
+            counts["echelons"] += 1
+            init(self, order)
+
+        def counted_insert(self, v):
+            counts["inserts"] += 1
+            return insert(self, v)
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in watched:
+                dense_calls.append(watched[frame.f_code])
+
+        monkeypatch.setattr(linalg.Echelon, "__init__", counted_init)
+        monkeypatch.setattr(linalg.Echelon, "insert", counted_insert)
+        correlator_module._schur_action.cache_clear()
+        try:
+            for lam in SMALL_TAGS:
+                counts.update(echelons=0, inserts=0)
+                sys.setprofile(profile)
+                try:
+                    action = correlator_module._schur_action(lam)
+                finally:
+                    sys.setprofile(None)
+                # One echelon of the 5^p symmetrized tensors, one for the
+                # inverse of the pivot block (a row per basis column).
+                assert action.dim == len(_dense_setup(lam)[0][0])
+                assert counts == {"echelons": 2, "inserts": 5 ** sum(lam) + action.dim}, lam
+        finally:
+            correlator_module._schur_action.cache_clear()
+        assert dense_calls == []
+
+
+_MIXED = ("mixed diagram pairs need the traceless composite module; "
+          "only single-sided schur tags are supported")
+_CAPPED = "symmetrizer construction is capped at 3 boxes"
+_NOT_5X5 = "schur tags act on 5x5 matrices only"
+
+
+class TestSchurRefusalOrder:
+    """One resolver refuses schur tags, in this order: a mixed pair, a
+    diagram over the symmetrizer cap, then an ambient dimension other than 5,
+    with the same texts from rho_infinity, rep_matrix and
+    rep_limit_commute_check."""
+
+    CASES = [
+        (((2, 2), (1,)), TooLarge, _MIXED),
+        (((1,), (1, 1, 1)), TooLarge, _MIXED),
+        (((2, 2), ()), TooLarge, _CAPPED),
+        (((), (4,)), TooLarge, _CAPPED),
+        (((2, 1), ()), DimError, _NOT_5X5),
+        (((), (1, 1, 1)), DimError, _NOT_5X5),
+    ]
+
+    @staticmethod
+    def requests(m):
+        rotation = [[Fraction(0)] * m for _ in range(m)]
+        rotation[0][1], rotation[1][0] = Fraction(1), Fraction(-1)
+        b = FactoredSequence.diagonal([1] + [0] * (m - 1))
+        po = build_po(((m - 1, 1),))
+        return {
+            "rho_infinity": lambda rep: rho_infinity(rep, b),
+            "rep_matrix": lambda rep: rep_matrix(rep, identity(m)),
+            "rep_limit_commute_check": lambda rep: rep_limit_commute_check(po, b, rep, [rotation]),
+        }
+
+    @pytest.mark.parametrize("m", [4, 6])
+    @pytest.mark.parametrize("pair, error, text", CASES)
+    def test_refusal(self, m, pair, error, text):
+        for name, request in self.requests(m).items():
+            with pytest.raises(ProjlimError) as caught:
+                request(RepTag("schur", pair))
+            assert type(caught.value) is error, name
+            assert str(caught.value) == text, name
+
+
 class TestRepMatrixRefusesSingular:
     @pytest.mark.parametrize(
         "rep",
@@ -538,5 +630,5 @@ class TestSchurWorkBound:
         factor = [[1, 2, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 1, 0, 0], [0, -1, 0, 0, 3]]
         left, right = (factor, eye) if side == "left" else (eye, factor)
         rho_infinity(_schur_tag(lam, dual), FactoredSequence.build(left, [3, -1, 0, 2, -2], right))
-        assert calls["tensor_image"] == len(symmetrizer_basis(lam)[0][0])
+        assert calls["tensor_image"] == len(_dense_setup(lam)[0][0])
         assert calls["rings"] == {Fraction}

@@ -18,6 +18,7 @@ from projlim import (
 from projlim.parsing import parse_matrix, parse_point, parse_sequence
 
 from _reference import lmat_mul, reference_inverse, reference_rank
+from projlim.errors import NotFactorable
 from projlim.projective import (
     FactoredSequence,
     _canonicalize,
@@ -387,6 +388,72 @@ class TestSequenceAgainstDenseProducts:
                 assert seq.conjugate(x).rows == reference_canonicalize(product), (seq, x)
                 checked += 1
         assert checked == 216
+
+
+def _monomial(rows):
+    """Whether a dense square matrix has one nonzero entry in each row and
+    each column."""
+    support = [[j for j, x in enumerate(row) if x != 0] for row in rows]
+    return all(len(js) == 1 for js in support) and sorted(js[0] for js in support) == list(range(len(rows)))
+
+
+def compose_pairs(seed=20261019):
+    """(a, b) pairs over ``sequence_grid()`` at m = 3 and 5: constant * grid
+    and grid * constant (dense constants, shifted or not), monomial middles
+    (b's left factor is a's right inverse times a scaled permutation),
+    diagonal and permutation sequences, and grid * grid."""
+    rng = random.Random(seed)
+    grid = [seq for seq in sequence_grid() if seq.dim > 1]
+    pairs = []
+    for index, a in enumerate(grid):
+        n = a.dim
+        while True:
+            const = [[Fraction(rng.choice((0, 1, -1, 2))) for _ in range(n)] for _ in range(n)]
+            if reference_rank(const) == n:
+                break
+        shift = rng.randint(-2, 2)
+        weights = [rng.randint(-3, 3) for _ in range(n)]
+        order = list(range(n))
+        rng.shuffle(order)
+        scaled = [[Fraction(rng.choice((1, -1, 2, Fraction(1, 3)))) * x for x in row] for row in permutation_matrix(tuple(order))]
+        mono_left = [[sum(x * y for x, y in zip(row, col)) for col in zip(*scaled)] for row in reference_inverse(a.right_rows())]
+        pairs += [
+            (FactoredSequence.constant(const), a),
+            (FactoredSequence.build(const, [shift] * n, a.left_rows()), a),
+            (a, FactoredSequence.constant(const)),
+            (a, FactoredSequence.build(a.right_rows(), [shift] * n, const)),
+            (a, FactoredSequence.build(mono_left, weights, const)),
+            (FactoredSequence.diagonal(weights), FactoredSequence.diagonal(weights[::-1]).premultiply(scaled)),
+            (a, grid[(index + 4) % len(grid)]),
+        ]
+    return pairs
+
+
+class TestCompose:
+    """compose(a, b).matrix() against the dense product of the two dense
+    Laurent matrices; non-monomial, non-constant middles are refused."""
+
+    def test_against_dense_products(self):
+        kinds = {"constant": 0, "monomial": 0, "refused": 0}
+        for a, b in compose_pairs():
+            n = a.dim
+            mid = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b.left_rows())] for row in a.right_rows()]
+            if not (a.is_constant() or b.is_constant() or _monomial(mid)):
+                with pytest.raises(NotFactorable, match="middle factor is not monomial; product has no factored form"):
+                    a.compose(b)
+                kinds["refused"] += 1
+                continue
+            c = a.compose(b)
+            expected = reference_canonicalize(lmat_mul(reference_sequence_rows(a), reference_sequence_rows(b)))
+            assert c.matrix().rows == expected, (a, b)
+            assert reference_inverse(c.left_rows()) == _dense(c.left_inv, n)
+            assert reference_inverse(c.right_rows()) == _dense(c.right_inv, n)
+            kinds["constant" if a.is_constant() or b.is_constant() else "monomial"] += 1
+        assert kinds["constant"] >= 80 and kinds["monomial"] >= 40 and kinds["refused"] >= 10, kinds
+
+    def test_dimension_mismatch_is_refused(self):
+        with pytest.raises(NotFactorable, match="dimension mismatch"):
+            FactoredSequence.diagonal([1, 0]).compose(FactoredSequence.diagonal([1, 0, 0]))
 
 
 def _canonical_rows(rows, n):

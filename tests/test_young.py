@@ -36,11 +36,12 @@ from projlim.young import (
     statistics,
     symmetrizer_basis,
     symmetrizer_image_dim,
-    symmetrizer_matrix,
     tensor_power_decompose,
     validate_diagram,
     validate_pair,
 )
+
+from _reference import reference_rref, reference_symmetrizer_matrix
 
 N_VARS = 5
 
@@ -459,16 +460,18 @@ class TestSymmetrizer:
         assert symmetrizer_image_dim((2, 1), 3) == 40
 
     def test_basis_shape(self):
-        mat, cols = symmetrizer_matrix((1, 1))
+        mat, cols = reference_symmetrizer_matrix((1, 1))
         assert len(mat) == len(cols) == 25
-        basis, tuples = symmetrizer_basis((1, 1))
-        assert len(basis) == 25  # one row per tensor index
-        assert len(basis[0]) == 10  # one column per image dimension
+        columns, pivots, tuples = symmetrizer_basis((1, 1))
+        assert len(columns) == len(pivots) == 10  # one column per image dimension
+        # every column is indexed by the 25 tensor indices
+        assert all(col and all(0 <= r < 25 for r in col) for col in columns)
         assert tuples == cols
 
     def test_size_cap(self):
-        with pytest.raises(TooLarge):
-            symmetrizer_matrix((4,))
+        for build in (symmetrizer_basis, reference_symmetrizer_matrix):
+            with pytest.raises(TooLarge, match="symmetrizer construction is capped at 3 boxes"):
+                build((4,))
 
     @pytest.mark.parametrize("lam", SMALL)
     def test_basis_columns_are_weight_vectors(self, lam):
@@ -476,11 +479,30 @@ class TestSymmetrizer:
         diagonal matrix acts on it by one scalar.  The schur action of a
         factored sequence rests on this; the cap makes SMALL every diagram a
         symmetrizer is built for."""
-        basis, tuples = symmetrizer_basis(lam)
-        for j in range(len(basis[0])):
-            support = [tuples[r] for r, row in enumerate(basis) if row[j] != 0]
+        columns, _, tuples = symmetrizer_basis(lam)
+        for col in columns:
+            support = [tuples[r] for r, value in col.items() if value != 0]
             assert support
             assert len({tuple(sorted(tup)) for tup in support}) == 1
+
+    @pytest.mark.parametrize("lam", SMALL)
+    def test_basis_is_the_pivot_columns_of_the_dense_symmetrizer(self, lam):
+        """In order, the sparse columns are the columns of the dense
+        symmetrizer matrix at the pivots of its RREF (a dense Gauss-Jordan
+        that shares no code with ``linalg.Echelon``), with zeros left out
+        and keys ascending.  The pivots are those of the RREF of the
+        columns taken as rows."""
+        matrix, ref_tuples = reference_symmetrizer_matrix(lam)
+        _, ref_pivots = reference_rref(matrix)
+        columns, pivots, tuples = symmetrizer_basis(lam)
+        assert tuples == ref_tuples
+        expected = [{r: row[j] for r, row in enumerate(matrix) if row[j] != 0} for j in ref_pivots]
+        assert columns == expected
+        assert all(list(col) == sorted(col) for col in columns)
+        assert all(type(x) is Fraction for col in columns for x in col.values())
+        dense_rows = [[col.get(r, Fraction(0)) for r in range(len(tuples))] for col in columns]
+        assert sorted(pivots) == reference_rref(dense_rows)[1]
+        assert len(columns) == schur_dim((lam, ())) == symmetrizer_image_dim(lam, sum(lam))
 
 
 class TestTensorPowers:
