@@ -512,6 +512,7 @@ class TestSchurBasisBuild:
 
         monkeypatch.setattr(linalg.Echelon, "__init__", counted_init)
         monkeypatch.setattr(linalg.Echelon, "insert", counted_insert)
+        previous = sys.getprofile()
         correlator_module._schur_action.cache_clear()
         try:
             for lam in SMALL_TAGS:
@@ -520,7 +521,7 @@ class TestSchurBasisBuild:
                 try:
                     action = correlator_module._schur_action(lam)
                 finally:
-                    sys.setprofile(None)
+                    sys.setprofile(previous)
                 # One echelon of the 5^p symmetrized tensors, one for the
                 # inverse of the pivot block (a row per basis column).
                 assert action.dim == len(_dense_setup(lam)[0][0])
