@@ -2,10 +2,12 @@
 
 The package computes, in exact rational arithmetic:
 
-* conjugacy limits of Lie subalgebras of pgl_5(R) along factored one-parameter
-  sequences, and their identification as permuted orthogonal block algebras;
+* conjugacy limits of Lie subalgebras of pgl_m(R) (any m) along factored
+  one-parameter sequences, and their identification as permuted orthogonal
+  block algebras;
 * Lie algebra contractions, invariant profiles and contraction chains realizing
-  any conjugacy limit of po(p,q) as a composition of contractions;
+  the diagonal conjugacy limit of po(p,q) for weakly decreasing weights as a
+  composition of contractions;
 * degenerations of projective space-time geometries and of the projective
   correlators living on them, including the scale (UV/IR) flow of Poincare
   geometry;

@@ -26,16 +26,21 @@ from .geometry import (
 )
 from .laurent import LaurentScalar
 from .lie import LieAlgebraSpan, Signature, truncated_exp, validate_signature
-from .linalg import Mat, frac_rows, identity, inverse, mat_mul, pivot_inverse, transpose
+from .linalg import Mat, frac_rows, identity, inverse, mat_mul, pivot_inverse
 from .projective import (
     FactoredSequence,
+    LMat,
     ProjMatrix,
     ProjPoint,
+    SparseRows,
+    dense_rows,
     factored_product,
     invert_permutation,
+    is_identity,
     lmat_from_rational,
     permutation_matrix,
     sparse_rows,
+    transpose_rows,
 )
 from .young import DIM_FUND, DiagramPair, pair_str, symmetrizer_basis, validate_pair
 
@@ -76,11 +81,13 @@ _MAX_FACTORS = 8192
 class RepTag:
     """Finite-dimensional representation label for one correlator factor.
 
-    ``fundamental`` components transform against the defining action (the
-    factor picks up rho(g^-1) = matrix of g^-1); ``right_action`` is the
-    inverse right-multiplication variant (the factor picks up the matrix of
-    g itself); ``schur`` wraps a single-sided diagram pair and acts through
-    the induced map on the symmetrizer image.
+    Every tag acts through one module of tensors of C^n (``_schur_module``).
+    ``fundamental`` components transform against the defining action, the
+    module of (1) (the factor picks up rho(g^-1) = matrix of g^-1);
+    ``right_action`` is the inverse right-multiplication variant on the same
+    module (the factor picks up the matrix of g itself); ``schur`` wraps a
+    single-sided diagram pair and acts through the induced map on the
+    symmetrizer image in the tensors of C^5.
     """
 
     kind: str
@@ -172,37 +179,21 @@ def make_correlator(
 # ---------------------------------------------------------------------------
 
 
-def _is_zero(value) -> bool:
-    if isinstance(value, LaurentScalar):
-        return value.is_zero()
-    return value == 0
-
-
-def _sparse_columns(matrix) -> list[dict[int, object]]:
-    cols = len(matrix[0])
-    out: list[dict[int, object]] = [dict() for _ in range(cols)]
-    for i, row in enumerate(matrix):
-        for j, value in enumerate(row):
-            if not _is_zero(value):
-                out[j][i] = value
-    return out
-
-
 class _SchurAction:
-    """Induced action of 5x5 matrices on the symmetrizer image of a diagram.
+    """Induced action of n x n matrices on the symmetrizer image of a diagram
+    in the tensor power of C^n; the fundamental action is the module of (1).
 
     The basis is ``young.symmetrizer_basis`` as built: sparse columns, each
     the Young symmetrizer applied to one tensor e_{j1...jp}, and their
     echelon pivots.  The symmetrizer only permutes tensor slots, so every
     term of a column has the same index multiset {j1, ..., jp}, kept in
     ``multisets``.  The basis is therefore a weight basis: a diagonal matrix
-    diag(t^w) acts on column k by t^(w_j1 + ... + w_jp), and only rational
-    factors need the tensor action (``factored_matrix``).  ``_schur_module``
-    checks that g is 5x5.
+    diag(t^w) acts on column k by t^(w_j1 + ... + w_jp), and only the
+    factors around it need the tensor action (``rows_of``).
     """
 
-    def __init__(self, lam: tuple[int, ...]):
-        columns, pivots, tuples = symmetrizer_basis(lam)
+    def __init__(self, lam: tuple[int, ...], n: int):
+        columns, pivots, tuples = symmetrizer_basis(lam, n)
         self.dim = len(columns)
         self.index_of = {tup: k for k, tup in enumerate(tuples)}
         self.tuples = tuples
@@ -212,9 +203,11 @@ class _SchurAction:
         # weights.  Images under g tensor p stay in the symmetrizer image, so
         # the other indices feed none.
         self.coord_cols = pivot_inverse(columns, pivots)
+        self.unit = tuple(((k, Fraction(1)),) for k in range(self.dim))
 
-    def _tensor_image(self, g_cols: list[dict[int, object]], col: dict[int, object]):
-        """Apply g tensor p to one sparse basis column."""
+    def _tensor_image(self, g_cols: SparseRows, col: dict[int, object]):
+        """Apply g tensor p to one sparse basis column; ``g_cols`` are the
+        sparse columns of g."""
         out: dict[int, object] = {}
         for flat, coeff in col.items():
             # Build (g e_{j1}) tensor ... tensor (g e_{jp}) sparsely, starting
@@ -223,7 +216,7 @@ class _SchurAction:
             for j in self.tuples[flat]:
                 nxt: dict[tuple[int, ...], object] = {}
                 for prefix, value in partial.items():
-                    for i, gij in g_cols[j].items():
+                    for i, gij in g_cols[j]:
                         key = prefix + (i,)
                         term = value * gij
                         nxt[key] = nxt[key] + term if key in nxt else term
@@ -233,13 +226,15 @@ class _SchurAction:
                 out[flat_out] = out[flat_out] + value if flat_out in out else value
         return out
 
-    def matrix_of(self, g):
-        """Matrix of the induced action of the 5 x 5 matrix g (d x d), over
-        the ring of g's entries (rationals or Laurent scalars)."""
-        zero = LaurentScalar.zero() if isinstance(g[0][0], LaurentScalar) else Fraction(0)
-        g_cols = _sparse_columns(g)
-        columns = []
-        for col in self.basis_cols:
+    def rows_of(self, g: SparseRows) -> SparseRows:
+        """Sparse rows of the induced action of g, given by its sparse rows
+        over the rationals or Laurent scalars.  The identity gets the unit
+        rows, with no tensor image formed."""
+        if is_identity(g):
+            return self.unit
+        g_cols = transpose_rows(g)
+        rows: list[list] = [[] for _ in range(self.dim)]
+        for j, col in enumerate(self.basis_cols):
             coords: dict[int, object] = {}
             for r, value in self._tensor_image(g_cols, col).items():
                 if not value:
@@ -247,12 +242,14 @@ class _SchurAction:
                 for i, c in self.coord_cols.get(r, ()):
                     term = value * c
                     coords[i] = coords[i] + term if i in coords else term
-            columns.append(coords)
-        return [[columns[j].get(i, zero) for j in range(self.dim)] for i in range(self.dim)]
+            for i, x in coords.items():
+                if x:
+                    rows[i].append((j, x))
+        return tuple(map(tuple, rows))
 
-    def factored_matrix(self, outer: Mat, weights: Sequence[int], inner: Mat) -> list[list[LaurentScalar]]:
+    def factored_matrix(self, outer: SparseRows, weights: Sequence[int], inner: SparseRows) -> LMat:
         """Matrix of the induced action of outer * diag(t^weights) * inner for
-        rational invertible 5 x 5 factors, divided by t^e with e the least
+        rational invertible n x n factors, divided by t^e with e the least
         column exponent (the same projective class).
 
         rho is a homomorphism and rho(diag(t^w)) is diagonal in the weight
@@ -261,38 +258,45 @@ class _SchurAction:
         multiset.  Every e_k occurs in the product (both factors are
         invertible), so the least exponent of the result is 0, and
         ExponentOverflow is raised exactly when the canonical matrix would
-        have an exponent beyond the bound.  Each t^e_k is built once, an
-        identity factor gets no tensor action, and the product is
-        ``projective.factored_product``, the one that gives b(t) itself."""
+        have an exponent beyond the bound.  Each t^e_k is built once, and the
+        product is ``projective.factored_product``, the one that gives b(t)
+        itself."""
         exponents = [sum(weights[j] for j in ms) for ms in self.multisets]
         low = min(exponents)
         powers = [LaurentScalar.t(e - low) for e in exponents]
-        eye = identity(DIM_FUND)
-        unit = tuple(((k, Fraction(1)),) for k in range(self.dim))
-        outer_rows = unit if outer == eye else sparse_rows(self.matrix_of(outer))
-        inner_rows = unit if inner == eye else sparse_rows(self.matrix_of(inner))
-        return factored_product(outer_rows, powers, inner_rows)
+        return factored_product(self.rows_of(outer), powers, self.rows_of(inner))
 
 
 @functools.cache
-def _schur_action(lam: tuple[int, ...]) -> _SchurAction:
-    return _SchurAction(lam)
+def _schur_action(lam: tuple[int, ...], n: int) -> _SchurAction:
+    return _SchurAction(lam, n)
 
 
-def _schur_module(rep: RepTag, n: int) -> tuple[_SchurAction, bool]:
-    """The action of a schur tag on n x n matrices, and whether the tag is
-    dual (its diagram on the contravariant side).  Refused, in this order: a
-    mixed pair, a diagram over the symmetrizer cap, n != 5."""
+def _schur_module(rep: RepTag, n: int) -> tuple[_SchurAction, bool, bool]:
+    """The module of a tag on n x n matrices, whether rho inverts (rho(g) is
+    the action of g, so a factor picks up that of b^-1), and whether the tag
+    is dual (rho(g) is the action of the transpose of g^-1).  fundamental is
+    the module of (1); right_action is that module with rho(g) the action
+    of g^-1.  Schur tags are refused, in this order: a mixed pair, a diagram
+    over the symmetrizer cap, n != 5."""
+    if rep.kind != "schur":
+        return _schur_action((1,), n), rep.kind == "fundamental", False
     lam, lam_bar = rep.pair
     if lam and lam_bar:
         raise TooLarge(
             "mixed diagram pairs need the traceless composite module; "
             "only single-sided schur tags are supported"
         )
-    action = _schur_action(lam_bar or lam)
+    action = _schur_action(lam_bar or lam, DIM_FUND)  # built on C^5, so the cap is checked first
     if n != DIM_FUND:
         raise DimError(f"schur tags act on {DIM_FUND}x{DIM_FUND} matrices only")
-    return action, bool(lam_bar)
+    return action, not lam_bar, bool(lam_bar)
+
+
+def _induced_matrix(action: _SchurAction, dual: bool, g) -> list[list]:
+    """The induced action of the dense matrix g (of its transpose when dual)."""
+    rows = sparse_rows(g)
+    return dense_rows(action.rows_of(transpose_rows(rows) if dual else rows))
 
 
 def rep_matrix(rep: RepTag, g: Mat) -> Mat:
@@ -305,26 +309,20 @@ def rep_matrix(rep: RepTag, g: Mat) -> Mat:
     except NotInvertible:
         text = "[" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in g) + "]"
         raise NotInvertible(f"rho(g) needs an invertible group element g, got g = {text}") from None
-    if rep.kind == "fundamental":
-        return g
-    if rep.kind == "right_action":
-        return g_inv
-    action, dual = _schur_module(rep, len(g))
-    return action.matrix_of(transpose(g_inv) if dual else g)
+    action, invert, dual = _schur_module(rep, len(g))
+    return _induced_matrix(action, dual, g if invert else g_inv)
 
 
 def rho_infinity(rep: RepTag, b: FactoredSequence) -> ProjMatrix:
     """Canonical t->0 limit of rho(b(t)^-1).
 
-    fundamental: limit of b^-1; right_action: limit of b itself; schur tags:
-    the induced matrix on the symmetrizer image (the dual side uses the
-    transpose of b); ``_schur_module`` refuses a mixed pair, a diagram of
-    more than 3 boxes and b of dimension other than 5.  For a schur tag rho is a
-    homomorphism, so with b = L diag(t^w) R the matrix is
-    rho(R^-1) rho(diag(t^-w)) rho(L^-1), or rho(R^T) rho(diag(t^w)) rho(L^T)
-    on the dual side; the diagonal factor acts diagonally on the weight
-    basis of the symmetrizer image, so only the rational factors (read off
-    the stored inverses, none inverted again) get the tensor action.
+    Every tag acts through its module (``_schur_module``, which refuses
+    what a schur tag cannot take): fundamental gives the limit of b^-1,
+    right_action that of b, a schur tag the induced matrix on the
+    symmetrizer image (of b^T on the dual side).  rho is a homomorphism, so
+    with b = L diag(t^w) R the diagonal factor acts diagonally on the
+    module's weight basis, and only the rational factors (read off the
+    stored inverses, none inverted again) get the tensor action.
 
     >>> from .parsing import parse_sequence
     >>> b = parse_sequence("diag(t^4,t^-1,t^-1,t^-1,t^-1)")
@@ -332,17 +330,13 @@ def rho_infinity(rep: RepTag, b: FactoredSequence) -> ProjMatrix:
     ...     [1 if i == j == 0 else 0 for j in range(5)] for i in range(5)]
     True
     """
-    if rep.kind == "fundamental":
-        return b.inverse().matrix()
-    if rep.kind == "right_action":
-        return b.matrix()
-    action, dual = _schur_module(rep, b.dim)
+    action, invert, dual = _schur_module(rep, b.dim)
+    seq = b.inverse() if invert else b
     if dual:  # b^T = R^T diag(t^w) L^T
-        outer, weights, inner = transpose(b.right_rows()), b.weights, transpose(b.left_rows())
-    else:  # b^-1 = R^-1 diag(t^-w) L^-1
-        inv = b.inverse()
-        outer, weights, inner = inv.left_rows(), inv.weights, inv.right_rows()
-    return ProjMatrix(action.factored_matrix(outer, weights, inner))
+        outer, inner = transpose_rows(seq.right), transpose_rows(seq.left)
+    else:
+        outer, inner = seq.left, seq.right
+    return ProjMatrix(action.factored_matrix(outer, seq.weights, inner))
 
 
 def _nonzero_rows(pm: ProjMatrix) -> tuple[int, ...]:
@@ -644,8 +638,14 @@ def rep_limit_commute_check(
     canonical limit of rho(b h b^-1)(t) with rho applied to the canonical
     limit of b h b^-1 itself.  For the fundamental tag rho is the identity,
     so the two sides coincide: only membership and invertibility of each
-    sample are checked, and no limits are compared.
+    sample are checked, and no limits are compared.  A sequence whose
+    dimension is not the algebra's, and an empty sample list, are refused
+    with DimError.
     """
+    if b.dim != alg.m:
+        raise DimError(f"sequence dimension {b.dim} != algebra ambient {alg.m}")
+    if not samples:
+        raise DimError("the check needs at least one sample element")
     for x in samples:
         x = frac_rows(x)
         if not alg.contains(x):
@@ -664,14 +664,9 @@ def rep_limit_commute_check(
                 lmat_from_rational(inverse(conj_pm.limit().constant_rows()))
             )
         else:
-            action, dual = _schur_module(rep, b.dim)
-            base_laurent = transpose(conj_pm.rows) if dual else conj_pm.rows
-            lhs = ProjMatrix(action.matrix_of(base_laurent)).limit()
-            limit_rows = conj_pm.limit().constant_rows()
-            base_rational = transpose(limit_rows) if dual else limit_rows
-            rhs = ProjMatrix(
-                lmat_from_rational(action.matrix_of(base_rational))
-            )
+            action, _, dual = _schur_module(rep, b.dim)
+            lhs = ProjMatrix(_induced_matrix(action, dual, conj_pm.rows)).limit()
+            rhs = ProjMatrix(_induced_matrix(action, dual, conj_pm.limit().constant_rows()))
         if lhs != rhs:
             return False
     return True

@@ -186,7 +186,9 @@ def geometry_limit(sig: Signature, seq: FactoredSequence) -> Degeneration:
     except NoMatch:
         limit._closed()
         raise
-    return Degeneration(sig, seq, limit, limit_sig, perm, seq.matrix().rank_at_limit())
+    # b = L diag(t^w) R tends to L diag(w_k == min w) R with L, R invertible:
+    # its rank is the count of least weights.
+    return Degeneration(sig, seq, limit, limit_sig, perm, seq.weights.count(min(seq.weights)))
 
 
 @dataclass(frozen=True)

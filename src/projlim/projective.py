@@ -226,13 +226,23 @@ def sparse_rows(rows) -> SparseRows:
     return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
 
 
-def _dense_rows(rows: SparseRows) -> linalg.Mat:
+def dense_rows(rows: SparseRows) -> linalg.Mat:
     """The square matrix with the given sparse rows."""
     out = linalg.zeros(len(rows), len(rows))
     for i, row in enumerate(rows):
         for j, x in row:
             out[i][j] = x
     return out
+
+
+def transpose_rows(rows: SparseRows) -> SparseRows:
+    """The sparse rows of the transpose of a square matrix (its columns), in
+    ascending order."""
+    columns: list[list] = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for j, x in row:
+            columns[j].append((i, x))
+    return tuple(map(tuple, columns))
 
 
 def _inverse_rows(factor: SparseRows) -> SparseRows:
@@ -246,6 +256,11 @@ def _inverse_rows(factor: SparseRows) -> SparseRows:
     return tuple(tuple(inv[c]) for c in range(n))
 
 
+def is_identity(rows: SparseRows) -> bool:
+    """Whether the sparse rows (rational or Laurent) are those of the identity."""
+    return all(row == ((i, 1),) for i, row in enumerate(rows))
+
+
 def conjugate_flat(g: SparseRows, ginv: SparseRows, vectors: list[dict], m: int) -> list[dict]:
     """g x g^-1 for each flattened m x m matrix x, from the nonzero entries only:
     (g x g^-1)_il = sum over nonzero x_jk of g_ij x_jk (g^-1)_kl.
@@ -254,12 +269,9 @@ def conjugate_flat(g: SparseRows, ginv: SparseRows, vectors: list[dict], m: int)
     and g^-1 are rational sparse rows.  For an identity g the vectors are
     returned as they are, with no products formed.
     """
-    if all(row == ((i, 1),) for i, row in enumerate(g)):
+    if is_identity(g):
         return vectors
-    columns: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
-    for i, row in enumerate(g):
-        for j, a in row:
-            columns[j].append((i, a))
+    columns = transpose_rows(g)
     out = []
     for v in vectors:
         acc: dict = {}
@@ -350,10 +362,10 @@ class FactoredSequence:
         return len(self.weights)
 
     def left_rows(self) -> linalg.Mat:
-        return _dense_rows(self.left)
+        return dense_rows(self.left)
 
     def right_rows(self) -> linalg.Mat:
-        return _dense_rows(self.right)
+        return dense_rows(self.right)
 
     def is_constant(self) -> bool:
         return all(w == self.weights[0] for w in self.weights)

@@ -16,7 +16,8 @@ s_lam * s_mu the tally over lam * mu, with mu set north-east of lam
 (s_{lam * mu} = s_lam * s_mu).  Their work is capped by ``_LR_CAP``.
 
 The Young symmetrizer of a diagram of at most 3 boxes has one sparse weight
-basis of its image on the tensor power of C^5 (``symmetrizer_basis``): the
+basis of its image on the tensor power of C^n (``symmetrizer_basis``; n = 5
+unless asked, and the fundamental module is that of (1) on C^n): the
 symmetrized tensors c e_T that raise the rank of one ``Echelon``, which are
 the pivot columns of the symmetrizer's matrix.  That matrix is never formed.
 
@@ -548,23 +549,26 @@ def _group_permutations(groups: list[list[int]], p: int) -> list[tuple[tuple[int
     return perms
 
 
-def symmetrizer_basis(lam: Iterable[int]) -> tuple[list[Dict[int, Fraction]], list[int], list[tuple[int, ...]]]:
+def symmetrizer_basis(
+    lam: Iterable[int], n: int = DIM_FUND
+) -> tuple[list[Dict[int, Fraction]], list[int], list[tuple[int, ...]]]:
     """A rational weight basis of the image of the Young symmetrizer
-    c = (row symmetrize) o (column antisymmetrize) on (C^5) tensor power
+    c = (row symmetrize) o (column antisymmetrize) on (C^n) tensor power
     boxes(lam): sparse columns {flat index: value}, the ``Echelon`` pivots
-    they add, and the ordered index tuples (flat index k is ``tuples[k]``).
+    they add, and the ordered index tuples over range(n) (flat index k is
+    ``tuples[k]``).
 
     c e_T is kept exactly when it raises the rank of one ``Echelon``, T in
     order; a column is an RREF pivot exactly when it is not in the span of
     the columns before it, so these are the pivot columns of c's matrix.  c
     only permutes the slots of T, so each column is a weight vector.
-    Capped at 3 boxes (the 125-dimensional cube).
+    Capped at 3 boxes (the n^3-dimensional cube).
     """
     lam = validate_diagram(lam)
     p = boxes(lam)
     if p > _SYMMETRIZER_CAP:
         raise TooLarge(f"symmetrizer construction is capped at {_SYMMETRIZER_CAP} boxes")
-    tuples = list(itertools.product(range(DIM_FUND), repeat=p))
+    tuples = list(itertools.product(range(n), repeat=p))
     index_of = {tup: k for k, tup in enumerate(tuples)}
     number = {cell: k for k, cell in enumerate(_diagram_cells(lam))}
     rows = [[number[(r, c)] for c in range(row_len)] for r, row_len in enumerate(lam)]

@@ -264,6 +264,25 @@ class TestCommutation:
         with pytest.raises(ProjlimError):
             rep_limit_commute_check(po, GALILEI_SEQ, FUNDAMENTAL, [not_in_algebra])
 
+    @pytest.mark.parametrize("rep", [FUNDAMENTAL, RIGHT_ACTION, RepTag("schur", ((1, 1), ()))], ids=str)
+    def test_sequence_of_another_dimension_is_refused(self, rep):
+        """An m = 4 algebra with a 6-dimensional sequence is refused on every
+        path, before any sample is looked at."""
+        rotation = [[Fraction(0)] * 4 for _ in range(4)]
+        rotation[0][1], rotation[1][0] = Fraction(1), Fraction(-1)
+        b = FactoredSequence.diagonal([1, 0, 0, 0, 0, 0])
+        with pytest.raises(DimError) as caught:
+            rep_limit_commute_check(build_po(((3, 1),)), b, rep, [rotation])
+        assert str(caught.value) == "sequence dimension 6 != algebra ambient 4"
+
+    @pytest.mark.parametrize(
+        "rep", [FUNDAMENTAL, RIGHT_ACTION, RepTag("schur", ((1, 1), ())), RepTag("schur", ((1,), (1,)))], ids=str
+    )
+    def test_empty_sample_list_is_refused(self, rep):
+        with pytest.raises(DimError) as caught:
+            rep_limit_commute_check(build_po(FLAT), GALILEI_SEQ, rep, [])
+        assert str(caught.value) == "the check needs at least one sample element"
+
 
 class TestSchurDimensions:
     """Schur tags act through symmetrizers on C^5 only."""
@@ -486,6 +505,46 @@ class TestSchurActionAgainstReference:
             assert surviving_components(rep, rho) == reference_surviving(rep, rho)
 
 
+def plain_sequences(seed=26):
+    """Seeded sequences at m = 3..7 with identity, permutation and dense
+    0/+-1/2 factors on either side and weights in -3..3."""
+    rng = random.Random(seed)
+
+    def factor(kind, m):
+        if kind == "identity":
+            return identity(m)
+        if kind == "permutation":
+            return permutation_matrix(tuple(rng.sample(range(m), m)))
+        while True:
+            rows = [[Fraction(rng.choice((0, 0, 1, -1, 2))) for _ in range(m)] for _ in range(m)]
+            if reference_rank(rows) == m:
+                return rows
+
+    kinds = ("identity", "permutation", "dense")
+    for m in range(3, 8):
+        for left in kinds:
+            for right in kinds:
+                yield FactoredSequence.build(factor(left, m), [rng.randint(-3, 3) for _ in range(m)], factor(right, m))
+
+
+class TestPlainTagsAgainstSequence:
+    """fundamental and right_action act through the module of (1); their
+    rho-infinity is still the sequence's own inverse and matrix, and rho(g)
+    is still g and g^-1."""
+
+    def test_rho_infinity(self):
+        for b in plain_sequences():
+            assert str(rho_infinity(FUNDAMENTAL, b)) == str(b.inverse().matrix())
+            assert str(rho_infinity(RIGHT_ACTION, b)) == str(b.matrix())
+
+    def test_rep_matrix(self):
+        for b in plain_sequences(seed=27):
+            g = b.left_rows()
+            fundamental, right = rep_matrix(FUNDAMENTAL, g), rep_matrix(RIGHT_ACTION, g)
+            assert fundamental == g and right == reference_inverse(g)
+            assert all(type(x) is Fraction for rows in (fundamental, right) for row in rows for x in row)
+
+
 class TestSchurBasisBuild:
     """Building a schur action makes one elimination of the symmetrized
     tensors and never a dense symmetrizer: no ``linalg.rref`` and no
@@ -519,7 +578,7 @@ class TestSchurBasisBuild:
                 counts.update(echelons=0, inserts=0)
                 sys.setprofile(profile)
                 try:
-                    action = correlator_module._schur_action(lam)
+                    action = correlator_module._schur_action(lam, 5)
                 finally:
                     sys.setprofile(previous)
                 # One echelon of the 5^p symmetrized tensors, one for the
@@ -607,7 +666,7 @@ class TestSchurWorkBound:
 
         def counted_image(self, g_cols, col):
             counts["tensor_image"] += 1
-            counts["rings"].update(type(x) for column in g_cols for x in column.values())
+            counts["rings"].update(type(x) for column in g_cols for _, x in column)
             return image(self, g_cols, col)
 
         monkeypatch.setattr(LaurentScalar, "__mul__", counted_mul)
@@ -621,6 +680,13 @@ class TestSchurWorkBound:
         tag = _schur_tag(lam, dual)
         rho = rho_infinity(tag, FactoredSequence.diagonal([3, -1, 0, 2, -2]))
         surviving_components(tag, rho)
+        assert calls == {"laurent_mul": 0, "tensor_image": 0, "rings": set()}
+
+    @pytest.mark.parametrize("rep", [FUNDAMENTAL, RIGHT_ACTION], ids=str)
+    @pytest.mark.parametrize("m", range(3, 8))
+    def test_diagonal_sequence_plain_tags(self, calls, rep, m):
+        rho = rho_infinity(rep, FactoredSequence.diagonal([(3 * i) % 5 - 2 for i in range(m)]))
+        surviving_components(rep, rho)
         assert calls == {"laurent_mul": 0, "tensor_image": 0, "rings": set()}
 
     @pytest.mark.parametrize("lam", SMALL_TAGS)

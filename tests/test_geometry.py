@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from projlim.cli import main
 from projlim.correlator import FUNDAMENTAL, RIGHT_ACTION, degenerate, figure1_table, make_correlator
-from projlim.errors import DimError, ProjlimError
+from projlim.errors import DimError, NoMatch, ProjlimError
 from projlim.geometry import (
     GAUGE_DIRECTION,
     classify_point_limit,
@@ -24,6 +24,8 @@ from projlim.geometry import (
 from projlim.lie import build_po, conjugacy_limit, match_limit_geometry, validate_signature
 from projlim.parsing import parse_sequence
 from projlim.projective import FactoredSequence, ProjPoint, invert_permutation, permutation_matrix, point_limit
+
+from _reference import reference_rank
 
 FLAT = ((1, 0), (3, 1))
 GALILEI_SEQ = parse_sequence("diag(t,1,1,1,t)")
@@ -82,6 +84,40 @@ class TestGeometryLimit:
         seq = parse_sequence("diag(t^4,t^-1,t^-1,t^-1,t^-1)")
         deg = geometry_limit((4, 1), seq)
         assert (deg.limit_sig, deg.perm) == (((1, 0), (3, 1)), (0, 1, 2, 3, 4))
+
+    def test_rank_is_read_off_the_weights(self):
+        """The limit of L diag(t^w) R has the rank of L diag(w_k == min w) R,
+        so Degeneration.rank is the count of least weights.  Checked against
+        the dense elimination it replaced (ProjMatrix.rank_at_limit) on 400
+        seeded sequences at m = 2..7 with identity, permutation and dense
+        factors, and through geometry_limit on those at m <= 5 that match."""
+        rng = random.Random(26)
+
+        def factor(m):
+            kind = rng.randrange(3)
+            if kind == 0:
+                return [[int(i == j) for j in range(m)] for i in range(m)]
+            if kind == 1:
+                return permutation_matrix(tuple(rng.sample(range(m), m)))
+            while True:
+                rows = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(m)] for _ in range(m)]
+                if reference_rank(rows) == m:
+                    return rows
+
+        matched = {True: 0, False: 0}
+        for index in range(400):
+            m = 2 + index % 6
+            b = FactoredSequence.build(factor(m), [rng.randint(-2, 2) for _ in range(m)], factor(m))
+            rank = b.matrix().rank_at_limit()
+            assert b.weights.count(min(b.weights)) == rank
+            if m <= 5:
+                try:
+                    deg = geometry_limit(((m - 1, 1),), b)
+                except NoMatch:
+                    continue
+                assert deg.rank == rank
+                matched[rank < m] += 1
+        assert min(matched.values()) >= 5, matched
 
     def test_no_degeneration_is_fast(self):
         # The limit fills every off-diagonal entry, the worst case for a
