@@ -29,7 +29,6 @@ from .lie import LieAlgebraSpan, Signature, truncated_exp, validate_signature
 from .linalg import Mat, frac_rows, identity, inverse, mat_mul, pivot_inverse
 from .projective import (
     FactoredSequence,
-    LMat,
     ProjMatrix,
     ProjPoint,
     SparseRows,
@@ -37,7 +36,6 @@ from .projective import (
     factored_product,
     invert_permutation,
     is_identity,
-    lmat_from_rational,
     permutation_matrix,
     sparse_rows,
     transpose_rows,
@@ -229,9 +227,10 @@ class _SchurAction:
     def rows_of(self, g: SparseRows) -> SparseRows:
         """Sparse rows of the induced action of g, given by its sparse rows
         over the rationals or Laurent scalars.  The identity gets the unit
-        rows, with no tensor image formed."""
+        rows in the scalar type of g, with no tensor image formed."""
         if is_identity(g):
-            return self.unit
+            one = g[0][0][1]
+            return tuple(((k, one),) for k in range(self.dim)) if isinstance(one, LaurentScalar) else self.unit
         g_cols = transpose_rows(g)
         rows: list[list] = [[] for _ in range(self.dim)]
         for j, col in enumerate(self.basis_cols):
@@ -247,10 +246,11 @@ class _SchurAction:
                     rows[i].append((j, x))
         return tuple(map(tuple, rows))
 
-    def factored_matrix(self, outer: SparseRows, weights: Sequence[int], inner: SparseRows) -> LMat:
-        """Matrix of the induced action of outer * diag(t^weights) * inner for
-        rational invertible n x n factors, divided by t^e with e the least
-        column exponent (the same projective class).
+    def factored_matrix(self, outer: SparseRows, weights: Sequence[int], inner: SparseRows) -> SparseRows:
+        """Sparse rows (nonzero Laurent entries, ascending columns) of the
+        induced action of outer * diag(t^weights) * inner for rational
+        invertible n x n factors, divided by t^e with e the least column
+        exponent (the same projective class).
 
         rho is a homomorphism and rho(diag(t^w)) is diagonal in the weight
         basis, so entry (i, j) is the sum over k of rho(outer)_ik
@@ -258,13 +258,13 @@ class _SchurAction:
         multiset.  Every e_k occurs in the product (both factors are
         invertible), so the least exponent of the result is 0, and
         ExponentOverflow is raised exactly when the canonical matrix would
-        have an exponent beyond the bound.  Each t^e_k is built once, and the
-        product is ``projective.factored_product``, the one that gives b(t)
-        itself."""
+        have an exponent beyond the bound.  Each distinct power is built
+        once, and the product is ``projective.factored_product``, the one
+        that gives b(t) itself, which forms none for identity factors."""
         exponents = [sum(weights[j] for j in ms) for ms in self.multisets]
         low = min(exponents)
-        powers = [LaurentScalar.t(e - low) for e in exponents]
-        return factored_product(self.rows_of(outer), powers, self.rows_of(inner))
+        made = {e: LaurentScalar.t(e - low) for e in dict.fromkeys(exponents)}
+        return factored_product(self.rows_of(outer), [made[e] for e in exponents], self.rows_of(inner))
 
 
 @functools.cache
@@ -293,12 +293,6 @@ def _schur_module(rep: RepTag, n: int) -> tuple[_SchurAction, bool, bool]:
     return action, not lam_bar, bool(lam_bar)
 
 
-def _induced_matrix(action: _SchurAction, dual: bool, g) -> list[list]:
-    """The induced action of the dense matrix g (of its transpose when dual)."""
-    rows = sparse_rows(g)
-    return dense_rows(action.rows_of(transpose_rows(rows) if dual else rows))
-
-
 def rep_matrix(rep: RepTag, g: Mat) -> Mat:
     """rho(g) for a rational group element: the matrix a factor of this tag
     picks up when the correlator is deformed by g^-1.  A g that is not
@@ -310,7 +304,8 @@ def rep_matrix(rep: RepTag, g: Mat) -> Mat:
         text = "[" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in g) + "]"
         raise NotInvertible(f"rho(g) needs an invertible group element g, got g = {text}") from None
     action, invert, dual = _schur_module(rep, len(g))
-    return _induced_matrix(action, dual, g if invert else g_inv)
+    rows = sparse_rows(g if invert else g_inv)
+    return dense_rows(action.rows_of(transpose_rows(rows) if dual else rows))
 
 
 def rho_infinity(rep: RepTag, b: FactoredSequence) -> ProjMatrix:
@@ -336,15 +331,15 @@ def rho_infinity(rep: RepTag, b: FactoredSequence) -> ProjMatrix:
         outer, inner = transpose_rows(seq.right), transpose_rows(seq.left)
     else:
         outer, inner = seq.left, seq.right
-    return ProjMatrix(action.factored_matrix(outer, seq.weights, inner))
+    return ProjMatrix._of(action.factored_matrix(outer, seq.weights, inner), action.dim)
 
 
 def _nonzero_rows(pm: ProjMatrix) -> tuple[int, ...]:
-    return tuple(i + 1 for i, row in enumerate(pm.rows) if any(e.coefficient(0) for e in row))
+    return tuple(i + 1 for i, row in enumerate(pm.sparse) if any(e.coefficient(0) for _, e in row))
 
 
 def _nonzero_columns(pm: ProjMatrix) -> tuple[int, ...]:
-    return tuple(j + 1 for j in range(pm.ncols) if any(row[j].coefficient(0) for row in pm.rows))
+    return tuple(sorted({j + 1 for row in pm.sparse for j, e in row if e.coefficient(0)}))
 
 
 def surviving_components(rep: RepTag, rho_inf: ProjMatrix) -> tuple[int, ...]:
@@ -660,13 +655,16 @@ def rep_limit_commute_check(
             # is the inverse conjugate; its limit is compared against the
             # inverse of the limit, which must exist for the check to apply.
             lhs = b.conjugate(inverse(h)).limit()
-            rhs = ProjMatrix(
-                lmat_from_rational(inverse(conj_pm.limit().constant_rows()))
-            )
+            rhs = ProjMatrix(inverse(conj_pm.limit().constant_rows()))
         else:
+            # The sparse rows of the conjugate and of its limit go straight
+            # into the induced action (transposed on the dual side).
             action, _, dual = _schur_module(rep, b.dim)
-            lhs = ProjMatrix(_induced_matrix(action, dual, conj_pm.rows)).limit()
-            rhs = ProjMatrix(_induced_matrix(action, dual, conj_pm.limit().constant_rows()))
+            before, after = conj_pm.sparse, conj_pm.limit().sparse
+            if dual:
+                before, after = transpose_rows(before), transpose_rows(after)
+            lhs = ProjMatrix._of(action.rows_of(before), action.dim).limit()
+            rhs = ProjMatrix._of(action.rows_of(after), action.dim)
         if lhs != rhs:
             return False
     return True

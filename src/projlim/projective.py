@@ -4,7 +4,11 @@ A projective matrix is a nonzero matrix of Laurent scalars modulo rescaling
 by c * t^k (c a nonzero rational, k an integer).  The canonical representative
 has global minimum exponent 0 and its first row-major entry with nonzero
 constant term rescaled to 1; two projective matrices are equal exactly when
-their canonical representatives coincide entrywise.
+their canonical representatives coincide entrywise.  The class is stored once,
+as sparse rows (the nonzero (column, LaurentScalar) entries of each row), and
+the canonical form, its limit and every reader run over the nonzero entries
+only; the dense rows are a view.  A projective point is stored the same way,
+as one sparse row.
 
 Degenerating sequences b(t) are kept in factored form
 
@@ -20,7 +24,8 @@ only views.  There is one conjugation of flattened sparse matrices,
 ``conjugate_flat`` (rational or Laurent entries; an identity factor costs
 nothing), which the Lie limits use too, and one factored product
 ``factored_product`` of sparse rows and a diagonal of Laurent powers, which
-gives b(t) and the Schur-tag rho-infinity.
+gives the sparse rows of b(t) and of every rho-infinity, with no product
+formed when both factors are the identity.
 """
 
 from __future__ import annotations
@@ -32,47 +37,62 @@ from . import linalg
 from .errors import DimError, NotFactorable, NotInvertible, ZeroMatrix
 from .laurent import LaurentScalar, lau, rational_combination
 
-LMat = list[list[LaurentScalar]]
-SparseRows = tuple[tuple[tuple[int, Fraction], ...], ...]  # nonzero (column, value) entries per row
+# The nonzero (column, value) entries of each row, in ascending column order;
+# the values are rationals (the factors) or LaurentScalars (projective classes).
+SparseRows = tuple[tuple[tuple[int, Fraction], ...], ...]
+
+_ZERO = LaurentScalar.zero()
 
 
-def _to_laurent_rows(entries) -> LMat:
-    return [[lau(x) for x in row] for row in entries]
+def _dense_row(row, ncols: int) -> list[LaurentScalar]:
+    """The dense row of Laurent scalars with the given nonzero entries; every
+    zero is the same shared zero scalar."""
+    out = [_ZERO] * ncols
+    for j, e in row:
+        out[j] = e
+    return out
 
 
-def _canonicalize(rows: LMat) -> LMat:
-    """Canonical representative of the projective class of ``rows``.
+def _canonicalize(rows: SparseRows) -> SparseRows:
+    """Canonical representative of the projective class of the sparse Laurent
+    rows (nonzero entries only, in ascending column order).
 
-    Zero entries are kept as they are, and the shift and the rescaling are
+    The shift and the rescaling run over the nonzero entries only, and are
     skipped when they would change nothing.
     """
-    exps = [e.min_exponent() for row in rows for e in row if e]
+    exps = [e.min_exponent() for row in rows for _, e in row]
     if not exps:
         raise ZeroMatrix("projective class of the zero matrix is undefined")
     shift = -min(exps)
     if shift:
-        rows = [[e.shift(shift) if e else e for e in row] for row in rows]
-    lead = next(c for row in rows for e in row if (c := e.coefficient(0)) != 0)
+        rows = tuple(tuple((j, e.shift(shift)) for j, e in row) for row in rows)
+    lead = next(c for row in rows for _, e in row if (c := e.coefficient(0)) != 0)
     if lead != 1:
         inv = 1 / lead
-        rows = [[e.scale(inv) if e else e for e in row] for row in rows]
+        rows = tuple(tuple((j, e.scale(inv)) for j, e in row) for row in rows)
     return rows
 
 
-def _limit_rows(rows: LMat) -> LMat:
-    """Entrywise t -> 0 limit of a canonical representative.
+def _limit_rows(rows: SparseRows) -> SparseRows:
+    """Entrywise t -> 0 limit of canonical sparse rows, with every entry whose
+    limit is 0 dropped.
 
     The result is canonical too: the minimum exponent is 0, so some entry has
     a nonzero constant term, and the first such term is 1.
     """
-    return [
-        [e if e.is_constant() else LaurentScalar.constant(e.limit_at_zero()) for e in row]
+    # No canonical entry has a pole, so its limit is its constant term c; an
+    # entry with c != 0 and one term is the constant c already.
+    return tuple(
+        tuple((j, e if e.is_monomial() else LaurentScalar.constant(c)) for j, e in row if (c := e.coefficient(0)))
         for row in rows
-    ]
+    )
 
 
 class ProjMatrix:
-    """A projective class of Laurent matrices, stored canonically.
+    """A projective class of Laurent matrices, stored canonically as sparse
+    rows: ``sparse`` holds the nonzero (column, LaurentScalar) entries of each
+    row in ascending column order, ``ncols`` the width.  ``rows`` is a dense
+    view.
 
     >>> m = ProjMatrix([["t^2", "0"], ["0", "t^3"]])
     >>> print(m)
@@ -81,32 +101,44 @@ class ProjMatrix:
     True
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("sparse", "ncols")
 
     def __init__(self, entries):
-        rows = _to_laurent_rows(entries)
+        rows = [[lau(x) for x in row] for row in entries]
         width = {len(r) for r in rows}
         if len(width) != 1:
             raise ZeroMatrix("ragged matrix")
-        self.rows: LMat = _canonicalize(rows)
+        self.sparse: SparseRows = _canonicalize(sparse_rows(rows))
+        self.ncols: int = width.pop()
+
+    @classmethod
+    def _of(cls, rows: SparseRows, ncols: int) -> "ProjMatrix":
+        """The class of the sparse Laurent rows (nonzero entries only, in
+        ascending column order) of a matrix with ncols columns."""
+        return cls._canonical(_canonicalize(rows), ncols)
+
+    @classmethod
+    def _canonical(cls, rows: SparseRows, ncols: int) -> "ProjMatrix":
+        """The class of sparse rows that are canonical already."""
+        out = object.__new__(cls)
+        out.sparse, out.ncols = rows, ncols
+        return out
 
     @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0])
-
-    def entry(self, i: int, j: int) -> LaurentScalar:
-        return self.rows[i][j]
+    def rows(self) -> list[list[LaurentScalar]]:
+        """The dense canonical representative (a fresh copy)."""
+        return [_dense_row(row, self.ncols) for row in self.sparse]
 
     def is_constant(self) -> bool:
-        return all(e.is_constant() for row in self.rows for e in row)
+        return all(e.is_constant() for row in self.sparse for _, e in row)
 
     def constant_rows(self) -> linalg.Mat:
         """Rational entries of a constant representative."""
-        return [[e.constant_value() for e in row] for row in self.rows]
+        out = linalg.zeros(len(self.sparse), self.ncols)
+        for row, dense in zip(self.sparse, out):
+            for j, e in row:
+                dense[j] = e.constant_value()
+        return out
 
     def limit(self) -> "ProjMatrix":
         """Entrywise t -> 0 limit of the canonical representative.
@@ -114,9 +146,7 @@ class ProjMatrix:
         Always converges (canonical form has no poles), and the limit is
         canonical itself, so it is not normalized again.
         """
-        out = object.__new__(ProjMatrix)
-        out.rows = _limit_rows(self.rows)
-        return out
+        return ProjMatrix._canonical(_limit_rows(self.sparse), self.ncols)
 
     def rank_at_limit(self) -> int:
         return linalg.rank(self.limit().constant_rows())
@@ -124,10 +154,10 @@ class ProjMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProjMatrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self.ncols == other.ncols and self.sparse == other.sparse
 
     def __hash__(self) -> int:
-        return hash(tuple(tuple(row) for row in self.rows))
+        return hash(self.sparse)
 
     def __str__(self) -> str:
         return "[" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in self.rows) + "]"
@@ -137,56 +167,57 @@ class ProjMatrix:
 
 
 class ProjPoint:
-    """A point of projective space with Laurent coordinates, stored canonically.
+    """A point of projective space with Laurent coordinates, stored canonically
+    as one sparse row: ``sparse`` holds the nonzero (index, LaurentScalar)
+    coordinates in ascending order, ``dim`` the length.  ``coords`` is a dense
+    view.
 
     >>> ProjPoint(["t", "t^2", "0"]) == ProjPoint(["3", "3*t", "0"])
     True
     """
 
-    __slots__ = ("coords",)
+    __slots__ = ("sparse", "dim")
 
     def __init__(self, coords):
         row = [lau(x) for x in coords]
-        self.coords: list[LaurentScalar] = _canonicalize([row])[0]
+        [self.sparse] = _canonicalize(sparse_rows([row]))
+        self.dim: int = len(row)
 
     @property
-    def dim(self) -> int:
-        return len(self.coords)
+    def coords(self) -> list[LaurentScalar]:
+        """The dense canonical coordinates (a fresh copy)."""
+        return _dense_row(self.sparse, self.dim)
 
     def limit(self) -> "ProjPoint":
         out = object.__new__(ProjPoint)
-        out.coords = _limit_rows([self.coords])[0]
+        [out.sparse] = _limit_rows((self.sparse,))
+        out.dim = self.dim
         return out
 
     def constant_coords(self) -> linalg.Vec:
-        return [c.constant_value() for c in self.coords]
+        out = [Fraction(0)] * self.dim
+        for i, c in self.sparse:
+            out[i] = c.constant_value()
+        return out
 
     def zero_pattern(self) -> tuple[int, ...]:
         """Indices of vanishing coordinates (0-based)."""
-        return tuple(i for i, c in enumerate(self.coords) if c.is_zero())
+        nonzero = {i for i, _ in self.sparse}
+        return tuple(i for i in range(self.dim) if i not in nonzero)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProjPoint):
             return NotImplemented
-        return self.coords == other.coords
+        return self.dim == other.dim and self.sparse == other.sparse
 
     def __hash__(self) -> int:
-        return hash(tuple(self.coords))
+        return hash(self.sparse)
 
     def __str__(self) -> str:
         return "[" + ", ".join(map(str, self.coords)) + "]"
 
     def __repr__(self) -> str:
         return f"ProjPoint({self})"
-
-
-# ---------------------------------------------------------------------------
-# Laurent matrix helpers (plain lists, no projective normalization)
-# ---------------------------------------------------------------------------
-
-
-def lmat_from_rational(m: linalg.Mat) -> LMat:
-    return [[LaurentScalar.constant(x) for x in row] for row in m]
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +253,8 @@ def invert_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def sparse_rows(rows) -> SparseRows:
-    """The nonzero (column, value) entries of each row of a dense matrix."""
+    """The nonzero (column, value) entries of each row of a dense matrix
+    (rational or Laurent)."""
     return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
 
 
@@ -286,19 +318,22 @@ def conjugate_flat(g: SparseRows, ginv: SparseRows, vectors: list[dict], m: int)
     return out
 
 
-def factored_product(left: SparseRows, powers: list[LaurentScalar], right: SparseRows) -> LMat:
-    """left * diag(powers) * right for square rational factors given by their
-    sparse rows: entry (i, j) is one ``rational_combination`` of the
-    left_ik right_kj powers_k over the k where both factors are nonzero."""
-    zero = LaurentScalar.zero()
+def factored_product(left: SparseRows, powers: list[LaurentScalar], right: SparseRows) -> SparseRows:
+    """The sparse rows of left * diag(powers) * right for square rational
+    factors given by their sparse rows and nonzero powers: entry (i, j) is one
+    ``rational_combination`` of the left_ik right_kj powers_k over the k where
+    both factors are nonzero.  When both factors are the identity the result
+    is diag(powers), with no product formed."""
+    if is_identity(left) and is_identity(right):
+        return tuple(((k, p),) for k, p in enumerate(powers))
     out = []
     for row in left:
         terms: dict[int, list[tuple[Fraction, LaurentScalar]]] = {}
         for k, a in row:
             for j, c in right[k]:
                 terms.setdefault(j, []).append((a * c, powers[k]))
-        out.append([rational_combination(terms[j]) if j in terms else zero for j in range(len(right))])
-    return out
+        out.append(tuple((j, x) for j in sorted(terms) if (x := rational_combination(terms[j]))))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -373,7 +408,8 @@ class FactoredSequence:
     def matrix(self) -> ProjMatrix:
         """b(t) as a projective Laurent matrix, each t^w_k built (and its
         exponent checked) once."""
-        return ProjMatrix(factored_product(self.left, [LaurentScalar.t(w) for w in self.weights], self.right))
+        powers = [LaurentScalar.t(w) for w in self.weights]
+        return ProjMatrix._of(factored_product(self.left, powers, self.right), self.dim)
 
     def inverse(self) -> "FactoredSequence":
         """right^-1 diag(t^-w) left^-1: the stored factors and inverses swapped."""
@@ -446,8 +482,10 @@ class FactoredSequence:
         w = self.weights
         graded = {p: LaurentScalar.monomial(v, w[p // n] - w[p % n]) for p, v in y.items()}
         [z] = conjugate_flat(self.left, self.left_inv, [graded], n)
-        zero = LaurentScalar.zero()
-        return ProjMatrix([[z.get(i * n + j, zero) for j in range(n)] for i in range(n)])
+        rows: list[list] = [[] for _ in range(n)]
+        for p in sorted(z):
+            rows[p // n].append((p % n, z[p]))
+        return ProjMatrix._of(tuple(map(tuple, rows)), n)
 
     def apply_to_point(self, point: ProjPoint | list) -> ProjPoint:
         """b(t) x as a projective point: the rational rows of right, the

@@ -130,6 +130,11 @@ def reference_commutator(a, b):
     return out
 
 
+def lmat_from_rational(m):
+    """The dense Laurent matrix of constants with the rational entries of m."""
+    return [[LaurentScalar.constant(x) for x in row] for row in m]
+
+
 def lmat_mul(a, b):
     """The product of two dense matrices of Laurent scalars, entry by entry."""
     n, k, m = len(a), len(b), len(b[0])

@@ -1,6 +1,7 @@
 """Correlator degeneration: component survival, scale limits, functoriality."""
 
 import functools
+import hashlib
 import importlib.resources
 import json
 import random
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projlim import correlator as correlator_module
-from projlim import laurent, linalg
+from projlim import laurent, linalg, projective
 from projlim.errors import DimError, ExponentOverflow, NotInvertible, ProjlimError, TooLarge
 from projlim.correlator import (
     FUNDAMENTAL,
@@ -29,8 +30,8 @@ from projlim.correlator import (
     surviving_components,
     uv_ir_report,
 )
-from projlim.laurent import MAX_EXPONENT, LaurentScalar
-from projlim.lie import build_po
+from projlim.laurent import MAX_EXPONENT, LaurentScalar, rational_combination
+from projlim.lie import LieAlgebraSpan, build_po, truncated_exp
 from projlim.linalg import identity, mat_mul, transpose
 from projlim.parsing import parse_sequence
 from projlim.projective import FactoredSequence, ProjMatrix, permutation_matrix
@@ -264,6 +265,67 @@ class TestCommutation:
         with pytest.raises(ProjlimError):
             rep_limit_commute_check(po, GALILEI_SEQ, FUNDAMENTAL, [not_in_algebra])
 
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_schur_path_feeds_the_sparse_rows(self, monkeypatch, dual):
+        """The induced action gets the sparse rows of b h b^-1 and of its
+        limit (their transposes on the dual side), and no dense matrix of
+        either is formed: no ``ProjMatrix.__init__``, ``ProjMatrix.rows``,
+        ``dense_rows`` or ``sparse_rows`` call (watched by code object)."""
+        po = build_po(FLAT)
+        rotation = [[Fraction(0)] * 5 for _ in range(5)]
+        rotation[1][2], rotation[2][1] = Fraction(1), Fraction(-1)
+        boost = [[Fraction(0)] * 5 for _ in range(5)]
+        boost[3][4] = boost[4][3] = boost[1][0] = Fraction(1)
+        fed = []
+        rows_of = correlator_module._SchurAction.rows_of
+
+        def recording(self, g):
+            fed.append(g)
+            return rows_of(self, g)
+
+        watched = {
+            ProjMatrix.__init__.__code__,
+            ProjMatrix.rows.fget.__code__,
+            projective.dense_rows.__code__,
+            projective.sparse_rows.__code__,
+        }
+        dense = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in watched:
+                dense.append(frame.f_code.co_name)
+
+        monkeypatch.setattr(correlator_module._SchurAction, "rows_of", recording)
+        tag = _schur_tag((2, 1), dual)
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            assert rep_limit_commute_check(po, GALILEI_SEQ, tag, [rotation, boost])
+        finally:
+            sys.setprofile(previous)
+        assert dense == []
+        expected = []
+        for x in (rotation, boost):
+            conj = GALILEI_SEQ.conjugate(truncated_exp(x, 3))
+            for pm in (conj, conj.limit()):
+                expected.append(projective.transpose_rows(pm.sparse) if dual else pm.sparse)
+        assert fed == expected and expected[0] != projective.transpose_rows(expected[0])
+
+    @pytest.mark.parametrize("lam", [(1, 1), (2, 1)], ids=str)
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_identity_conjugates_commute(self, lam, dual):
+        """A zero sample (h = 1, so b h b^-1 is the identity) and a sample
+        whose conjugate b h b^-1 = 1 + t E_43 tends to the identity both
+        commute: the induced action of the Laurent identity rows stays
+        Laurent on both sides of the comparison."""
+        tag = _schur_tag(lam, dual)
+        zero = [[Fraction(0)] * 5 for _ in range(5)]
+        assert rep_limit_commute_check(build_po(FLAT), GALILEI_SEQ, tag, [zero])
+        contracted = [[Fraction(0)] * 5 for _ in range(5)]
+        contracted[4][3] = Fraction(1)
+        assert GALILEI_SEQ.conjugate(truncated_exp(contracted, 3)).limit() == ProjMatrix(identity(5))
+        assert rep_limit_commute_check(LieAlgebraSpan(5, [contracted]), GALILEI_SEQ, tag, [contracted])
+
     @pytest.mark.parametrize("rep", [FUNDAMENTAL, RIGHT_ACTION, RepTag("schur", ((1, 1), ()))], ids=str)
     def test_sequence_of_another_dimension_is_refused(self, rep):
         """An m = 4 algebra with a 6-dimensional sequence is refused on every
@@ -472,7 +534,7 @@ class TestSchurActionAgainstReference:
                 with monkeypatch.context() as lifted:
                     lifted.setattr(laurent, "MAX_EXPONENT", 3 * MAX_EXPONENT)
                     expected = reference_rho_infinity(lam, dual, b)
-            assert rho == expected
+            assert rho == expected and hash(rho) == hash(expected)
             assert str(rho) == str(expected)
             assert str(rho.limit()) == str(expected.limit())
             assert surviving_components(tag, rho) == reference_surviving(tag, rho)
@@ -543,6 +605,60 @@ class TestPlainTagsAgainstSequence:
             fundamental, right = rep_matrix(FUNDAMENTAL, g), rep_matrix(RIGHT_ACTION, g)
             assert fundamental == g and right == reference_inverse(g)
             assert all(type(x) is Fraction for rows in (fundamental, right) for row in rows for x in row)
+
+
+def digest_sequences(seed=2027):
+    """Seeded m = 5 sequences: diagonal, and a permutation on the left, on
+    the right or on both sides, with weights in -4..4."""
+    rng = random.Random(seed)
+
+    def weights():
+        return [rng.randint(-4, 4) for _ in range(5)]
+
+    def perm():
+        return permutation_matrix(tuple(rng.sample(range(5), 5)))
+
+    eye = identity(5)
+    out = [FactoredSequence.diagonal(weights()) for _ in range(8)]
+    out += [FactoredSequence.build(perm(), weights(), eye) for _ in range(4)]
+    out += [FactoredSequence.build(eye, weights(), perm()) for _ in range(4)]
+    out += [FactoredSequence.build(perm(), weights(), perm()) for _ in range(4)]
+    return out
+
+
+# sha256 (first 16 hex digits) over digest_sequences() of the lines
+# "<rho-infinity>|<its limit>|<survivors>", as printed when ProjMatrix stored
+# its dense canonical rows.
+RHO_DIGESTS = {
+    "fundamental": "500667479237e298",
+    "right_action": "895027c202faba28",
+    "schur([1],[])": "500667479237e298",
+    "schur([],[1])": "86b6e1a3f1140145",
+    "schur([2],[])": "bb9933f2a64c9bc3",
+    "schur([],[2])": "eb13eb07ad16b6dd",
+    "schur([1,1],[])": "e3cde26f2579211d",
+    "schur([],[1,1])": "0993cf0e3b9e6817",
+    "schur([3],[])": "7953cc478ef4dbd5",
+    "schur([],[3])": "3a3b19c9ddc00b5a",
+    "schur([2,1],[])": "0108e5a424a70b88",
+    "schur([],[2,1])": "f7584dcd8a8736c0",
+    "schur([1,1,1],[])": "801d5b0591ad0db4",
+    "schur([],[1,1,1])": "62aab547c6f42cb4",
+}
+
+
+class TestRhoInfinityBytes:
+    @pytest.mark.parametrize(
+        "tag",
+        [FUNDAMENTAL, RIGHT_ACTION] + [_schur_tag(lam, dual) for lam in SMALL_TAGS[1:] for dual in (False, True)],
+        ids=str,
+    )
+    def test_printed_bytes_unchanged(self, tag):
+        h = hashlib.sha256()
+        for b in digest_sequences():
+            rho = rho_infinity(tag, b)
+            h.update(f"{rho}|{rho.limit()}|{surviving_components(tag, rho)}\n".encode())
+        assert h.hexdigest()[:16] == RHO_DIGESTS[str(tag)]
 
 
 class TestSchurBasisBuild:
@@ -681,6 +797,44 @@ class TestSchurWorkBound:
         rho = rho_infinity(tag, FactoredSequence.diagonal([3, -1, 0, 2, -2]))
         surviving_components(tag, rho)
         assert calls == {"laurent_mul": 0, "tensor_image": 0, "rings": set()}
+
+    @staticmethod
+    def _built(tag, b):
+        """The exponents of the ``LaurentScalar.t`` calls and the number of
+        ``rational_combination`` calls made by rho_infinity and
+        surviving_components (watched by code object)."""
+        watched = {LaurentScalar.t.__func__.__code__: "t", rational_combination.__code__: "combination"}
+        seen = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in watched:
+                seen.append((watched[frame.f_code], frame.f_locals.get("exponent")))
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            surviving_components(tag, rho_infinity(tag, b))
+        finally:
+            sys.setprofile(previous)
+        return [e for kind, e in seen if kind == "t"], sum(kind == "combination" for kind, _ in seen)
+
+    @pytest.mark.parametrize("lam", SMALL_TAGS)
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_diagonal_sequence_builds_each_power_once(self, lam, dual):
+        """Along a diagonal sequence no product is formed, and each distinct
+        column exponent gets one t^e."""
+        b = FactoredSequence.diagonal([3, -1, 0, 2, -2])
+        powers, combinations = self._built(_schur_tag(lam, dual), b)
+        assert combinations == 0
+        assert sorted(powers) == sorted(set(_column_exponents(lam, dual, b)))
+
+    @pytest.mark.parametrize("rep", [FUNDAMENTAL, RIGHT_ACTION], ids=str)
+    def test_diagonal_sequence_builds_each_power_once_plain_tags(self, rep):
+        weights = [3, -1, 3, 0, -1]
+        signed = [-w for w in weights] if rep is FUNDAMENTAL else weights
+        powers, combinations = self._built(rep, FactoredSequence.diagonal(weights))
+        assert combinations == 0
+        assert sorted(powers) == sorted({e - min(signed) for e in signed})
 
     @pytest.mark.parametrize("rep", [FUNDAMENTAL, RIGHT_ACTION], ids=str)
     @pytest.mark.parametrize("m", range(3, 8))

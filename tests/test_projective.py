@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from projlim import (
     DimError,
+    DivergentLimit,
     LaurentScalar,
     NotInvertible,
     ProjMatrix,
@@ -17,13 +18,12 @@ from projlim import (
 )
 from projlim.parsing import parse_matrix, parse_point, parse_sequence
 
-from _reference import lmat_mul, reference_inverse, reference_rank
+from _reference import lmat_from_rational, lmat_mul, reference_inverse, reference_rank
 from projlim.errors import NotFactorable
 from projlim.projective import (
     FactoredSequence,
     _canonicalize,
     invert_permutation,
-    lmat_from_rational,
     permutation_matrix,
     point_limit,
 )
@@ -271,7 +271,12 @@ class TestCanonicalFormAgainstReference:
             assert str(limit) == "[" + ", ".join(
                 "[" + ", ".join(map(str, row)) + "]" for row in reference_limit(pm.rows)
             ) + "]"
-            assert _canonicalize(limit.rows) == limit.rows
+            # The limit is canonical as stored: the sparse helper leaves its
+            # rows unchanged, they are the nonzero entries of the dense view,
+            # and the dense oracle leaves that view unchanged too.
+            assert _canonicalize(limit.sparse) == limit.sparse
+            assert limit.sparse == sparse_of(limit.rows)
+            assert reference_canonicalize(limit.rows) == limit.rows
 
     def test_points(self):
         for rows in GRID:
@@ -287,10 +292,97 @@ class TestCanonicalFormAgainstReference:
                 [expected_limit] = reference_limit([point.coords])
                 assert point.limit().coords == expected_limit
                 assert str(point.limit()) == "[" + ", ".join(map(str, expected_limit)) + "]"
+                # Stored as the one sparse row of the dense view; the readers
+                # and the limit agree with the dense reference.
+                for p, dense in ((point, expected), (point.limit(), expected_limit)):
+                    [row_sparse] = sparse_of([dense])
+                    assert p.sparse == row_sparse and p.dim == len(dense)
+                    assert p == ProjPoint(dense) and hash(p) == hash(ProjPoint(dense))
+                    assert p.zero_pattern() == tuple(i for i, e in enumerate(dense) if e.is_zero())
+                    if all(e.is_constant() for e in dense):
+                        assert p.constant_coords() == [e.constant_value() for e in dense]
 
     def test_zero_matrix_still_rejected(self):
         with pytest.raises(ZeroMatrix):
             ProjMatrix([[LaurentScalar.zero(), LaurentScalar.zero()]])
+        with pytest.raises(ZeroMatrix):
+            ProjMatrix._of(((), ()), 3)
+
+
+def sparse_of(rows):
+    """The nonzero (column, entry) pairs of each dense row, as tuples."""
+    return tuple(tuple((j, e) for j, e in enumerate(row) if not e.is_zero()) for row in rows)
+
+
+def _has_zero_line(rows):
+    """Whether a dense matrix with a nonzero entry has a zero row and a zero
+    column."""
+    return any(all(e.is_zero() for e in row) for row in rows) and any(
+        all(row[j].is_zero() for row in rows) for j in range(len(rows[0]))
+    )
+
+
+class TestSparseStorage:
+    """``ProjMatrix`` keeps only the nonzero entries of its canonical rows;
+    every reader must still answer as the dense canonical form does."""
+
+    def test_grid_covers_the_cases(self):
+        needs_shift = [
+            rows for rows in GRID if min(e.min_exponent() for row in rows for e in row if not e.is_zero()) != 0
+        ]
+        assert len(needs_shift) >= 20
+        assert sum(_has_zero_line(rows) for rows in GRID) >= 20
+        assert any(_has_zero_line(rows) for rows in needs_shift)
+
+    def test_readers_against_the_dense_reference(self):
+        for rows in GRID:
+            pm = ProjMatrix(rows)
+            expected = reference_canonicalize(rows)
+            assert pm.sparse == sparse_of(expected) and pm.ncols == len(rows[0])
+            assert all(
+                [j for j, _ in row] == sorted({j for j, _ in row}) for row in pm.sparse
+            ), "columns ascend, each once"
+            assert pm.rows == expected
+            assert str(pm) == "[" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in expected) + "]"
+            assert pm == ProjMatrix(expected) and hash(pm) == hash(ProjMatrix(expected))
+            assert pm.limit().rows == reference_limit(expected)
+            constant = all(e.is_constant() for row in expected for e in row)
+            assert pm.is_constant() == constant
+            if constant:
+                assert pm.constant_rows() == [[e.constant_value() for e in row] for row in expected]
+                assert all(type(x) is Fraction for row in pm.constant_rows() for x in row)
+            else:
+                with pytest.raises(DivergentLimit):
+                    pm.constant_rows()
+
+    def test_dense_view_is_a_copy(self):
+        pm = ProjMatrix([[T, 0], [0, 2 * T]])
+        pm.rows[0][0] = LaurentScalar.t(5)
+        assert str(pm) == "[[1, 0], [0, 2]]"
+
+    def test_equality_sees_every_entry_and_the_width(self):
+        for rows in GRID:
+            pm = ProjMatrix(rows)
+            changed = [row[:] for row in pm.rows]
+            i, j = next((i, j) for i, row in enumerate(changed) for j, e in enumerate(row) if not e.is_zero())
+            changed[i][j] = changed[i][j] + LaurentScalar.t(7)
+            assert pm != ProjMatrix(changed)
+        assert ProjMatrix([[1, 0]]) != ProjMatrix([[1, 0, 0]])
+        assert ProjMatrix([[1], [0]]) != ProjMatrix([[1]])
+
+    def test_dense_and_sparse_construction_agree(self):
+        """The same class built from dense entries and from sparse rows (the
+        route of the factored products) is equal and hashes equal, also when
+        the rows are not canonical yet."""
+        for rows in GRID:
+            dense = ProjMatrix(rows)
+            sparse = ProjMatrix._of(sparse_of(rows), len(rows[0]))
+            assert sparse == dense and hash(sparse) == hash(dense)
+            assert str(sparse) == str(dense)
+        for seq in sequence_grid():
+            built = seq.matrix()
+            dense = ProjMatrix(reference_sequence_rows(seq))
+            assert built == dense and hash(built) == hash(dense)
 
 
 # -- sequences as dense Laurent products, kept as an oracle ----------------------
