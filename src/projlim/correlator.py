@@ -202,6 +202,9 @@ class _SchurAction:
         # the other indices feed none.
         self.coord_cols = pivot_inverse(columns, pivots)
         self.unit = tuple(((k, Fraction(1)),) for k in range(self.dim))
+        # The module of (1) has the unit basis e_0, ..., e_{n-1}: its induced
+        # action is g itself.
+        self.fundamental = lam == (1,)
 
     def _tensor_image(self, g_cols: SparseRows, col: dict[int, object]):
         """Apply g tensor p to one sparse basis column; ``g_cols`` are the
@@ -226,8 +229,11 @@ class _SchurAction:
 
     def rows_of(self, g: SparseRows) -> SparseRows:
         """Sparse rows of the induced action of g, given by its sparse rows
-        over the rationals or Laurent scalars.  The identity gets the unit
-        rows in the scalar type of g, with no tensor image formed."""
+        over the rationals or Laurent scalars.  The module of (1) gets g
+        itself, and the identity the unit rows in the scalar type of g, with
+        no tensor image formed."""
+        if self.fundamental:
+            return g
         if is_identity(g):
             one = g[0][0][1]
             return tuple(((k, one),) for k in range(self.dim)) if isinstance(one, LaurentScalar) else self.unit

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import DimError, NoMatch, ProjlimError, SignatureError
+from .errors import DimError, ProjlimError, SignatureError
 from .laurent import LaurentScalar
 from .lie import (
     LieAlgebraSpan,
     Signature,
-    _limit_span,
     build_po,
+    conjugacy_limit,
     match_limit_geometry,
     validate_signature,
 )
@@ -170,22 +170,18 @@ class Degeneration:
 def geometry_limit(sig: Signature, seq: FactoredSequence) -> Degeneration:
     """Degenerate the geometry of ``sig`` along ``seq``.
 
-    Computes the conjugacy limit of the structure algebra and matches it to a
-    permuted block algebra.  The match proves the limit bracket-closed, with
-    no table built: it equals Ad_P po(limit_sig), and po(limit_sig) is closed.
-    A limit that does not match has its closure checked before ``NoMatch``
-    is raised, so a span that is not closed still raises ``NotClosed``.
+    The conjugacy limit of the structure algebra (``conjugacy_limit``) with
+    the match it stores: the limit equals Ad_P po(limit_sig), which proves it
+    closed with no table built.  A limit that does not match raises
+    ``NotClosed`` from ``conjugacy_limit`` when it is not closed, and
+    ``NoMatch`` here otherwise.
     """
     sig = validate_signature(sig)
     m = sum(p + q for p, q in sig)
     if seq.dim != m:  # refuse before build_po, whose cost grows steeply with m
         raise DimError(f"sequence dimension {seq.dim} != algebra ambient {m}")
-    limit = _limit_span(build_po(sig), seq)
-    try:
-        limit_sig, perm = match_limit_geometry(limit)
-    except NoMatch:
-        limit._closed()
-        raise
+    limit = conjugacy_limit(build_po(sig), seq)
+    limit_sig, perm = match_limit_geometry(limit)
     # b = L diag(t^w) R tends to L diag(w_k == min w) R with L, R invertible:
     # its rank is the count of least weights.
     return Degeneration(sig, seq, limit, limit_sig, perm, seq.weights.count(min(seq.weights)))

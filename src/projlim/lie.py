@@ -26,10 +26,12 @@ support of the other.  Every other pair brackets to zero, so the closure
 check, the series, the Killing form and the morphism checks skip it exactly.
 
 Each block algebra po(sig) is built once per process (``build_po``) and
-shared.  A conjugacy limit's closure is proven once: ``conjugacy_limit``
-checks it by building the limit's table, while a limit identified as
-Ad_P po(sig) by ``match_limit_geometry`` is closed already, because po(sig)
-is and conjugation by a permutation is a Lie automorphism.
+shared.  A conjugacy limit is identified once, by ``match_limit_geometry``,
+which the span stores: a limit that is Ad_P po(sig) is closed already,
+because po(sig) is and conjugation by a permutation is a Lie automorphism,
+and its invariants are those of po(sig), computed once per signature from
+po(sig)'s table.  Only a limit that does not match builds its own table,
+to prove closure and for its invariants.
 """
 
 from __future__ import annotations
@@ -133,7 +135,8 @@ class LieAlgebraSpan:
     The basis is stored once, in the given order, as the nonzero entries of
     each flattened matrix; ``basis`` is a dense view.  Closure is verified
     unless ``check_closed=False`` by bracketing every pair of basis elements
-    once, and the span keeps the structure-constant table this builds.
+    once, and the span keeps the structure-constant table this builds, as it
+    keeps the outcome of ``match_limit_geometry``.
     """
 
     def __init__(self, m: int, basis, *, check_closed: bool = True):
@@ -158,6 +161,9 @@ class LieAlgebraSpan:
             raise DimError("basis matrices are linearly dependent after trace removal")
         self._nonzero_basis = [_nonzero_rows(v, self.m) for v in flat]
         self._table: BracketTable | None = None
+        # The stored match (sig, perm) of match_limit_geometry: None until it
+        # is read, False when the span does not match.
+        self._match: tuple[Signature, tuple[int, ...]] | bool | None = None
         self._from_echelon: dict[int, list[tuple[int, Fraction]]] | None = None
         if check_closed:
             self._closed()
@@ -547,11 +553,15 @@ def conjugacy_limit(alg: LieAlgebraSpan, seq: FactoredSequence) -> LieAlgebraSpa
     """The t -> 0 limit of Ad_{b(t)} alg for a factored sequence b.
 
     The limit always has the same dimension as ``alg`` and is verified to be
-    bracket-closed here, by building its table of structure constants.
-    (``geometry.geometry_limit`` instead lets ``match_limit_geometry`` prove
-    closure: the limit it matches equals a permuted po(sig).)
+    bracket-closed here.  It is matched first (``match_limit_geometry``,
+    stored on the limit): a limit equal to a permuted po(sig) is closed with
+    no table built.  Only a limit that does not match builds its table of
+    structure constants, and raises NotClosed when a bracket leaves it.
     """
-    return _limit_span(alg, seq)._closed()
+    limit = _limit_span(alg, seq)
+    if not _stored_match(limit):
+        limit._closed()
+    return limit
 
 
 def z_and_nplus(
@@ -636,8 +646,25 @@ def match_limit_geometry(limit: LieAlgebraSpan) -> tuple[Signature, tuple[int, .
     E_ab + E_ba the other; the larger colour (a's on a tie) is the p part.
     Coordinates in ascending order take the next free index of their part:
     the lexicographically smallest permutation.  One comparison with the
-    permuted po(sig) confirms the match, or raises NoMatch.
+    permuted po(sig) confirms the match, or raises NoMatch.  The outcome is
+    stored on the span, so a second call on it does no work.
     """
+    match = _stored_match(limit)
+    if not match:
+        raise NoMatch("limit span is not a permuted orthogonal block algebra")
+    return match
+
+
+def _stored_match(limit: LieAlgebraSpan) -> tuple[Signature, tuple[int, ...]] | bool:
+    """The match of ``match_limit_geometry``, or False when the span does not
+    match; read off the span once and stored on it."""
+    if limit._match is None:
+        limit._match = _read_match(limit) or False
+    return limit._match
+
+
+def _read_match(limit: LieAlgebraSpan) -> tuple[Signature, tuple[int, ...]] | None:
+    """The (sig, perm) of ``match_limit_geometry``, or None when it does not match."""
     m = limit.m
     support = {p for vec in limit._flat for p in vec}
     reach = [[i == j or i * m + j in support for j in range(m)] for i in range(m)]
@@ -661,13 +688,13 @@ def match_limit_geometry(limit: LieAlgebraSpan) -> tuple[Signature, tuple[int, .
                     part.append(b)
                     break
             else:
-                raise NoMatch("limit span is not a permuted orthogonal block algebra")
+                return None
         p_part, q_part = (same, other) if len(same) >= len(other) else (other, same)
         for k in p_part + q_part:
             perm[k] = next(free)
         sig.append((len(p_part), len(q_part)))
     if not _spans_permuted_po(limit, tuple(sig), tuple(perm)):
-        raise NoMatch("limit span is not a permuted orthogonal block algebra")
+        return None
     return tuple(sig), tuple(perm)
 
 
@@ -774,8 +801,30 @@ class InvariantProfile:
 
 
 def invariant_profile(h: BracketTable | LieAlgebraSpan) -> InvariantProfile:
-    """Isomorphism invariants of a Lie algebra given by structure constants."""
-    table = h.structure_constants() if isinstance(h, LieAlgebraSpan) else h
+    """Isomorphism invariants of a Lie algebra given by structure constants.
+
+    A span with a stored match (sig, perm) (``match_limit_geometry``, which
+    ``conjugacy_limit`` tries on every limit) is isomorphic to po(sig), so it
+    gets the profile of po(sig), computed once per signature from po(sig)'s
+    table; it builds no table of its own.  Any other span is profiled from
+    its own table.
+    """
+    if isinstance(h, LieAlgebraSpan):
+        if h._match:
+            return _signature_profile(h._match[0])
+        h = h.structure_constants()
+    return _table_profile(h)
+
+
+@functools.lru_cache(maxsize=512)
+def _signature_profile(sig: Signature) -> InvariantProfile:
+    """The invariant profile of po(sig) for a normalized signature (a bounded
+    cache, like ``_po``)."""
+    return _table_profile(_po(sig).structure_constants())
+
+
+def _table_profile(table: BracketTable) -> InvariantProfile:
+    """The invariant profile read off a table of structure constants."""
     derived = table.derived_series_dims()
     lower = table.lower_central_dims()
     killing = table.killing_matrix()
@@ -916,8 +965,13 @@ def sigma_chain(p: int, q: int, weights) -> ChainResult:
 
     # Final check against the limit along the *original* weights (the per-step
     # limits used unit drops; the full sequence may space its drops freely).
+    # The check reads only the span of the limit, so a full limit equal to
+    # the last step's has that step's outcome.
     full_limit = conjugacy_limit(po, FactoredSequence.diagonal(w))
-    _, final_ok = _limit_morphism(sigma_images, current, full_limit)
+    if steps and full_limit.span_equals(limit):
+        final_ok = steps[-1].verified
+    else:
+        _, final_ok = _limit_morphism(sigma_images, current, full_limit)
     return ChainResult(
         signature=(p, q),
         weights=w,

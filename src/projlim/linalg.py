@@ -64,7 +64,9 @@ class Echelon:
     pivot, 0 at every other pivot, and 0 before its pivot in ``order`` (the
     columns in ascending index by default).  These are the nonzero rows of
     the RREF with the columns permuted into ``order``, whatever the order of
-    insertion.
+    insertion.  A reduced vector whose pivot entry is already 1 becomes a
+    row as it is, with no rescaling, so rows keep the type of the inserted
+    values (``rref`` coerces its input to ``Fraction``).
     """
 
     __slots__ = ("rows", "_key")
@@ -98,8 +100,11 @@ class Echelon:
         if not residual:
             return False
         p = min(residual, key=self._key)
-        inv = Fraction(1) / residual[p]
-        new = {c: x * inv for c, x in residual.items()}
+        if residual[p] == 1:  # already scaled: the residual is a fresh dict
+            new = residual
+        else:
+            inv = Fraction(1) / residual[p]
+            new = {c: x * inv for c, x in residual.items()}
         for row in self.rows.values():
             f = row.get(p)
             if f:
@@ -119,11 +124,11 @@ class Echelon:
 
 def rref(rows: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form and pivot columns, read off an ``Echelon``
-    of the rows.  Input is not modified."""
+    of the rows.  Input is not modified; its entries may be any rationals."""
     ncols = len(rows[0]) if rows else 0
     echelon = Echelon()
     for row in rows:
-        echelon.insert({c: x for c, x in enumerate(row) if x})
+        echelon.insert({c: Fraction(x) for c, x in enumerate(row) if x})
     zero = Fraction(0)
     canonical = echelon.canonical()
     red = [[row.get(c, zero) for c in range(ncols)] for _, row in canonical]

@@ -278,9 +278,19 @@ def transpose_rows(rows: SparseRows) -> SparseRows:
 
 
 def _inverse_rows(factor: SparseRows) -> SparseRows:
-    """The sparse rows of factor^-1 (n x n), from one ``pivot_inverse`` with
-    every column a pivot; NotInvertible when singular."""
+    """The sparse rows of factor^-1 (n x n); NotInvertible when singular.
+
+    A monomial factor (one nonzero x at (i, j) in every row and column, such
+    as a permutation) is inverted by transposition: row j of the inverse is
+    1/x at column i.  Any other factor goes through one ``pivot_inverse``
+    with every column a pivot."""
     n = len(factor)
+    if all(len(row) == 1 for row in factor):
+        transposed: list = [None] * n
+        for i, ((j, x),) in enumerate(factor):
+            transposed[j] = ((i, 1 / x),)
+        if None not in transposed:  # else two rows share a column: singular
+            return tuple(transposed)
     try:
         inv = linalg.pivot_inverse([dict(row) for row in factor], list(range(n)))
     except NotInvertible:

@@ -606,6 +606,21 @@ class TestPlainTagsAgainstSequence:
             assert fundamental == g and right == reference_inverse(g)
             assert all(type(x) is Fraction for rows in (fundamental, right) for row in rows for x in row)
 
+    def test_module_of_one_acts_by_g_itself(self):
+        """The module of (1) has the unit basis: ``rows_of(g)`` is g, equal to
+        the tensor action it skips, for rational and Laurent g at n = 2-7."""
+        rng = random.Random(28)
+        t = LaurentScalar.t
+        for n in range(2, 8):
+            action = correlator_module._schur_action((1,), n)
+            tensor = correlator_module._SchurAction((1,), n)
+            tensor.fundamental = False  # the general path: tensor image and coordinates
+            for _ in range(4):
+                rational = [[Fraction(rng.choice((0, 0, 1, -1, 2)), rng.choice((1, 3))) for _ in range(n)] for _ in range(n)]
+                laurent_g = [[rng.choice((0, 1, -2)) * t(rng.randint(-3, 3)) + rng.choice((0, 1)) for _ in range(n)] for _ in range(n)]
+                for g in (projective.sparse_rows(rational), projective.sparse_rows(laurent_g)):
+                    assert action.rows_of(g) == g == tensor.rows_of(g), g
+
 
 def digest_sequences(seed=2027):
     """Seeded m = 5 sequences: diagonal, and a permutation on the left, on
@@ -851,5 +866,9 @@ class TestSchurWorkBound:
         factor = [[1, 2, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 1, 0, 0], [0, -1, 0, 0, 3]]
         left, right = (factor, eye) if side == "left" else (eye, factor)
         rho_infinity(_schur_tag(lam, dual), FactoredSequence.build(left, [3, -1, 0, 2, -2], right))
+        if lam == (1,):
+            # The module of (1) has the unit basis: its action is the factor itself.
+            assert calls["tensor_image"] == 0 and calls["rings"] == set()
+            return
         assert calls["tensor_image"] == len(_dense_setup(lam)[0][0])
         assert calls["rings"] == {Fraction}

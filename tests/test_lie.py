@@ -913,9 +913,10 @@ def _support_partners(span):
 
 
 class TestOneBracketPassPerSpan:
-    """A limit request forms the commutator of each partner pair of its limit's
-    basis exactly once, and no other: the closure check builds the table
-    that the invariants then read, and every other pair brackets to zero."""
+    """A limit request forms no commutator of its limit's basis: the match
+    proves the limit closed, and its invariants are those of po(limit_sig),
+    whose table brackets each partner pair of po(limit_sig)'s basis exactly
+    once per process, and no other (every other pair brackets to zero)."""
 
     @pytest.fixture
     def bracket_calls(self, monkeypatch):
@@ -931,24 +932,38 @@ class TestOneBracketPassPerSpan:
 
     def test_geometry_limit_then_invariants(self, bracket_calls):
         """The match proves the limit closed, so ``geometry_limit`` forms no
-        commutator; the invariants then build the one table."""
+        commutator; the invariants then build the one table of po(limit_sig),
+        and a repeat forms none."""
+        lie_module._po.cache_clear()
+        lie_module._signature_profile.cache_clear()
         deg = geometry_limit(((5, 1),), parse_sequence("diag(t,t^2,1,1,t^-1,1)", 6))
         assert bracket_calls == []
-        invariant_profile(deg.limit)
-        index = {id(rows): k for k, rows in enumerate(deg.limit._nonzero_basis)}
+        profile = invariant_profile(deg.limit)
+        assert deg.limit._table is None
+        base = build_po(deg.limit_sig)
+        index = {id(rows): k for k, rows in enumerate(base._nonzero_basis)}
         pairs = [(index[a], index[b]) for a, b in bracket_calls]
         assert len(pairs) == len(set(pairs))
-        n = deg.limit.dim
-        assert set(pairs) == _support_partners(deg.limit) and len(pairs) < n * (n - 1) // 2
+        n = base.dim
+        assert set(pairs) == _support_partners(base) and len(pairs) < n * (n - 1) // 2
+        bracket_calls.clear()
+        assert invariant_profile(deg.limit) == profile
+        assert bracket_calls == []
 
     def test_cli_limit_at_m6(self, bracket_calls, capsys):
+        lie_module._po.cache_clear()
+        lie_module._signature_profile.cache_clear()
         seq = "compose(perm((0 5)),diag(t,1,t^2,1,t^-1,1))"
         assert cli_main(["limit", "--algebra", "po((3),(2,1))", "--seq", seq]) == 0
-        capsys.readouterr()
+        first = capsys.readouterr().out
         formed = list(bracket_calls)
-        limit = geometry_limit(((3, 0), (2, 1)), parse_sequence(seq, 6)).limit
-        assert limit.dim == 15
-        assert len(formed) == len(set(formed)) == len(_support_partners(limit)) < 15 * 14 // 2
+        deg = geometry_limit(((3, 0), (2, 1)), parse_sequence(seq, 6))
+        assert deg.limit.dim == 15
+        base = build_po(deg.limit_sig)
+        assert len(formed) == len(set(formed)) == len(_support_partners(base)) < 15 * 14 // 2
+        bracket_calls.clear()
+        assert cli_main(["limit", "--algebra", "po((3),(2,1))", "--seq", seq]) == 0
+        assert capsys.readouterr().out == first and bracket_calls == []
 
 
 class TestWorkBound:
@@ -961,6 +976,7 @@ class TestWorkBound:
     @pytest.fixture
     def calls(self, monkeypatch):
         lie_module._po.cache_clear()
+        lie_module._signature_profile.cache_clear()
         counts = {}
 
         def counted(owner, name):
@@ -993,8 +1009,10 @@ class TestWorkBound:
         result = sigma_chain(4, 2, [2, 2, 0, 0, 0, -1])
         assert result.all_verified
         # All pairs: 420 commutators, 675 table brackets and 675 ad calls,
-        # 6 inverses and 3 ranks.  The morphism checks bracket the images.
-        assert calls == {"_sparse_bracket": 288}
+        # 6 inverses and 3 ranks.  The morphism checks bracket the images;
+        # the step limits are matched, so none builds a table of its own, and
+        # the final check is the last step's, whose limit is the same span.
+        assert calls == {"_sparse_bracket": 139}
 
 
 class TestConjugationWork:
@@ -1361,18 +1379,144 @@ class TestClosureProvenByMatch:
                 unmatched += 1
                 continue
             assert tables == [], (sig, seq)
-            checked = conjugacy_limit(build_po(sig), seq)
+            # The limit with its closure proven by its own table.
+            checked = lie_module._limit_span(build_po(sig), seq)._closed()
             assert deg.limit.span_equals(checked) and deg.limit.is_closed(), (sig, seq)
             assert deg.limit.structure_constants() == checked.structure_constants(), (sig, seq)
             matched += 1
         assert matched >= 12 and unmatched >= 12, (matched, unmatched)
 
     def test_a_span_that_is_not_closed_raises_not_closed(self, monkeypatch):
-        from projlim import geometry as geometry_module
-
         not_closed = LieAlgebraSpan(3, [X1, X2], check_closed=False)
-        monkeypatch.setattr(geometry_module, "_limit_span", lambda alg, seq: not_closed)
+        monkeypatch.setattr(lie_module, "_limit_span", lambda alg, seq: not_closed)
         with pytest.raises(NoMatch):
             match_limit_geometry(not_closed)
         with pytest.raises(NotClosed):
+            conjugacy_limit(build_po(((3, 0),)), FactoredSequence.diagonal([0, 0, 0]))
+        with pytest.raises(NotClosed):
             geometry_limit(((3, 0),), FactoredSequence.diagonal([0, 0, 0]))
+
+
+def _identification_grid(seed=20261028, seeded=((6, 8), (7, 4))):
+    """Limits of po(sig) at m = 3-7 with weights in -3..3 and identity,
+    permutation or dense L/R factors: every signature at m <= 5, and seeded
+    ones at m = 6 and 7.  The factor kinds cycle through all nine pairs."""
+    rng = random.Random(seed)
+    makers = (
+        lambda m: linalg.identity(m),
+        lambda m: permutation_matrix(tuple(rng.sample(range(m), m))),
+        lambda m: _random_invertible(rng, m),
+    )
+    cases = [(m, sig) for m in (3, 4, 5) for sig in enumerate_signatures(m)]
+    cases += [(m, rng.choice(enumerate_signatures(m))) for m, count in seeded for _ in range(count)]
+    for k, (m, sig) in enumerate(cases):
+        left, right = makers[k % 3](m), makers[(k // 3) % 3](m)
+        yield sig, FactoredSequence.build(left, [rng.randint(-3, 3) for _ in range(m)], right)
+
+
+class TestLimitIdentifiedOnce:
+    """A conjugacy limit is identified once, by the match it stores: a matched
+    limit is closed with no table, and its invariants are those of
+    po(limit_sig); only a limit that does not match builds its table."""
+
+    def test_invariants_and_closure_against_the_table(self):
+        matched = unmatched = 0
+        for sig, seq in _identification_grid():
+            limit = conjugacy_limit(build_po(sig), seq)
+            if limit._match:
+                assert limit._table is None, (sig, seq)  # closed by the match
+                matched += 1
+            else:
+                # Closed by its own table, which the span keeps.
+                assert limit._match is False and limit._table is not None, (sig, seq)
+                with pytest.raises(NoMatch):
+                    match_limit_geometry(limit)
+                unmatched += 1
+            profile = invariant_profile(limit)
+            table = limit.structure_constants()
+            assert profile == invariant_profile(table), (sig, seq)
+            assert limit.is_closed() and limit.structure_constants() is table, (sig, seq)
+            assert table.is_antisymmetric() and table.satisfies_jacobi(), (sig, seq)
+        assert matched >= 40 and unmatched >= 20, (matched, unmatched)
+
+    def test_a_second_limit_with_the_same_signature_forms_no_commutator(self, monkeypatch):
+        lie_module._po.cache_clear()
+        lie_module._signature_profile.cache_clear()
+        calls = []
+        original = lie_module._sparse_bracket
+
+        def counted(a, b, m):
+            calls.append(m)
+            return original(a, b, m)
+
+        monkeypatch.setattr(lie_module, "_sparse_bracket", counted)
+        weights, right = [2, -1, 0, 3, -3, 1], permutation_matrix((1, 4, 0, 5, 2, 3))
+        first, second = (
+            conjugacy_limit(build_po(((3, 1), (2, 0))), FactoredSequence.build(permutation_matrix(left), weights, right))
+            for left in ((3, 0, 5, 1, 2, 4), (5, 4, 3, 2, 1, 0))
+        )
+        assert first._match[0] == second._match[0] and not first.span_equals(second)
+        assert calls == []  # both limits are closed by their match
+        profile = invariant_profile(first)
+        assert calls  # po(limit_sig)'s table, built once for the signature
+        calls.clear()
+        assert invariant_profile(second) == profile and calls == []
+        assert first._table is None and second._table is None
+
+    def test_a_second_match_does_no_work(self, monkeypatch):
+        reads = []
+        original = lie_module._read_match
+
+        def counted(limit):
+            reads.append(limit)
+            return original(limit)
+
+        monkeypatch.setattr(lie_module, "_read_match", counted)
+        seq = FactoredSequence.build(permutation_matrix((2, 0, 1, 4, 3)), [1, 0, -1, 0, 2], linalg.identity(5))
+        limit = lie_module._limit_span(build_po(((4, 1),)), seq)
+        assert match_limit_geometry(limit) == match_limit_geometry(limit)
+        not_po = LieAlgebraSpan(3, [X1, X2], check_closed=False)
+        for _ in range(2):
+            with pytest.raises(NoMatch):
+                match_limit_geometry(not_po)
+        assert reads == [limit, not_po]
+        # conjugacy_limit stores the match it tries: the caller's match reads nothing.
+        reads.clear()
+        limit = conjugacy_limit(build_po(((4, 1),)), seq)
+        match_limit_geometry(limit)
+        assert len(reads) == 1
+
+
+class TestSigmaChainFinalCheck:
+    """The final check of a sigma chain is the last step's when the full
+    limit is the same span as the last step's limit: the check reads only
+    the span.  Compared with the check made afresh, over seeded chains."""
+
+    def test_against_a_fresh_check(self, monkeypatch):
+        rng = random.Random(20261029)
+        checks = []
+        original = lie_module._limit_morphism
+
+        def counted(images, source, limit):
+            checks.append(limit)
+            return original(images, source, limit)
+
+        monkeypatch.setattr(lie_module, "_limit_morphism", counted)
+        for _ in range(24):
+            m = rng.randint(3, 6)
+            q = rng.randint(0, m // 2)
+            weights = sorted((rng.randint(-4, 4) for _ in range(m)), reverse=True)
+            checks.clear()
+            result = sigma_chain(m - q, q, weights)
+            assert len(checks) == max(len(result.splits), 1), (m, q, weights)
+            # The images of the last step, rebuilt, against the full limit.
+            po = build_po(((m - q, q),), m)
+            images = po._flat
+            for step in result.steps:
+                u = [0] * step.split + [-1] * (m - step.split)
+                images = [
+                    img if idx in step.fixed_indices else lie_module._min_grade_projection(img, u, m)
+                    for idx, img in enumerate(images)
+                ]
+            full = conjugacy_limit(po, FactoredSequence.diagonal(weights))
+            assert original(images, result.final_table, full)[1] == result.final_matches_limit, (m, q, weights)

@@ -152,6 +152,10 @@ class TestDenseRoutinesAgainstReference:
             assert linalg.rref(rows) == reference_rref(rows)
             assert rows == before
             assert linalg.rank(rows) == reference_rank(rows)
+            # Integer entries give the same Fraction rows.
+            red, pivots = linalg.rref([[int(x) for x in row] for row in rows])
+            assert (red, pivots) == reference_rref(rows)
+            assert all(type(x) is Fraction for row in red for x in row)
 
     def test_solve(self):
         consistent = inconsistent = 0

@@ -20,9 +20,11 @@ from projlim.parsing import parse_matrix, parse_point, parse_sequence
 
 from _reference import lmat_from_rational, lmat_mul, reference_inverse, reference_rank
 from projlim.errors import NotFactorable
+from projlim import linalg
 from projlim.projective import (
     FactoredSequence,
     _canonicalize,
+    _inverse_rows,
     invert_permutation,
     permutation_matrix,
     point_limit,
@@ -615,3 +617,60 @@ class TestSparseFactorStorage:
                     assert hash(a) == hash(b)
                     equal_pairs += a is not b
         assert equal_pairs >= 20
+
+
+class TestInverseRows:
+    """``_inverse_rows`` against the Gauss-Jordan ``reference_inverse`` over a
+    seeded grid at n = 2-7: a monomial factor (a permutation times nonzero
+    scales) is inverted by transposition with no elimination; dense, singular
+    and monomial-shaped singular factors go through ``pivot_inverse``."""
+
+    @staticmethod
+    def _grid():
+        rng = random.Random(20261028)
+        scales = [Fraction(a, b) for a in (-3, -2, -1, 1, 2, 3) for b in (1, 2, 3)]
+        for n in range(2, 8):
+            for _ in range(5):
+                perm = rng.sample(range(n), n)
+                values = [rng.choice(scales) for _ in range(n)]
+                yield "monomial", [[values[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+                # Two rows in one column: shaped like a monomial, but singular.
+                a, b = rng.sample(range(n), 2)
+                cols = perm[:]
+                cols[a] = cols[b]
+                yield "shaped", [[values[i] if j == cols[i] else 0 for j in range(n)] for i in range(n)]
+                yield "dense", [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+                dense = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n - 1)]
+                yield "singular", dense + [[a + b for a, b in zip(dense[0], dense[-1])]]
+
+    def test_against_reference(self, monkeypatch):
+        eliminations = []
+        original = linalg.pivot_inverse
+
+        def counted(vectors, pivots):
+            eliminations.append(len(vectors))
+            return original(vectors, pivots)
+
+        monkeypatch.setattr(linalg, "pivot_inverse", counted)
+        seen = {"monomial": 0, "shaped": 0, "dense": 0, "singular": 0}
+        for kind, factor in self._grid():
+            n = len(factor)
+            expected = reference_inverse(factor)
+            eliminations.clear()
+            rows = tuple(tuple((j, Fraction(x)) for j, x in enumerate(row) if x) for row in factor)
+            if expected is None:
+                assert kind != "monomial", factor
+                with pytest.raises(NotInvertible, match="^factored sequence requires invertible factors$"):
+                    _inverse_rows(rows)
+            else:
+                inv = _inverse_rows(rows)
+                assert _canonical_rows(inv, n) and _dense(inv, n) == expected, factor
+            assert eliminations == ([] if kind == "monomial" else [n]), (kind, factor)
+            seen[kind] += expected is not None
+        assert seen["monomial"] == 30 and seen["shaped"] == 0 and seen["dense"] >= 10
+
+    def test_sequences_of_permutations_invert_by_transposition(self, monkeypatch):
+        monkeypatch.setattr(linalg, "pivot_inverse", None)  # any elimination would fail
+        seq = parse_sequence("compose(perm((0 1 2 3 4)),diag(t,1,1,1,t))", 5)
+        assert _dense(seq.left_inv, 5) == reference_inverse(seq.left_rows())
+        assert _dense(seq.right_inv, 5) == reference_inverse(seq.right_rows())
