@@ -29,9 +29,10 @@ Each block algebra po(sig) is built once per process (``build_po``) and
 shared.  A conjugacy limit is identified once, by ``match_limit_geometry``,
 which the span stores: a limit that is Ad_P po(sig) is closed already,
 because po(sig) is and conjugation by a permutation is a Lie automorphism,
-and its invariants are those of po(sig), computed once per signature from
-po(sig)'s table.  Only a limit that does not match builds its own table,
-to prove closure and for its invariants.
+and its invariants are those of po(sig), read off the block sizes of sig
+with no table built (``_signature_profile``).  Only a limit that does not
+match builds its own table, on its sparse basis before the left factor is
+applied, to prove closure and for its invariants.
 """
 
 from __future__ import annotations
@@ -276,15 +277,15 @@ class BracketTable:
         self.dim, self._rows, self._antisymmetric = table.dim, table._rows, None
 
     @classmethod
-    def _from_brackets(cls, n: int, brackets: dict) -> "BracketTable":
+    def _from_brackets(cls, n: int, brackets: dict, antisymmetric: bool | None = None) -> "BracketTable":
         """The table with [e_i, e_j] = sum_k brackets[i, j][k] e_k (missing
-        pairs and zero values are zero brackets)."""
+        pairs and zero values are zero brackets); ``antisymmetric`` as in ``_of``."""
         rows: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(n)]
         for (i, j), coeffs in sorted(brackets.items()):
             nonzero = {k: Fraction(x) for k, x in sorted(coeffs.items()) if x}
             if nonzero:
                 rows[i][j] = nonzero
-        return cls._of(rows)
+        return cls._of(rows, antisymmetric)
 
     @classmethod
     def _of(cls, rows: list[dict[int, Sparse]], antisymmetric: bool | None = None) -> "BracketTable":
@@ -543,12 +544,6 @@ def _limit_in_frame(alg: LieAlgebraSpan, seq: FactoredSequence) -> tuple[list[Sp
     return vectors, grade, [row for _, row in initial.canonical()]
 
 
-def _limit_span(alg: LieAlgebraSpan, seq: FactoredSequence) -> LieAlgebraSpan:
-    """The conjugacy limit of ``alg`` along ``seq``, its closure not checked."""
-    limit = _limit_in_frame(alg, seq)[2]
-    return LieAlgebraSpan._of(alg.m, conjugate_flat(seq.left, seq.left_inv, limit, alg.m), check_closed=False)
-
-
 def conjugacy_limit(alg: LieAlgebraSpan, seq: FactoredSequence) -> LieAlgebraSpan:
     """The t -> 0 limit of Ad_{b(t)} alg for a factored sequence b.
 
@@ -556,11 +551,17 @@ def conjugacy_limit(alg: LieAlgebraSpan, seq: FactoredSequence) -> LieAlgebraSpa
     bracket-closed here.  It is matched first (``match_limit_geometry``,
     stored on the limit): a limit equal to a permuted po(sig) is closed with
     no table built.  Only a limit that does not match builds its table of
-    structure constants, and raises NotClosed when a bracket leaves it.
+    structure constants, and raises NotClosed when a bracket leaves it.  The
+    table is built on the frame basis of ``_limit_in_frame``, which is sparse
+    whatever the left factor L: Ad_L sends frame basis element i to limit
+    basis element i and is a Lie automorphism, so both have the same table
+    and either is closed exactly when the other is.  The limit keeps it.
     """
-    limit = _limit_span(alg, seq)
+    m = alg.m
+    frame = _limit_in_frame(alg, seq)[2]
+    limit = LieAlgebraSpan._of(m, conjugate_flat(seq.left, seq.left_inv, frame, m), check_closed=False)
     if not _stored_match(limit):
-        limit._closed()
+        limit._table = LieAlgebraSpan._of(m, frame).structure_constants()
     return limit
 
 
@@ -719,7 +720,9 @@ def contract(h: BracketTable | LieAlgebraSpan, t_indices) -> BracketTable:
     """Contract a Lie algebra along the subalgebra spanned by basis indices.
 
     In the split basis the contracted bracket keeps [t, t] whole, projects
-    [t, t^c] onto the complement, and kills [t^c, t^c].
+    [t, t^c] onto the complement, and kills [t^c, t^c].  The rule treats
+    (i, j) and (j, i) alike, so the contraction of a table known to be
+    antisymmetric is marked antisymmetric; otherwise the flag is left unknown.
     """
     table = h.structure_constants() if isinstance(h, LieAlgebraSpan) else h
     n = table.dim
@@ -738,7 +741,7 @@ def contract(h: BracketTable | LieAlgebraSpan, t_indices) -> BracketTable:
             brackets[i, j] = coeffs
         elif in_t[i] != in_t[j]:
             brackets[i, j] = {k: c for k, c in coeffs.items() if not in_t[k]}
-    return BracketTable._from_brackets(n, brackets)
+    return BracketTable._from_brackets(n, brackets, table._antisymmetric or None)
 
 
 def verify_morphism(map_matrix: Mat, src: BracketTable, dst: BracketTable) -> bool:
@@ -803,24 +806,110 @@ class InvariantProfile:
 def invariant_profile(h: BracketTable | LieAlgebraSpan) -> InvariantProfile:
     """Isomorphism invariants of a Lie algebra given by structure constants.
 
-    A span with a stored match (sig, perm) (``match_limit_geometry``, which
-    ``conjugacy_limit`` tries on every limit) is isomorphic to po(sig), so it
-    gets the profile of po(sig), computed once per signature from po(sig)'s
-    table; it builds no table of its own.  Any other span is profiled from
-    its own table.
+    A span that matches a permuted po(sig) (``match_limit_geometry``, which
+    ``conjugacy_limit`` tries on every limit and which is read here if no
+    match is stored yet) is isomorphic to po(sig), so it gets the profile of
+    po(sig), read off the block sizes of sig (``_signature_profile``); it
+    builds no table.  Any other span, and a table, is profiled from its
+    table of structure constants.
     """
     if isinstance(h, LieAlgebraSpan):
-        if h._match:
-            return _signature_profile(h._match[0])
+        match = _stored_match(h)
+        if match:
+            return _signature_profile(match[0])
         h = h.structure_constants()
     return _table_profile(h)
 
 
-@functools.lru_cache(maxsize=512)
 def _signature_profile(sig: Signature) -> InvariantProfile:
-    """The invariant profile of po(sig) for a normalized signature (a bounded
-    cache, like ``_po``)."""
-    return _table_profile(_po(sig).structure_constants())
+    """The invariant profile of po(sig), read off the block sizes n_i = p_i + q_i.
+
+    po(sig) = s + N with s = so(p_1,q_1) + ... + so(p_k,q_k) on the diagonal
+    blocks and N the full blocks Hom(V_j, V_i) for i > j (the cross-block
+    matrix units below the diagonal), an ideal on which s acts by
+    commutators.  Three facts give every bracket of the series:
+    so(n) is perfect for n >= 3, abelian for n = 2 and zero for n = 1;
+    for n_i >= 2, so(p_i,q_i) moves V_i onto all of V_i, so
+    [so_i, Hom(V_j, V_i)] and [so_j, Hom(V_j, V_i)] are the whole block;
+    and Hom(V_l, V_i) Hom(V_j, V_l) = Hom(V_j, V_i) for j < l < i, while
+    any other product of two blocks of N vanishes.  Every term of either
+    series after g itself is therefore the sum of so_i over
+    S = {i : n_i >= 3} and of the blocks (i, j) of a set X, of dimension
+    sum_{i in S} n_i(n_i - 1)/2 + sum_{(i,j) in X} n_i n_j.  With
+    A = {i : n_i >= 2} and via(X, Y) the blocks (i, j) with (i, l) in X and
+    (l, j) in Y for some j < l < i:
+
+    - [g, g] has X_1 = {(i, j) : i or j in A} | via(all, all);
+    - the derived series X_{r+1} = {(i, j) in X_r : i or j in S}
+      | via(X_r, X_r), since only the so_i with i in S are left in g_r;
+    - the lower central series X_{r+1} = {(i, j) in X_r : i or j in A}
+      | via(all, X_r) | via(X_r, all); the blocks [N, so_i] for i in S
+      add nothing, since every block (i, j) with i or j in A is in X_1 and
+      so in every X_r;
+
+    each stopping as ``BracketTable._series_dims`` stops.  The center is
+    zero unless po(sig) is so(2) or so(1,1) (one block, n_1 = 2), or the
+    corner Hom(V_1, V_k) is one-dimensional (k >= 2, n_1 = n_k = 1), when
+    it is the center.  The Killing form vanishes on the nilpotent ideal N
+    and is (m - 2) tr(XY) on each so block: so(n_i) contributes
+    (n_i - 2) tr(XY), and each other block j contributes n_j tr(XY) on
+    Hom(V_j, V_i) and on Hom(V_i, V_j).  In the basis M_ab = E_ab - J_a J_b E_ba,
+    tr(M_ab M_ab) = -2 J_a J_b, so for m >= 3 the signature is
+    (sum p_i q_i, sum C(p_i, 2) + C(q_i, 2), the rest); for m <= 2 it is zero.
+
+    The flat geometry po((1),(3,1)), the Poincare algebra so(3,1) + R^4:
+
+    >>> p = _signature_profile(((1, 0), (3, 1)))
+    >>> p.dim, p.derived_series, p.lower_central_series, p.center_dim
+    (10, (10,), (10,), 0)
+    >>> p.killing_signature
+    (3, 3, 4)
+    """
+    n = [p + q for p, q in sig]
+    k, m = len(n), sum(n)
+    big = [x >= 2 for x in n]  # A
+    simple = [x >= 3 for x in n]  # S
+    cells = {(i, j) for i in range(k) for j in range(i)}
+    so_dim = sum(x * (x - 1) // 2 for x in n if x >= 3)
+    total = sum(x * (x - 1) // 2 for x in n) + sum(n[i] * n[j] for i, j in cells)
+
+    def dim(x) -> int:
+        return so_dim + sum(n[i] * n[j] for i, j in x)
+
+    def via(x, y) -> set[tuple[int, int]]:
+        return {(i, j) for i, l in x for j in range(l) if (l, j) in y}
+
+    def touching(x, marked) -> set[tuple[int, int]]:
+        return {(i, j) for i, j in x if marked[i] or marked[j]}
+
+    first = touching(cells, big) | via(cells, cells)
+
+    def series(step) -> tuple[int, ...]:
+        dims, x = [total], first
+        while dims[-1] and dim(x) != dims[-1]:
+            dims.append(dim(x))
+            x = step(x)
+        return tuple(dims)
+
+    derived = series(lambda x: touching(x, simple) | via(x, x))
+    lower = series(lambda x: touching(x, big) | via(cells, x) | via(x, cells))
+    center = int(n[0] == 2 if k == 1 else n[0] == n[-1] == 1)
+    if m >= 3:
+        plus = sum(p * q for p, q in sig)
+        minus = sum(p * (p - 1) // 2 + q * (q - 1) // 2 for p, q in sig)
+    else:
+        plus = minus = 0
+    return InvariantProfile(
+        dim=total,
+        derived_series=derived,
+        lower_central_series=lower,
+        center_dim=center,
+        is_abelian=dim(first) == 0,
+        is_nilpotent=lower[-1] == 0,
+        is_solvable=derived[-1] == 0,
+        killing_rank=plus + minus,
+        killing_signature=(plus, minus, total - plus - minus),
+    )
 
 
 def _table_profile(table: BracketTable) -> InvariantProfile:

@@ -10,7 +10,7 @@ import time
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from projlim import cli
+from projlim import cli, lie
 from projlim.cli import main
 
 DS_SEQ = "diag(t^4,t^-1,t^-1,t^-1,t^-1)"
@@ -133,6 +133,33 @@ class TestContractAndInvariants:
         )
         assert code == 0
         assert json.loads(out)["invariants"]["is_nilpotent"] is False
+
+
+class TestInvariantsReadOffTheSignature:
+    """``invariants`` of a block algebra reads the profile off its signature:
+    the output is byte-equal to the profile read off po(sig)'s table, and a
+    large ambient dimension answers at once."""
+
+    def test_output_equals_the_table_route_up_to_m5(self, monkeypatch):
+        sigs = [sig for m in range(1, 6) for sig in lie.enumerate_signatures(m)]
+        argvs = [
+            ["invariants", "--algebra", "po" + lie.signature_str(sig), "--format", fmt]
+            for sig in sigs
+            for fmt in ("table", "json")
+        ]
+        closed_form = [request(argv) for argv in argvs]
+        monkeypatch.setattr(lie, "_signature_profile", lambda sig: lie._table_profile(lie._po(sig).structure_constants()))
+        assert [request(argv) for argv in argvs] == closed_form
+        assert all(code == 0 and not err for code, _, err in closed_form)
+
+    def test_po32_answers_in_under_half_a_second(self):
+        for algebra, dim in (("po(32)", 496), ("po((16,16))", 496)):
+            lie._po.cache_clear()
+            start = time.perf_counter()
+            code, out, _ = request(["invariants", "--algebra", algebra, "--format", "json"])
+            elapsed = time.perf_counter() - start
+            assert code == 0 and json.loads(out)["invariants"]["dim"] == dim
+            assert elapsed < 0.5, (algebra, elapsed)
 
 
 class TestSigmaChain:

@@ -1,5 +1,6 @@
 """Block algebras, conjugacy limits, contractions, and contraction chains."""
 
+import json
 import random
 import sys
 import time
@@ -45,7 +46,7 @@ from projlim.lie import (
 )
 from projlim.geometry import geometry_limit
 from projlim.parsing import parse_sequence
-from projlim.projective import FactoredSequence, invert_permutation, permutation_matrix
+from projlim.projective import FactoredSequence, conjugate_flat, invert_permutation, permutation_matrix
 
 from _reference import (
     reference_commutator,
@@ -913,10 +914,11 @@ def _support_partners(span):
 
 
 class TestOneBracketPassPerSpan:
-    """A limit request forms no commutator of its limit's basis: the match
-    proves the limit closed, and its invariants are those of po(limit_sig),
-    whose table brackets each partner pair of po(limit_sig)'s basis exactly
-    once per process, and no other (every other pair brackets to zero)."""
+    """A limit request forms no commutator at all: the match proves the
+    limit closed, and its invariants are those of po(limit_sig), read off
+    limit_sig with no table built.  They equal the profile of po(limit_sig)'s
+    table, which brackets each partner pair of po(limit_sig)'s basis exactly
+    once, and no other (every other pair brackets to zero)."""
 
     @pytest.fixture
     def bracket_calls(self, monkeypatch):
@@ -930,40 +932,44 @@ class TestOneBracketPassPerSpan:
         monkeypatch.setattr(lie_module, "_sparse_bracket", counted)
         return calls
 
-    def test_geometry_limit_then_invariants(self, bracket_calls):
-        """The match proves the limit closed, so ``geometry_limit`` forms no
-        commutator; the invariants then build the one table of po(limit_sig),
-        and a repeat forms none."""
-        lie_module._po.cache_clear()
-        lie_module._signature_profile.cache_clear()
-        deg = geometry_limit(((5, 1),), parse_sequence("diag(t,t^2,1,1,t^-1,1)", 6))
-        assert bracket_calls == []
-        profile = invariant_profile(deg.limit)
-        assert deg.limit._table is None
-        base = build_po(deg.limit_sig)
+    @staticmethod
+    def _table_route(sig, bracket_calls):
+        """The profile of po(sig) read off its table, built afresh, after
+        checking that the table brackets each partner pair once."""
+        base = lie_module._po.__wrapped__(sig)
+        bracket_calls.clear()
+        table = base.structure_constants()
         index = {id(rows): k for k, rows in enumerate(base._nonzero_basis)}
         pairs = [(index[a], index[b]) for a, b in bracket_calls]
-        assert len(pairs) == len(set(pairs))
         n = base.dim
+        assert len(pairs) == len(set(pairs))
         assert set(pairs) == _support_partners(base) and len(pairs) < n * (n - 1) // 2
-        bracket_calls.clear()
-        assert invariant_profile(deg.limit) == profile
+        return lie_module._table_profile(table)
+
+    def test_geometry_limit_then_invariants(self, bracket_calls):
+        """Neither ``geometry_limit`` nor the invariants form a commutator,
+        nor build a table of po(limit_sig); the profile is the table's."""
+        lie_module._po.cache_clear()
+        deg = geometry_limit(((5, 1),), parse_sequence("diag(t,t^2,1,1,t^-1,1)", 6))
+        profile = invariant_profile(deg.limit)
         assert bracket_calls == []
+        assert deg.limit._table is None and build_po(deg.limit_sig)._table is None
+        assert invariant_profile(deg.limit) == profile and bracket_calls == []
+        assert profile == self._table_route(deg.limit_sig, bracket_calls)
 
     def test_cli_limit_at_m6(self, bracket_calls, capsys):
         lie_module._po.cache_clear()
-        lie_module._signature_profile.cache_clear()
         seq = "compose(perm((0 5)),diag(t,1,t^2,1,t^-1,1))"
-        assert cli_main(["limit", "--algebra", "po((3),(2,1))", "--seq", seq]) == 0
+        argv = ["limit", "--algebra", "po((3),(2,1))", "--seq", seq, "--format", "json"]
+        assert cli_main(argv) == 0
         first = capsys.readouterr().out
-        formed = list(bracket_calls)
+        assert bracket_calls == []
+        assert cli_main(argv) == 0
+        assert capsys.readouterr().out == first and bracket_calls == []
         deg = geometry_limit(((3, 0), (2, 1)), parse_sequence(seq, 6))
         assert deg.limit.dim == 15
-        base = build_po(deg.limit_sig)
-        assert len(formed) == len(set(formed)) == len(_support_partners(base)) < 15 * 14 // 2
-        bracket_calls.clear()
-        assert cli_main(["limit", "--algebra", "po((3),(2,1))", "--seq", seq]) == 0
-        assert capsys.readouterr().out == first and bracket_calls == []
+        payload = json.loads(first)
+        assert payload["invariants"] == self._table_route(deg.limit_sig, bracket_calls).as_dict()
 
 
 class TestWorkBound:
@@ -976,7 +982,6 @@ class TestWorkBound:
     @pytest.fixture
     def calls(self, monkeypatch):
         lie_module._po.cache_clear()
-        lie_module._signature_profile.cache_clear()
         counts = {}
 
         def counted(owner, name):
@@ -1002,8 +1007,9 @@ class TestWorkBound:
         match_limit_geometry(limit)
         invariant_profile(limit)
         # All pairs: 210 commutators, 164 table brackets and 1130 ad calls.
-        # No inverse or rank key: neither is called.
-        assert calls == {"_sparse_bracket": 40, "_bracket": 17, "_ad": 163}
+        # The match proves the limit closed and the invariants are read off
+        # its signature: no commutator, no table product, no inverse, no rank.
+        assert calls == {}
 
     def test_m6_sigma_chain(self, calls):
         result = sigma_chain(4, 2, [2, 2, 0, 0, 0, -1])
@@ -1379,8 +1385,11 @@ class TestClosureProvenByMatch:
                 unmatched += 1
                 continue
             assert tables == [], (sig, seq)
-            # The limit with its closure proven by its own table.
-            checked = lie_module._limit_span(build_po(sig), seq)._closed()
+            # The limit, conjugated out of its frame, with its closure proven
+            # by its own table on the conjugated basis.
+            m = deg.limit.m
+            frame = _limit_in_frame(build_po(sig), seq)[2]
+            checked = LieAlgebraSpan._of(m, conjugate_flat(seq.left, seq.left_inv, frame, m))
             assert deg.limit.span_equals(checked) and deg.limit.is_closed(), (sig, seq)
             assert deg.limit.structure_constants() == checked.structure_constants(), (sig, seq)
             matched += 1
@@ -1388,13 +1397,24 @@ class TestClosureProvenByMatch:
 
     def test_a_span_that_is_not_closed_raises_not_closed(self, monkeypatch):
         not_closed = LieAlgebraSpan(3, [X1, X2], check_closed=False)
-        monkeypatch.setattr(lie_module, "_limit_span", lambda alg, seq: not_closed)
         with pytest.raises(NoMatch):
             match_limit_geometry(not_closed)
-        with pytest.raises(NotClosed):
-            conjugacy_limit(build_po(((3, 0),)), FactoredSequence.diagonal([0, 0, 0]))
-        with pytest.raises(NotClosed):
-            geometry_limit(((3, 0),), FactoredSequence.diagonal([0, 0, 0]))
+        # Limits whose frame basis is that span, under an identity and a
+        # dense left factor: the closure check reads the frame either way.
+        frames = []
+
+        def frame(alg, seq):
+            frames.append(seq)
+            return None, None, not_closed._flat
+
+        monkeypatch.setattr(lie_module, "_limit_in_frame", frame)
+        for left in (linalg.identity(3), [[1, 1, 0], [0, 1, 1], [1, 0, 1]]):
+            seq = FactoredSequence.build(left, [0, 0, 0], linalg.identity(3))
+            with pytest.raises(NotClosed):
+                conjugacy_limit(build_po(((3, 0),)), seq)
+            with pytest.raises(NotClosed):
+                geometry_limit(((3, 0),), seq)
+        assert len(frames) == 4
 
 
 def _identification_grid(seed=20261028, seeded=((6, 8), (7, 4))):
@@ -1427,8 +1447,10 @@ class TestLimitIdentifiedOnce:
                 assert limit._table is None, (sig, seq)  # closed by the match
                 matched += 1
             else:
-                # Closed by its own table, which the span keeps.
+                # Closed by its own table, which the span keeps: built on the
+                # frame basis, it is the table of the limit's own basis.
                 assert limit._match is False and limit._table is not None, (sig, seq)
+                assert limit._table == LieAlgebraSpan._of(limit.m, limit._flat).structure_constants(), (sig, seq)
                 with pytest.raises(NoMatch):
                     match_limit_geometry(limit)
                 unmatched += 1
@@ -1441,7 +1463,6 @@ class TestLimitIdentifiedOnce:
 
     def test_a_second_limit_with_the_same_signature_forms_no_commutator(self, monkeypatch):
         lie_module._po.cache_clear()
-        lie_module._signature_profile.cache_clear()
         calls = []
         original = lie_module._sparse_bracket
 
@@ -1458,10 +1479,10 @@ class TestLimitIdentifiedOnce:
         assert first._match[0] == second._match[0] and not first.span_equals(second)
         assert calls == []  # both limits are closed by their match
         profile = invariant_profile(first)
-        assert calls  # po(limit_sig)'s table, built once for the signature
-        calls.clear()
-        assert invariant_profile(second) == profile and calls == []
+        assert invariant_profile(second) == profile
+        assert calls == []  # the profile is read off the limit signature
         assert first._table is None and second._table is None
+        assert build_po(first._match[0])._table is None
 
     def test_a_second_match_does_no_work(self, monkeypatch):
         reads = []
@@ -1471,9 +1492,10 @@ class TestLimitIdentifiedOnce:
             reads.append(limit)
             return original(limit)
 
-        monkeypatch.setattr(lie_module, "_read_match", counted)
         seq = FactoredSequence.build(permutation_matrix((2, 0, 1, 4, 3)), [1, 0, -1, 0, 2], linalg.identity(5))
-        limit = lie_module._limit_span(build_po(((4, 1),)), seq)
+        # The limit as a fresh span, with no match stored.
+        limit = LieAlgebraSpan._of(5, conjugacy_limit(build_po(((4, 1),)), seq)._flat, check_closed=False)
+        monkeypatch.setattr(lie_module, "_read_match", counted)
         assert match_limit_geometry(limit) == match_limit_geometry(limit)
         not_po = LieAlgebraSpan(3, [X1, X2], check_closed=False)
         for _ in range(2):
@@ -1485,6 +1507,75 @@ class TestLimitIdentifiedOnce:
         limit = conjugacy_limit(build_po(((4, 1),)), seq)
         match_limit_geometry(limit)
         assert len(reads) == 1
+
+
+def _table_route_profile(sig):
+    """The profile of po(sig) read off its table, on a span built afresh."""
+    return lie_module._table_profile(lie_module._po.__wrapped__(sig).structure_constants())
+
+
+class TestSignatureProfile:
+    """The profile of po(sig) read off its block sizes equals the profile
+    read off its table of structure constants: every signature at m <= 7,
+    seeded ones at m = 8, and blocks with p < q (the match orders each block
+    p >= q, but ``build_po`` takes either)."""
+
+    def test_every_signature_up_to_m7(self):
+        for m in range(1, 8):
+            for sig in enumerate_signatures(m):
+                assert lie_module._signature_profile(sig) == _table_route_profile(sig), sig
+
+    def test_seeded_signatures_at_m8(self):
+        rng = random.Random(20261030)
+        for sig in rng.sample(enumerate_signatures(8), 12):
+            assert lie_module._signature_profile(sig) == _table_route_profile(sig), sig
+
+    def test_blocks_with_p_below_q(self):
+        rng = random.Random(20261031)
+        sigs = [((1, 2),), ((0, 3),), ((1, 3),), ((2, 3), (0, 1)), ((0, 2), (1, 0), (1, 2))]
+        for _ in range(24):
+            sig = rng.choice(enumerate_signatures(rng.randint(2, 7)))
+            sigs.append(tuple((q, p) if rng.random() < 0.5 else (p, q) for p, q in sig))
+        for sig in sigs:
+            assert lie_module._signature_profile(sig) == _table_route_profile(sig), sig
+
+    def test_a_built_block_algebra_takes_the_closed_form(self, monkeypatch):
+        """``invariant_profile`` of a ``build_po`` span reads its match and
+        builds no table."""
+        monkeypatch.setattr(LieAlgebraSpan, "_bracket_table", lambda self: pytest.fail("table built"))
+        sig = ((2, 0), (3, 1), (1, 0))
+        assert invariant_profile(lie_module._po.__wrapped__(sig)) == lie_module._signature_profile(sig)
+
+
+class TestContractKeepsAntisymmetry:
+    """``contract`` treats (i, j) and (j, i) alike, so the contraction of a
+    table known to be antisymmetric is marked so; a table not known to be
+    antisymmetric leaves the flag unknown."""
+
+    def test_sigma_chain_tables_are_marked(self):
+        rng = random.Random(20261032)
+        for _ in range(16):
+            m = rng.randint(3, 6)
+            q = rng.randint(0, m // 2)
+            weights = sorted((rng.randint(-3, 3) for _ in range(m)), reverse=True)
+            result = sigma_chain(m - q, q, weights)
+            for step in result.steps:
+                assert step.table._antisymmetric is True, (m, q, weights)
+                # The same rows with the flag unknown, checked from scratch.
+                assert BracketTable._of(list(step.table._rows)).is_antisymmetric(), (m, q, weights)
+
+    def test_a_table_not_known_antisymmetric_leaves_the_flag_unknown(self):
+        zero = Fraction(0)
+        c = [[[zero] * 2 for _ in range(2)] for _ in range(2)]
+        c[0][1][0] = Fraction(1)  # [e0, e1] = e0 with [e1, e0] = 0
+        table = BracketTable(c)
+        assert contract(table, [0])._antisymmetric is None
+        assert not table.is_antisymmetric()
+        contracted = contract(table, [0])
+        assert contracted._antisymmetric is None and contracted.is_antisymmetric()
+        c[1][0][0] = Fraction(-1)
+        unknown = BracketTable(c)  # antisymmetric, but not known to be
+        assert contract(unknown, [1])._antisymmetric is None
 
 
 class TestSigmaChainFinalCheck:
