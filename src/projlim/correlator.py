@@ -18,12 +18,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import DimError, NotInvertible, ProjlimError, TooLarge
-from .geometry import (
-    classify_point_limit,
-    geometry_limit,
-    in_model_space,
-    scale_matrix,
-)
+from .geometry import classify_point_limit, geometry_limit, scale_matrix
 from .laurent import LaurentScalar
 from .lie import LieAlgebraSpan, Signature, truncated_exp, validate_signature
 from .linalg import Mat, frac_rows, identity, inverse, mat_mul, pivot_inverse
@@ -445,17 +440,11 @@ def degenerate(
         for factor in spec.factors
     )
 
+    # Each point is made canonical once; its str is point_in.  The basis point
+    # e_i is interior (Q(e_i) = -1 < 0) exactly when i < p0.
     m = deg.m
-    points: list[ProjPoint] = []
-    if sample_points:
-        for entry in sample_points:
-            point = entry if isinstance(entry, ProjPoint) else ProjPoint(list(entry))
-            points.append(point)
-    for i in range(m):
-        coords = [0] * m
-        coords[i] = 1
-        if in_model_space(spec.geometry, coords) == "interior":
-            points.append(ProjPoint(coords))
+    points = [entry if isinstance(entry, ProjPoint) else ProjPoint(entry) for entry in sample_points or ()]
+    points += [ProjPoint([int(i == j) for j in range(m)]) for i in range(deg.sig[0][0])]
 
     samples = []
     fixed_points: list[str] = []

@@ -8,7 +8,8 @@ their canonical representatives coincide entrywise.  The class is stored once,
 as sparse rows (the nonzero (column, LaurentScalar) entries of each row), and
 the canonical form, its limit and every reader run over the nonzero entries
 only; the dense rows are a view.  A projective point is stored the same way,
-as one sparse row.
+as one sparse row; a point whose coordinates are all rational is made
+canonical over the rationals, with no Laurent arithmetic.
 
 Degenerating sequences b(t) are kept in factored form
 
@@ -26,6 +27,11 @@ nothing), which the Lie limits use too, and one factored product
 ``factored_product`` of sparse rows and a diagonal of Laurent powers, which
 gives the sparse rows of b(t) and of every rho-infinity, with no product
 formed when both factors are the identity.
+
+The limit of a point is read off the weights (the least-weight rule): with
+y = right * x, the limit of b(t) x is left * z, where z keeps the coefficients
+of y at the least value of w_i + val(y_i).  A rational point takes no Laurent
+arithmetic at all (``point_limit``).
 """
 
 from __future__ import annotations
@@ -88,6 +94,32 @@ def _limit_rows(rows: SparseRows) -> SparseRows:
     )
 
 
+def _rationals(coords) -> list[Fraction] | None:
+    """The coordinates of a point as rationals (expression strings parsed), or
+    None when one of them depends on t."""
+    out = []
+    for x in coords:
+        if not isinstance(x, (int, Fraction)):
+            x = lau(x)
+            if not x.is_constant():
+                return None
+            x = x.coefficient(0)
+        out.append(x if isinstance(x, Fraction) else Fraction(x))
+    return out
+
+
+def _rational_row(coords: list[Fraction]) -> tuple:
+    """The canonical sparse row of a rational point: its first nonzero
+    coordinate rescaled to 1, the entries constant LaurentScalars.  This is
+    the canonical form ``_canonicalize`` gives, with no shift to make."""
+    lead = next((x for x in coords if x), None)
+    if lead is None:
+        raise ZeroMatrix("the zero vector is not a projective point")
+    if lead != 1:
+        coords = [x / lead for x in coords]
+    return tuple((i, LaurentScalar._of({0: x})) for i, x in enumerate(coords) if x)
+
+
 class ProjMatrix:
     """A projective class of Laurent matrices, stored canonically as sparse
     rows: ``sparse`` holds the nonzero (column, LaurentScalar) entries of each
@@ -107,7 +139,7 @@ class ProjMatrix:
         rows = [[lau(x) for x in row] for row in entries]
         width = {len(r) for r in rows}
         if len(width) != 1:
-            raise ZeroMatrix("ragged matrix")
+            raise DimError("ragged matrix")
         self.sparse: SparseRows = _canonicalize(sparse_rows(rows))
         self.ncols: int = width.pop()
 
@@ -179,9 +211,21 @@ class ProjPoint:
     __slots__ = ("sparse", "dim")
 
     def __init__(self, coords):
-        row = [lau(x) for x in coords]
-        [self.sparse] = _canonicalize(sparse_rows([row]))
-        self.dim: int = len(row)
+        coords = list(coords)
+        rational = _rationals(coords)
+        if rational is None:
+            [self.sparse] = _canonicalize(sparse_rows([[lau(x) for x in coords]]))
+        else:
+            self.sparse = _rational_row(rational)
+        self.dim: int = len(coords)
+
+    @classmethod
+    def _of_rationals(cls, coords: list[Fraction]) -> "ProjPoint":
+        """The point with the given rational coordinates, made canonical over
+        the rationals."""
+        out = object.__new__(cls)
+        out.sparse, out.dim = _rational_row(coords), len(coords)
+        return out
 
     @property
     def coords(self) -> list[LaurentScalar]:
@@ -353,8 +397,8 @@ class FactoredSequence:
     Each factor is stored once, as its sparse rows: the nonzero (column,
     value) entries of each row, in ascending column order.  ``left_inv`` and
     ``right_inv`` hold the sparse rows of left^-1 and right^-1; they take no
-    part in equality, hashing or the repr.  ``left_rows``/``right_rows`` are
-    dense views.
+    part in equality, hashing or the repr, so equal sequences hash equal
+    however they were built.  ``left_rows``/``right_rows`` are dense views.
     """
 
     left: SparseRows
@@ -497,18 +541,46 @@ class FactoredSequence:
             rows[p // n].append((p % n, z[p]))
         return ProjMatrix._of(tuple(map(tuple, rows)), n)
 
-    def apply_to_point(self, point: ProjPoint | list) -> ProjPoint:
-        """b(t) x as a projective point: the rational rows of right, the
-        weights and the rational rows of left applied to the Laurent vector."""
-        x = point.coords if isinstance(point, ProjPoint) else [lau(c) for c in point]
-        if len(x) != self.dim:
-            raise DimError(f"point has {len(x)} coordinates, sequence dimension is {self.dim}")
-        v = [rational_combination((a, x[j]) for j, a in row).shift(w) for row, w in zip(self.right, self.weights)]
-        return ProjPoint([rational_combination((a, v[j]) for j, a in row) for row in self.left])
+
+def _times(rows: SparseRows, x: list[Fraction]) -> list[Fraction]:
+    """rows * x for rational sparse rows and a dense rational vector; x itself
+    for the identity."""
+    if is_identity(rows):
+        return x
+    return [sum(a * x[j] for j, a in row) for row in rows]
 
 
 def point_limit(seq: FactoredSequence, point: ProjPoint | list) -> ProjPoint:
-    """Canonical t -> 0 limit of b(t) x."""
-    return seq.apply_to_point(point).limit()
+    """Canonical t -> 0 limit of b(t) x, read off the least weight.
 
+    Let y = R x, so that b(t) x = L diag(t^w) y, whose entry i has least
+    exponent w_i + val(y_i).  Let v be the least of these over the nonzero
+    y_i, and z_i the coefficient of t^(v - w_i) in y_i (0 for y_i = 0).  Then
+    z != 0, and L z is the coefficient of t^v in b(t) x; no lower power
+    occurs, since L is constant.  L is invertible, so L z != 0 and v is the
+    least exponent of b(t) x: its limit is the class of L z.  A rational
+    point needs no Laurent arithmetic: every val(y_i) is 0, so v is the least
+    weight of a nonzero y_i, and z is y on the coordinates of that weight.
+    The rule equals the canonical limit of the Laurent point b(t) x.
 
+    >>> seq = FactoredSequence.diagonal([1, 0, 2])
+    >>> str(point_limit(seq, ["t^-1 + 5", "3 + t", "t^-1"]))  # w_i + val(y_i): 0, 0, 1
+    '[1, 3, 0]'
+    >>> str(point_limit(seq, [0, 2, 4]))
+    '[0, 1, 0]'
+    """
+    if not isinstance(point, ProjPoint):
+        point = ProjPoint(point)
+    if point.dim != seq.dim:
+        raise DimError(f"point has {point.dim} coordinates, sequence dimension is {seq.dim}")
+    x, w = point.coords, seq.weights
+    rational = _rationals(x)
+    if rational is not None:
+        y = _times(seq.right, rational)
+        v = min(w[i] for i, c in enumerate(y) if c)
+        z = [c if w[i] == v else 0 for i, c in enumerate(y)]
+    else:
+        y = [rational_combination((a, x[j]) for j, a in row) for row in seq.right]
+        v = min(w[i] + e.min_exponent() for i, e in enumerate(y) if e)
+        z = [e.coefficient(v - w[i]) for i, e in enumerate(y)]
+    return ProjPoint._of_rationals(_times(seq.left, z))

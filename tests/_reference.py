@@ -1,7 +1,8 @@
 """Dense Gauss-Jordan references for the exact linear algebra, the matrix
 commutator for the dense Lie oracles, the dense Laurent matrix product for
-the factored-sequence oracles, and the dense Young symmetrizer matrix for
-the symmetrizer-basis oracles.
+the factored-sequence oracles, the Laurent push of a point through a
+factored sequence for the point-limit oracles, and the dense Young
+symmetrizer matrix for the symmetrizer-basis oracles.
 
 They share no code with ``projlim.linalg``, so the tests that check the one
 row elimination (``linalg.Echelon``) and the routines read off it, and the
@@ -13,8 +14,9 @@ import itertools
 from fractions import Fraction
 from typing import Dict, Iterable
 
-from projlim.errors import TooLarge
-from projlim.laurent import LaurentScalar
+from projlim.errors import DimError, TooLarge
+from projlim.laurent import LaurentScalar, lau, rational_combination
+from projlim.projective import ProjPoint
 from projlim.young import (
     _SYMMETRIZER_CAP,
     DIM_FUND,
@@ -148,6 +150,18 @@ def lmat_mul(a, b):
                 if not b[s][j].is_zero():
                     out[i][j] = out[i][j] + c * b[s][j]
     return out
+
+
+def reference_apply_to_point(seq, point):
+    """b(t) x as a projective point: the rational rows of right, the weights
+    and the rational rows of left applied to the Laurent vector, which is
+    then made canonical.  Its ``limit()`` is the oracle of the least-weight
+    ``projective.point_limit``."""
+    x = point.coords if isinstance(point, ProjPoint) else [lau(c) for c in point]
+    if len(x) != seq.dim:
+        raise DimError(f"point has {len(x)} coordinates, sequence dimension is {seq.dim}")
+    v = [rational_combination((a, x[j]) for j, a in row).shift(w) for row, w in zip(seq.right, seq.weights)]
+    return ProjPoint([rational_combination((a, v[j]) for j, a in row) for row in seq.left])
 
 
 def reference_symmetrizer_matrix(lam: Iterable[int]) -> tuple[list[list[Fraction]], list[tuple[int, ...]]]:

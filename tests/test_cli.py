@@ -4,8 +4,12 @@ import contextlib
 import importlib.resources
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -233,6 +237,13 @@ class TestEmbedAndClassify:
         assert code == 0
         assert "[1, 0, 0, 0] -> [1, 0, 0, 0] [interior_lower_dim]" in out
 
+    def test_classify_refuses_the_zero_point_by_name(self, capsys):
+        code, out, err = run(
+            capsys, "classify", "--algebra", "po((1),(3,1))", "--seq", GALILEI_SEQ, "--points", "[1,2,3,4,5];[0,0,0,0,0]"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: the zero vector is not a projective point\n"
+
 
 class TestSchur:
     def test_column_pair(self, capsys):
@@ -304,6 +315,15 @@ class TestCorrelator:
         assert (code, out) == (1, "")
         assert "capped at 3 boxes" in err
 
+    def test_zero_point_is_refused_by_name(self, capsys):
+        for argv in (
+            ["--geometry", "((1),(3,1))", "--reps", "fundamental", "--seq", GALILEI_SEQ],
+            ["--mode", "uv", "--ell", "2"],
+        ):
+            code, out, err = run(capsys, "correlator", *argv, "--points", "[0,0,0,0,0]")
+            assert (code, out) == (1, "")
+            assert err == "error: the zero vector is not a projective point\n"
+
     def test_factor_count_over_the_cap_exits_1_at_once(self, capsys):
         for mode in ("uv", "ir"):
             start = time.perf_counter()
@@ -323,6 +343,18 @@ class TestFigure1:
             .read_text()
         )
         assert out == golden
+
+    def test_module_entry_matches_golden(self):
+        """``python3 -m projlim`` runs the same CLI as the ``projlim`` script."""
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "projlim", "figure1", "--format", "json"],
+            capture_output=True, env=env, timeout=120,
+        )
+        golden = importlib.resources.files("projlim.data").joinpath("figure1_golden.json").read_bytes()
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == golden
 
     def test_table_lists_rows(self, capsys):
         code, out, _ = run(capsys, "figure1")

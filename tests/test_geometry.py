@@ -3,11 +3,14 @@
 import random
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from projlim import geometry as geometry_module
+from projlim import laurent, projective
 from projlim.cli import main
 from projlim.correlator import FUNDAMENTAL, RIGHT_ACTION, degenerate, figure1_table, make_correlator
 from projlim.errors import DimError, NoMatch, ProjlimError
@@ -23,9 +26,9 @@ from projlim.geometry import (
 )
 from projlim.lie import build_po, conjugacy_limit, match_limit_geometry, validate_signature
 from projlim.parsing import parse_sequence
-from projlim.projective import FactoredSequence, ProjPoint, invert_permutation, permutation_matrix, point_limit
+from projlim.projective import FactoredSequence, ProjPoint, invert_permutation, permutation_matrix
 
-from _reference import reference_rank
+from _reference import reference_apply_to_point, reference_rank
 
 FLAT = ((1, 0), (3, 1))
 GALILEI_SEQ = parse_sequence("diag(t,1,1,1,t)")
@@ -177,20 +180,30 @@ class TestClassifyPointLimit:
         assert report.point == ProjPoint(point)
 
 
+def reference_side(sig, coords):
+    """``in_model_space`` by its definition: the sign of
+    -x_0^2 - ... - x_{p0-1}^2 + x_{p0}^2 + ... + x_{p0+q0-1}^2."""
+    p0, q0 = sig[0]
+    value = Fraction(0)
+    for i, c in enumerate(coords[: p0 + q0]):
+        value += (-1 if i < p0 else 1) * Fraction(c) * Fraction(c)
+    return "interior" if value < 0 else "boundary" if value == 0 else "outside"
+
+
 def reference_classify_point_limit(sig, b, x):
     """The per-point classification before the Degeneration record: it derives
     the limit signature, frame permutation and rank at the limit again for
     every point."""
     sig = validate_signature(sig)
     x = ProjPoint(list(x))
-    if in_model_space(sig, x) != "interior":
+    if reference_side(sig, x.constant_coords()) != "interior":
         raise ProjlimError("point is not interior to the model space")
-    y = point_limit(b, x)
+    y = reference_apply_to_point(b, x).limit()
     limit_sig, perm = match_limit_geometry(conjugacy_limit(build_po(sig), b))
     y_coords = y.constant_coords()
     inv = invert_permutation(perm)
     z_coords = [y_coords[inv[i]] for i in range(len(y_coords))]
-    membership = in_model_space(limit_sig, z_coords)
+    membership = reference_side(limit_sig, z_coords)
     if membership == "boundary":
         kind = "boundary"
     elif membership == "interior":
@@ -259,7 +272,13 @@ class TestAgainstReference:
 
 
 @pytest.fixture
-def match_calls(monkeypatch):
+def cold_cache():
+    """Start from an empty degeneration cache, as a fresh process does."""
+    geometry_module._degeneration.cache_clear()
+
+
+@pytest.fixture
+def match_calls(monkeypatch, cold_cache):
     """Count calls of lie.match_limit_geometry made from anywhere in projlim."""
     original = match_limit_geometry
     calls = []
@@ -274,7 +293,17 @@ def match_calls(monkeypatch):
     return calls
 
 
+IDENTITY5 = [[int(i == j) for j in range(5)] for i in range(5)]
+CLASSIFY_ARGV = [
+    "classify", "--algebra", "po((1),(3,1))", "--seq", "diag(t,1,1,1,t)",
+    "--points", "[1,2,3,4,5];[1,0,0,0,7];[1,0,0,0,0];[3,1,1,0,2]",
+]
+
+
 class TestOneDegenerationPerRequest:
+    """Each request derives its degeneration at most once, and a process
+    derives it once for all requests (``geometry_limit`` keeps it)."""
+
     def test_degenerate_matches_once(self, match_calls):
         spec = make_correlator(FLAT, [FUNDAMENTAL, RIGHT_ACTION])
         samples = [[1, 2, 3, 4, 5], [1, 0, 0, 0, 7], [1, 0, 0, 0, 0], [3, 1, 1, 0, 2], [2, 1, 0, 0, 0], [1, 1, 1, 1, 1]]
@@ -283,8 +312,7 @@ class TestOneDegenerationPerRequest:
         assert len(match_calls) == 1
 
     def test_classify_matches_once(self, match_calls, capsys):
-        points = "[1,2,3,4,5];[1,0,0,0,7];[1,0,0,0,0];[3,1,1,0,2]"
-        code = main(["classify", "--algebra", "po((1),(3,1))", "--seq", "diag(t,1,1,1,t)", "--points", points])
+        code = main(CLASSIFY_ARGV)
         assert code == 0
         assert capsys.readouterr().out.count(" -> ") == 4
         assert len(match_calls) == 1
@@ -292,6 +320,59 @@ class TestOneDegenerationPerRequest:
     def test_figure1_matches_once_per_row(self, match_calls):
         assert len(figure1_table()["rows"]) == 3
         assert len(match_calls) == 3
+
+    @pytest.mark.parametrize("argv", [CLASSIFY_ARGV, ["figure1", "--format", "json"]])
+    def test_a_repeated_request_matches_nothing(self, match_calls, capsys, argv):
+        assert main(argv) == 0
+        first, matched = capsys.readouterr().out, len(match_calls)
+        assert matched >= 1
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert len(match_calls) == matched
+
+    def test_the_same_record_is_shared(self, cold_cache):
+        seq = parse_sequence("diag(t,1,1,1,t)")
+        first = geometry_limit(FLAT, seq)
+        again = FactoredSequence.build(IDENTITY5, [1, 0, 0, 0, 1], IDENTITY5)
+        assert again == seq and hash(again) == hash(seq)
+        assert geometry_limit([[1], [3, 1]], again) is first  # the normalized signature is the key
+        info = geometry_module._degeneration.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_a_dimension_mismatch_is_refused_before_the_lookup(self, cold_cache):
+        with pytest.raises(DimError, match="sequence dimension 3 != algebra ambient 5"):
+            geometry_limit(((4, 1),), FactoredSequence.diagonal([1, 0, 0]))
+        info = geometry_module._degeneration.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+    def test_no_match_is_raised_again(self, match_calls):
+        seq = FactoredSequence.build([[1, 1, 0], [0, 1, 1], [1, 0, 1]], [1, 0, 0], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        for attempt in (1, 2):
+            with pytest.raises(NoMatch):
+                geometry_limit(((2, 1),), seq)
+            assert len(match_calls) == attempt
+        assert geometry_module._degeneration.cache_info().currsize == 0
+
+
+class TestRationalPointRoute:
+    """A rational point is classified in rationals: no Laurent vector is
+    formed and no Laurent row is made canonical."""
+
+    def test_no_laurent_work(self, monkeypatch):
+        deg = geometry_limit(FLAT, parse_sequence("compose(perm((0 4 1 2 3)),diag(t,1,1,1,t))"))
+        points = [[1, 2, 3, 4, 5], [Fraction(1, 2), 0, 0, 0, 7], [laurent.lau("3"), 1, 1, 0, laurent.lau("2")]]
+        expected = [classify_point_limit(deg, x) for x in points]
+
+        def refuse(*args, **kwargs):
+            pytest.fail("Laurent work for a rational point")
+
+        monkeypatch.setattr(projective, "rational_combination", refuse)
+        monkeypatch.setattr(laurent, "rational_combination", refuse)
+        monkeypatch.setattr(projective, "_canonicalize", refuse)
+        for x, report in zip(points, expected):
+            assert classify_point_limit(deg, x) == report
+            assert classify_point_limit(deg, ProjPoint(x)) == report
+            assert str(classify_point_limit(deg, x).point) == str(report.point)
 
 
 class TestTransformAndGauge:

@@ -44,6 +44,7 @@ from projlim.lie import (
     verify_morphism,
     z_and_nplus,
 )
+from projlim import geometry as geometry_module
 from projlim.geometry import geometry_limit
 from projlim.parsing import parse_sequence
 from projlim.projective import FactoredSequence, conjugate_flat, invert_permutation, permutation_matrix
@@ -950,6 +951,7 @@ class TestOneBracketPassPerSpan:
         """Neither ``geometry_limit`` nor the invariants form a commutator,
         nor build a table of po(limit_sig); the profile is the table's."""
         lie_module._po.cache_clear()
+        geometry_module._degeneration.cache_clear()
         deg = geometry_limit(((5, 1),), parse_sequence("diag(t,t^2,1,1,t^-1,1)", 6))
         profile = invariant_profile(deg.limit)
         assert bracket_calls == []
@@ -959,6 +961,7 @@ class TestOneBracketPassPerSpan:
 
     def test_cli_limit_at_m6(self, bracket_calls, capsys):
         lie_module._po.cache_clear()
+        geometry_module._degeneration.cache_clear()
         seq = "compose(perm((0 5)),diag(t,1,t^2,1,t^-1,1))"
         argv = ["limit", "--algebra", "po((3),(2,1))", "--seq", seq, "--format", "json"]
         assert cli_main(argv) == 0
@@ -1239,6 +1242,7 @@ class TestNoDenseEliminationInLie:
             return original(rows)
 
         monkeypatch.setattr(linalg, "rref", counted)
+        geometry_module._degeneration.cache_clear()
         deg = geometry_limit(((3, 1), (2, 0)), parse_sequence("compose(perm((0 5)),diag(t,1,t^2,1,t^-1,1))", 6))
         invariant_profile(deg.limit)
         assert callers == []
@@ -1259,6 +1263,7 @@ class TestNoDenseEliminationInLie:
         monkeypatch.setattr(linalg, "frac_rows", counted("frac_rows", linalg.frac_rows))
         monkeypatch.setattr(lie_module, "_matrix", counted("_matrix", lie_module._matrix))
         monkeypatch.setattr(LieAlgebraSpan, "_trace_free", counted("_trace_free", LieAlgebraSpan._trace_free))
+        geometry_module._degeneration.cache_clear()
         deg = geometry_limit(((3, 1), (2, 0)), seq)
         invariant_profile(deg.limit)
         assert deg.limit.dim == 15
@@ -1371,6 +1376,7 @@ class TestClosureProvenByMatch:
             return original(self)
 
         monkeypatch.setattr(LieAlgebraSpan, "_bracket_table", counted)
+        geometry_module._degeneration.cache_clear()  # every limit is derived here
         return spans
 
     def test_geometry_limit_equals_the_checked_limit(self, tables):
@@ -1408,6 +1414,7 @@ class TestClosureProvenByMatch:
             return None, None, not_closed._flat
 
         monkeypatch.setattr(lie_module, "_limit_in_frame", frame)
+        geometry_module._degeneration.cache_clear()
         for left in (linalg.identity(3), [[1, 1, 0], [0, 1, 1], [1, 0, 1]]):
             seq = FactoredSequence.build(left, [0, 0, 0], linalg.identity(3))
             with pytest.raises(NotClosed):

@@ -18,7 +18,7 @@ from projlim import (
 )
 from projlim.parsing import parse_matrix, parse_point, parse_sequence
 
-from _reference import lmat_from_rational, lmat_mul, reference_inverse, reference_rank
+from _reference import lmat_from_rational, lmat_mul, reference_apply_to_point, reference_inverse, reference_rank
 from projlim.errors import NotFactorable
 from projlim import linalg
 from projlim.projective import (
@@ -57,8 +57,13 @@ class TestCanonicalForm:
         assert str(point) == "[1, t]"
 
     def test_zero_point_rejected(self):
-        with pytest.raises(ZeroMatrix):
-            ProjPoint([0, 0, 0])
+        for zero in ([0, 0, 0], [LaurentScalar.zero()] * 3, ["0", 0, Fraction(0)]):
+            with pytest.raises(ZeroMatrix, match="the zero vector is not a projective point"):
+                ProjPoint(zero)
+
+    def test_ragged_matrix_is_a_dimension_error(self):
+        with pytest.raises(DimError, match="ragged matrix"):
+            ProjMatrix([[1, 0], [0, 1, 5]])
 
     def test_matrix_rescaling(self):
         assert ProjMatrix([[2, 0], [0, 4]]) == ProjMatrix([[1, 0], [0, 2]])
@@ -438,10 +443,41 @@ class TestSequenceAgainstDenseProducts:
             assert seq.matrix().rows == reference_canonicalize(reference_sequence_rows(seq))
             for coords in points[seq.dim][:6]:
                 [expected] = reference_canonicalize([reference_apply(seq, coords)])
-                assert seq.apply_to_point(ProjPoint(coords)).coords == expected
+                assert reference_apply_to_point(seq, ProjPoint(coords)).coords == expected
                 assert point_limit(seq, coords) == ProjPoint(expected).limit()
                 checked += 1
         assert checked >= 300
+
+    def test_point_limit_reads_the_least_weight(self):
+        """The least-weight point_limit against the canonical limit of the
+        Laurent point b(t) x, on dense L and R and their inverses, for
+        Laurent points, rational points and rational ProjPoints."""
+        rng = random.Random(20261030)
+        laurent = {}
+        for rows in GRID:
+            for row in rows:
+                if any(not e.is_zero() and not e.is_constant() for e in row):
+                    laurent.setdefault(len(row), []).append(row)
+        kinds = {"laurent": 0, "rational": 0, "point": 0}
+        for seq in sequence_grid():
+            rational = []
+            while len(rational) < 3:
+                coords = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(seq.dim)]
+                if any(coords):
+                    rational.append(coords)
+            cases = [("laurent", c) for c in laurent[seq.dim][:6]] + [("rational", c) for c in rational]
+            cases.append(("point", ProjPoint(rational[0])))
+            for kind, coords in cases:
+                expected = reference_apply_to_point(seq, coords).limit()
+                got = point_limit(seq, coords)
+                assert got == expected and str(got) == str(expected) and hash(got) == hash(expected), (seq, coords)
+                assert got.zero_pattern() == expected.zero_pattern()
+                kinds[kind] += 1
+        assert sum(kinds.values()) >= 500 and min(kinds.values()) >= 70, kinds
+
+    def test_a_zero_point_is_refused_by_name(self):
+        with pytest.raises(ZeroMatrix, match="the zero vector is not a projective point"):
+            point_limit(FactoredSequence.diagonal([1, 0, 0]), [0, 0, 0])
 
     @pytest.mark.parametrize("coords", [[1, 2], [1, 2, 3, 4]])
     def test_point_of_the_wrong_length_is_refused(self, coords):
