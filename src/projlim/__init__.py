@@ -16,7 +16,6 @@ The package computes, in exact rational arithmetic:
 """
 
 from .errors import (
-    DecompositionError,
     DimError,
     DivergentLimit,
     EmbeddingError,
@@ -150,7 +149,6 @@ __all__ = [
     "NotClosed",
     "NotSubalgebra",
     "DimError",
-    "DecompositionError",
     "EmbeddingError",
     "NoMatch",
     "TooLarge",

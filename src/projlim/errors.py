@@ -62,10 +62,6 @@ class DimError(ProjlimError):
     """Dimension mismatch between bracket tables or linear maps."""
 
 
-class DecompositionError(ProjlimError):
-    """The centralizer + positive part failed to span a conjugacy limit."""
-
-
 class EmbeddingError(ProjlimError):
     """A sequence does not respect a block embedding pgl_m -> pgl_M."""
 

@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .errors import DimError, ProjlimError, SignatureError
-from .laurent import LaurentScalar
 from .lie import (
     LieAlgebraSpan,
     Signature,
@@ -29,6 +28,7 @@ from .lie import (
 from .projective import (
     FactoredSequence,
     ProjPoint,
+    _rationals,
     invert_permutation,
     point_limit,
 )
@@ -59,20 +59,14 @@ GAUGE_DIRECTION = (
 
 
 def _rational_coords(x: PointLike, m: int) -> list[Fraction]:
-    """Coerce a point-like value to a list of ``m`` exact rational coordinates."""
-    if isinstance(x, ProjPoint):
-        values = x.constant_coords()
-    else:
-        values = []
-        for entry in x:
-            if isinstance(entry, LaurentScalar):
-                if not (entry.is_zero() or entry.is_constant()):
-                    raise ProjlimError(
-                        "vector entry depends on the parameter; take a limit first"
-                    )
-                values.append(entry.constant_value())
-            else:
-                values.append(Fraction(entry))
+    """Coerce a point-like value to a list of ``m`` exact rational coordinates.
+
+    Entries are read as ``ProjPoint`` reads them (``projective._rationals``):
+    integers, fractions, constant Laurent scalars and expression strings.
+    """
+    values = x.constant_coords() if isinstance(x, ProjPoint) else _rationals(list(x))
+    if values is None:
+        raise ProjlimError("vector entry depends on the parameter; take a limit first")
     if len(values) != m:
         raise DimError(f"expected {m} coordinates, got {len(values)}")
     return values
@@ -270,8 +264,6 @@ def transform_vector(w: PointLike, b: FactoredSequence) -> ProjPoint:
     >>> str(transform_vector([1, 0, 0, 0, 1], FactoredSequence.diagonal([1, 0, 0, 0, 1])))
     '[1, 0, 0, 0, 1]'
     """
-    if not isinstance(w, ProjPoint):
-        w = ProjPoint(list(w))
     return point_limit(b, w)
 
 

@@ -44,7 +44,6 @@ from itertools import combinations
 
 from . import linalg
 from .errors import (
-    DecompositionError,
     DimError,
     EmbeddingError,
     NoMatch,
@@ -114,20 +113,6 @@ def _commutator_partners(flat: list[Sparse], m: int) -> list[tuple[int, int]]:
     nonzero (a column of one meets a row of the other), in ascending order."""
     pairs = _partners([{p % m for p in v} for v in flat], [{p // m for p in v} for v in flat])
     return sorted({(a, b) if a < b else (b, a) for a, b in pairs if a != b})
-
-
-def _echelon_by(vectors: list[Sparse], key: list) -> list[tuple[object, Sparse]]:
-    """Echelon basis of span(vectors), eliminating columns in ascending ``key``.
-
-    Returns (key of the pivot column, row) pairs in pivot order, with rows
-    in the original columns.  Each row vanishes on every column whose key is
-    below the key of its pivot, so the rows whose pivot key is at least k
-    span the vectors of the span that vanish on all columns with key below k.
-    """
-    echelon = linalg.Echelon(sorted(range(len(key)), key=key.__getitem__))
-    for v in vectors:
-        echelon.insert(v)
-    return [(key[p], row) for p, row in echelon.canonical()]
 
 
 class LieAlgebraSpan:
@@ -536,11 +521,16 @@ def _limit_in_frame(alg: LieAlgebraSpan, seq: FactoredSequence) -> tuple[list[Sp
     vectors = conjugate_flat(seq.right, seq.right_inv, alg._flat, m)
     w = seq.weights
     grade = [w[i] - w[j] for i in range(m) for j in range(m)]
-    # Ordered by grade, the echelon rows are a basis adapted to the weight
-    # filtration, so their initial (lowest-grade) parts span the limit.
+    # With the columns eliminated in ascending grade, each echelon row
+    # vanishes below the grade of its pivot, so the rows are a basis adapted
+    # to the weight filtration and their initial (lowest-grade) parts span
+    # the limit.
+    graded = linalg.Echelon(sorted(range(m * m), key=grade.__getitem__))
+    for v in vectors:
+        graded.insert(v)
     initial = linalg.Echelon()
-    for d, row in _echelon_by(vectors, grade):
-        initial.insert({p: x for p, x in row.items() if grade[p] == d})
+    for p, row in graded.canonical():
+        initial.insert({c: x for c, x in row.items() if grade[c] == grade[p]})
     return vectors, grade, [row for _, row in initial.canonical()]
 
 
@@ -563,31 +553,6 @@ def conjugacy_limit(alg: LieAlgebraSpan, seq: FactoredSequence) -> LieAlgebraSpa
     if not _stored_match(limit):
         limit._table = LieAlgebraSpan._of(m, frame).structure_constants()
     return limit
-
-
-def z_and_nplus(
-    alg: LieAlgebraSpan, seq: FactoredSequence
-) -> tuple[LieAlgebraSpan, LieAlgebraSpan]:
-    """Split a conjugacy limit into centralizer and contracted translations.
-
-    Returns (z, n_plus): z is the part of ``alg`` commuting with the sequence
-    generator (grade-0 in the diagonal frame), n_plus the strictly-positive
-    part of the limit with respect to the generator X_b of b_n = exp(n X_b)
-    (equivalently the strictly *negative* t-grades).  Their direct sum must be
-    the whole conjugacy limit; DecompositionError otherwise.  Both are read
-    off the one frame of ``_limit_in_frame``.
-    """
-    m = alg.m
-    vectors, grade, limit = _limit_in_frame(alg, seq)
-    z_vecs = [row for zero, row in _echelon_by(vectors, [g == 0 for g in grade]) if zero]
-    nplus_vecs = [row for neg, row in _echelon_by(limit, [g < 0 for g in grade]) if neg]
-    both = linalg.Echelon()
-    if len(z_vecs) + len(nplus_vecs) != len(limit) or not all(both.insert(v) for v in z_vecs + nplus_vecs):
-        raise DecompositionError("centralizer + positive part do not span the conjugacy limit")
-    return (
-        LieAlgebraSpan._of(m, conjugate_flat(seq.left, seq.left_inv, z_vecs, m)),
-        LieAlgebraSpan._of(m, conjugate_flat(seq.left, seq.left_inv, nplus_vecs, m)),
-    )
 
 
 def embed_and_limit(
@@ -748,9 +713,10 @@ def verify_morphism(map_matrix: Mat, src: BracketTable, dst: BracketTable) -> bo
     """Whether x -> M x is a Lie algebra isomorphism from src onto dst.
 
     The i-th column of M holds the dst-coordinates of the image of the i-th
-    src basis vector.  [M e_i, M e_j] - M [e_i, e_j] is formed for the
-    partner pairs of the columns under dst and the pairs with a nonzero
-    src bracket; for every other pair both terms are zero.
+    src basis vector.  The columns must be independent (one
+    ``linalg.Echelon`` of the sparse columns).  [M e_i, M e_j] - M [e_i, e_j]
+    is formed for the partner pairs of the columns under dst and the pairs
+    with a nonzero src bracket; for every other pair both terms are zero.
     """
     n = src.dim
     if dst.dim != n:
@@ -758,9 +724,10 @@ def verify_morphism(map_matrix: Mat, src: BracketTable, dst: BracketTable) -> bo
     mm = linalg.frac_rows(map_matrix)
     if len(mm) != n or any(len(r) != n for r in mm):
         raise DimError(f"map must be {n}x{n}")
-    if linalg.rank(mm) < n:
-        return False
     cols = [{r: mm[r][i] for r in range(n) if mm[r][i]} for i in range(n)]
+    independent = linalg.Echelon()
+    if not all(independent.insert(col) for col in cols):
+        return False
     pairs = _partners([dst._reach(col) for col in cols], cols) | {(i, j) for i, j, _ in src.brackets()}
     for i, j in pairs:
         diff = dst._bracket(cols[i], cols[j])
@@ -1012,8 +979,12 @@ def sigma_chain(p: int, q: int, weights) -> ChainResult:
     single-split factor, processed in ascending split position.  Every step
     contracts along the subalgebra fixed by its factor and is verified (by
     ``_limit_morphism`` on its images) to be isomorphic to the conjugacy
-    limit up to that step;
-    the last step's limit is the conjugacy limit along the full sequence.
+    limit up to that step: the limit along the weights up to its split,
+    constant after it.  The basis of po(p,q) has pairwise disjoint supports,
+    so each basis element keeps its own least-grade part and the limit
+    depends only on the order of the weights.  The last step's weights are
+    the weights themselves, so its check is the final check; a chain with no
+    split checks po(p,q) against its limit along the weights.
     """
     m = p + q
     w = tuple(int(x) for x in weights)
@@ -1027,7 +998,6 @@ def sigma_chain(p: int, q: int, weights) -> ChainResult:
     splits = tuple(i for i in range(1, m) if w[i - 1] > w[i])
 
     steps: list[ChainStep] = []
-    composite = [0] * m
     current = po.structure_constants()
     for split in splits:
         u = [0] * split + [-1] * (m - split)
@@ -1039,8 +1009,7 @@ def sigma_chain(p: int, q: int, weights) -> ChainResult:
             img if idx in fixed else _min_grade_projection(img, u, m)
             for idx, img in enumerate(sigma_images)
         ]
-        composite = [a + b for a, b in zip(composite, u)]
-        limit = conjugacy_limit(po, FactoredSequence.diagonal(composite))
+        limit = conjugacy_limit(po, FactoredSequence.diagonal(w[:split] + (w[split],) * (m - split)))
         morphism, verified = _limit_morphism(sigma_images, current, limit)
         steps.append(
             ChainStep(
@@ -1052,15 +1021,10 @@ def sigma_chain(p: int, q: int, weights) -> ChainResult:
             )
         )
 
-    # Final check against the limit along the *original* weights (the per-step
-    # limits used unit drops; the full sequence may space its drops freely).
-    # The check reads only the span of the limit, so a full limit equal to
-    # the last step's has that step's outcome.
-    full_limit = conjugacy_limit(po, FactoredSequence.diagonal(w))
-    if steps and full_limit.span_equals(limit):
+    if steps:
         final_ok = steps[-1].verified
     else:
-        _, final_ok = _limit_morphism(sigma_images, current, full_limit)
+        _, final_ok = _limit_morphism(sigma_images, current, conjugacy_limit(po, FactoredSequence.diagonal(w)))
     return ChainResult(
         signature=(p, q),
         weights=w,

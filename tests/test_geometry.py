@@ -13,7 +13,7 @@ from projlim import geometry as geometry_module
 from projlim import laurent, projective
 from projlim.cli import main
 from projlim.correlator import FUNDAMENTAL, RIGHT_ACTION, degenerate, figure1_table, make_correlator
-from projlim.errors import DimError, NoMatch, ProjlimError
+from projlim.errors import DimError, NoMatch, ParseError, ProjlimError
 from projlim.geometry import (
     GAUGE_DIRECTION,
     classify_point_limit,
@@ -21,6 +21,7 @@ from projlim.geometry import (
     geometry_limit,
     in_model_space,
     limit_signature,
+    quadratic_form_value,
     scale_matrix,
     transform_vector,
 )
@@ -48,6 +49,44 @@ class TestModelSpace:
 
     def test_accepts_proj_points(self):
         assert in_model_space((4, 1), ProjPoint([2, 0, 0, 0, 0])) == "interior"
+
+
+def _coercing_calls(entry):
+    """The three calls that read a point's entries as rationals, each with
+    ``entry`` as its first coordinate."""
+    point = [entry, 0, 0, 0, 1]
+    return (
+        lambda: in_model_space((4, 1), point),
+        lambda: quadratic_form_value((4, 1), point),
+        lambda: gauge_equivalent(point, [1, 0, 0, 0, 0]),
+    )
+
+
+class TestPointEntryCoercion:
+    """Entries are read as ``ProjPoint`` reads them: a bad entry raises a
+    ``ProjlimError`` (``ParseError`` for bad text), never a bare Python error."""
+
+    def test_an_entry_depending_on_t_is_refused(self):
+        for call in _coercing_calls("t"):
+            with pytest.raises(ProjlimError, match="depends on the parameter"):
+                call()
+
+    def test_division_by_zero_is_a_parse_error(self):
+        for call in _coercing_calls("1/0"):
+            with pytest.raises(ParseError, match="division by zero"):
+                call()
+
+    def test_unknown_text_is_a_parse_error(self):
+        for call in _coercing_calls("x"):
+            with pytest.raises(ParseError, match="expected a scalar"):
+                call()
+
+    def test_a_float_is_refused_as_proj_point_refuses_it(self):
+        with pytest.raises(TypeError) as refused:
+            ProjPoint([0.5, 0, 0, 0, 1])
+        for call in _coercing_calls(0.5):
+            with pytest.raises(TypeError, match=str(refused.value)):
+                call()
 
 
 class TestLimitSignature:

@@ -1,5 +1,6 @@
 """Block algebras, conjugacy limits, contractions, and contraction chains."""
 
+import dataclasses
 import json
 import random
 import sys
@@ -15,7 +16,6 @@ from projlim import linalg
 from projlim import lie as lie_module
 from projlim.cli import main as cli_main
 from projlim.errors import (
-    DecompositionError,
     DimError,
     NoMatch,
     NotClosed,
@@ -24,7 +24,6 @@ from projlim.errors import (
 )
 from projlim.lie import (
     BracketTable,
-    _echelon_by,
     _limit_in_frame,
     _limit_morphism,
     _spans_permuted_po,
@@ -42,7 +41,6 @@ from projlim.lie import (
     truncated_exp,
     validate_signature,
     verify_morphism,
-    z_and_nplus,
 )
 from projlim import geometry as geometry_module
 from projlim.geometry import geometry_limit
@@ -202,19 +200,6 @@ class TestConjugacyLimits:
         alg = build_po(((4, 1),))
         for text in ("diag(t,1,1,1,1)", "diag(t^2,t,1,t^-1,t^-2)"):
             assert conjugacy_limit(alg, parse_sequence(text)).dim == alg.dim
-
-    def test_z_and_nplus_grading(self):
-        alg = build_po(((4, 1),))
-        seq = parse_sequence("diag(t^4,t^-1,t^-1,t^-1,t^-1)")
-        z, nplus = z_and_nplus(alg, seq)
-        # zero-weight stabilizer (6 rotations/boosts) + contracted translations (4)
-        assert (z.dim, nplus.dim) == (6, 4)
-        assert z.dim + nplus.dim == alg.dim
-        from projlim.linalg import mat_mul
-
-        for x in nplus.basis:
-            sq = mat_mul(x, x)
-            assert all(c == 0 for row in sq for c in row)
 
     @given(st.lists(st.integers(-2, 2), min_size=3, max_size=3))
     @settings(max_examples=25, deadline=None)
@@ -382,20 +367,6 @@ def reference_conjugacy_limit(alg, seq):
     return LieAlgebraSpan(m, _back(seq, basis_vecs, m))
 
 
-def reference_z_and_nplus(alg, seq):
-    m = alg.m
-    vectors, grade = _frame(alg, seq)
-    z_vecs = _subspace_with_zeros(vectors, [p for p in range(m * m) if grade[p] != 0])
-    limit = reference_conjugacy_limit(alg, seq)
-    left = seq.left_rows()
-    linv = reference_inverse(left)
-    limit_frame = [_flat(linalg.mat_mul(linalg.mat_mul(linv, x), left)) for x in limit.basis]
-    nplus_vecs = _subspace_with_zeros(limit_frame, [p for p in range(m * m) if grade[p] >= 0])
-    if len(z_vecs) + len(nplus_vecs) != limit.dim or reference_rank(z_vecs + nplus_vecs) != limit.dim:
-        raise DecompositionError("centralizer + positive part do not span the conjugacy limit")
-    return LieAlgebraSpan(m, _back(seq, z_vecs, m)), LieAlgebraSpan(m, _back(seq, nplus_vecs, m))
-
-
 def reference_structure_constants(span):
     n = span.dim
     basis = span.basis
@@ -429,8 +400,7 @@ def _oracle_cases():
                 _random_invertible(rng, m), weights, _random_invertible(rng, m)
             )
             yield sig, seq
-        # Diagonal sequences: the centralizer and the contracted part split
-        # the limit, so z_and_nplus answers instead of raising.
+        # Diagonal sequences: both factors the identity.
         for _ in range(count):
             sig = rng.choice(signatures)
             yield sig, FactoredSequence.diagonal([rng.randint(-3, 3) for _ in range(m)])
@@ -438,7 +408,6 @@ def _oracle_cases():
 
 class TestAgainstReference:
     def test_single_elimination_matches_per_grade_reference(self):
-        split = 0
         for sig, seq in _oracle_cases():
             alg = build_po(sig)
             limit = conjugacy_limit(alg, seq)
@@ -446,16 +415,6 @@ class TestAgainstReference:
             assert limit.basis == expected.basis, (sig, seq)
             assert limit.structure_constants() == reference_structure_constants(limit)
             assert alg.structure_constants() == reference_structure_constants(alg)
-            try:
-                want = reference_z_and_nplus(alg, seq)
-            except DecompositionError:
-                with pytest.raises(DecompositionError):
-                    z_and_nplus(alg, seq)
-                continue
-            got = z_and_nplus(alg, seq)
-            assert got[0].span_equals(want[0]) and got[1].span_equals(want[1]), (sig, seq)
-            split += 1
-        assert split >= 10
 
 
 # -- reference matcher: every signature against all m! permutations -----------
@@ -1020,14 +979,13 @@ class TestWorkBound:
         # All pairs: 420 commutators, 675 table brackets and 675 ad calls,
         # 6 inverses and 3 ranks.  The morphism checks bracket the images;
         # the step limits are matched, so none builds a table of its own, and
-        # the final check is the last step's, whose limit is the same span.
+        # the final check is the last step's, whose limit is along the weights.
         assert calls == {"_sparse_bracket": 139}
 
 
 class TestConjugationWork:
     """The one conjugation, ``projective.conjugate_flat``, forms products only
-    for a factor that is not the identity, and a z / n+ split conjugates the
-    algebra into the diagonal frame once and never back out of it."""
+    for a factor that is not the identity."""
 
     @pytest.fixture
     def conjugations(self, monkeypatch):
@@ -1054,19 +1012,11 @@ class TestConjugationWork:
 
     def test_sigma_chain_forms_no_conjugation_product(self, conjugations):
         assert sigma_chain(4, 2, [2, 2, 0, 0, 0, -1]).all_verified
-        # Two steps and the final check each take a limit along a diagonal
-        # sequence: Ad_R and Ad_L by identity factors, no product formed.
-        assert len(conjugations) == 6
+        # The two steps each take a limit along a diagonal sequence, the
+        # last one along the weights, so no final limit is taken: Ad_R and
+        # Ad_L by identity factors, no product formed.
+        assert len(conjugations) == 4
         assert all(products == 0 for _, products in conjugations)
-
-    def test_z_and_nplus_conjugates_its_frame_once(self, conjugations):
-        left = [[1, 1, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 2, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 1, 1]]
-        seq = FactoredSequence.build(left, [4, -1, -1, -1, -1], permutation_matrix((1, 2, 3, 4, 0)))
-        z, nplus = z_and_nplus(build_po(((4, 1),)), seq)
-        assert (z.dim, nplus.dim) == (6, 4)
-        # One Ad_R of the basis, then Ad_L of z and of n+; no Ad_{L^-1}.
-        assert [g for g, _ in conjugations] == [seq.right, seq.left, seq.left]
-        assert all(products > 0 for _, products in conjugations)
 
 
 # -- reference dense eliminations: graded echelon, limit basis, match check ----
@@ -1132,9 +1082,6 @@ class TestSparseEchelonAgainstDense:
             dense_vectors, dense_grade = _frame(alg, seq)
             assert [_densify(v, m * m) for v in vectors] == dense_vectors and grade == dense_grade
             assert [_densify(v, m * m) for v in frame_limit] == reference_limit_basis(dense_vectors, grade)
-            for key in (grade, [g == 0 for g in grade], [g < 0 for g in grade]):
-                got = [(d, _densify(row, m * m)) for d, row in _echelon_by(vectors, key)]
-                assert got == reference_echelon_by(dense_vectors, key), (sig, seq)
             limit = conjugacy_limit(alg, seq)
             assert limit.basis == _back(seq, reference_limit_basis(dense_vectors, grade), m), (sig, seq)
             echelon, pivots = reference_span_echelon(limit)
@@ -1230,7 +1177,8 @@ class TestSparseJacobi:
 class TestNoDenseEliminationInLie:
     """A limit request at m = 6 runs no dense RREF at all: not from the Lie
     core, not from linalg.inverse, and not for the rank of the sequence at
-    its limit (``Degeneration.rank`` is read off the weights)."""
+    its limit (``Degeneration.rank`` is read off the weights).  Nor does
+    ``verify_morphism``, which eliminates its sparse columns."""
 
     def test_geometry_limit_then_invariants(self, monkeypatch):
         callers = []
@@ -1246,6 +1194,14 @@ class TestNoDenseEliminationInLie:
         deg = geometry_limit(((3, 1), (2, 0)), parse_sequence("compose(perm((0 5)),diag(t,1,t^2,1,t^-1,1))", 6))
         invariant_profile(deg.limit)
         assert callers == []
+
+    def test_verify_morphism_reads_independence_off_sparse_columns(self, monkeypatch):
+        o3 = LieAlgebraSpan(3, [X1, X2, X3]).structure_constants()
+        monkeypatch.setattr(linalg, "rref", lambda rows: pytest.fail("dense rref"))
+        one, zero = Fraction(1), Fraction(0)
+        singular = [[one, one, zero], [zero, zero, zero], [zero, zero, one]]
+        assert not verify_morphism(singular, o3, o3)
+        assert verify_morphism(linalg.identity(3), o3, o3)
 
     def test_spans_are_built_without_dense_matrices(self, monkeypatch):
         """The spans the Lie core builds make no dense copy: no Fraction copy
@@ -1311,10 +1267,10 @@ class TestSparseSpanConstruction:
                 assert span.basis == basis, sig
 
     def test_built_spans_pass_the_dense_constructor_unchanged(self):
-        """Limits, their z and n_plus parts and their paddings are trace-free:
-        the dense constructor, which removes traces, rebuilds each unchanged.
-        Padding keeps every entry in place."""
-        limits = splits = 0
+        """Limits and their paddings are trace-free: the dense constructor,
+        which removes traces, rebuilds each unchanged.  Padding keeps every
+        entry in place."""
+        limits = 0
         zero = Fraction(0)
         for sig, seq in list(_oracle_cases()) + list(_limit_grid()):
             alg = build_po(sig)
@@ -1326,15 +1282,10 @@ class TestSparseSpanConstruction:
                 zero_rows = [[zero] * (m + extra) for _ in range(extra)]
                 assert padded.basis == [[row + [zero] * extra for row in x] + zero_rows for x in limit.basis]
                 spans.append(padded)
-            try:
-                spans += z_and_nplus(alg, seq)
-                splits += 1
-            except DecompositionError:
-                pass
             for span in spans:
                 assert _same_span_data(span, LieAlgebraSpan(span.m, span.basis, check_closed=False)), (sig, seq)
             limits += 1
-        assert limits >= 50 and splits >= 10, (limits, splits)
+        assert limits >= 50, limits
 
 
 # -- work done once per process: shared po(sig), closure proven by the match --
@@ -1586,9 +1537,9 @@ class TestContractKeepsAntisymmetry:
 
 
 class TestSigmaChainFinalCheck:
-    """The final check of a sigma chain is the last step's when the full
-    limit is the same span as the last step's limit: the check reads only
-    the span.  Compared with the check made afresh, over seeded chains."""
+    """The final check of a sigma chain is the last step's, whose limit is
+    taken along the weights themselves.  Compared with the check made afresh
+    against the limit along the weights, over seeded chains."""
 
     def test_against_a_fresh_check(self, monkeypatch):
         rng = random.Random(20261029)
@@ -1618,3 +1569,83 @@ class TestSigmaChainFinalCheck:
                 ]
             full = conjugacy_limit(po, FactoredSequence.diagonal(weights))
             assert original(images, result.final_table, full)[1] == result.final_matches_limit, (m, q, weights)
+
+
+def reference_sigma_chain(p, q, weights):
+    """The chain as first built: each step takes its limit along the sum of
+    the unit drops up to its split, and a separate limit along the weights
+    is checked at the end unless it is the same span as the last step's."""
+    m = p + q
+    w = tuple(int(x) for x in weights)
+    po = build_po(((p, q),), m)
+    n = po.dim
+    sigma_images = po._flat
+    splits = tuple(i for i in range(1, m) if w[i - 1] > w[i])
+    steps = []
+    composite = [0] * m
+    current = po.structure_constants()
+    for split in splits:
+        u = [0] * split + [-1] * (m - split)
+        fixed = tuple(idx for idx in range(n) if all(u[p // m] == u[p % m] for p in sigma_images[idx]))
+        current = contract(current, fixed)
+        sigma_images = [
+            img if idx in fixed else lie_module._min_grade_projection(img, u, m)
+            for idx, img in enumerate(sigma_images)
+        ]
+        composite = [a + b for a, b in zip(composite, u)]
+        limit = conjugacy_limit(po, FactoredSequence.diagonal(composite))
+        morphism, verified = _limit_morphism(sigma_images, current, limit)
+        steps.append(lie_module.ChainStep(split, fixed, current, tuple(tuple(row) for row in morphism), verified))
+    full_limit = conjugacy_limit(po, FactoredSequence.diagonal(w))
+    if steps and full_limit.span_equals(limit):
+        final_ok = steps[-1].verified
+    else:
+        final_ok = _limit_morphism(sigma_images, current, full_limit)[1]
+    return lie_module.ChainResult((p, q), w, splits, tuple(steps), current, final_ok)
+
+
+def _chain_grid(seed=20261033):
+    """Seeded sigma chains at m = 1-8, one even and one odd q each, with
+    weakly decreasing weights whose drops are 0 (no split) or 1-9; every
+    (m, q) also gets the chain with no split."""
+    rng = random.Random(seed)
+    for m in range(1, 9):
+        for parity in (0, 1):
+            q = rng.choice([x for x in range(m + 1) if x % 2 == parity])
+            yield m - q, q, [rng.randint(-3, 3)] * m
+            for _ in range(4):
+                weights = [rng.randint(-3, 3)]
+                for _ in range(m - 1):
+                    weights.append(weights[-1] - rng.choice((0, 0) + tuple(range(1, 10))))
+                yield m - q, q, weights
+
+
+class TestSigmaChainAgainstReference:
+    """One conjugacy limit per split gives the chain the unit-drop composites
+    and the separate final limit gave: by ROADMAP item 14 the limit depends
+    only on the order of the weights."""
+
+    def test_every_field_equals_the_reference(self):
+        drops = set()
+        for p, q, weights in _chain_grid():
+            got, want = sigma_chain(p, q, weights), reference_sigma_chain(p, q, weights)
+            for field in dataclasses.fields(lie_module.ChainResult):
+                assert getattr(got, field.name) == getattr(want, field.name), (p, q, weights, field.name)
+            drops.update(a - b for a, b in zip(weights, weights[1:]))
+        assert drops == set(range(10)), drops
+
+    def test_one_conjugacy_limit_per_split(self, monkeypatch):
+        calls = []
+        original = lie_module.conjugacy_limit
+
+        def counted(alg, seq):
+            calls.append(seq.weights)
+            return original(alg, seq)
+
+        monkeypatch.setattr(lie_module, "conjugacy_limit", counted)
+        for p, q, weights in _chain_grid():
+            calls.clear()
+            result = sigma_chain(p, q, weights)
+            assert len(calls) == max(len(result.splits), 1), (p, q, weights)
+            # The last limit is taken along the weights themselves.
+            assert tuple(calls[-1]) == tuple(weights), (p, q, weights)
