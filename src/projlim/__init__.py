@@ -23,6 +23,7 @@ from .errors import (
     NoMatch,
     NotClosed,
     NotColumnOnly,
+    NotExact,
     NotFactorable,
     NotInvertible,
     NotSubalgebra,
@@ -144,6 +145,7 @@ __all__ = [
     "ZeroMatrix",
     "NotInvertible",
     "NotFactorable",
+    "NotExact",
     "ParseError",
     "SignatureError",
     "NotClosed",

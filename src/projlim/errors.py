@@ -36,6 +36,12 @@ class NotFactorable(ProjlimError):
     """Two factored sequences cannot be composed into factored form."""
 
 
+class NotExact(ProjlimError):
+    """A value is not an exact number of the kind asked for: a float, a bool
+    or any other non-number where a rational is read, or anything but an
+    integer as a weight."""
+
+
 class ParseError(ProjlimError):
     """Input text does not conform to the expression grammar."""
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DivergentLimit, ExponentOverflow, ZeroScalar
+from .errors import DivergentLimit, ExponentOverflow, NotExact, ZeroScalar
 
 # Exponents are kept small machine integers; anything beyond this bound is a
 # runaway computation, not a legitimate geometry deformation.
@@ -249,17 +249,19 @@ def rational_combination(pairs) -> LaurentScalar:
 
 
 def lau(x: LaurentScalar | Rat | str) -> LaurentScalar:
-    """Coerce a number or expression string to a LaurentScalar.
+    """Coerce a number or expression string to a LaurentScalar.  A float is
+    not exact and a bool is not a number, so both are refused (NotExact),
+    as is any other type.
 
     >>> lau("3/2*t^-1 + t^2") == Fraction(3,2)*LaurentScalar.t(-1) + LaurentScalar.t(2)
     True
     """
     if isinstance(x, LaurentScalar):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return LaurentScalar.constant(x)
     if isinstance(x, str):
         from .parsing import parse_scalar
 
         return parse_scalar(x)
-    raise TypeError(f"cannot coerce {x!r} to LaurentScalar")
+    raise NotExact(f"cannot coerce {x!r} to LaurentScalar; give an int, a Fraction or an expression string")

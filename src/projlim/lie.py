@@ -13,10 +13,14 @@ grade every matrix position (i, j) by w_i - w_j, eliminate with the columns
 in ascending grade order, keep the lowest-grade part of each echelon row (its
 initial form), and conjugate the resulting span back.  Every conjugation is
 ``projective.conjugate_flat`` on the sparse factor rows and inverses the
-sequence keeps.  Abstract (basis-only) Lie algebras are handled
-as structure-constant tables, which is what contractions produce; a table
-stores only its nonzero entries, and invariants, contractions and morphism
-checks iterate over those.
+sequence keeps.  When the conjugated basis vectors have pairwise disjoint
+supports, as the basis of po(sig) has under a monomial right factor, none
+can reduce another, so each echelon row is one vector, rescaled, and the
+limit is read off with no elimination: each vector's lowest-grade part,
+scaled to 1 at its first position.  Abstract (basis-only) Lie algebras are
+handled as structure-constant tables, which is what contractions produce; a
+table stores only its nonzero entries, and invariants, contractions and
+morphism checks iterate over those.
 
 Contractions set brackets to zero, so most products vanish for want of
 support.  Brackets are formed only for partner pairs (``_partners``): two
@@ -52,7 +56,7 @@ from .errors import (
     SignatureError,
 )
 from .linalg import Mat
-from .projective import FactoredSequence, conjugate_flat, invert_permutation
+from .projective import FactoredSequence, conjugate_flat, integer_weights, invert_permutation
 
 Signature = tuple[tuple[int, int], ...]
 Sparse = dict[int, Fraction]  # nonzero entries {position: value} of a vector
@@ -145,7 +149,6 @@ class LieAlgebraSpan:
         self._echelon = linalg.Echelon()
         if not all(self._echelon.insert(v) for v in flat):
             raise DimError("basis matrices are linearly dependent after trace removal")
-        self._nonzero_basis = [_nonzero_rows(v, self.m) for v in flat]
         self._table: BracketTable | None = None
         # The stored match (sig, perm) of match_limit_geometry: None until it
         # is read, False when the span does not match.
@@ -153,6 +156,12 @@ class LieAlgebraSpan:
         self._from_echelon: dict[int, list[tuple[int, Fraction]]] | None = None
         if check_closed:
             self._closed()
+
+    @functools.cached_property
+    def _nonzero_basis(self) -> list[list[list[tuple[int, Fraction]]]]:
+        """The ``_nonzero_rows`` of each basis element, built on first use: a
+        matched limit never brackets."""
+        return [_nonzero_rows(v, self.m) for v in self._flat]
 
     def _trace_free(self, x) -> Sparse:
         rows = linalg.frac_rows(x)
@@ -510,17 +519,46 @@ def _po(sig: Signature) -> LieAlgebraSpan:
 # ---------------------------------------------------------------------------
 
 
+def _min_grade_projection(v: Sparse, u: list[int], m: int) -> Sparse:
+    """The entries of a flattened matrix at its lowest grade u_i - u_j."""
+    grade = {p: u[p // m] - u[p % m] for p in v}
+    d = min(grade.values(), default=0)
+    return {p: x for p, x in v.items() if grade[p] == d}
+
+
+def _unit_at_first(v: Sparse) -> Sparse:
+    """The nonzero vector scaled to 1 at its smallest position."""
+    lead = v[min(v)]
+    if lead == 1:
+        return v
+    return {p: x / lead for p, x in v.items()}
+
+
 def _limit_in_frame(alg: LieAlgebraSpan, seq: FactoredSequence) -> tuple[list[Sparse], list[int], list[Sparse]]:
     """The conjugacy limit of ``alg`` along ``seq`` before Ad_L (L the left
     factor of seq): the flattened basis of Ad_R alg (R the right factor),
     the grade w_i - w_j of every flattened position (i, j), and a basis of
-    the limit in that diagonal frame."""
+    the limit in that diagonal frame: the rows of the reduced echelon form
+    of the initial (lowest-grade) parts of the echelon rows of Ad_R alg
+    eliminated in ascending grade.
+
+    When the vectors of Ad_R alg have pairwise disjoint supports, as the
+    basis of every ``build_po`` or ``pad_span`` span has under a monomial R,
+    no elimination is needed: no vector meets another's support, so none
+    reduces another, and each echelon row is one vector, scaled.  Its
+    initial part is the vector's least-grade part, and the limit basis is
+    these parts, each scaled to 1 at its smallest position, in ascending
+    order of that position.  Vectors that overlap (a dense R) are eliminated.
+    """
     m = alg.m
     if seq.dim != m:
         raise DimError(f"sequence dimension {seq.dim} != algebra ambient {m}")
     vectors = conjugate_flat(seq.right, seq.right_inv, alg._flat, m)
     w = seq.weights
     grade = [w[i] - w[j] for i in range(m) for j in range(m)]
+    if sum(map(len, vectors)) == len(set().union(*vectors)):
+        parts = (_unit_at_first(_min_grade_projection(v, w, m)) for v in vectors)
+        return vectors, grade, sorted(parts, key=min)
     # With the columns eliminated in ascending grade, each echelon row
     # vanishes below the grade of its pivot, so the rows are a basis adapted
     # to the weight filtration and their initial (lowest-grade) parts span
@@ -546,6 +584,19 @@ def conjugacy_limit(alg: LieAlgebraSpan, seq: FactoredSequence) -> LieAlgebraSpa
     whatever the left factor L: Ad_L sends frame basis element i to limit
     basis element i and is a Lie automorphism, so both have the same table
     and either is closed exactly when the other is.  The limit keeps it.
+
+    For po(sig), or its padding, along monomial factors (permutations,
+    scaled or not) no elimination runs before the limit span is built: the
+    conjugations only relabel, and the basis has pairwise disjoint supports,
+    so each basis element keeps its own least-grade part and no two parts
+    can cancel (``_limit_in_frame``).  po((1,1)) along diag(t, 1) keeps the
+    lower half E_10 of E_01 + E_10, a permuted po((1),(1)):
+
+    >>> limit = conjugacy_limit(build_po((1, 1)), FactoredSequence.diagonal([1, 0]))
+    >>> limit.basis == [[[0, 0], [1, 0]]]
+    True
+    >>> match_limit_geometry(limit)
+    (((1, 0), (1, 0)), (0, 1))
     """
     m = alg.m
     frame = _limit_in_frame(alg, seq)[2]
@@ -928,13 +979,6 @@ class ChainResult:
         return all(s.verified for s in self.steps) and self.final_matches_limit
 
 
-def _min_grade_projection(v: Sparse, u: list[int], m: int) -> Sparse:
-    """The entries of a flattened matrix at its lowest grade u_i - u_j."""
-    grade = {p: u[p // m] - u[p % m] for p in v}
-    d = min(grade.values(), default=0)
-    return {p: x for p, x in v.items() if grade[p] == d}
-
-
 def _limit_morphism(
     images: list[Sparse], source: BracketTable, limit: LieAlgebraSpan
 ) -> tuple[Mat, bool]:
@@ -975,7 +1019,8 @@ def _limit_morphism(
 def sigma_chain(p: int, q: int, weights) -> ChainResult:
     """Realize the conjugacy limit of po(p,q) as a chain of contractions.
 
-    ``weights`` must be weakly decreasing; each strict drop contributes one
+    ``weights`` must be integers (NotExact for a float, a string or a bool)
+    and weakly decreasing; each strict drop contributes one
     single-split factor, processed in ascending split position.  Every step
     contracts along the subalgebra fixed by its factor and is verified (by
     ``_limit_morphism`` on its images) to be isomorphic to the conjugacy
@@ -987,7 +1032,7 @@ def sigma_chain(p: int, q: int, weights) -> ChainResult:
     split checks po(p,q) against its limit along the weights.
     """
     m = p + q
-    w = tuple(int(x) for x in weights)
+    w = integer_weights(weights)
     if len(w) != m:
         raise DimError(f"need {m} weights, got {len(w)}")
     if any(w[i] < w[i + 1] for i in range(m - 1)):

@@ -22,8 +22,11 @@ row), beside the sparse rows of its inverse, computed once when the sequence
 is made: the check that its factors are invertible computes them, and
 inversion swaps the four, so nothing is inverted again.  Dense factors are
 only views.  There is one conjugation of flattened sparse matrices,
-``conjugate_flat`` (rational or Laurent entries; an identity factor costs
-nothing), which the Lie limits use too, and one factored product
+``conjugate_flat`` (rational or Laurent entries), which the Lie limits use
+too.  A monomial factor (one nonzero entry per row, as for a permutation)
+only relabels: each entry moves to one position, scaled by the two factor
+entries it meets, and a permutation forms no product at all; an identity
+factor costs nothing.  There is one factored product
 ``factored_product`` of sparse rows and a diagonal of Laurent powers, which
 gives the sparse rows of b(t) and of every rho-infinity, with no product
 formed when both factors are the identity.
@@ -40,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .errors import DimError, NotFactorable, NotInvertible, ZeroMatrix
+from .errors import DimError, NotExact, NotFactorable, NotInvertible, ZeroMatrix
 from .laurent import LaurentScalar, lau, rational_combination
 
 # The nonzero (column, value) entries of each row, in ascending column order;
@@ -96,10 +99,11 @@ def _limit_rows(rows: SparseRows) -> SparseRows:
 
 def _rationals(coords) -> list[Fraction] | None:
     """The coordinates of a point as rationals (expression strings parsed), or
-    None when one of them depends on t."""
+    None when one of them depends on t.  A float or a bool is refused by
+    ``lau`` (NotExact)."""
     out = []
     for x in coords:
-        if not isinstance(x, (int, Fraction)):
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
             x = lau(x)
             if not x.is_constant():
                 return None
@@ -342,6 +346,22 @@ def _inverse_rows(factor: SparseRows) -> SparseRows:
     return tuple(tuple(inv[c]) for c in range(n))
 
 
+def integer_weights(weights) -> tuple[int, ...]:
+    """The weights as a tuple of ints.  Anything but an integer (a float, a
+    string, a bool) is refused (NotExact), not truncated or read as 0 or 1.
+
+    >>> integer_weights([1.9, 1.2])
+    Traceback (most recent call last):
+        ...
+    projlim.errors.NotExact: weights must be integers, got 1.9
+    """
+    weights = tuple(weights)
+    for w in weights:
+        if isinstance(w, bool) or not isinstance(w, int):
+            raise NotExact(f"weights must be integers, got {w!r}")
+    return weights
+
+
 def is_identity(rows: SparseRows) -> bool:
     """Whether the sparse rows (rational or Laurent) are those of the identity."""
     return all(row == ((i, 1),) for i, row in enumerate(rows))
@@ -352,12 +372,30 @@ def conjugate_flat(g: SparseRows, ginv: SparseRows, vectors: list[dict], m: int)
     (g x g^-1)_il = sum over nonzero x_jk of g_ij x_jk (g^-1)_kl.
 
     The vectors are {i * m + j: x_ij} dicts of rational or Laurent values; g
-    and g^-1 are rational sparse rows.  For an identity g the vectors are
-    returned as they are, with no products formed.
+    and g^-1 are rational sparse rows of an invertible g.  For an identity g
+    the vectors are returned as they are, with no products formed.  When
+    every row of g has one entry, g is a scaled permutation (it is
+    invertible), and so is g^-1: x_jk moves to the one position (i, l) with
+    g_ij = a and (g^-1)_kl = b nonzero, as a x b, and as x itself, with no
+    product formed, when a = b = 1.
     """
     if is_identity(g):
         return vectors
     columns = transpose_rows(g)
+    if all(len(row) == 1 for row in g):
+        # The one nonzero g_ij in column j and (g^-1)_kl in row k, each with
+        # whether it is 1.
+        row_of = [(i * m, a, a == 1) for ((i, a),) in columns]
+        col_of = [(l, b, b == 1) for ((l, b),) in ginv]
+        out = []
+        for v in vectors:
+            moved = {}
+            for p, x in v.items():
+                i, a, a_one = row_of[p // m]
+                l, b, b_one = col_of[p % m]
+                moved[i + l] = x if a_one and b_one else a * (x * b)
+            out.append(moved)
+        return out
     out = []
     for v in vectors:
         acc: dict = {}
@@ -416,7 +454,7 @@ class FactoredSequence:
     def build(cls, left, weights, right) -> "FactoredSequence":
         left = linalg.frac_rows(left)
         right = linalg.frac_rows(right)
-        weights = tuple(int(w) for w in weights)
+        weights = integer_weights(weights)
         n = len(weights)
         cls._check_shape(left, n)
         left = sparse_rows(left)
@@ -438,8 +476,9 @@ class FactoredSequence:
 
     @classmethod
     def diagonal(cls, weights) -> "FactoredSequence":
+        weights = integer_weights(weights)
         eye = tuple(((i, Fraction(1)),) for i in range(len(weights)))
-        return cls(eye, tuple(int(w) for w in weights), eye, eye, eye)
+        return cls(eye, weights, eye, eye, eye)
 
     @classmethod
     def constant(cls, matrix) -> "FactoredSequence":

@@ -1,8 +1,9 @@
 """Dense Gauss-Jordan references for the exact linear algebra, the matrix
 commutator for the dense Lie oracles, the dense Laurent matrix product for
 the factored-sequence oracles, the Laurent push of a point through a
-factored sequence for the point-limit oracles, and the dense Young
-symmetrizer matrix for the symmetrizer-basis oracles.
+factored sequence for the point-limit oracles, the dense Young
+symmetrizer matrix for the symmetrizer-basis oracles, and random scaled
+permutation factors for the monomial-factor oracles.
 
 They share no code with ``projlim.linalg``, so the tests that check the one
 row elimination (``linalg.Echelon``) and the routines read off it, and the
@@ -130,6 +131,12 @@ def reference_commutator(a, b):
                     for j in range(n):
                         out[i][j] += sign * x * y[j]
     return out
+
+
+def random_scaled_permutation(rng, m, values):
+    """A random m x m permutation matrix with each 1 replaced by a choice from values."""
+    order = rng.sample(range(m), m)
+    return [[Fraction(rng.choice(values)) if j == order[i] else Fraction(0) for j in range(m)] for i in range(m)]
 
 
 def lmat_from_rational(m):

@@ -1,6 +1,7 @@
 """Model spaces, their degenerations, and point-limit classification."""
 
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -82,10 +83,17 @@ class TestPointEntryCoercion:
                 call()
 
     def test_a_float_is_refused_as_proj_point_refuses_it(self):
-        with pytest.raises(TypeError) as refused:
+        with pytest.raises(ProjlimError, match="cannot coerce 0.5 to LaurentScalar") as refused:
             ProjPoint([0.5, 0, 0, 0, 1])
         for call in _coercing_calls(0.5):
-            with pytest.raises(TypeError, match=str(refused.value)):
+            with pytest.raises(ProjlimError, match=re.escape(str(refused.value))):
+                call()
+
+    def test_a_bool_is_refused_as_proj_point_refuses_it(self):
+        with pytest.raises(ProjlimError, match="cannot coerce True to LaurentScalar") as refused:
+            ProjPoint([True, 0, 0, 0, 1])
+        for call in _coercing_calls(True):
+            with pytest.raises(ProjlimError, match=re.escape(str(refused.value))):
                 call()
 
 

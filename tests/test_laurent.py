@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projlim import DivergentLimit, ExponentOverflow, LaurentScalar
-from projlim.laurent import MAX_EXPONENT
+from projlim import DivergentLimit, ExponentOverflow, LaurentScalar, NotExact
+from projlim.laurent import MAX_EXPONENT, lau
 from projlim.parsing import parse_scalar
 
 ZERO = LaurentScalar.zero()
@@ -67,6 +67,16 @@ class TestArithmetic:
     @settings(max_examples=60, deadline=None)
     def test_additive_inverse(self, a):
         assert (a + (-a)).is_zero()
+
+
+class TestCoercion:
+    """``lau`` reads ints, Fractions and expression strings; a float is not
+    exact and a bool is not a number, so both are refused with a ProjlimError."""
+
+    @pytest.mark.parametrize("x", [0.5, 2.0, True, False])
+    def test_a_float_or_a_bool_is_refused(self, x):
+        with pytest.raises(NotExact, match=f"cannot coerce {x!r} to LaurentScalar"):
+            lau(x)
 
 
 class TestLimits:

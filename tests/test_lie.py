@@ -48,6 +48,7 @@ from projlim.parsing import parse_sequence
 from projlim.projective import FactoredSequence, conjugate_flat, invert_permutation, permutation_matrix
 
 from _reference import (
+    random_scaled_permutation as _scaled_permutation,
     reference_commutator,
     reference_inverse,
     reference_nullspace,
@@ -985,7 +986,7 @@ class TestWorkBound:
 
 class TestConjugationWork:
     """The one conjugation, ``projective.conjugate_flat``, forms products only
-    for a factor that is not the identity."""
+    for a factor that is not a permutation."""
 
     @pytest.fixture
     def conjugations(self, monkeypatch):
@@ -1017,6 +1018,40 @@ class TestConjugationWork:
         # Ad_L by identity factors, no product formed.
         assert len(conjugations) == 4
         assert all(products == 0 for _, products in conjugations)
+
+    def test_a_permutation_limit_forms_no_product_and_no_elimination(self, conjugations, monkeypatch):
+        left, right = permutation_matrix((2, 0, 4, 1, 3)), permutation_matrix((1, 3, 0, 4, 2))
+        seq = FactoredSequence.build(left, [2, -1, 0, 3, -1], right)
+        alg = build_po(((2, 1), (2, 0)))
+        inserts = []
+        insert = linalg.Echelon.insert
+        monkeypatch.setattr(linalg.Echelon, "insert", lambda self, v: inserts.append(v) or insert(self, v))
+        _limit_in_frame(alg, seq)
+        assert inserts == []
+        limit = conjugacy_limit(alg, seq)
+        # Ad_R in the frame limit above, then Ad_R and Ad_L in
+        # conjugacy_limit: a permutation only relabels.
+        assert len(conjugations) == 3
+        assert all(products == 0 for _, products in conjugations)
+        assert match_limit_geometry(limit)
+
+    def test_monomial_factors_run_no_elimination_and_dense_ones_do(self, monkeypatch):
+        rng = random.Random(20261034)
+        weights = [2, -1, 0, 3, -1]
+        scaled = _scaled_permutation(rng, 5, (1, -1, 2, Fraction(1, 2)))
+        rights = (scaled, linalg.identity(5), permutation_matrix((4, 3, 2, 1, 0)), _random_invertible(rng, 5))
+        sequences = [FactoredSequence.build(_random_invertible(rng, 5), weights, right) for right in rights]
+        alg = build_po(((3, 2),))
+        inserts = []
+        insert = linalg.Echelon.insert
+        monkeypatch.setattr(linalg.Echelon, "insert", lambda self, v: inserts.append(v) or insert(self, v))
+        for seq in sequences[:3]:
+            _limit_in_frame(alg, seq)
+            assert inserts == [], seq
+        # A dense right factor overlaps the supports: both eliminations run,
+        # each inserting every vector.
+        _limit_in_frame(alg, sequences[3])
+        assert len(inserts) == 2 * alg.dim
 
 
 # -- reference dense eliminations: graded echelon, limit basis, match check ----
@@ -1071,6 +1106,63 @@ def _limit_grid(seed=20261021, counts=((3, 8), (4, 8), (5, 6), (6, 4))):
                 for bit in (0, 1)
             ]
             yield rng.choice(signatures), FactoredSequence.build(factors[0], [rng.randint(-3, 3) for _ in range(m)], factors[1])
+
+
+_MONOMIAL_VALUES = ((1,), (1, -1), (1, -1, 2, Fraction(1, 2), -3))  # permutation, signed, scaled
+
+
+def _monomial_grid(seed=20261034):
+    """Seeded (alg, seq) at m = 2-8: po(sig) along sequences whose factors are
+    both permutations, signed or scaled permutations; along diagonal
+    sequences; with one dense +-1 factor and one monomial; and, from m = 3,
+    po(sig) of a smaller m with the padding of ``embed_and_limit`` along a
+    block-diagonal monomial sequence."""
+    rng = random.Random(seed)
+    for m in range(2, 9):
+        def weights(n=m):
+            return [rng.randint(-3, 3) for _ in range(n)]
+
+        def po(n=m):
+            return build_po(rng.choice(enumerate_signatures(n)))
+
+        for values in _MONOMIAL_VALUES:
+            yield po(), FactoredSequence.build(_scaled_permutation(rng, m, values), weights(), _scaled_permutation(rng, m, values))
+        yield po(), FactoredSequence.diagonal(weights())
+        yield po(), FactoredSequence.build(_random_invertible(rng, m), weights(), _scaled_permutation(rng, m, _MONOMIAL_VALUES[2]))
+        yield po(), FactoredSequence.build(_scaled_permutation(rng, m, _MONOMIAL_VALUES[1]), weights(), _random_invertible(rng, m))
+        if m >= 3:
+            small = rng.randint(2, m - 1)
+            factors = []
+            for _ in range(2):
+                values = rng.choice(_MONOMIAL_VALUES)
+                top, bottom = _scaled_permutation(rng, small, values), _scaled_permutation(rng, m - small, values)
+                factors.append([row + [Fraction(0)] * (m - small) for row in top] + [[Fraction(0)] * small + row for row in bottom])
+            yield po(small), FactoredSequence.build(factors[0], weights(), factors[1])
+
+
+class TestMonomialLimitsAgainstDense:
+    def test_frame_limit_basis_and_match(self):
+        """For every case of ``_monomial_grid``: the frame limit equals the
+        dense ``reference_limit_basis``, and the limit's basis and match
+        equal those of the span built from that reference basis."""
+        disjoint = matched = cases = 0
+        for base, seq in _monomial_grid():
+            m = seq.dim
+            alg = pad_span(base, m)
+            vectors, grade, frame_limit = _limit_in_frame(alg, seq)
+            dense_vectors, dense_grade = _frame(alg, seq)
+            expected = reference_limit_basis(dense_vectors, grade)
+            assert grade == dense_grade and [_densify(v, m * m) for v in frame_limit] == expected, (base, seq)
+            limit = embed_and_limit(base, m, seq) if base.m < m else conjugacy_limit(base, seq)
+            reference = LieAlgebraSpan(m, _back(seq, expected, m), check_closed=False)
+            assert limit.basis == reference.basis, (base, seq)
+            assert lie_module._stored_match(limit) == (lie_module._read_match(reference) or False), (base, seq)
+            disjoint += sum(map(len, vectors)) == len(set().union(*vectors))
+            matched += bool(lie_module._stored_match(limit))
+            cases += 1
+        # Every case but (most of) the dense right factors reads the limit off
+        # disjoint supports.
+        assert cases == 48 and disjoint >= 40 and matched >= 25, (cases, disjoint, matched)
 
 
 class TestSparseEchelonAgainstDense:

@@ -11,6 +11,7 @@ from projlim import (
     DimError,
     DivergentLimit,
     LaurentScalar,
+    NotExact,
     NotInvertible,
     ProjMatrix,
     ProjPoint,
@@ -18,9 +19,17 @@ from projlim import (
 )
 from projlim.parsing import parse_matrix, parse_point, parse_sequence
 
-from _reference import lmat_from_rational, lmat_mul, reference_apply_to_point, reference_inverse, reference_rank
+from _reference import (
+    lmat_from_rational,
+    lmat_mul,
+    random_scaled_permutation as _scaled_permutation,
+    reference_apply_to_point,
+    reference_inverse,
+    reference_rank,
+)
 from projlim.errors import NotFactorable
 from projlim import linalg
+from projlim.lie import sigma_chain
 from projlim.projective import (
     FactoredSequence,
     _canonicalize,
@@ -491,33 +500,54 @@ class TestSequenceAgainstDenseProducts:
 
     def test_conjugate(self):
         """Ad_b x against L D R x R^-1 D^-1 L^-1, every factor dense."""
-        rng = random.Random(20261018)
-        entries = [Fraction(c) for c in (0, 0, 0, 1, -1, 2)] + [Fraction(1, 2), Fraction(-3, 4)]
-        checked = 0
-        for seq in sequence_grid():
-            n = seq.dim
-            zero = LaurentScalar.zero()
-            left, right = seq.left_rows(), seq.right_rows()
-            chain = [
-                lmat_from_rational(left),
-                [[LaurentScalar.t(seq.weights[i]) if i == j else zero for j in range(n)] for i in range(n)],
-                lmat_from_rational(right),
-                None,
-                lmat_from_rational(reference_inverse(right)),
-                [[LaurentScalar.t(-seq.weights[i]) if i == j else zero for j in range(n)] for i in range(n)],
-                lmat_from_rational(reference_inverse(left)),
-            ]
-            for _ in range(3):
-                x = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
-                if not any(any(row) for row in x):
-                    x[0][0] = Fraction(1)
-                chain[3] = lmat_from_rational(x)
-                product = chain[0]
-                for factor in chain[1:]:
-                    product = lmat_mul(product, factor)
-                assert seq.conjugate(x).rows == reference_canonicalize(product), (seq, x)
-                checked += 1
-        assert checked == 216
+        assert _conjugations_against_dense(sequence_grid(), random.Random(20261018)) == 216
+
+    def test_conjugate_by_monomial_factors(self):
+        """The same against dense products when L and R are permutations,
+        signed or scaled permutations, or the identity: the conjugation only
+        relabels, scaled by the factor entries, rational entries (Ad_R) and
+        Laurent ones (Ad_L) alike."""
+        rng = random.Random(20261034)
+        values = ((1,), (1, -1), (1, -1, 2, Fraction(1, 3), Fraction(-3, 2)))
+        sequences = []
+        for m in (2, 3, 4, 5):
+            for left_values in values:
+                for right_values in values + (None,):
+                    right = linalg.identity(m) if right_values is None else _scaled_permutation(rng, m, right_values)
+                    weights = [rng.randint(-3, 3) for _ in range(m)]
+                    sequences.append(FactoredSequence.build(_scaled_permutation(rng, m, left_values), weights, right))
+        assert _conjugations_against_dense(sequences, rng) == 3 * 48
+
+
+def _conjugations_against_dense(sequences, rng):
+    """Check Ad_b x against the dense product L D R x R^-1 D^-1 L^-1 for three
+    random x per sequence; the number of checks."""
+    entries = [Fraction(c) for c in (0, 0, 0, 1, -1, 2)] + [Fraction(1, 2), Fraction(-3, 4)]
+    checked = 0
+    for seq in sequences:
+        n = seq.dim
+        zero = LaurentScalar.zero()
+        left, right = seq.left_rows(), seq.right_rows()
+        chain = [
+            lmat_from_rational(left),
+            [[LaurentScalar.t(seq.weights[i]) if i == j else zero for j in range(n)] for i in range(n)],
+            lmat_from_rational(right),
+            None,
+            lmat_from_rational(reference_inverse(right)),
+            [[LaurentScalar.t(-seq.weights[i]) if i == j else zero for j in range(n)] for i in range(n)],
+            lmat_from_rational(reference_inverse(left)),
+        ]
+        for _ in range(3):
+            x = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+            if not any(any(row) for row in x):
+                x[0][0] = Fraction(1)
+            chain[3] = lmat_from_rational(x)
+            product = chain[0]
+            for factor in chain[1:]:
+                product = lmat_mul(product, factor)
+            assert seq.conjugate(x).rows == reference_canonicalize(product), (seq, x)
+            checked += 1
+    return checked
 
 
 def _monomial(rows):
@@ -710,3 +740,33 @@ class TestInverseRows:
         seq = parse_sequence("compose(perm((0 1 2 3 4)),diag(t,1,1,1,t))", 5)
         assert _dense(seq.left_inv, 5) == reference_inverse(seq.left_rows())
         assert _dense(seq.right_inv, 5) == reference_inverse(seq.right_rows())
+
+
+def _weighted_calls(weight):
+    """The three calls that take integer weights, each with ``weight`` as its first weight."""
+    eye = linalg.identity(2)
+    return (
+        lambda: sigma_chain(2, 0, [weight, 0]),
+        lambda: FactoredSequence.build(eye, [weight, 0], eye),
+        lambda: FactoredSequence.diagonal([weight, 0]),
+    )
+
+
+class TestIntegerWeights:
+    """Weights are integers: anything else is refused with ``NotExact``, a
+    ``ProjlimError``, never truncated or read as a number."""
+
+    def test_a_float_is_refused(self):
+        for call in _weighted_calls(1.9):
+            with pytest.raises(NotExact, match="weights must be integers, got 1.9"):
+                call()
+
+    def test_a_string_is_refused(self):
+        for call in _weighted_calls("1"):
+            with pytest.raises(NotExact, match="weights must be integers, got '1'"):
+                call()
+
+    def test_a_bool_is_refused(self):
+        for call in _weighted_calls(True):
+            with pytest.raises(NotExact, match="weights must be integers, got True"):
+                call()
