@@ -1,7 +1,10 @@
 """Self-check suite: the thirteen verification criteria the package must meet.
 
-Each check returns a :class:`CheckResult`; :func:`run_all` runs them in order,
-times each, and reports a check that raises a ``ProjlimError`` as failed.
+Each check returns its verdict ``(passed, detail)``.  :func:`run_all` runs them
+in order and makes each a :class:`CheckResult`: it numbers a check by its place
+in :data:`CHECKS`, names it after its function (no ``check_`` prefix, hyphens
+for underscores), times it, and reports a check that raises a ``ProjlimError``
+as failed.
 The test suite and the CLI ``selftest`` subcommand both drive this module, so
 a shipped build can always re-verify itself.  All checks use exact arithmetic
 and deterministic sampling — there is no tolerance anywhere.
@@ -12,7 +15,7 @@ from __future__ import annotations
 import importlib.resources
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -75,7 +78,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-    seconds: float = 0.0
+    seconds: float
 
 
 def _matrix(m: int, entries: dict[tuple[int, int], int]) -> list[list[Fraction]]:
@@ -104,7 +107,7 @@ _Y2 = _matrix(3, {(2, 0): 1})
 _Y3 = _matrix(3, {(2, 1): -1})
 
 
-def check_galilei_boost() -> CheckResult:
+def check_galilei_boost() -> tuple[bool, str]:
     """Boost generator conjugated by diag(t,1,1,1,t) degenerates to the
     commuting (Galilei) boost exactly."""
     boost = _matrix(5, {(3, 4): 1, (4, 3): 1})
@@ -112,10 +115,10 @@ def check_galilei_boost() -> CheckResult:
     limit = seq.conjugate(boost).limit()
     expected = ProjMatrix(_matrix(5, {(3, 4): 1}))
     passed = limit == expected
-    return CheckResult(1, "galilei-boost", passed, f"limit {limit}")
+    return passed, f"limit {limit}"
 
 
-def check_example_limits() -> CheckResult:
+def check_example_limits() -> tuple[bool, str]:
     cases = [
         (
             ((1, 0), (3, 1)),
@@ -133,10 +136,10 @@ def check_example_limits() -> CheckResult:
         ok = got == expected
         passed = passed and ok
         details.append(f"{seq_text} -> {got}{'' if ok else ' (expected ' + str(expected) + ')'}")
-    return CheckResult(2, "example-limits", passed, "; ".join(details))
+    return passed, "; ".join(details)
 
 
-def check_contraction_chain() -> CheckResult:
+def check_contraction_chain() -> tuple[bool, str]:
     o3 = LieAlgebraSpan(3, [_X1, _X2, _X3])
     t1 = contract(o3, (2,))
     t1_expected = _table(3, {(0, 2): {1: -1}, (1, 2): {0: 1}})
@@ -154,26 +157,22 @@ def check_contraction_chain() -> CheckResult:
     t3 = contract(heis, (1,))
     ok5 = t3.is_abelian()
     passed = ok1 and ok2 and ok3 and ok4 and ok5
-    return CheckResult(
-        3,
-        "contraction-chain",
+    return (
         passed,
         f"first step {ok1 and ok2}, second step {ok3 and ok4}, center contraction abelian {ok5}",
     )
 
 
-def check_sigma_chain() -> CheckResult:
+def check_sigma_chain() -> tuple[bool, str]:
     result = sigma_chain(3, 0, (0, -1, -2))
-    return CheckResult(
-        4,
-        "sigma-chain",
+    return (
         result.all_verified,
         f"splits {result.splits}, steps verified {[s.verified for s in result.steps]}, "
         f"final matches limit {result.final_matches_limit}",
     )
 
 
-def check_invariant_profiles() -> CheckResult:
+def check_invariant_profiles() -> tuple[bool, str]:
     heis = LieAlgebraSpan(3, [_Y1, _Y2, _Y3]).structure_constants()
     abelian = contract(heis, (1,))
     profile_heis = invariant_profile(heis)
@@ -183,12 +182,7 @@ def check_invariant_profiles() -> CheckResult:
         and profile_abelian.center_dim == 3
         and profile_heis != profile_abelian
     )
-    return CheckResult(
-        5,
-        "invariant-profiles",
-        passed,
-        f"center dims {profile_heis.center_dim} vs {profile_abelian.center_dim}",
-    )
+    return passed, f"center dims {profile_heis.center_dim} vs {profile_abelian.center_dim}"
 
 
 def _golden_bytes() -> str:
@@ -199,7 +193,7 @@ def _golden_bytes() -> str:
     )
 
 
-def check_figure1() -> CheckResult:
+def check_figure1() -> tuple[bool, str]:
     b = parse_sequence("diag(t^4,t^-1,t^-1,t^-1,t^-1)")
     fund = rho_infinity(FUNDAMENTAL, b).limit()
     right = rho_infinity(RIGHT_ACTION, b).limit()
@@ -224,15 +218,10 @@ def check_figure1() -> CheckResult:
     ok_cells = cells == expected
     ok_golden = figure1_json() == _golden_bytes()
     passed = ok_rho and ok_cells and ok_golden
-    return CheckResult(
-        6,
-        "figure1",
-        passed,
-        f"rho-infinity {ok_rho}, six cells {ok_cells}, golden bytes {ok_golden}",
-    )
+    return passed, f"rho-infinity {ok_rho}, six cells {ok_cells}, golden bytes {ok_golden}"
 
 
-def check_uv_ir() -> CheckResult:
+def check_uv_ir() -> tuple[bool, str]:
     rng = random.Random(7)
     points = []
     while len(points) < 10:
@@ -266,15 +255,13 @@ def check_uv_ir() -> CheckResult:
         for p in points
     )
     passed = passed and boundary_check
-    return CheckResult(
-        7,
-        "uv-ir",
+    return (
         passed,
         "; ".join(notes) if notes else "10 points to boundary, fixed point kept, survival {1}",
     )
 
 
-def check_schur_dimensions() -> CheckResult:
+def check_schur_dimensions() -> tuple[bool, str]:
     small = [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
     oracle_ok = all(
         schur_dim((lam, ())) == symmetrizer_image_dim(lam, sum(lam)) for lam in small
@@ -295,19 +282,14 @@ def check_schur_dimensions() -> CheckResult:
         for p in range(0, 4)
     )
     passed = oracle_ok and frozen_ok and powers_ok
-    return CheckResult(
-        8,
-        "schur-dimensions",
-        passed,
-        f"oracle {oracle_ok}, frozen dims {frozen_ok}, tensor powers {powers_ok}",
-    )
+    return passed, f"oracle {oracle_ok}, frozen dims {frozen_ok}, tensor powers {powers_ok}"
 
 
 def _diagrams_up_to(n: int) -> list[tuple[int, ...]]:
     return [lam for total in range(n + 1) for lam in _partitions_of(total)]
 
 
-def check_lorentz_branching() -> CheckResult:
+def check_lorentz_branching() -> tuple[bool, str]:
     from math import comb
 
     dims_ok = True
@@ -331,15 +313,10 @@ def check_lorentz_branching() -> CheckResult:
             if got != expected:
                 scan_ok = False
     passed = dims_ok and dirac_ok and scalar_ok and scan_ok
-    return CheckResult(
-        9,
-        "lorentz-branching",
-        passed,
-        f"dims {dims_ok}, Dirac {dirac_ok}, scalar {scalar_ok}, column scan {scan_ok}",
-    )
+    return passed, f"dims {dims_ok}, Dirac {dirac_ok}, scalar {scalar_ok}, column scan {scan_ok}"
 
 
-def check_poincare_irreducibility() -> CheckResult:
+def check_poincare_irreducibility() -> tuple[bool, str]:
     diagrams = _diagrams_up_to(4)
     accepted = [
         (lam, lam_bar)
@@ -357,9 +334,7 @@ def check_poincare_irreducibility() -> CheckResult:
         for pair in accepted
     )
     passed = set_ok and parity_ok
-    return CheckResult(
-        10,
-        "poincare-irreducibility",
+    return (
         passed,
         f"{len(accepted)} accepted pairs, set {set_ok}, spin-statistics parity {parity_ok}",
     )
@@ -372,7 +347,7 @@ def _random_invertible(rng: random.Random) -> list[list[Fraction]]:
             return g
 
 
-def check_property_suites() -> CheckResult:
+def check_property_suites() -> tuple[bool, str]:
     rng = random.Random(20260817)
 
     # (a) antisymmetry + Jacobi for contracted tables across a randomized grid
@@ -440,16 +415,14 @@ def check_property_suites() -> CheckResult:
             break
 
     passed = contracted_ok and closure_ok and functorial_ok and roundtrip_ok
-    return CheckResult(
-        11,
-        "property-suites",
+    return (
         passed,
         f"contracted tables {contracted_cases} cases {contracted_ok}, "
         f"limit closure {closure_ok}, functoriality {functorial_ok}, round-trips {roundtrip_ok}",
     )
 
 
-def check_ambient_embedding() -> CheckResult:
+def check_ambient_embedding() -> tuple[bool, str]:
     po = build_po(((4, 1),))
     base = conjugacy_limit(po, parse_sequence("diag(t^4,t^-1,t^-1,t^-1,t^-1)"))
     passed = True
@@ -460,10 +433,10 @@ def check_ambient_embedding() -> CheckResult:
         ok = big.span_equals(pad_span(base, m_target))
         passed = passed and ok
         notes.append(f"m={m_target}: {ok}")
-    return CheckResult(12, "ambient-embedding", passed, ", ".join(notes))
+    return passed, ", ".join(notes)
 
 
-def check_representation_limit_commutation() -> CheckResult:
+def check_representation_limit_commutation() -> tuple[bool, str]:
     po = build_po(((1, 0), (3, 1)))
     b = parse_sequence("diag(t,1,1,1,t)")
     samples = [
@@ -474,15 +447,10 @@ def check_representation_limit_commutation() -> CheckResult:
         _matrix(5, {(2, 4): 1, (4, 2): 1, (1, 0): 1}),
     ]
     passed = rep_limit_commute_check(po, b, RepTag("schur", ((1, 1), ())), samples)
-    return CheckResult(
-        13,
-        "representation-limit-commutation",
-        passed,
-        "5 truncated exponentials, antisymmetric square",
-    )
+    return passed, "5 truncated exponentials, antisymmetric square"
 
 
-CHECKS: list[Callable[[], CheckResult]] = [
+CHECKS: list[Callable[[], tuple[bool, str]]] = [
     check_galilei_boost,
     check_example_limits,
     check_contraction_chain,
@@ -501,15 +469,14 @@ CHECKS: list[Callable[[], CheckResult]] = [
 
 def run_all() -> list[CheckResult]:
     """Every check in order, each with its wall time.  A check that raises a
-    ProjlimError fails, under its function name without ``check_`` and with
-    hyphens for underscores, and with the error as its detail."""
+    ProjlimError fails, with the error as its detail."""
     results = []
     for number, check in enumerate(CHECKS, 1):
         start = time.perf_counter()
         try:
-            result = check()
+            passed, detail = check()
         except ProjlimError as exc:
-            name = check.__name__.removeprefix("check_").replace("_", "-")
-            result = CheckResult(number, name, False, f"raised {type(exc).__name__}: {exc}")
-        results.append(replace(result, seconds=time.perf_counter() - start))
+            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        name = check.__name__.removeprefix("check_").replace("_", "-")
+        results.append(CheckResult(number, name, passed, detail, time.perf_counter() - start))
     return results

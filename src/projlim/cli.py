@@ -14,6 +14,7 @@ and reused by every later request; parsing leaves no state on it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -421,14 +422,7 @@ def _cmd_selftest(args) -> int:
     if args.format == "json":
         payload = {
             "results": [
-                {
-                    "number": r.number,
-                    "name": r.name,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                    "seconds": round(r.seconds, 3),
-                }
-                for r in results
+                dataclasses.asdict(r) | {"seconds": round(r.seconds, 3)} for r in results
             ],
             "all_passed": all(r.passed for r in results),
         }

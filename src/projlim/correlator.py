@@ -112,7 +112,6 @@ RIGHT_ACTION = RepTag("right_action")
 @dataclass(frozen=True)
 class Factor:
     rep: RepTag
-    dagger: bool
     label: str
 
 
@@ -150,20 +149,9 @@ class CorrelatorSpec:
         return tuple(f"{f.label}∘g^-1" for f in self.factors)
 
 
-def make_correlator(
-    sig: Signature,
-    reps: Sequence[RepTag],
-    daggers: Optional[Sequence[bool]] = None,
-    labels: Optional[Sequence[str]] = None,
-) -> CorrelatorSpec:
-    reps = list(reps)
-    if daggers is None:
-        daggers = [False] * len(reps)
-    if labels is None:
-        labels = [f"f{i + 1}" for i in range(len(reps))]
-    factors = tuple(
-        Factor(rep, bool(d), str(lab)) for rep, d, lab in zip(reps, daggers, labels)
-    )
+def make_correlator(sig: Signature, reps: Sequence[RepTag]) -> CorrelatorSpec:
+    """The correlator of the given factors over sig, labelled f1, f2, ..."""
+    factors = tuple(Factor(rep, f"f{i + 1}") for i, rep in enumerate(reps))
     return CorrelatorSpec(factors=factors, geometry=validate_signature(sig))
 
 
@@ -612,21 +600,23 @@ def uv_ir_report(
 # ---------------------------------------------------------------------------
 
 
+_TRUNCATION_ORDER = 3
+
+
 def rep_limit_commute_check(
     alg: LieAlgebraSpan,
     b: FactoredSequence,
     rep: RepTag,
     samples: Sequence[Mat],
-    order: int = 3,
 ) -> bool:
     """Check that degenerating before or after applying the representation
     gives the same projective matrix.
 
     Samples are rational algebra elements; each is exponentiated as a
-    polynomial truncation h = 1 + X + ... + X^order/order!, conjugated by
-    b(t), and pushed through the representation.  The check compares the
-    canonical limit of rho(b h b^-1)(t) with rho applied to the canonical
-    limit of b h b^-1 itself.  For the fundamental tag rho is the identity,
+    polynomial truncation h = 1 + X + ... + X^k/k! (k = _TRUNCATION_ORDER),
+    conjugated by b(t), and pushed through the representation.  The check
+    compares the canonical limit of rho(b h b^-1)(t) with rho applied to the
+    canonical limit of b h b^-1 itself.  For the fundamental tag rho is the identity,
     so the two sides coincide: only membership and invertibility of each
     sample are checked, and no limits are compared.  A sequence whose
     dimension is not the algebra's, and an empty sample list, are refused
@@ -640,7 +630,7 @@ def rep_limit_commute_check(
         x = frac_rows(x)
         if not alg.contains(x):
             raise ProjlimError("sample element is not in the given algebra")
-        h = truncated_exp(x, order)
+        h = truncated_exp(x, _TRUNCATION_ORDER)
         inverse(h)  # group elements must stay invertible after truncation
         if rep.kind == "fundamental":
             continue  # rho is the identity: both sides are the same limit

@@ -17,15 +17,29 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NotInvertible
+from .errors import NotExact, NotInvertible
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
 
 
 def frac_rows(rows) -> Mat:
-    """Deep-copy a matrix-like nested iterable into Fractions."""
-    return [[Fraction(x) for x in row] for row in rows]
+    """Deep-copy a matrix-like nested iterable into Fractions.  A float is not
+    exact and a bool is not a number, so both are refused (NotExact).
+
+    >>> frac_rows([[1, "1/2"], [Fraction(2, 3), "0.1"]])
+    [[Fraction(1, 1), Fraction(1, 2)], [Fraction(2, 3), Fraction(1, 10)]]
+    >>> frac_rows([[0.5]])
+    Traceback (most recent call last):
+    projlim.errors.NotExact: matrix entries must be exact, got 0.5; give an int, a Fraction or a string
+    """
+    return [[_exact(x) for x in row] for row in rows]
+
+
+def _exact(x) -> Fraction:
+    if isinstance(x, (float, bool)):
+        raise NotExact(f"matrix entries must be exact, got {x!r}; give an int, a Fraction or a string")
+    return Fraction(x)
 
 
 def zeros(n: int, m: int) -> Mat:

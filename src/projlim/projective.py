@@ -542,14 +542,13 @@ class FactoredSequence:
                 left_inv=self.left_inv,
             )
         else:
+            # mid is invertible, so one entry per row makes perm a permutation.
             perm = [-1] * n  # column of the unique nonzero entry in each row
             for i in range(n):
                 nz = [j for j in range(n) if mid[i][j] != 0]
                 if len(nz) != 1:
                     raise NotFactorable("middle factor is not monomial; product has no factored form")
                 perm[i] = nz[0]
-            if sorted(perm) != list(range(n)):
-                raise NotFactorable("middle factor is not monomial; product has no factored form")
         # diag(t^w1) * mid = mid * diag(t^{w1 permuted}) since mid has a single
         # nonzero entry per row i in column perm[i].
         permuted = tuple(self.weights[i] for i in invert_permutation(perm))

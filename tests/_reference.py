@@ -1,5 +1,7 @@
 """Dense Gauss-Jordan references for the exact linear algebra, the matrix
-commutator for the dense Lie oracles, the dense Laurent matrix product for
+commutator for the dense Lie oracles, the inertia of a symmetric matrix by
+Descartes' rule on its Faddeev-LeVerrier characteristic polynomial for the
+congruence-elimination oracle, the dense Laurent matrix product for
 the factored-sequence oracles, the Laurent push of a point through a
 factored sequence for the point-limit oracles, the dense Young
 symmetrizer matrix for the symmetrizer-basis oracles, and random scaled
@@ -117,6 +119,39 @@ def reference_inverse(a):
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in red]
+
+
+def reference_characteristic_polynomial(a):
+    """Coefficients [c_n = 1, c_(n-1), ..., c_0] of det(x I - A), highest
+    degree first, by the Faddeev-LeVerrier recursion
+    M_k = A M_(k-1) + c_(n-k+1) I, c_(n-k) = -tr(A M_k) / k."""
+    n = len(a)
+    coeffs = [Fraction(1)]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [
+            [sum(a[i][r] * m[r][j] for r in range(n)) + (coeffs[-1] if i == j else 0) for j in range(n)]
+            for i in range(n)
+        ]
+        trace = sum(a[i][r] * m[r][i] for i in range(n) for r in range(n))
+        coeffs.append(-trace / k)
+    return coeffs
+
+
+def _sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def reference_symmetric_signature(a):
+    """(n_plus, n_minus, n_zero) of a symmetric rational matrix by Descartes'
+    rule of signs on its characteristic polynomial, which counts the
+    positive and negative roots exactly when every root is real."""
+    coeffs = reference_characteristic_polynomial(a)
+    n = len(coeffs) - 1
+    zero = next(k for k, c in enumerate(reversed(coeffs)) if c != 0)
+    mirrored = [c if (n - d) % 2 == 0 else -c for d, c in enumerate(coeffs)]
+    return _sign_changes(coeffs), _sign_changes(mirrored), zero
 
 
 def reference_commutator(a, b):

@@ -311,6 +311,21 @@ class TestCommutation:
                 expected.append(projective.transpose_rows(pm.sparse) if dual else pm.sparse)
         assert fed == expected and expected[0] != projective.transpose_rows(expected[0])
 
+    def test_right_action_compares_the_inverse_limit(self):
+        """rho(g) = g^-1.  A rotation of the spatial block commutes with
+        diag(t,1,1,1,t), so both sides are the reference inverse of its
+        truncated exponential h.  A boost whose conjugate tends to a
+        singular matrix has no inverse limit, and the check refuses it."""
+        rotation = [[Fraction(0)] * 5 for _ in range(5)]
+        rotation[1][2], rotation[2][1] = Fraction(1), Fraction(-1)
+        h_inv = reference_inverse(truncated_exp(rotation, 3))
+        assert GALILEI_SEQ.conjugate(h_inv).limit() == ProjMatrix(h_inv) != ProjMatrix(identity(5))
+        assert rep_limit_commute_check(build_po(FLAT), GALILEI_SEQ, RIGHT_ACTION, [rotation])
+        boost = [[Fraction(0)] * 5 for _ in range(5)]
+        boost[3][4] = boost[4][3] = boost[1][0] = Fraction(1)
+        with pytest.raises(NotInvertible):
+            rep_limit_commute_check(build_po(FLAT), GALILEI_SEQ, RIGHT_ACTION, [boost])
+
     @pytest.mark.parametrize("lam", [(1, 1), (2, 1)], ids=str)
     @pytest.mark.parametrize("dual", [False, True])
     def test_identity_conjugates_commute(self, lam, dual):

@@ -18,6 +18,7 @@ from _reference import (
     reference_rank,
     reference_rref,
     reference_solve,
+    reference_symmetric_signature,
 )
 
 
@@ -262,3 +263,28 @@ class TestDenseRoutinesAgainstReference:
         vectors = [{0: Fraction(1), 1: Fraction(1), 2: Fraction(1)}, {0: Fraction(2), 1: Fraction(2)}]
         with pytest.raises(NotInvertible, match="pivot block is singular"):
             linalg.pivot_inverse(vectors, [0, 1])
+
+
+def _symmetric_matrices():
+    """Seeded symmetric matrices up to 6x6 with entries in -2..2: every other
+    one has a zero diagonal, the rest a diagonal that is mostly zero, so the
+    elimination often meets a block with no diagonal pivot."""
+    rng = random.Random(20261019)
+    for k in range(300):
+        n = rng.randint(1, 6)
+        a = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            if k % 2 and rng.random() < 0.3:
+                a[i][i] = Fraction(rng.randint(-2, 2))
+            for j in range(i + 1, n):
+                a[i][j] = a[j][i] = Fraction(rng.randint(-2, 2))
+        yield a
+
+
+class TestSymmetricSignature:
+    """The congruence elimination against Descartes' rule on the exact
+    characteristic polynomial (exact here: a symmetric matrix has real roots)."""
+
+    def test_against_descartes_count(self):
+        for a in _symmetric_matrices():
+            assert linalg.symmetric_signature(a) == reference_symmetric_signature(a), a

@@ -29,7 +29,7 @@ from _reference import (
 )
 from projlim.errors import NotFactorable
 from projlim import linalg
-from projlim.lie import sigma_chain
+from projlim.lie import LieAlgebraSpan, build_po, sigma_chain, verify_morphism
 from projlim.projective import (
     FactoredSequence,
     _canonicalize,
@@ -770,3 +770,30 @@ class TestIntegerWeights:
         for call in _weighted_calls(True):
             with pytest.raises(NotExact, match="weights must be integers, got True"):
                 call()
+
+
+def _matrix_calls(entry):
+    """The five calls that read a rational matrix through ``linalg.frac_rows``,
+    each given ``entry`` as the (0, 0) entry of its matrix."""
+    eye = linalg.identity(2)
+    bad = [[entry, 0], [0, 1]]
+    seq = FactoredSequence.diagonal([1, 0])
+    so2 = build_po(((2, 0),)).structure_constants()
+    return {
+        "build": lambda: FactoredSequence.build(bad, [0, 1], eye),
+        "premultiply": lambda: seq.premultiply(bad),
+        "conjugate": lambda: seq.conjugate(bad),
+        "lie-span": lambda: LieAlgebraSpan(2, [[[entry, 0], [0, -entry]]]),
+        "verify-morphism": lambda: verify_morphism([[entry]], so2, so2),
+    }
+
+
+class TestExactMatrixEntries:
+    """Matrix entries are exact: a float or a bool is refused with
+    ``NotExact``, never read as its binary fraction or as 0 or 1."""
+
+    @pytest.mark.parametrize("call", sorted(_matrix_calls(0)))
+    def test_a_float_and_a_bool_are_refused(self, call):
+        for entry in (0.5, True):
+            with pytest.raises(NotExact, match=f"matrix entries must be exact, got {entry!r}"):
+                _matrix_calls(entry)[call]()
