@@ -28,6 +28,7 @@ from .correlator import (
     figure1_table,
     make_correlator,
     rep_limit_commute_check,
+    rep_matrix,
     rho_infinity,
     uv_ir_report,
 )
@@ -340,9 +341,9 @@ def check_poincare_irreducibility() -> tuple[bool, str]:
     )
 
 
-def _random_invertible(rng: random.Random) -> list[list[Fraction]]:
+def _random_invertible(rng: random.Random, bound: int = 2) -> list[list[Fraction]]:
     while True:
-        g = [[Fraction(rng.randint(-2, 2)) for _ in range(5)] for _ in range(5)]
+        g = [[Fraction(rng.randint(-bound, bound)) for _ in range(5)] for _ in range(5)]
         if rank(g) == 5:
             return g
 
@@ -447,6 +448,13 @@ def check_representation_limit_commutation() -> tuple[bool, str]:
         _matrix(5, {(2, 4): 1, (4, 2): 1, (1, 0): 1}),
     ]
     passed = rep_limit_commute_check(po, b, RepTag("schur", ((1, 1), ())), samples)
+    # Both sides above share the induced action; rho(g h) = rho(g) rho(h)
+    # for seeded g, h (entries -1..1) catches a wrong (say, transposed) one.
+    rng = random.Random(20261020)
+    for _ in range(5):
+        g, h = _random_invertible(rng, 1), _random_invertible(rng, 1)
+        for tag in (RepTag("schur", ((1, 1), ())), RepTag("schur", ((), (2,)))):
+            passed = passed and rep_matrix(tag, mat_mul(g, h)) == mat_mul(rep_matrix(tag, g), rep_matrix(tag, h))
     return passed, "5 truncated exponentials, antisymmetric square"
 
 

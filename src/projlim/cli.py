@@ -139,9 +139,10 @@ def _cmd_limit(args) -> int:
         "limit_signature": signature_str(deg.limit_sig),
         "permutation": list(deg.perm),
         "dim": deg.limit.dim,
-        "basis": [_mat_strs(x) for x in deg.limit.basis],
         "invariants": profile.as_dict(),
     }
+    if args.format == "json":  # the table does not print the basis
+        payload["basis"] = [_mat_strs(x) for x in deg.limit.basis]
     lines = [
         f"algebra:          po{signature_str(sig)}",
         f"limit signature:  po{signature_str(deg.limit_sig)}",
@@ -247,11 +248,9 @@ def _cmd_embed_check(args) -> int:
     if m_target < m:
         raise DimError(f"sequence dimension {m_target} is below the algebra's {m}")
     big = embed_and_limit(build_po(sig), m_target, seq)
-    small_seq = FactoredSequence.build(
-        [row[:m] for row in seq.left_rows()[:m]],
-        seq.weights[:m],
-        [row[:m] for row in seq.right_rows()[:m]],
-    )
+    # The top-left m x m blocks of the sparse factors.
+    left, right = (tuple(tuple((j, x) for j, x in row if j < m) for row in rows[:m]) for rows in (seq.left, seq.right))
+    small_seq = FactoredSequence._of(left, seq.weights[:m], right)
     base = geometry_limit(sig, small_seq)
     equal = big.span_equals(pad_span(base.limit, m_target))
     payload = {

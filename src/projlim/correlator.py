@@ -31,7 +31,6 @@ from .projective import (
     factored_product,
     invert_permutation,
     is_identity,
-    permutation_matrix,
     sparse_rows,
     transpose_rows,
 )
@@ -395,12 +394,17 @@ class DegenerationReport:
 
 
 def _compose_permutation(b: FactoredSequence, perm: Optional[Sequence[int]]) -> FactoredSequence:
-    """Figure-style composed sequence perm^-1 . b."""
+    """Figure-style composed sequence P(perm)^-1 . b: row i of P^-1 L is row
+    perm^-1(i) of L, and L^-1 P moves column k of L^-1 to perm(k), so the
+    stored rows are only relabelled."""
     if perm is None:
         return b
     perm = tuple(perm)
-    left = permutation_matrix(invert_permutation(perm))
-    return b.premultiply(left)
+    if len(perm) != b.dim:
+        raise DimError(f"permutation of length {len(perm)} for a sequence of dimension {b.dim}")
+    left = tuple(b.left[i] for i in invert_permutation(perm))
+    left_inv = tuple(tuple(sorted((perm[k], x) for k, x in row)) for row in b.left_inv)
+    return FactoredSequence(left, b.weights, b.right, left_inv, b.right_inv)
 
 
 def degenerate(

@@ -243,8 +243,7 @@ def parse_permutation(text: str, n: int = 5) -> tuple[int, ...]:
 
 
 def _parse_sequence(tk: _Tokens, n: int):
-    from . import linalg
-    from .projective import FactoredSequence, permutation_matrix
+    from .projective import FactoredSequence
 
     kind, value, pos = tk.peek()
     if kind == "name" and value == "diag":
@@ -254,23 +253,19 @@ def _parse_sequence(tk: _Tokens, n: int):
         while tk.accept(","):
             entries.append(_parse_scalar_expr(tk))
         tk.expect(")")
-        coeffs = []
-        weights = []
-        for e in entries:
-            if e.is_zero() or not e.is_monomial():
-                raise ParseError("diag entries must be nonzero monomials c*t^k", pos)
-            k = e.min_exponent()
-            weights.append(k)
-            coeffs.append(e.coefficient(k))
-        n = len(entries)
-        left = [[coeffs[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        return FactoredSequence.build(left, weights, linalg.identity(n))
+        if not all(e.is_monomial() for e in entries):  # the zero scalar has no term
+            raise ParseError("diag entries must be nonzero monomials c*t^k", pos)
+        # Sparse factors; the right one is the identity of ``diagonal``.
+        eye = FactoredSequence.diagonal([e.min_exponent() for e in entries])
+        left = tuple(((i, e.coefficient(k)),) for i, (e, k) in enumerate(zip(entries, eye.weights)))
+        return FactoredSequence._of(left, eye.weights, eye.right, right_inv=eye.right_inv)
     if kind == "name" and value == "perm":
         tk.next()
         tk.expect("(")
         perm = _parse_cycles(tk, n)
         tk.expect(")")
-        return FactoredSequence.constant(permutation_matrix(perm))
+        eye = FactoredSequence.diagonal([0] * n)  # row i of P(perm) is row perm(i) of the identity
+        return FactoredSequence._of(tuple(eye.right[j] for j in perm), eye.weights, eye.right, right_inv=eye.right_inv)
     if kind == "name" and value == "compose":
         tk.next()
         tk.expect("(")
@@ -284,12 +279,9 @@ def _parse_sequence(tk: _Tokens, n: int):
         return out
     if kind == "[":
         rows = _parse_matrix_rows(tk)
-        const: list[list[Fraction]] = []
-        for row in rows:
-            if any(not e.is_constant() for e in row):
-                raise ParseError("explicit sequence factors must be constant matrices", pos)
-            const.append([e.coefficient(0) for e in row])
-        return FactoredSequence.constant(const)
+        if not all(e.is_constant() for row in rows for e in row):
+            raise ParseError("explicit sequence factors must be constant matrices", pos)
+        return FactoredSequence.constant([[e.coefficient(0) for e in row] for row in rows])
     raise ParseError(f"expected a sequence (diag/perm/compose/[[...]]), found {value!r}", pos)
 
 

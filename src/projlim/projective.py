@@ -20,8 +20,10 @@ inversion and the t -> 0 limit exact symbolic operations.  Each factor is
 stored once, as its sparse rows (the nonzero (column, value) entries of each
 row), beside the sparse rows of its inverse, computed once when the sequence
 is made: the check that its factors are invertible computes them, and
-inversion swaps the four, so nothing is inverted again.  Dense factors are
-only views.  There is one conjugation of flattened sparse matrices,
+inversion swaps the four, so nothing is inverted again.  A dense matrix is
+read once, where a caller hands one in (``build``, ``constant``,
+``premultiply``, ``conjugate``), and products of factors multiply sparse
+rows.  There is one conjugation of flattened sparse matrices,
 ``conjugate_flat`` (rational or Laurent entries), which the Lie limits use
 too.  A monomial factor (one nonzero entry per row, as for a permutation)
 only relabels: each entry moves to one position, scaled by the two factor
@@ -279,18 +281,18 @@ def permutation_matrix(perm: tuple[int, ...]) -> linalg.Mat:
     With this convention Ad_M sends the matrix unit E_{ij} to
     E_{perm^-1(i), perm^-1(j)}.
     """
-    n = len(perm)
-    if sorted(perm) != list(range(n)):
-        raise NotInvertible(f"{perm} is not a permutation of 0..{n-1}")
-    m = linalg.zeros(n, n)
-    for i, j in enumerate(perm):
-        m[i][j] = Fraction(1)
-    return m
+    invert_permutation(perm)  # refuses anything but a permutation
+    return dense_rows(tuple(((j, Fraction(1)),) for j in perm))
 
 
 def invert_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
+    """The inverse of a permutation of 0..n-1, checked in the pass that
+    inverts it: every entry must land in a free slot of 0..n-1."""
+    n = len(perm)
+    inv = [None] * n
     for i, j in enumerate(perm):
+        if not 0 <= j < n or inv[j] is not None:
+            raise NotInvertible(f"{perm} is not a permutation of 0..{n-1}")
         inv[j] = i
     return tuple(inv)
 
@@ -410,6 +412,18 @@ def conjugate_flat(g: SparseRows, ginv: SparseRows, vectors: list[dict], m: int)
     return out
 
 
+def _product(a: SparseRows, b: SparseRows) -> SparseRows:
+    """The sparse rows of a * b for square rational factors given by their sparse rows."""
+    out = []
+    for row in a:
+        acc: dict[int, Fraction] = {}
+        for k, x in row:
+            for j, y in b[k]:
+                acc[j] = acc.get(j, 0) + x * y
+        out.append(tuple((j, acc[j]) for j in sorted(acc) if acc[j]))
+    return tuple(out)
+
+
 def factored_product(left: SparseRows, powers: list[LaurentScalar], right: SparseRows) -> SparseRows:
     """The sparse rows of left * diag(powers) * right for square rational
     factors given by their sparse rows and nonzero powers: entry (i, j) is one
@@ -436,7 +450,8 @@ class FactoredSequence:
     value) entries of each row, in ascending column order.  ``left_inv`` and
     ``right_inv`` hold the sparse rows of left^-1 and right^-1; they take no
     part in equality, hashing or the repr, so equal sequences hash equal
-    however they were built.  ``left_rows``/``right_rows`` are dense views.
+    however they were built.  Dense input is read once, by ``build``,
+    ``constant``, ``premultiply`` and ``conjugate``; products multiply sparse rows.
     """
 
     left: SparseRows
@@ -489,12 +504,6 @@ class FactoredSequence:
     def dim(self) -> int:
         return len(self.weights)
 
-    def left_rows(self) -> linalg.Mat:
-        return dense_rows(self.left)
-
-    def right_rows(self) -> linalg.Mat:
-        return dense_rows(self.right)
-
     def is_constant(self) -> bool:
         return all(w == self.weights[0] for w in self.weights)
 
@@ -515,50 +524,33 @@ class FactoredSequence:
         new left factor is computed, which refuses a singular const)."""
         const = linalg.frac_rows(const)
         self._check_shape(const, self.dim)
-        return FactoredSequence._of(
-            sparse_rows(linalg.mat_mul(const, self.left_rows())), self.weights, self.right, right_inv=self.right_inv
-        )
+        left = _product(sparse_rows(const), self.left)
+        return FactoredSequence._of(left, self.weights, self.right, right_inv=self.right_inv)
 
     def compose(self, other: "FactoredSequence") -> "FactoredSequence":
         """The product sequence self(t) * other(t), kept in factored form.
 
         Works whenever one of the two is constant or the middle product
-        mid = right_1 * left_2 is monomial (one nonzero entry per row and
-        column), e.g. for diagonal sequences or permutation factors; raises
-        NotFactorable otherwise.  mid is formed once in every case.
+        mid = right_1 * left_2 is monomial (one nonzero entry per row), e.g.
+        for diagonal sequences or permutation factors; raises NotFactorable
+        otherwise.  mid is formed once in every case, as sparse rows.
         """
         if self.dim != other.dim:
             raise NotFactorable("dimension mismatch")
-        mid = linalg.mat_mul(self.right_rows(), other.left_rows())
-        n = self.dim
+        mid = _product(self.right, other.left)
         if self.is_constant():
-            perm = list(range(n))  # t^s commutes with any mid
+            permuted = self.weights  # t^s commutes with any mid
         elif other.is_constant():
-            shift = other.weights[0]
-            return FactoredSequence._of(
-                self.left,
-                tuple(w + shift for w in self.weights),
-                sparse_rows(linalg.mat_mul(mid, other.right_rows())),
-                left_inv=self.left_inv,
-            )
+            weights = tuple(w + other.weights[0] for w in self.weights)
+            return FactoredSequence._of(self.left, weights, _product(mid, other.right), left_inv=self.left_inv)
+        elif any(len(row) != 1 for row in mid):
+            raise NotFactorable("middle factor is not monomial; product has no factored form")
         else:
-            # mid is invertible, so one entry per row makes perm a permutation.
-            perm = [-1] * n  # column of the unique nonzero entry in each row
-            for i in range(n):
-                nz = [j for j in range(n) if mid[i][j] != 0]
-                if len(nz) != 1:
-                    raise NotFactorable("middle factor is not monomial; product has no factored form")
-                perm[i] = nz[0]
-        # diag(t^w1) * mid = mid * diag(t^{w1 permuted}) since mid has a single
-        # nonzero entry per row i in column perm[i].
-        permuted = tuple(self.weights[i] for i in invert_permutation(perm))
-        new_left = linalg.mat_mul(self.left_rows(), mid)
-        return FactoredSequence._of(
-            sparse_rows(new_left),
-            tuple(p + w for p, w in zip(permuted, other.weights)),
-            other.right,
-            right_inv=other.right_inv,
-        )
+            # mid is invertible with the one entry of row i in column perm(i),
+            # so diag(t^w1) * mid = mid * diag(t^{w1 permuted}).
+            permuted = tuple(self.weights[i] for i in invert_permutation([j for ((j, _),) in mid]))
+        weights = tuple(p + w for p, w in zip(permuted, other.weights))
+        return FactoredSequence._of(_product(self.left, mid), weights, other.right, right_inv=other.right_inv)
 
     # -- actions -------------------------------------------------------
 

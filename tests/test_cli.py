@@ -11,6 +11,7 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -85,6 +86,15 @@ class TestLimit:
         )
         assert code == 0
         assert "limit signature:  po((1),(4,1))" in out
+
+    def test_table_never_formats_the_basis(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_mat_strs", lambda mat: calls.append(mat) or [])
+        code, out, _ = run(capsys, "limit", "--algebra", "po((4,1))", "--seq", DS_SEQ)
+        assert (code, calls) == (0, [])
+        assert "dimension:        10" in out
+        code, _, _ = run(capsys, "limit", "--algebra", "po((4,1))", "--seq", DS_SEQ, "--format", "json")
+        assert (code, len(calls)) == (0, 10)
 
     def test_json_deterministic(self, capsys):
         args = ("limit", "--algebra", "po((3,2))", "--seq", "diag(t^-1,t^-1,t^-1,t^-1,t^4)", "--format", "json")
@@ -189,6 +199,10 @@ class TestSigmaChain:
         assert doc["splits"] == [1, 2]
         assert all(step["verified"] for step in doc["steps"])
 
+    def test_rising_weights_exit_1(self, capsys):
+        code, out, err = run(capsys, "sigma-chain", "--signature", "(3)", "--weights", "0,1,2")
+        assert (code, out, err) == (1, "", "error: weights must be weakly decreasing\n")
+
 
 class TestEmbedAndClassify:
     def test_embed_check(self, capsys):
@@ -204,6 +218,11 @@ class TestEmbedAndClassify:
         )
         assert code == 0
         assert json.loads(out)["limit_unchanged"] is True
+
+    def test_embed_check_with_a_short_sequence_exits_1(self, capsys):
+        code, out, err = run(capsys, "embed-check", "--algebra", "po((4,1))", "--seq", "diag(t,1,1,1)")
+        assert (code, out) == (1, "")
+        assert err == "error: sequence dimension 4 is below the algebra's 5\n"
 
     def test_classify_points(self, capsys):
         code, out, _ = run(
@@ -323,6 +342,33 @@ class TestCorrelator:
             code, out, err = run(capsys, "correlator", *argv, "--points", "[0,0,0,0,0]")
             assert (code, out) == (1, "")
             assert err == "error: the zero vector is not a projective point\n"
+
+    @pytest.mark.parametrize(
+        "seq, perm, inverse",
+        [
+            ("diag(t^-1,t^-1,t^-1,t^-1,t^4)", "(0 1 2 3 4)", "(0 4 3 2 1)"),
+            (GALILEI_SEQ, "(1 2 3 4)", "(0)(1 4 3 2)"),
+            ("compose([[1,0,0,0,0],[0,-1,0,0,0],[0,0,1,0,0],[0,0,0,1,0],[0,0,0,0,1]],diag(t,1,1,1,t))", "(1 4)", "(1 4)"),
+        ],
+    )
+    def test_perm_equals_the_composed_inverse_permutation(self, capsys, seq, perm, inverse):
+        """``--perm p`` degenerates along P(p)^-1 b: the report equals that of
+        ``--seq "compose(perm(p^-1), b)"`` byte for byte, in both formats."""
+        common = ["correlator", "--geometry", "((1),(3,1))", "--reps", "fundamental,right_action"]
+        common += ["--points", "[1,2,3,4,5];[1,0,0,0,7]"]
+        for fmt in ("table", "json"):
+            with_perm = run(capsys, *common, "--seq", seq, "--perm", perm, "--format", fmt)
+            composed = run(capsys, *common, "--seq", f"compose(perm({inverse}),{seq})", "--format", fmt)
+            assert with_perm == composed and with_perm[0] == 0
+
+    def test_without_seq_or_mode_exits_2(self, capsys):
+        code, out, err = run(capsys, "correlator", "--geometry", "((1),(3,1))")
+        assert (code, out, err) == (2, "", "syntax error: correlator needs --seq (or --mode uv|ir)\n")
+
+    def test_empty_representation_list_exits_2(self, capsys):
+        code, out, err = run(capsys, "correlator", "--reps", "", "--seq", GALILEI_SEQ)
+        assert (code, out) == (2, "")
+        assert err.startswith("syntax error: empty representation list")
 
     def test_factor_count_over_the_cap_exits_1_at_once(self, capsys):
         for mode in ("uv", "ir"):

@@ -5,6 +5,7 @@ import hashlib
 import importlib.resources
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -34,7 +35,7 @@ from projlim.laurent import MAX_EXPONENT, LaurentScalar, rational_combination
 from projlim.lie import LieAlgebraSpan, build_po, truncated_exp
 from projlim.linalg import identity, mat_mul, transpose
 from projlim.parsing import parse_sequence
-from projlim.projective import FactoredSequence, ProjMatrix, permutation_matrix
+from projlim.projective import FactoredSequence, ProjMatrix, dense_rows, invert_permutation, permutation_matrix
 
 from _reference import reference_inverse, reference_rank, reference_rref, reference_symmetrizer_matrix
 
@@ -170,6 +171,29 @@ class TestDegenerate:
         report = degenerate(spec, GALILEI_SEQ, (0, 2, 3, 4, 1), [[1, 2, 3, 4, 5]])
         assert report.permutation == (0, 1, 2, 3, 4)
         assert report.surviving == ((1, 2), (3, 4, 5))
+
+    @pytest.mark.parametrize("perm", [(0, 0, 2, 3, 4), (0, 1, 2, 3, 7), (-1, 0, 1, 2, 3)])
+    def test_a_non_permutation_is_refused(self, perm):
+        spec = make_correlator(FLAT, [FUNDAMENTAL])
+        with pytest.raises(NotInvertible, match=rf"^{re.escape(str(perm))} is not a permutation of 0\.\.4$"):
+            degenerate(spec, GALILEI_SEQ, perm, None)
+
+    def test_a_permutation_of_another_length_is_refused(self):
+        spec = make_correlator(FLAT, [FUNDAMENTAL])
+        with pytest.raises(DimError, match="^permutation of length 4 for a sequence of dimension 5$"):
+            degenerate(spec, GALILEI_SEQ, (1, 0, 2, 3), None)
+
+    def test_composed_permutation_equals_the_dense_premultiplied_sequence(self):
+        """The relabelled rows equal ``premultiply`` by the dense P(perm)^-1,
+        factors and inverses, over seeded sequences with identity,
+        permutation and dense factors at m = 3..7."""
+        rng = random.Random(43)
+        for b in plain_sequences(seed=43):
+            perm = tuple(rng.sample(range(b.dim), b.dim))
+            composed = correlator_module._compose_permutation(b, perm)
+            expected = b.premultiply(permutation_matrix(invert_permutation(perm)))
+            assert composed == expected
+            assert (composed.left_inv, composed.right_inv) == (expected.left_inv, expected.right_inv)
 
     def test_schur_factor(self):
         spec = make_correlator(FLAT, [RepTag("schur", ((1, 1), ()))])
@@ -616,7 +640,7 @@ class TestPlainTagsAgainstSequence:
 
     def test_rep_matrix(self):
         for b in plain_sequences(seed=27):
-            g = b.left_rows()
+            g = dense_rows(b.left)
             fundamental, right = rep_matrix(FUNDAMENTAL, g), rep_matrix(RIGHT_ACTION, g)
             assert fundamental == g and right == reference_inverse(g)
             assert all(type(x) is Fraction for rows in (fundamental, right) for row in rows for x in row)

@@ -17,6 +17,7 @@ from projlim import lie as lie_module
 from projlim.cli import main as cli_main
 from projlim.errors import (
     DimError,
+    EmbeddingError,
     NoMatch,
     NotClosed,
     NotSubalgebra,
@@ -45,7 +46,7 @@ from projlim.lie import (
 from projlim import geometry as geometry_module
 from projlim.geometry import geometry_limit
 from projlim.parsing import parse_sequence
-from projlim.projective import FactoredSequence, conjugate_flat, invert_permutation, permutation_matrix
+from projlim.projective import FactoredSequence, conjugate_flat, dense_rows, invert_permutation, permutation_matrix
 
 from _reference import (
     random_scaled_permutation as _scaled_permutation,
@@ -274,6 +275,22 @@ class TestEmbedding:
             )
             assert big.span_equals(padded)
 
+    def test_target_below_the_ambient_is_refused(self):
+        with pytest.raises(EmbeddingError, match="^target dimension 4 below ambient 5$"):
+            embed_and_limit(build_po(((4, 1),)), 4, FactoredSequence.diagonal([1, 0, 0, 0]))
+
+    def test_sequence_of_another_dimension_is_refused(self):
+        with pytest.raises(DimError, match="^sequence dimension 5 != target 6$"):
+            embed_and_limit(build_po(((4, 1),)), 6, FactoredSequence.diagonal([4, -1, -1, -1, -1]))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_factors_mixing_block_and_padding_are_refused(self, side):
+        mixing = permutation_matrix((0, 1, 2, 3, 5, 4))  # swaps the last block index with the padding
+        factors = {"left": linalg.identity(6), "right": linalg.identity(6), side: mixing}
+        seq = FactoredSequence.build(factors["left"], [4, -1, -1, -1, -1, 0], factors["right"])
+        with pytest.raises(EmbeddingError, match="^sequence factors mix embedded block with padding$"):
+            embed_and_limit(build_po(((4, 1),)), 6, seq)
+
 
 class TestTruncatedExp:
     def test_nilpotent_exponential_is_exact(self):
@@ -340,7 +357,7 @@ def _subspace_with_zeros(vectors, positions):
 
 def _frame(alg, seq):
     m = alg.m
-    right = seq.right_rows()
+    right = dense_rows(seq.right)
     rinv = reference_inverse(right)
     vectors = [_flat(linalg.mat_mul(linalg.mat_mul(right, x), rinv)) for x in alg.basis]
     w = seq.weights
@@ -348,7 +365,7 @@ def _frame(alg, seq):
 
 
 def _back(seq, vecs, m):
-    left = seq.left_rows()
+    left = dense_rows(seq.left)
     linv = reference_inverse(left)
     return [linalg.mat_mul(linalg.mat_mul(left, _unflat(v, m)), linv) for v in vecs]
 

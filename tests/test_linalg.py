@@ -9,7 +9,7 @@ import pytest
 from projlim import linalg
 from projlim.errors import NotInvertible
 from projlim.linalg import Echelon
-from projlim.projective import FactoredSequence
+from projlim.projective import FactoredSequence, dense_rows
 
 from _reference import (
     reference_determinant,
@@ -225,8 +225,8 @@ class TestDenseRoutinesAgainstReference:
             premultiplied = FactoredSequence.diagonal(weights).premultiply(rows)
             for inverse_rows in (left.left_inv, right.right_inv, premultiplied.left_inv):
                 assert _dense_inverse(inverse_rows, n) == want
-            assert left.inverse().right_rows() == want
-            assert right.inverse().left_rows() == want
+            assert dense_rows(left.inverse().right) == want
+            assert dense_rows(right.inverse().left) == want
             assert _dense_inverse(left.inverse().right_inv, n) == rows
             assert _dense_inverse(right.inverse().left_inv, n) == rows
             assert left.inverse().inverse() == left

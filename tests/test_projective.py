@@ -34,6 +34,7 @@ from projlim.projective import (
     FactoredSequence,
     _canonicalize,
     _inverse_rows,
+    dense_rows,
     invert_permutation,
     permutation_matrix,
     point_limit,
@@ -185,14 +186,47 @@ class TestParsing:
         assert seq.matrix().limit().constant_rows() == [[1, 0], [0, 0]]
 
 
+def _cycles(perm):
+    """perm in the cycle notation of ``perm(...)``, fixed points included."""
+    out, seen = "", set()
+    for start in range(len(perm)):
+        cycle, i = [], start
+        while i not in seen:
+            seen.add(i)
+            cycle.append(str(i))
+            i = perm[i]
+        out += "(" + " ".join(cycle) + ")" if cycle else ""
+    return out
+
+
 class TestParseDimension:
     def test_perm_takes_the_given_dimension(self):
-        assert parse_sequence("perm((0 1))", 3).left_rows() == [
+        assert dense_rows(parse_sequence("perm((0 1))", 3).left) == [
             [0, 1, 0],
             [1, 0, 0],
             [0, 0, 1],
         ]
         assert parse_sequence("perm((0 1))").dim == 5
+
+    def test_one_entry_factors_equal_the_dense_build(self):
+        """``diag(...)`` and ``perm(...)`` build their factors as sparse rows;
+        they equal the dense route through ``build``, factors and inverses,
+        over seeded coefficients, weights and permutations at m = 1..7."""
+        rng = random.Random(43)
+        for m in range(1, 8):
+            eye = linalg.identity(m)
+            for _ in range(4):
+                coeffs = [Fraction(rng.choice((1, -1, 2, -3)), rng.choice((1, 1, 2, 5))) for _ in range(m)]
+                weights = [rng.randint(-3, 3) for _ in range(m)]
+                text = "diag(" + ",".join(f"{c}*t^{w}" for c, w in zip(coeffs, weights)) + ")"
+                diagonal = [[coeffs[i] if i == j else 0 for j in range(m)] for i in range(m)]
+                perm = tuple(rng.sample(range(m), m))
+                for parsed, built in (
+                    (parse_sequence(text), FactoredSequence.build(diagonal, weights, eye)),
+                    (parse_sequence(f"perm({_cycles(perm)})", m), FactoredSequence.constant(permutation_matrix(perm))),
+                ):
+                    assert parsed == built
+                    assert (parsed.left_inv, parsed.right_inv) == (built.left_inv, built.right_inv)
 
     def test_perm_inside_compose_at_m6(self):
         seq = parse_sequence("compose(perm((0 1)),diag(t,1,1,1,1,1))", 6)
@@ -409,7 +443,7 @@ def reference_sequence_rows(seq):
     n = seq.dim
     zero = LaurentScalar.zero()
     diag = [[LaurentScalar.t(seq.weights[i]) if i == j else zero for j in range(n)] for i in range(n)]
-    left, right = lmat_from_rational(seq.left_rows()), lmat_from_rational(seq.right_rows())
+    left, right = lmat_from_rational(dense_rows(seq.left)), lmat_from_rational(dense_rows(seq.right))
     return lmat_mul(left, lmat_mul(diag, right))
 
 
@@ -527,7 +561,7 @@ def _conjugations_against_dense(sequences, rng):
     for seq in sequences:
         n = seq.dim
         zero = LaurentScalar.zero()
-        left, right = seq.left_rows(), seq.right_rows()
+        left, right = dense_rows(seq.left), dense_rows(seq.right)
         chain = [
             lmat_from_rational(left),
             [[LaurentScalar.t(seq.weights[i]) if i == j else zero for j in range(n)] for i in range(n)],
@@ -576,12 +610,12 @@ def compose_pairs(seed=20261019):
         order = list(range(n))
         rng.shuffle(order)
         scaled = [[Fraction(rng.choice((1, -1, 2, Fraction(1, 3)))) * x for x in row] for row in permutation_matrix(tuple(order))]
-        mono_left = [[sum(x * y for x, y in zip(row, col)) for col in zip(*scaled)] for row in reference_inverse(a.right_rows())]
+        mono_left = [[sum(x * y for x, y in zip(row, col)) for col in zip(*scaled)] for row in reference_inverse(dense_rows(a.right))]
         pairs += [
             (FactoredSequence.constant(const), a),
-            (FactoredSequence.build(const, [shift] * n, a.left_rows()), a),
+            (FactoredSequence.build(const, [shift] * n, dense_rows(a.left)), a),
             (a, FactoredSequence.constant(const)),
-            (a, FactoredSequence.build(a.right_rows(), [shift] * n, const)),
+            (a, FactoredSequence.build(dense_rows(a.right), [shift] * n, const)),
             (a, FactoredSequence.build(mono_left, weights, const)),
             (FactoredSequence.diagonal(weights), FactoredSequence.diagonal(weights[::-1]).premultiply(scaled)),
             (a, grid[(index + 4) % len(grid)]),
@@ -597,7 +631,7 @@ class TestCompose:
         kinds = {"constant": 0, "monomial": 0, "refused": 0}
         for a, b in compose_pairs():
             n = a.dim
-            mid = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b.left_rows())] for row in a.right_rows()]
+            mid = [[sum(x * y for x, y in zip(row, col)) for col in zip(*dense_rows(b.left))] for row in dense_rows(a.right)]
             if not (a.is_constant() or b.is_constant() or _monomial(mid)):
                 with pytest.raises(NotFactorable, match="middle factor is not monomial; product has no factored form"):
                     a.compose(b)
@@ -606,8 +640,8 @@ class TestCompose:
             c = a.compose(b)
             expected = reference_canonicalize(lmat_mul(reference_sequence_rows(a), reference_sequence_rows(b)))
             assert c.matrix().rows == expected, (a, b)
-            assert reference_inverse(c.left_rows()) == _dense(c.left_inv, n)
-            assert reference_inverse(c.right_rows()) == _dense(c.right_inv, n)
+            assert reference_inverse(dense_rows(c.left)) == _dense(c.left_inv, n)
+            assert reference_inverse(dense_rows(c.right)) == _dense(c.right_inv, n)
             kinds["constant" if a.is_constant() or b.is_constant() else "monomial"] += 1
         assert kinds["constant"] >= 80 and kinds["monomial"] >= 40 and kinds["refused"] >= 10, kinds
 
@@ -665,19 +699,19 @@ class TestSparseFactorStorage:
             eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
             for rows in (seq.left, seq.right, seq.left_inv, seq.right_inv):
                 assert _canonical_rows(rows, n), seq
-            assert seq.left_rows() == _dense(seq.left, n) and seq.right_rows() == _dense(seq.right, n)
-            assert reference_inverse(seq.left_rows()) == _dense(seq.left_inv, n)
-            assert reference_inverse(seq.right_rows()) == _dense(seq.right_inv, n)
+            assert dense_rows(seq.left) == _dense(seq.left, n) and dense_rows(seq.right) == _dense(seq.right, n)
+            assert reference_inverse(dense_rows(seq.left)) == _dense(seq.left_inv, n)
+            assert reference_inverse(dense_rows(seq.right)) == _dense(seq.right_inv, n)
             assert all(isinstance(w, int) for w in seq.weights)
             # An identity factor is stored as the unit rows the conjugation skips.
-            assert seq.left_rows() != eye or seq.left == tuple(((i, 1),) for i in range(n))
+            assert dense_rows(seq.left) != eye or seq.left == tuple(((i, 1),) for i in range(n))
 
     def test_equality_is_equality_of_factors(self):
         pool = self.pool()
         equal_pairs = 0
         for a in pool:
             for b in pool:
-                same = (a.left_rows(), a.weights, a.right_rows()) == (b.left_rows(), b.weights, b.right_rows())
+                same = (dense_rows(a.left), a.weights, dense_rows(a.right)) == (dense_rows(b.left), b.weights, dense_rows(b.right))
                 assert (a == b) == same
                 if same:
                     assert hash(a) == hash(b)
@@ -738,8 +772,8 @@ class TestInverseRows:
     def test_sequences_of_permutations_invert_by_transposition(self, monkeypatch):
         monkeypatch.setattr(linalg, "pivot_inverse", None)  # any elimination would fail
         seq = parse_sequence("compose(perm((0 1 2 3 4)),diag(t,1,1,1,t))", 5)
-        assert _dense(seq.left_inv, 5) == reference_inverse(seq.left_rows())
-        assert _dense(seq.right_inv, 5) == reference_inverse(seq.right_rows())
+        assert _dense(seq.left_inv, 5) == reference_inverse(dense_rows(seq.left))
+        assert _dense(seq.right_inv, 5) == reference_inverse(dense_rows(seq.right))
 
 
 def _weighted_calls(weight):

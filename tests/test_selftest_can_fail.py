@@ -46,6 +46,12 @@ def _branch_the_conjugate(pair):
 
 
 _limit_rows = projective._limit_rows
+_rows_of = correlator._SchurAction.rows_of
+
+
+def _transposed_rows_of(self, g):
+    return projective.transpose_rows(_rows_of(self, g))
+
 
 # (check, namespace, name, wrong routine)
 FAULTS = [
@@ -94,6 +100,7 @@ FAULTS = [
         "_limit_rows",
         lambda rows: _limit_rows(rows)[:-1] + ((),),
     ),
+    (acceptance.check_representation_limit_commutation, correlator._SchurAction, "rows_of", _transposed_rows_of),
 ]
 
 
