@@ -40,7 +40,6 @@ from .projective import (
     FactoredSequence,
     ProjMatrix,
     ProjPoint,
-    permutation_matrix,
     point_limit,
 )
 from .lie import (
@@ -98,7 +97,6 @@ __all__ = [
     "ProjMatrix",
     "ProjPoint",
     "FactoredSequence",
-    "permutation_matrix",
     "point_limit",
     "transform_vector",
     "BracketTable",

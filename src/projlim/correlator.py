@@ -21,17 +21,25 @@ from .errors import DimError, NotInvertible, ProjlimError, TooLarge
 from .geometry import classify_point_limit, geometry_limit, scale_matrix
 from .laurent import LaurentScalar
 from .lie import LieAlgebraSpan, Signature, truncated_exp, validate_signature
-from .linalg import Mat, frac_rows, identity, inverse, mat_mul, pivot_inverse
+from .linalg import (
+    Mat,
+    SparseRows,
+    dense_rows,
+    frac_rows,
+    identity,
+    inverse,
+    inverse_rows,
+    mat_mul,
+    pivot_inverse,
+    sparse_rows,
+)
 from .projective import (
     FactoredSequence,
     ProjMatrix,
     ProjPoint,
-    SparseRows,
-    dense_rows,
     factored_product,
     invert_permutation,
     is_identity,
-    sparse_rows,
     transpose_rows,
 )
 from .young import DIM_FUND, DiagramPair, pair_str, symmetrizer_basis, validate_pair
@@ -284,15 +292,20 @@ def _schur_module(rep: RepTag, n: int) -> tuple[_SchurAction, bool, bool]:
 def rep_matrix(rep: RepTag, g: Mat) -> Mat:
     """rho(g) for a rational group element: the matrix a factor of this tag
     picks up when the correlator is deformed by g^-1.  A g that is not
-    invertible is refused with NotInvertible, whatever the tag."""
+    invertible is refused with NotInvertible, whatever the tag.  The sparse
+    rows of g are inverted directly, with no dense inverse.  Selftest #13
+    calls it, to check that rho is a homomorphism."""
     g = frac_rows(g)
+    rows = sparse_rows(g)
     try:
-        g_inv = inverse(g)
+        if any(len(row) != len(g) for row in g):
+            raise NotInvertible("only a square matrix has an inverse")
+        g_inv = inverse_rows(rows)
     except NotInvertible:
         text = "[" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in g) + "]"
         raise NotInvertible(f"rho(g) needs an invertible group element g, got g = {text}") from None
     action, invert, dual = _schur_module(rep, len(g))
-    rows = sparse_rows(g if invert else g_inv)
+    rows = rows if invert else g_inv
     return dense_rows(action.rows_of(transpose_rows(rows) if dual else rows))
 
 

@@ -25,6 +25,7 @@ from .lie import (
     match_limit_geometry,
     validate_signature,
 )
+from .linalg import Echelon
 from .projective import (
     FactoredSequence,
     ProjPoint,
@@ -271,30 +272,25 @@ def gauge_equivalent(w1: PointLike, w2: PointLike) -> bool:
     """Decide whether two component lists define the same projective vector.
 
     Components are defined up to a common nonzero scale c and a gauge shift
-    f along ``(1, 1, 1, 1, -1)``: w2 must equal c*(W1-f, ..., W4-f, W5+f)
-    for some c != 0 and some f.  Solved exactly as a 2-parameter linear
-    system: w2 = alpha*w1 + beta*g with alpha = c != 0.
+    f along ``g = (1, 1, 1, 1, -1)``: w2 must equal c*(W1-f, ..., W4-f, W5+f)
+    for some c != 0 and some f, that is w2 = alpha*w1 + beta*g with
+    alpha = c != 0.  Decided by ranks in one echelon: that holds exactly when
+    rank[g, w1, w2] = rank[g, w1], and either rank[g, w1] < 2 (w1 is zero or
+    parallel to g, so alpha is free) or rank[g, w2] = 2 (w2 is not a multiple
+    of g, so alpha is not 0).
 
     >>> gauge_equivalent([1, 1, 1, 1, 0], [0, 0, 0, 0, 1])
     True
     >>> gauge_equivalent([1, 0, 0, 0, 0], [0, 1, 0, 0, 0])
     False
     """
-    a = _rational_coords(w1, 5)
-    c = _rational_coords(w2, 5)
-    g = GAUGE_DIRECTION
-    # Solve [a g] . (alpha, beta)^T = c over the rationals.
-    from .linalg import nullspace, solve
-
-    columns = [[a[i], g[i]] for i in range(5)]
-    solution = solve(columns, list(c))
-    if solution is None:
-        return False
-    kernel = nullspace(columns)
-    if kernel:
-        # a is parallel to g (or zero): alpha is shiftable to a nonzero value.
-        return True
-    return solution[0] != 0
+    a = dict(enumerate(_rational_coords(w1, 5)))
+    c = dict(enumerate(_rational_coords(w2, 5)))
+    echelon = Echelon()
+    echelon.insert(dict(enumerate(GAUGE_DIRECTION)))
+    c_along_g = echelon.coordinates(c) is not None
+    a_off_g = echelon.insert(a)
+    return echelon.coordinates(c) is not None and not (a_off_g and c_along_g)
 
 
 def scale_matrix(mode: str) -> FactoredSequence:

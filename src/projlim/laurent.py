@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DivergentLimit, ExponentOverflow, NotExact, ZeroScalar
+from .linalg import exact, integers
 
 # Exponents are kept small machine integers; anything beyond this bound is a
 # runaway computation, not a legitimate geometry deformation.
@@ -49,11 +50,12 @@ class LaurentScalar:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[int, Rat] | None = None):
+        terms = terms or {}
         clean: dict[int, Fraction] = {}
-        for k, c in (terms or {}).items():
-            c = Fraction(c)
+        for k, c in zip(integers(terms, "exponents"), terms.values()):
+            c = exact(c, "coefficients")
             if c != 0:
-                clean[_check_exponent(int(k))] = c
+                clean[_check_exponent(k)] = c
         self._terms = clean
 
     @classmethod
@@ -85,7 +87,7 @@ class LaurentScalar:
 
     @classmethod
     def monomial(cls, c: Rat, exponent: int) -> LaurentScalar:
-        return cls({exponent: Fraction(c)})
+        return cls({exponent: c})
 
     # -- structure ----------------------------------------------------
 

@@ -56,16 +56,10 @@ from .errors import (
     SignatureError,
 )
 from .linalg import Mat
-from .projective import FactoredSequence, conjugate_flat, integer_weights, invert_permutation
+from .projective import FactoredSequence, conjugate_flat, invert_permutation
 
 Signature = tuple[tuple[int, int], ...]
 Sparse = dict[int, Fraction]  # nonzero entries {position: value} of a vector
-
-
-def _nonzero_flat(x: Mat) -> Sparse:
-    """The nonzero entries of the flattened matrix, as {position: value}."""
-    m = len(x)
-    return {i * m + j: v for i, row in enumerate(x) for j, v in enumerate(row) if v}
 
 
 def _nonzero_rows(v: Sparse, m: int) -> list[list[tuple[int, Fraction]]]:
@@ -86,14 +80,6 @@ def _sparse_bracket(a, b, m: int) -> dict[int, Fraction]:
                     p = i * m + j
                     out[p] = out.get(p, 0) + u * v
     return {p: v for p, v in out.items() if v}
-
-
-def _matrix(v: Sparse, m: int) -> Mat:
-    """The m x m matrix with the given nonzero flattened entries."""
-    x = linalg.zeros(m, m)
-    for p, c in v.items():
-        x[p // m][p % m] = c
-    return x
 
 
 def _partners(outs, ins) -> set[tuple[int, int]]:
@@ -130,7 +116,7 @@ class LieAlgebraSpan:
     """
 
     def __init__(self, m: int, basis, *, check_closed: bool = True):
-        self.m = int(m)
+        [self.m] = linalg.integers([m], "matrix sizes")
         self._init([self._trace_free(x) for x in basis], check_closed)
 
     @classmethod
@@ -172,7 +158,7 @@ class LieAlgebraSpan:
             shift = tr / self.m
             for i in range(self.m):
                 rows[i][i] -= shift
-        return _nonzero_flat(rows)
+        return linalg.nonzero_flat(rows)
 
     def _coordinates(self, v: Sparse) -> Sparse | None:
         """Nonzero coordinates {k: x} in the given basis of a flattened matrix,
@@ -195,7 +181,7 @@ class LieAlgebraSpan:
     @property
     def basis(self) -> list[Mat]:
         """The basis as dense m x m matrices, built afresh on each access."""
-        return [_matrix(v, self.m) for v in self._flat]
+        return [linalg.dense_rows(_nonzero_rows(v, self.m)) for v in self._flat]
 
     def contains(self, x: Mat) -> bool:
         return self._echelon.coordinates(self._trace_free(x)) is not None
@@ -266,7 +252,11 @@ class BracketTable:
         n = len(planes)
         if any(len(plane) != n or any(len(row) != n for row in plane) for plane in planes):
             raise DimError("structure constants must form an n x n x n array")
-        brackets = {(i, j): dict(enumerate(row)) for i, plane in enumerate(planes) for j, row in enumerate(plane)}
+        brackets = {
+            (i, j): {k: linalg.exact(x, "structure constants") for k, x in enumerate(row)}
+            for i, plane in enumerate(planes)
+            for j, row in enumerate(plane)
+        }
         table = self._from_brackets(n, brackets)
         self.dim, self._rows, self._antisymmetric = table.dim, table._rows, None
 
@@ -459,13 +449,12 @@ def validate_signature(sig, m: int | None = None) -> Signature:
         sig = (sig,)
     blocks = []
     for block in sig:
-        if isinstance(block, int):
+        if isinstance(block, (int, float)):  # a float is refused below
             block = (block, 0)
         block = tuple(block)
         if len(block) == 1:
             block = (block[0], 0)
-        p, q = block
-        p, q = int(p), int(q)
+        p, q = linalg.integers(block, "signature entries")
         if p < 0 or q < 0 or p + q < 1:
             raise SignatureError(f"invalid block ({p},{q})")
         blocks.append((p, q))
@@ -742,7 +731,7 @@ def contract(h: BracketTable | LieAlgebraSpan, t_indices) -> BracketTable:
     """
     table = h.structure_constants() if isinstance(h, LieAlgebraSpan) else h
     n = table.dim
-    t_set = sorted(set(int(i) for i in t_indices))
+    t_set = sorted(set(linalg.integers(t_indices, "contraction indices")))
     if any(i < 0 or i >= n for i in t_set):
         raise DimError(f"contraction indices out of range for dimension {n}")
     in_t = [i in t_set for i in range(n)]
@@ -1032,7 +1021,7 @@ def sigma_chain(p: int, q: int, weights) -> ChainResult:
     split checks po(p,q) against its limit along the weights.
     """
     m = p + q
-    w = integer_weights(weights)
+    w = linalg.integers(weights, "weights")
     if len(w) != m:
         raise DimError(f"need {m} weights, got {len(w)}")
     if any(w[i] < w[i + 1] for i in range(m - 1)):

@@ -1,16 +1,23 @@
 """Exact linear algebra over Q.
 
 Dense vectors are lists of Fraction, matrices are lists of rows; sparse
-vectors are {column: value} dicts of their nonzero entries.  There is one
-row elimination, ``Echelon``: it keeps the reduced row echelon form of a
-growing set of sparse vectors, with exact pivoting and no numerical
-questions.  The vectors met here (flattened matrices, structure constants,
-symmetrizers, factors of sequences) are mostly zero, so it touches only
-nonzero entries.  The dense ``rref`` reads its rows off an ``Echelon``, and
-``rank``, ``solve`` and ``nullspace`` read theirs off ``rref``.  ``inverse``
-and ``pivot_inverse`` (coordinates in a basis from its echelon pivots) read
-an inverse off one ``Echelon`` with a tag column per row, not off ``rref``.
-``symmetric_signature`` does its own congruence elimination.
+vectors are {column: value} dicts of their nonzero entries, and sparse rows
+hold the nonzero (column, value) entries of each row of a matrix.  Numbers
+from callers are read by ``exact`` (a rational) and ``integers`` (a tuple of
+ints), which refuse what is not exact rather than truncate it; ``sparse_rows``,
+``dense_rows`` and ``nonzero_flat`` are the one set of dense/sparse
+converters.  There is one row elimination, ``Echelon``: it keeps the reduced
+row echelon form of a growing set of sparse vectors, with exact pivoting and
+no numerical questions.  The vectors met here (flattened matrices, structure
+constants, symmetrizers, factors of sequences) are mostly zero, so it
+touches only nonzero entries.  The dense ``rref`` reads its rows off an
+``Echelon``, and ``rank``, ``solve`` and ``nullspace`` read theirs off
+``rref``.  There is one inverse, ``inverse_rows`` of sparse rows: a monomial
+matrix is inverted by transposition, any other through ``pivot_inverse``
+(coordinates in a basis from its echelon pivots), which reads an inverse off
+one ``Echelon`` with a tag column per row, not off ``rref``; the dense
+``inverse`` is a view of it.  ``symmetric_signature`` does its own
+congruence elimination.
 """
 
 from __future__ import annotations
@@ -21,25 +28,73 @@ from .errors import NotExact, NotInvertible
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
+# The nonzero (column, value) entries of each row, in ascending column order.
+SparseRows = tuple[tuple[tuple[int, Fraction], ...], ...]
+
+_ONE = Fraction(1)
 
 
-def frac_rows(rows) -> Mat:
-    """Deep-copy a matrix-like nested iterable into Fractions.  A float is not
-    exact and a bool is not a number, so both are refused (NotExact).
+def exact(x, what: str) -> Fraction:
+    """x as a Fraction.  A float is not exact and a bool is not a number, so
+    both are refused (NotExact); ``what`` names the input in the message.
 
-    >>> frac_rows([[1, "1/2"], [Fraction(2, 3), "0.1"]])
-    [[Fraction(1, 1), Fraction(1, 2)], [Fraction(2, 3), Fraction(1, 10)]]
-    >>> frac_rows([[0.5]])
+    >>> exact("1/2", "matrix entries")
+    Fraction(1, 2)
+    >>> exact(0.5, "matrix entries")
     Traceback (most recent call last):
     projlim.errors.NotExact: matrix entries must be exact, got 0.5; give an int, a Fraction or a string
     """
-    return [[_exact(x) for x in row] for row in rows]
-
-
-def _exact(x) -> Fraction:
     if isinstance(x, (float, bool)):
-        raise NotExact(f"matrix entries must be exact, got {x!r}; give an int, a Fraction or a string")
+        raise NotExact(f"{what} must be exact, got {x!r}; give an int, a Fraction or a string")
     return Fraction(x)
+
+
+def integers(values, what: str) -> tuple[int, ...]:
+    """The values as a tuple of ints.  Anything but an integer (a float, a
+    string, a bool) is refused (NotExact), not truncated or read as 0 or 1.
+
+    >>> integers([1.9, 1.2], "weights")
+    Traceback (most recent call last):
+        ...
+    projlim.errors.NotExact: weights must be integers, got 1.9
+    """
+    values = tuple(values)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise NotExact(f"{what} must be integers, got {v!r}")
+    return values
+
+
+def frac_rows(rows) -> Mat:
+    """Deep-copy a matrix-like nested iterable into Fractions, each entry
+    read by ``exact``.
+
+    >>> frac_rows([[1, "1/2"], [Fraction(2, 3), "0.1"]])
+    [[Fraction(1, 1), Fraction(1, 2)], [Fraction(2, 3), Fraction(1, 10)]]
+    """
+    return [[exact(x, "matrix entries") for x in row] for row in rows]
+
+
+def sparse_rows(rows) -> SparseRows:
+    """The nonzero (column, value) entries of each row of a dense matrix
+    (rational or Laurent)."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
+
+
+def dense_rows(rows, ncols: int | None = None) -> Mat:
+    """The matrix with the given sparse rows and ncols columns (square when
+    ncols is not given); every other entry is 0."""
+    out = zeros(len(rows), len(rows) if ncols is None else ncols)
+    for dense, row in zip(out, rows):
+        for j, x in row:
+            dense[j] = x
+    return out
+
+
+def nonzero_flat(x: Mat) -> dict[int, Fraction]:
+    """The nonzero entries of the flattened square matrix, as {i * m + j: x_ij}."""
+    m = len(x)
+    return {i * m + j: v for i, row in enumerate(x) for j, v in enumerate(row) if v}
 
 
 def zeros(n: int, m: int) -> Mat:
@@ -154,7 +209,9 @@ def rank(rows: Mat) -> int:
 
 
 def solve(a: Mat, rhs: Vec) -> Vec | None:
-    """One exact solution of A x = rhs, or None if inconsistent."""
+    """One exact solution of A x = rhs, or None if inconsistent.  Nothing in
+    the package calls it: it is kept as API and for the benchmark's span of
+    the same name."""
     n, m = len(a), len(a[0])
     aug = [a[i][:] + [rhs[i]] for i in range(n)]
     red, pivots = rref(aug)
@@ -167,7 +224,9 @@ def solve(a: Mat, rhs: Vec) -> Vec | None:
 
 
 def nullspace(a: Mat) -> Mat:
-    """Basis of the right kernel of A (list of vectors)."""
+    """Basis of the right kernel of A (list of vectors).  Nothing in the
+    package calls it: it is kept as API and for the benchmark's span of the
+    same name."""
     if not a:
         return []
     m = len(a[0])
@@ -184,14 +243,30 @@ def nullspace(a: Mat) -> Mat:
 
 
 def inverse(a: Mat) -> Mat:
+    """The inverse of a square matrix: a dense view of ``inverse_rows``."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise NotInvertible(f"only a square matrix has an inverse: {n} rows of lengths {[len(r) for r in a]}")
-    # Every column of an invertible matrix is a pivot: the pivot block is the matrix.
-    block = pivot_inverse([{c: x for c, x in enumerate(row) if x} for row in a], list(range(n)))
-    zero = Fraction(0)
-    rows = [dict(block[c]) for c in range(n)]
-    return [[row.get(k, zero) for k in range(n)] for row in rows]
+    return dense_rows(inverse_rows(sparse_rows(a)))
+
+
+def inverse_rows(rows: SparseRows) -> SparseRows:
+    """The sparse rows of the inverse of the n x n matrix with the given
+    sparse rows; NotInvertible when it is singular.
+
+    A monomial matrix (one nonzero x at (i, j) in every row and column, such
+    as a permutation) is inverted by transposition: row j of the inverse is
+    1/x at column i.  Any other goes through one ``pivot_inverse`` with every
+    column a pivot: the pivot block is the matrix."""
+    n = len(rows)
+    if all(len(row) == 1 for row in rows):
+        transposed: list = [None] * n
+        for i, ((j, x),) in enumerate(rows):
+            transposed[j] = ((i, _ONE / x),)
+        if None not in transposed:  # else two rows share a column: singular
+            return tuple(transposed)
+    inv = pivot_inverse([dict(row) for row in rows], list(range(n)))
+    return tuple(tuple(inv[c]) for c in range(n))
 
 
 def pivot_inverse(vectors: list[dict[int, Fraction]], pivots: list[int]) -> dict[int, list[tuple[int, Fraction]]]:

@@ -19,11 +19,11 @@ with exact rational invertible ``left``/``right``.  This makes conjugation,
 inversion and the t -> 0 limit exact symbolic operations.  Each factor is
 stored once, as its sparse rows (the nonzero (column, value) entries of each
 row), beside the sparse rows of its inverse, computed once when the sequence
-is made: the check that its factors are invertible computes them, and
-inversion swaps the four, so nothing is inverted again.  A dense matrix is
-read once, where a caller hands one in (``build``, ``constant``,
-``premultiply``, ``conjugate``), and products of factors multiply sparse
-rows.  There is one conjugation of flattened sparse matrices,
+is made (``linalg.inverse_rows``): the check that its factors are
+invertible computes them, and inversion swaps the four, so nothing is
+inverted again.  A dense matrix is read once, where a caller hands one in
+(``build``, ``constant``, ``conjugate``), and products of factors multiply
+sparse rows.  There is one conjugation of flattened sparse matrices,
 ``conjugate_flat`` (rational or Laurent entries), which the Lie limits use
 too.  A monomial factor (one nonzero entry per row, as for a permutation)
 only relabels: each entry moves to one position, scaled by the two factor
@@ -45,12 +45,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .errors import DimError, NotExact, NotFactorable, NotInvertible, ZeroMatrix
+from .errors import DimError, NotFactorable, NotInvertible, ZeroMatrix
 from .laurent import LaurentScalar, lau, rational_combination
-
-# The nonzero (column, value) entries of each row, in ascending column order;
-# the values are rationals (the factors) or LaurentScalars (projective classes).
-SparseRows = tuple[tuple[tuple[int, Fraction], ...], ...]
+from .linalg import SparseRows, sparse_rows
 
 _ZERO = LaurentScalar.zero()
 
@@ -172,11 +169,7 @@ class ProjMatrix:
 
     def constant_rows(self) -> linalg.Mat:
         """Rational entries of a constant representative."""
-        out = linalg.zeros(len(self.sparse), self.ncols)
-        for row, dense in zip(self.sparse, out):
-            for j, e in row:
-                dense[j] = e.constant_value()
-        return out
+        return linalg.dense_rows([[(j, e.constant_value()) for j, e in row] for row in self.sparse], self.ncols)
 
     def limit(self) -> "ProjMatrix":
         """Entrywise t -> 0 limit of the canonical representative.
@@ -275,16 +268,6 @@ class ProjPoint:
 # ---------------------------------------------------------------------------
 
 
-def permutation_matrix(perm: tuple[int, ...]) -> linalg.Mat:
-    """Matrix M with M[i][perm[i]] = 1, acting on points by (Mx)_i = x_{perm(i)}.
-
-    With this convention Ad_M sends the matrix unit E_{ij} to
-    E_{perm^-1(i), perm^-1(j)}.
-    """
-    invert_permutation(perm)  # refuses anything but a permutation
-    return dense_rows(tuple(((j, Fraction(1)),) for j in perm))
-
-
 def invert_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
     """The inverse of a permutation of 0..n-1, checked in the pass that
     inverts it: every entry must land in a free slot of 0..n-1."""
@@ -302,21 +285,6 @@ def invert_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def sparse_rows(rows) -> SparseRows:
-    """The nonzero (column, value) entries of each row of a dense matrix
-    (rational or Laurent)."""
-    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
-
-
-def dense_rows(rows: SparseRows) -> linalg.Mat:
-    """The square matrix with the given sparse rows."""
-    out = linalg.zeros(len(rows), len(rows))
-    for i, row in enumerate(rows):
-        for j, x in row:
-            out[i][j] = x
-    return out
-
-
 def transpose_rows(rows: SparseRows) -> SparseRows:
     """The sparse rows of the transpose of a square matrix (its columns), in
     ascending order."""
@@ -325,43 +293,6 @@ def transpose_rows(rows: SparseRows) -> SparseRows:
         for j, x in row:
             columns[j].append((i, x))
     return tuple(map(tuple, columns))
-
-
-def _inverse_rows(factor: SparseRows) -> SparseRows:
-    """The sparse rows of factor^-1 (n x n); NotInvertible when singular.
-
-    A monomial factor (one nonzero x at (i, j) in every row and column, such
-    as a permutation) is inverted by transposition: row j of the inverse is
-    1/x at column i.  Any other factor goes through one ``pivot_inverse``
-    with every column a pivot."""
-    n = len(factor)
-    if all(len(row) == 1 for row in factor):
-        transposed: list = [None] * n
-        for i, ((j, x),) in enumerate(factor):
-            transposed[j] = ((i, 1 / x),)
-        if None not in transposed:  # else two rows share a column: singular
-            return tuple(transposed)
-    try:
-        inv = linalg.pivot_inverse([dict(row) for row in factor], list(range(n)))
-    except NotInvertible:
-        raise NotInvertible("factored sequence requires invertible factors") from None
-    return tuple(tuple(inv[c]) for c in range(n))
-
-
-def integer_weights(weights) -> tuple[int, ...]:
-    """The weights as a tuple of ints.  Anything but an integer (a float, a
-    string, a bool) is refused (NotExact), not truncated or read as 0 or 1.
-
-    >>> integer_weights([1.9, 1.2])
-    Traceback (most recent call last):
-        ...
-    projlim.errors.NotExact: weights must be integers, got 1.9
-    """
-    weights = tuple(weights)
-    for w in weights:
-        if isinstance(w, bool) or not isinstance(w, int):
-            raise NotExact(f"weights must be integers, got {w!r}")
-    return weights
 
 
 def is_identity(rows: SparseRows) -> bool:
@@ -451,7 +382,7 @@ class FactoredSequence:
     ``right_inv`` hold the sparse rows of left^-1 and right^-1; they take no
     part in equality, hashing or the repr, so equal sequences hash equal
     however they were built.  Dense input is read once, by ``build``,
-    ``constant``, ``premultiply`` and ``conjugate``; products multiply sparse rows.
+    ``constant`` and ``conjugate``; products multiply sparse rows.
     """
 
     left: SparseRows
@@ -460,38 +391,32 @@ class FactoredSequence:
     left_inv: SparseRows = field(repr=False, compare=False)
     right_inv: SparseRows = field(repr=False, compare=False)
 
-    @staticmethod
-    def _check_shape(factor: linalg.Mat, n: int) -> None:
-        if len(factor) != n or any(len(row) != n for row in factor):
-            raise NotInvertible(f"factors must be {n}x{n} to match the weight count")
-
     @classmethod
     def build(cls, left, weights, right) -> "FactoredSequence":
         left = linalg.frac_rows(left)
         right = linalg.frac_rows(right)
-        weights = integer_weights(weights)
+        weights = linalg.integers(weights, "weights")
         n = len(weights)
-        cls._check_shape(left, n)
-        left = sparse_rows(left)
-        left_inv = _inverse_rows(left)
-        cls._check_shape(right, n)
-        return cls._of(left, weights, sparse_rows(right), left_inv=left_inv)
+        if any(len(factor) != n or any(len(row) != n for row in factor) for factor in (left, right)):
+            raise NotInvertible(f"factors must be {n}x{n} to match the weight count")
+        return cls._of(sparse_rows(left), weights, sparse_rows(right))
 
     @classmethod
     def _of(cls, left: SparseRows, weights, right: SparseRows, left_inv=None, right_inv=None) -> "FactoredSequence":
         """The sequence of n x n factors.  An inverse not given is computed
         here, which raises NotInvertible for a singular factor."""
-        return cls(
-            left,
-            weights,
-            right,
-            _inverse_rows(left) if left_inv is None else left_inv,
-            _inverse_rows(right) if right_inv is None else right_inv,
-        )
+        try:
+            if left_inv is None:
+                left_inv = linalg.inverse_rows(left)
+            if right_inv is None:
+                right_inv = linalg.inverse_rows(right)
+        except NotInvertible:
+            raise NotInvertible("factored sequence requires invertible factors") from None
+        return cls(left, weights, right, left_inv, right_inv)
 
     @classmethod
     def diagonal(cls, weights) -> "FactoredSequence":
-        weights = integer_weights(weights)
+        weights = linalg.integers(weights, "weights")
         eye = tuple(((i, Fraction(1)),) for i in range(len(weights)))
         return cls(eye, weights, eye, eye, eye)
 
@@ -518,14 +443,6 @@ class FactoredSequence:
         return FactoredSequence(
             self.right_inv, tuple(-w for w in self.weights), self.left_inv, self.right, self.left
         )
-
-    def premultiply(self, const: linalg.Mat) -> "FactoredSequence":
-        """const * b(t) for an invertible rational matrix (the inverse of the
-        new left factor is computed, which refuses a singular const)."""
-        const = linalg.frac_rows(const)
-        self._check_shape(const, self.dim)
-        left = _product(sparse_rows(const), self.left)
-        return FactoredSequence._of(left, self.weights, self.right, right_inv=self.right_inv)
 
     def compose(self, other: "FactoredSequence") -> "FactoredSequence":
         """The product sequence self(t) * other(t), kept in factored form.
@@ -561,8 +478,7 @@ class FactoredSequence:
         x = linalg.frac_rows(x)
         if len(x) != n or any(len(row) != n for row in x):
             raise DimError(f"conjugation by a sequence of dimension {n} needs a {n}x{n} matrix")
-        flat = {i * n + j: v for i, row in enumerate(x) for j, v in enumerate(row) if v}
-        [y] = conjugate_flat(self.right, self.right_inv, [flat], n)
+        [y] = conjugate_flat(self.right, self.right_inv, [linalg.nonzero_flat(x)], n)
         w = self.weights
         graded = {p: LaurentScalar.monomial(v, w[p // n] - w[p % n]) for p, v in y.items()}
         [z] = conjugate_flat(self.left, self.left_inv, [graded], n)

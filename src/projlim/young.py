@@ -35,7 +35,7 @@ from math import factorial
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import DimError, NotColumnOnly, ShapeError, TooLarge
-from .linalg import Echelon
+from .linalg import Echelon, integers
 
 __all__ = [
     "Diagram",
@@ -50,7 +50,6 @@ __all__ = [
     "schur_dim",
     "lr_decompose",
     "skew_divide",
-    "delta_terms",
     "BranchSummand",
     "BranchResult",
     "branch_to_lorentz",
@@ -80,8 +79,9 @@ _LR_CAP = 1_000_000
 
 
 def validate_diagram(rows: Iterable[int]) -> Diagram:
-    """Normalize a diagram to a tuple of weakly decreasing positive rows."""
-    out = tuple(int(r) for r in rows)
+    """Normalize a diagram to a tuple of weakly decreasing positive rows; a
+    row that is not an integer is refused (NotExact), not truncated."""
+    out = integers(rows, "row lengths")
     for r in out:
         if r < 1:
             raise ShapeError(f"row lengths must be positive, got {r}")
@@ -285,19 +285,9 @@ def skew_divide(lam: Iterable[int], mu: Iterable[int]) -> Dict[Diagram, int]:
     return _lr_tableaux(validate_diagram(lam), validate_diagram(mu), _LR_CAP)[0]
 
 
-def delta_terms(max_boxes: int) -> list[Diagram]:
-    """The formal sum Delta: all diagrams with even row lengths, truncated
-    at the given box count (higher terms only produce empty quotients)."""
-    terms: list[Diagram] = []
-    for n in range(0, max_boxes + 1, 2):
-        for part in _partitions_of(n):
-            if all(r % 2 == 0 for r in part):
-                terms.append(part)
-    return terms
-
-
 def _delta_terms_in(lam: Diagram) -> Iterable[Diagram]:
-    """The terms of Delta contained in lam, generated lazily."""
+    """The terms of the formal sum Delta (every diagram with even row
+    lengths) contained in lam, generated lazily."""
     stack: list[Diagram] = [()]
     while stack:
         delta = stack.pop()

@@ -1,11 +1,13 @@
-"""Dense Gauss-Jordan references for the exact linear algebra, the matrix
-commutator for the dense Lie oracles, the inertia of a symmetric matrix by
+"""Dense Gauss-Jordan references for the exact linear algebra, the
+solve-and-kernel gauge test for the rank test of ``gauge_equivalent``, the
+dense permutation matrix, the matrix commutator for the dense Lie oracles, the inertia of a symmetric matrix by
 Descartes' rule on its Faddeev-LeVerrier characteristic polynomial for the
 congruence-elimination oracle, the dense Laurent matrix product for
 the factored-sequence oracles, the Laurent push of a point through a
 factored sequence for the point-limit oracles, the dense Young
-symmetrizer matrix for the symmetrizer-basis oracles, and random scaled
-permutation factors for the monomial-factor oracles.
+symmetrizer matrix for the symmetrizer-basis oracles, random scaled
+permutation factors for the monomial-factor oracles, and the truncated
+formal sum Delta for the lazy ``young._delta_terms_in``.
 
 They share no code with ``projlim.linalg``, so the tests that check the one
 row elimination (``linalg.Echelon``) and the routines read off it, and the
@@ -119,6 +121,26 @@ def reference_inverse(a):
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in red]
+
+
+def reference_gauge_equivalent(w1, w2):
+    """Whether w2 = alpha*w1 + beta*(1, 1, 1, 1, -1) with alpha != 0, by
+    solving the 5 x 2 system and reading its kernel: a solution with a
+    nonzero kernel (w1 zero or parallel to the gauge direction) lets alpha
+    take any value."""
+    columns = [[Fraction(a), Fraction(g)] for a, g in zip(w1, (1, 1, 1, 1, -1))]
+    solution = reference_solve(columns, list(w2))
+    if solution is None:
+        return False
+    return bool(reference_nullspace(columns)) or solution[0] != 0
+
+
+def permutation_matrix(perm):
+    """The matrix M with M[i][perm[i]] = 1, acting on points by
+    (Mx)_i = x_{perm(i)}; Ad_M sends E_ij to E_{perm^-1(i), perm^-1(j)}."""
+    n = len(perm)
+    assert sorted(perm) == list(range(n)), perm
+    return [[Fraction(int(j == perm[i])) for j in range(n)] for i in range(n)]
 
 
 def reference_characteristic_polynomial(a):
@@ -249,3 +271,18 @@ def reference_symmetrizer_matrix(lam: Iterable[int]) -> tuple[list[list[Fraction
                 moved = tuple(mid[perm[k]] for k in range(p))
                 matrix[index_of[moved]][j] += coeff
     return matrix, tuples
+
+
+def delta_terms(max_boxes):
+    """The formal sum Delta truncated at max_boxes boxes: every diagram with
+    even row lengths, i.e. the partitions of n <= max_boxes / 2 with each row
+    doubled."""
+
+    def partitions(n, top):
+        if not n:
+            yield ()
+        for first in range(min(n, top), 0, -1):
+            for rest in partitions(n - first, first):
+                yield (first,) + rest
+
+    return [tuple(2 * r for r in part) for n in range(max_boxes // 2 + 1) for part in partitions(n, n)]

@@ -33,11 +33,17 @@ from projlim.correlator import (
 )
 from projlim.laurent import MAX_EXPONENT, LaurentScalar, rational_combination
 from projlim.lie import LieAlgebraSpan, build_po, truncated_exp
-from projlim.linalg import identity, mat_mul, transpose
+from projlim.linalg import dense_rows, identity, mat_mul, transpose
 from projlim.parsing import parse_sequence
-from projlim.projective import FactoredSequence, ProjMatrix, dense_rows, invert_permutation, permutation_matrix
+from projlim.projective import FactoredSequence, ProjMatrix, invert_permutation
 
-from _reference import reference_inverse, reference_rank, reference_rref, reference_symmetrizer_matrix
+from _reference import (
+    permutation_matrix,
+    reference_inverse,
+    reference_rank,
+    reference_rref,
+    reference_symmetrizer_matrix,
+)
 
 FLAT = ((1, 0), (3, 1))
 DS_SEQ = parse_sequence("diag(t^4,t^-1,t^-1,t^-1,t^-1)")
@@ -184,14 +190,14 @@ class TestDegenerate:
             degenerate(spec, GALILEI_SEQ, (1, 0, 2, 3), None)
 
     def test_composed_permutation_equals_the_dense_premultiplied_sequence(self):
-        """The relabelled rows equal ``premultiply`` by the dense P(perm)^-1,
-        factors and inverses, over seeded sequences with identity,
-        permutation and dense factors at m = 3..7."""
+        """The relabelled rows equal the constant sequence of the dense
+        P(perm)^-1 composed with b, factors and inverses, over seeded
+        sequences with identity, permutation and dense factors at m = 3..7."""
         rng = random.Random(43)
         for b in plain_sequences(seed=43):
             perm = tuple(rng.sample(range(b.dim), b.dim))
             composed = correlator_module._compose_permutation(b, perm)
-            expected = b.premultiply(permutation_matrix(invert_permutation(perm)))
+            expected = FactoredSequence.constant(permutation_matrix(invert_permutation(perm))).compose(b)
             assert composed == expected
             assert (composed.left_inv, composed.right_inv) == (expected.left_inv, expected.right_inv)
 
@@ -293,8 +299,11 @@ class TestCommutation:
     def test_schur_path_feeds_the_sparse_rows(self, monkeypatch, dual):
         """The induced action gets the sparse rows of b h b^-1 and of its
         limit (their transposes on the dual side), and no dense matrix of
-        either is formed: no ``ProjMatrix.__init__``, ``ProjMatrix.rows``,
-        ``dense_rows`` or ``sparse_rows`` call (watched by code object)."""
+        either is formed: no ``ProjMatrix.__init__`` or ``ProjMatrix.rows``
+        call, and no ``dense_rows`` or ``sparse_rows`` call on Laurent
+        entries (watched by code object; the rational samples h are checked
+        for invertibility through the dense ``linalg.inverse``, a view of the
+        sparse inverse)."""
         po = build_po(FLAT)
         rotation = [[Fraction(0)] * 5 for _ in range(5)]
         rotation[1][2], rotation[2][1] = Fraction(1), Fraction(-1)
@@ -310,14 +319,19 @@ class TestCommutation:
         watched = {
             ProjMatrix.__init__.__code__,
             ProjMatrix.rows.fget.__code__,
-            projective.dense_rows.__code__,
-            projective.sparse_rows.__code__,
+            linalg.dense_rows.__code__,
+            linalg.sparse_rows.__code__,
         }
         dense = []
 
+        def laurent(rows):
+            return any(isinstance(v, LaurentScalar) for row in rows for e in row for v in (e if isinstance(e, tuple) else (e,)))
+
         def profile(frame, event, arg):
             if event == "call" and frame.f_code in watched:
-                dense.append(frame.f_code.co_name)
+                rows = frame.f_locals.get("rows")
+                if not isinstance(rows, (list, tuple)) or laurent(rows):
+                    dense.append(frame.f_code.co_name)
 
         monkeypatch.setattr(correlator_module._SchurAction, "rows_of", recording)
         tag = _schur_tag((2, 1), dual)
@@ -645,6 +659,19 @@ class TestPlainTagsAgainstSequence:
             assert fundamental == g and right == reference_inverse(g)
             assert all(type(x) is Fraction for rows in (fundamental, right) for row in rows for x in row)
 
+    def test_rep_matrix_makes_no_dense_inverse(self, monkeypatch):
+        """rho(g) inverts the sparse rows of g: no ``linalg.inverse`` call,
+        for any tag, an invertible g or a singular one."""
+        calls = []
+        for home in (linalg, correlator_module):
+            monkeypatch.setattr(home, "inverse", lambda a: calls.append(a))
+        g = dense_rows(parse_sequence("compose([[1,1,0,0,0],[0,1,0,0,0],[0,0,1,0,0],[0,0,0,0,1],[0,0,0,1,0]],diag(t,1,1,1,t))").left)
+        for rep in (FUNDAMENTAL, RIGHT_ACTION, RepTag("schur", ((1, 1), ())), RepTag("schur", ((), (2,)))):
+            assert rep_matrix(rep, g)
+            with pytest.raises(NotInvertible):
+                rep_matrix(rep, [[1, 0, 0, 0, 0]] * 5)
+        assert calls == []
+
     def test_module_of_one_acts_by_g_itself(self):
         """The module of (1) has the unit basis: ``rows_of(g)`` is g, equal to
         the tensor action it skips, for rational and Laurent g at n = 2-7."""
@@ -817,6 +844,12 @@ class TestRepMatrixRefusesSingular:
             "rho(g) needs an invertible group element g, got g = "
             "[[1, 0, 0, 0, 0], [1, 0, 0, 0, 0], [1, 0, 0, 0, 0], [1, 0, 0, 0, 0], [1, 0, 0, 0, 0]]"
         )
+
+
+    def test_a_non_square_g_is_refused_alike(self):
+        with pytest.raises(NotInvertible) as caught:
+            rep_matrix(FUNDAMENTAL, [[1, 0, 0], [0, 1, 0]])
+        assert str(caught.value) == "rho(g) needs an invertible group element g, got g = [[1, 0, 0], [0, 1, 0]]"
 
 
 class TestSchurWorkBound:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projlim import geometry as geometry_module
-from projlim import laurent, projective
+from projlim import laurent, linalg, projective
 from projlim.cli import main
 from projlim.correlator import FUNDAMENTAL, RIGHT_ACTION, degenerate, figure1_table, make_correlator
 from projlim.errors import DimError, NoMatch, ParseError, ProjlimError
@@ -28,9 +28,9 @@ from projlim.geometry import (
 )
 from projlim.lie import build_po, conjugacy_limit, match_limit_geometry, validate_signature
 from projlim.parsing import parse_sequence
-from projlim.projective import FactoredSequence, ProjPoint, invert_permutation, permutation_matrix
+from projlim.projective import FactoredSequence, ProjPoint, invert_permutation
 
-from _reference import reference_apply_to_point, reference_rank
+from _reference import permutation_matrix, reference_apply_to_point, reference_gauge_equivalent, reference_rank
 
 FLAT = ((1, 0), (3, 1))
 GALILEI_SEQ = parse_sequence("diag(t,1,1,1,t)")
@@ -296,9 +296,9 @@ def _oracle_cases():
                     points.append(x)
             diagonal = FactoredSequence.diagonal(weights)
             cases.append((sig, diagonal, points))
-            cases.append((sig, diagonal.premultiply(permutation_matrix(perm)), points))
+            cases.append((sig, FactoredSequence.constant(permutation_matrix(perm)).compose(diagonal), points))
     # An interior point that escapes the limit model space: both raise.
-    escaping = FactoredSequence.diagonal([2, -2, 0, 2]).premultiply(permutation_matrix((2, 3, 1, 0)))
+    escaping = FactoredSequence.constant(permutation_matrix((2, 3, 1, 0))).compose(FactoredSequence.diagonal([2, -2, 0, 2]))
     cases.append((((2, 2),), escaping, [[2, 0, 0, 1], [1, 1, 1, 0]]))
     return cases
 
@@ -444,6 +444,38 @@ class TestTransformAndGauge:
 
     def test_gauge_inequivalence(self):
         assert not gauge_equivalent([1, 0, 0, 0, 0], [0, 1, 0, 0, 0])
+
+    def test_gauge_equivalent_matches_the_solve_reference(self):
+        """The rank test against solve-and-kernel over a seeded grid: zero
+        vectors, multiples of the gauge direction and alpha*w1 + beta*g with
+        alpha = 0 or not, beside random pairs."""
+        rng = random.Random(44)
+        g = list(GAUGE_DIRECTION)
+        seen = {True: 0, False: 0}
+        for k in range(3000):
+            w1 = [rng.randint(-2, 2) for _ in range(5)]
+            kind = k % 5
+            if kind == 0:
+                w1 = [0] * 5 if k % 2 else [rng.randint(-2, 2) * c for c in g]
+            alpha, beta = rng.randint(-2, 2), Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            if kind in (0, 1, 2):
+                w2 = [alpha * a + beta * c for a, c in zip(w1, g)]
+            elif kind == 3:
+                w2 = [beta * c for c in g] if k % 2 else [0] * 5
+            else:
+                w2 = [rng.randint(-2, 2) for _ in range(5)]
+            want = reference_gauge_equivalent(w1, w2)
+            assert gauge_equivalent(w1, w2) == want, (w1, w2)
+            seen[want] += 1
+        assert min(seen.values()) >= 500, seen
+
+    def test_gauge_equivalent_makes_no_dense_elimination(self, monkeypatch):
+        calls = []
+        rref = linalg.rref
+        monkeypatch.setattr(linalg, "rref", lambda rows: calls.append(rows) or rref(rows))
+        assert gauge_equivalent([1, 1, 0, 0, 0], [0, 0, -1, -1, 1])
+        assert not gauge_equivalent([1, 0, 0, 0, 0], [0, 1, 0, 0, 0])
+        assert calls == []
 
     @given(st.lists(st.integers(-3, 3), min_size=5, max_size=5))
     @settings(max_examples=40, deadline=None)

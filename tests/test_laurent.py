@@ -187,3 +187,19 @@ class TestInvariants:
         assert hash(LaurentScalar.constant(c)) == hash(c)
         # A constant reached through arithmetic hashes the same way.
         assert hash((a + c) - a) == hash(Fraction(c))
+
+
+class TestExactTerms:
+    """Exponents are integers and coefficients exact: a float or a bool is
+    refused with ``NotExact``, never truncated or read as its binary
+    fraction or as 0 or 1."""
+
+    def test_exponents(self):
+        for k in (0.5, True):
+            with pytest.raises(NotExact, match=f"^exponents must be integers, got {k!r}$"):
+                LaurentScalar({k: 1})
+
+    def test_coefficients(self):
+        for c in (0.1, True):
+            with pytest.raises(NotExact, match=f"^coefficients must be exact, got {c!r}"):
+                LaurentScalar({1: c})

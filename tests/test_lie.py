@@ -20,6 +20,7 @@ from projlim.errors import (
     EmbeddingError,
     NoMatch,
     NotClosed,
+    NotExact,
     NotSubalgebra,
     SignatureError,
 )
@@ -46,9 +47,11 @@ from projlim.lie import (
 from projlim import geometry as geometry_module
 from projlim.geometry import geometry_limit
 from projlim.parsing import parse_sequence
-from projlim.projective import FactoredSequence, conjugate_flat, dense_rows, invert_permutation, permutation_matrix
+from projlim.linalg import dense_rows
+from projlim.projective import FactoredSequence, conjugate_flat, invert_permutation
 
 from _reference import (
+    permutation_matrix,
     random_scaled_permutation as _scaled_permutation,
     reference_commutator,
     reference_inverse,
@@ -1326,7 +1329,7 @@ class TestNoDenseEliminationInLie:
             return wrapper
 
         monkeypatch.setattr(linalg, "frac_rows", counted("frac_rows", linalg.frac_rows))
-        monkeypatch.setattr(lie_module, "_matrix", counted("_matrix", lie_module._matrix))
+        monkeypatch.setattr(linalg, "dense_rows", counted("dense_rows", linalg.dense_rows))
         monkeypatch.setattr(LieAlgebraSpan, "_trace_free", counted("_trace_free", LieAlgebraSpan._trace_free))
         geometry_module._degeneration.cache_clear()
         deg = geometry_limit(((3, 1), (2, 0)), seq)
@@ -1758,3 +1761,29 @@ class TestSigmaChainAgainstReference:
             assert len(calls) == max(len(result.splits), 1), (p, q, weights)
             # The last limit is taken along the weights themselves.
             assert tuple(calls[-1]) == tuple(weights), (p, q, weights)
+
+
+class TestExactInput:
+    """Integers and rationals are read exactly: a float or a bool is refused
+    with ``NotExact``, never truncated or read as 0 or 1."""
+
+    def test_signature_entries(self):
+        for sig in (((4.9, 1),), ((True, 1),), ((" 3", 1),), (4.9, 1), (True, 1)):
+            with pytest.raises(NotExact, match="^signature entries must be integers, got "):
+                validate_signature(sig)
+
+    def test_contraction_indices(self):
+        so3 = build_po(((3, 0),))
+        for index in (0.9, True):
+            with pytest.raises(NotExact, match=f"^contraction indices must be integers, got {index!r}$"):
+                contract(so3, [index])
+
+    def test_matrix_size_of_a_span(self):
+        for m in (2.9, True):
+            with pytest.raises(NotExact, match=f"^matrix sizes must be integers, got {m!r}$"):
+                LieAlgebraSpan(m, [])
+
+    def test_structure_constants(self):
+        for c in (0.1, True):
+            with pytest.raises(NotExact, match=f"^structure constants must be exact, got {c!r}"):
+                BracketTable([[[c]]])

@@ -8,8 +8,8 @@ import pytest
 
 from projlim import linalg
 from projlim.errors import NotInvertible
-from projlim.linalg import Echelon
-from projlim.projective import FactoredSequence, dense_rows
+from projlim.linalg import Echelon, dense_rows
+from projlim.projective import FactoredSequence
 
 from _reference import (
     reference_determinant,
@@ -214,7 +214,7 @@ class TestDenseRoutinesAgainstReference:
                 for make in (
                     lambda: FactoredSequence.build(rows, weights, eye),
                     lambda: FactoredSequence.build(eye, weights, rows),
-                    lambda: FactoredSequence.diagonal(weights).premultiply(rows),
+                    lambda: FactoredSequence.constant(rows).compose(FactoredSequence.diagonal(weights)),
                 ):
                     with pytest.raises(NotInvertible, match="^factored sequence requires invertible factors$"):
                         make()
@@ -222,7 +222,7 @@ class TestDenseRoutinesAgainstReference:
                 continue
             left = FactoredSequence.build(rows, weights, eye)
             right = FactoredSequence.build(eye, weights, rows)
-            premultiplied = FactoredSequence.diagonal(weights).premultiply(rows)
+            premultiplied = FactoredSequence.constant(rows).compose(FactoredSequence.diagonal(weights))
             for inverse_rows in (left.left_inv, right.right_inv, premultiplied.left_inv):
                 assert _dense_inverse(inverse_rows, n) == want
             assert dense_rows(left.inverse().right) == want

@@ -21,26 +21,26 @@ from projlim.parsing import parse_matrix, parse_point, parse_sequence
 
 from _reference import (
     lmat_from_rational,
+    permutation_matrix,
     lmat_mul,
     random_scaled_permutation as _scaled_permutation,
     reference_apply_to_point,
     reference_inverse,
     reference_rank,
 )
+from projlim.correlator import FUNDAMENTAL, rep_matrix
 from projlim.errors import NotFactorable
 from projlim import linalg
 from projlim.lie import LieAlgebraSpan, build_po, sigma_chain, verify_morphism
-from projlim.projective import (
-    FactoredSequence,
-    _canonicalize,
-    _inverse_rows,
-    dense_rows,
-    invert_permutation,
-    permutation_matrix,
-    point_limit,
-)
+from projlim.linalg import dense_rows
+from projlim.projective import FactoredSequence, _canonicalize, invert_permutation, point_limit
 
 T = LaurentScalar.t(1)
+
+
+def _premultiply(const, seq):
+    """const * seq(t), as the constant sequence of const composed with seq."""
+    return FactoredSequence.constant(const).compose(seq)
 
 
 def nonzero_fraction():
@@ -133,8 +133,9 @@ class TestFactoredSequence:
         [([[1, 1], [1, 1]], "invertible factors"), ([[1, 0, 0], [0, 1, 0]], "must be 2x2")],
     )
     def test_singular_or_non_square_premultiplier_rejected(self, const, message):
+        # const * b(t) is the constant sequence of const composed with b(t).
         with pytest.raises(NotInvertible, match=message):
-            FactoredSequence.diagonal([1, 0]).premultiply(const)
+            _premultiply(const, FactoredSequence.diagonal([1, 0]))
 
     def test_conjugation_of_boost(self):
         boost = [[Fraction(0)] * 5 for _ in range(5)]
@@ -617,7 +618,7 @@ def compose_pairs(seed=20261019):
             (a, FactoredSequence.constant(const)),
             (a, FactoredSequence.build(dense_rows(a.right), [shift] * n, const)),
             (a, FactoredSequence.build(mono_left, weights, const)),
-            (FactoredSequence.diagonal(weights), FactoredSequence.diagonal(weights[::-1]).premultiply(scaled)),
+            (FactoredSequence.diagonal(weights), _premultiply(scaled, FactoredSequence.diagonal(weights[::-1]))),
             (a, grid[(index + 4) % len(grid)]),
         ]
     return pairs
@@ -684,13 +685,13 @@ class TestSparseFactorStorage:
         for w in ([1, 0, -1], [2, 2, 2], [0, -1, -1]):
             made += [FactoredSequence.diagonal(w), FactoredSequence.build(eye, w, eye)]
         made += [FactoredSequence.constant(perm), FactoredSequence.build(perm, [0, 0, 0], eye)]
-        made += [FactoredSequence.constant(const), FactoredSequence.diagonal([0, 0, 0]).premultiply(const)]
+        made += [FactoredSequence.constant(const), _premultiply(const, FactoredSequence.diagonal([0, 0, 0]))]
         for seq in grid[:4]:
-            made += [seq.inverse(), seq.inverse().inverse(), seq.premultiply(const), seq.premultiply(eye)]
+            made += [seq.inverse(), seq.inverse().inverse(), _premultiply(const, seq), _premultiply(eye, seq)]
             made += [FactoredSequence.constant(perm).compose(seq), seq.compose(FactoredSequence.constant(const))]
         diag = FactoredSequence.diagonal([2, 0, -1])
-        made += [diag.compose(diag), diag.compose(FactoredSequence.diagonal([1, 1, 0]).premultiply(perm))]
-        made += [FactoredSequence.diagonal([4, 0, -2]), diag.premultiply(perm).compose(diag)]
+        made += [diag.compose(diag), diag.compose(_premultiply(perm, FactoredSequence.diagonal([1, 1, 0])))]
+        made += [FactoredSequence.diagonal([4, 0, -2]), _premultiply(perm, diag).compose(diag)]
         return made
 
     def test_constructors_leave_canonical_rows(self):
@@ -720,10 +721,13 @@ class TestSparseFactorStorage:
 
 
 class TestInverseRows:
-    """``_inverse_rows`` against the Gauss-Jordan ``reference_inverse`` over a
-    seeded grid at n = 2-7: a monomial factor (a permutation times nonzero
-    scales) is inverted by transposition with no elimination; dense, singular
-    and monomial-shaped singular factors go through ``pivot_inverse``."""
+    """``linalg.inverse_rows``, the one inverse, against the Gauss-Jordan
+    ``reference_inverse`` over a seeded grid at n = 2-7: a monomial factor (a
+    permutation times nonzero scales) is inverted by transposition with no
+    elimination; dense, singular and monomial-shaped singular factors go
+    through ``pivot_inverse``.  A singular matrix keeps its two texts: the
+    pivot text from ``inverse_rows`` and the dense ``linalg.inverse``, the
+    sequence text from a sequence with that factor."""
 
     @staticmethod
     def _grid():
@@ -760,13 +764,20 @@ class TestInverseRows:
             rows = tuple(tuple((j, Fraction(x)) for j, x in enumerate(row) if x) for row in factor)
             if expected is None:
                 assert kind != "monomial", factor
-                with pytest.raises(NotInvertible, match="^factored sequence requires invertible factors$"):
-                    _inverse_rows(rows)
+                with pytest.raises(NotInvertible, match="^the pivot block is singular$"):
+                    linalg.inverse_rows(rows)
             else:
-                inv = _inverse_rows(rows)
+                inv = linalg.inverse_rows(rows)
                 assert _canonical_rows(inv, n) and _dense(inv, n) == expected, factor
             assert eliminations == ([] if kind == "monomial" else [n]), (kind, factor)
             seen[kind] += expected is not None
+            if expected is None:
+                with pytest.raises(NotInvertible, match="^the pivot block is singular$"):
+                    linalg.inverse(linalg.frac_rows(factor))
+                with pytest.raises(NotInvertible, match="^factored sequence requires invertible factors$"):
+                    FactoredSequence.build(factor, [0] * n, linalg.identity(n))
+            else:
+                assert linalg.inverse(linalg.frac_rows(factor)) == expected
         assert seen["monomial"] == 30 and seen["shaped"] == 0 and seen["dense"] >= 10
 
     def test_sequences_of_permutations_invert_by_transposition(self, monkeypatch):
@@ -807,7 +818,7 @@ class TestIntegerWeights:
 
 
 def _matrix_calls(entry):
-    """The five calls that read a rational matrix through ``linalg.frac_rows``,
+    """The six calls that read a rational matrix through ``linalg.frac_rows``,
     each given ``entry`` as the (0, 0) entry of its matrix."""
     eye = linalg.identity(2)
     bad = [[entry, 0], [0, 1]]
@@ -815,7 +826,8 @@ def _matrix_calls(entry):
     so2 = build_po(((2, 0),)).structure_constants()
     return {
         "build": lambda: FactoredSequence.build(bad, [0, 1], eye),
-        "premultiply": lambda: seq.premultiply(bad),
+        "premultiply": lambda: _premultiply(bad, seq),
+        "rep-matrix": lambda: rep_matrix(FUNDAMENTAL, bad),
         "conjugate": lambda: seq.conjugate(bad),
         "lie-span": lambda: LieAlgebraSpan(2, [[[entry, 0], [0, -entry]]]),
         "verify-morphism": lambda: verify_morphism([[entry]], so2, so2),

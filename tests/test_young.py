@@ -19,11 +19,10 @@ from hypothesis import strategies as st
 
 from projlim import young
 from projlim.cli import main
-from projlim.errors import NotColumnOnly, ShapeError, TooLarge
+from projlim.errors import NotColumnOnly, NotExact, ShapeError, TooLarge
 from projlim.young import (
     branch_to_lorentz,
     conjugate_diagram,
-    delta_terms,
     diagram_str,
     exterior_power_spins,
     is_poincare_irreducible,
@@ -41,7 +40,7 @@ from projlim.young import (
     validate_pair,
 )
 
-from _reference import reference_rref, reference_symmetrizer_matrix
+from _reference import delta_terms, reference_rref, reference_symmetrizer_matrix
 
 N_VARS = 5
 
@@ -367,9 +366,16 @@ class TestLittlewoodRichardson:
 
 class TestDeltaAndBranching:
     def test_delta_terms_are_even_rows(self):
+        """The lazy ``_delta_terms_in(lam)`` yields each term of the
+        truncated reference sum Delta contained in lam exactly once."""
         terms = delta_terms(4)
         assert all(all(r % 2 == 0 for r in lam) for lam in terms)
-        assert () in terms and (2,) in terms and (4,) in terms and (2, 2) in terms
+        assert sorted(terms) == [(), (2,), (2, 2), (4,)]
+        diagrams = [lam for lam in partitions_up_to(10) if len(lam) <= 5]
+        for lam in diagrams:
+            lazy = list(young._delta_terms_in(lam))
+            assert len(lazy) == len(set(lazy)), lam
+            assert sorted(lazy) == sorted(d for d in delta_terms(sum(lam)) if ref_contains(lam, d)), lam
 
     def test_branch_of_column_is_single(self):
         result = branch_to_lorentz(((1, 1), ()))
@@ -579,3 +585,15 @@ class TestValidation:
     def test_conjugate_preserves_boxes(self, rows):
         lam = validate_diagram(sorted(rows, reverse=True))
         assert sum(conjugate_diagram(lam)) == sum(lam)
+
+
+class TestExactRows:
+    """Row lengths are integers: a float or a bool is refused with
+    ``NotExact``, never truncated or read as 1."""
+
+    def test_row_lengths(self):
+        for row in (2.7, True):
+            with pytest.raises(NotExact, match=f"^row lengths must be integers, got {row!r}$"):
+                validate_diagram((row,))
+            with pytest.raises(NotExact, match=f"^row lengths must be integers, got {row!r}$"):
+                schur_dim(((row,), ()))
