@@ -78,7 +78,8 @@ class LaurentScalar:
 
     @classmethod
     def constant(cls, c: Rat) -> LaurentScalar:
-        return cls._of({0: Fraction(c)})
+        """The constant c, read by ``exact``: a float or a bool is refused."""
+        return cls._of({0: exact(c, "constants")})
 
     @classmethod
     def t(cls, exponent: int = 1) -> LaurentScalar:
@@ -133,9 +134,11 @@ class LaurentScalar:
 
     @staticmethod
     def _coerce(other: LaurentScalar | Rat) -> LaurentScalar | None:
+        """other as a scalar, or None (NotImplemented) for anything but a
+        scalar, an int or a Fraction; a bool is not a number."""
         if isinstance(other, LaurentScalar):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return LaurentScalar.constant(other)
         return None
 
@@ -196,7 +199,8 @@ class LaurentScalar:
         return LaurentScalar._of({_check_exponent(e + k): c for e, c in self._terms.items()})
 
     def scale(self, c: Rat) -> LaurentScalar:
-        return self * Fraction(c)
+        """c times this scalar, c read by ``exact``: a float or a bool is refused."""
+        return self * exact(c, "scale factors")
 
     # -- comparison / display ------------------------------------------
 

@@ -13,14 +13,10 @@ grade every matrix position (i, j) by w_i - w_j, eliminate with the columns
 in ascending grade order, keep the lowest-grade part of each echelon row (its
 initial form), and conjugate the resulting span back.  Every conjugation is
 ``projective.conjugate_flat`` on the sparse factor rows and inverses the
-sequence keeps.  When the conjugated basis vectors have pairwise disjoint
-supports, as the basis of po(sig) has under a monomial right factor, none
-can reduce another, so each echelon row is one vector, rescaled, and the
-limit is read off with no elimination: each vector's lowest-grade part,
-scaled to 1 at its first position.  Abstract (basis-only) Lie algebras are
-handled as structure-constant tables, which is what contractions produce; a
-table stores only its nonzero entries, and invariants, contractions and
-morphism checks iterate over those.
+sequence keeps.  Abstract (basis-only) Lie algebras are handled as
+structure-constant tables, which is what contractions produce; a table
+stores only its nonzero entries, and invariants, contractions and morphism
+checks iterate over those.
 
 Contractions set brackets to zero, so most products vanish for want of
 support.  Brackets are formed only for partner pairs (``_partners``): two
@@ -62,14 +58,9 @@ Signature = tuple[tuple[int, int], ...]
 Sparse = dict[int, Fraction]  # nonzero entries {position: value} of a vector
 
 
-def _nonzero_rows(v: Sparse, m: int) -> list[list[tuple[int, Fraction]]]:
-    """For each row of the flattened m x m matrix v, its nonzero (column, value) entries."""
-    return [[(p % m, x) for p, x in v.items() if p // m == i] for i in range(m)]
-
-
 def _sparse_bracket(a, b, m: int) -> dict[int, Fraction]:
     """The nonzero entries of the flattened commutator ab - ba of two m x m
-    matrices given by their ``_nonzero_rows``."""
+    matrices given by their ``linalg.flat_rows``."""
     out: dict[int, Fraction] = {}
     for x, y, sign in ((a, b, 1), (b, a, -1)):
         for i, row in enumerate(x):
@@ -133,7 +124,7 @@ class LieAlgebraSpan:
         self._flat = flat
         # The one elimination of the span: the echelon of the flattened basis.
         self._echelon = linalg.Echelon()
-        if not all(self._echelon.insert(v) for v in flat):
+        if not self._echelon.extend(flat):
             raise DimError("basis matrices are linearly dependent after trace removal")
         self._table: BracketTable | None = None
         # The stored match (sig, perm) of match_limit_geometry: None until it
@@ -144,10 +135,10 @@ class LieAlgebraSpan:
             self._closed()
 
     @functools.cached_property
-    def _nonzero_basis(self) -> list[list[list[tuple[int, Fraction]]]]:
-        """The ``_nonzero_rows`` of each basis element, built on first use: a
-        matched limit never brackets."""
-        return [_nonzero_rows(v, self.m) for v in self._flat]
+    def _nonzero_basis(self) -> list[linalg.SparseRows]:
+        """The ``linalg.flat_rows`` of each basis element, built on first use:
+        a matched limit never brackets."""
+        return [linalg.flat_rows(v, self.m) for v in self._flat]
 
     def _trace_free(self, x) -> Sparse:
         rows = linalg.frac_rows(x)
@@ -181,7 +172,7 @@ class LieAlgebraSpan:
     @property
     def basis(self) -> list[Mat]:
         """The basis as dense m x m matrices, built afresh on each access."""
-        return [linalg.dense_rows(_nonzero_rows(v, self.m)) for v in self._flat]
+        return [linalg.dense_rows(linalg.flat_rows(v, self.m)) for v in self._flat]
 
     def contains(self, x: Mat) -> bool:
         return self._echelon.coordinates(self._trace_free(x)) is not None
@@ -363,9 +354,7 @@ class BracketTable:
         products = (coeffs for i, j, coeffs in self.brackets() if i < j or not anti)
         while dims[-1]:
             span = linalg.Echelon()
-            for p in products:
-                if p:
-                    span.insert(p)
+            span.extend(products)
             if len(span) == dims[-1]:
                 break
             dims.append(len(span))
@@ -454,6 +443,8 @@ def validate_signature(sig, m: int | None = None) -> Signature:
         block = tuple(block)
         if len(block) == 1:
             block = (block[0], 0)
+        if len(block) != 2:
+            raise SignatureError(f"a block is (p,q) or (p), got {block}")
         p, q = linalg.integers(block, "signature entries")
         if p < 0 or q < 0 or p + q < 1:
             raise SignatureError(f"invalid block ({p},{q})")
@@ -515,14 +506,6 @@ def _min_grade_projection(v: Sparse, u: list[int], m: int) -> Sparse:
     return {p: x for p, x in v.items() if grade[p] == d}
 
 
-def _unit_at_first(v: Sparse) -> Sparse:
-    """The nonzero vector scaled to 1 at its smallest position."""
-    lead = v[min(v)]
-    if lead == 1:
-        return v
-    return {p: x / lead for p, x in v.items()}
-
-
 def _limit_in_frame(alg: LieAlgebraSpan, seq: FactoredSequence) -> tuple[list[Sparse], list[int], list[Sparse]]:
     """The conjugacy limit of ``alg`` along ``seq`` before Ad_L (L the left
     factor of seq): the flattened basis of Ad_R alg (R the right factor),
@@ -530,14 +513,6 @@ def _limit_in_frame(alg: LieAlgebraSpan, seq: FactoredSequence) -> tuple[list[Sp
     the limit in that diagonal frame: the rows of the reduced echelon form
     of the initial (lowest-grade) parts of the echelon rows of Ad_R alg
     eliminated in ascending grade.
-
-    When the vectors of Ad_R alg have pairwise disjoint supports, as the
-    basis of every ``build_po`` or ``pad_span`` span has under a monomial R,
-    no elimination is needed: no vector meets another's support, so none
-    reduces another, and each echelon row is one vector, scaled.  Its
-    initial part is the vector's least-grade part, and the limit basis is
-    these parts, each scaled to 1 at its smallest position, in ascending
-    order of that position.  Vectors that overlap (a dense R) are eliminated.
     """
     m = alg.m
     if seq.dim != m:
@@ -545,19 +520,14 @@ def _limit_in_frame(alg: LieAlgebraSpan, seq: FactoredSequence) -> tuple[list[Sp
     vectors = conjugate_flat(seq.right, seq.right_inv, alg._flat, m)
     w = seq.weights
     grade = [w[i] - w[j] for i in range(m) for j in range(m)]
-    if sum(map(len, vectors)) == len(set().union(*vectors)):
-        parts = (_unit_at_first(_min_grade_projection(v, w, m)) for v in vectors)
-        return vectors, grade, sorted(parts, key=min)
     # With the columns eliminated in ascending grade, each echelon row
     # vanishes below the grade of its pivot, so the rows are a basis adapted
     # to the weight filtration and their initial (lowest-grade) parts span
     # the limit.
     graded = linalg.Echelon(sorted(range(m * m), key=grade.__getitem__))
-    for v in vectors:
-        graded.insert(v)
+    graded.extend(vectors)
     initial = linalg.Echelon()
-    for p, row in graded.canonical():
-        initial.insert({c: x for c, x in row.items() if grade[c] == grade[p]})
+    initial.extend({c: x for c, x in row.items() if grade[c] == grade[p]} for p, row in graded.canonical())
     return vectors, grade, [row for _, row in initial.canonical()]
 
 
@@ -575,10 +545,8 @@ def conjugacy_limit(alg: LieAlgebraSpan, seq: FactoredSequence) -> LieAlgebraSpa
     and either is closed exactly when the other is.  The limit keeps it.
 
     For po(sig), or its padding, along monomial factors (permutations,
-    scaled or not) no elimination runs before the limit span is built: the
-    conjugations only relabel, and the basis has pairwise disjoint supports,
-    so each basis element keeps its own least-grade part and no two parts
-    can cancel (``_limit_in_frame``).  po((1,1)) along diag(t, 1) keeps the
+    scaled or not) the conjugations only relabel and no elimination runs
+    (``linalg.Echelon.extend``).  po((1,1)) along diag(t, 1) keeps the
     lower half E_10 of E_01 + E_10, a permuted po((1),(1)):
 
     >>> limit = conjugacy_limit(build_po((1, 1)), FactoredSequence.diagonal([1, 0]))
@@ -765,8 +733,7 @@ def verify_morphism(map_matrix: Mat, src: BracketTable, dst: BracketTable) -> bo
     if len(mm) != n or any(len(r) != n for r in mm):
         raise DimError(f"map must be {n}x{n}")
     cols = [{r: mm[r][i] for r in range(n) if mm[r][i]} for i in range(n)]
-    independent = linalg.Echelon()
-    if not all(independent.insert(col) for col in cols):
+    if not linalg.Echelon().extend(cols):
         return False
     pairs = _partners([dst._reach(col) for col in cols], cols) | {(i, j) for i, j, _ in src.brackets()}
     for i, j in pairs:
@@ -986,14 +953,13 @@ def _limit_morphism(
     coords = [limit._coordinates(img) for img in images]
     zero = Fraction(0)
     morphism = [[(c or {}).get(r, zero) for c in coords] for r in range(n)]
-    independent = linalg.Echelon()
     if (
         any(c is None for c in coords)
-        or not all(independent.insert(c) for c in coords)
+        or not linalg.Echelon().extend(coords)
         or not source.is_antisymmetric()
     ):
         return morphism, False
-    rows = [_nonzero_rows(img, m) for img in images]
+    rows = [linalg.flat_rows(img, m) for img in images]
     pairs = set(_commutator_partners(images, m)) | {(i, j) for i, j, _ in source.brackets() if i < j}
     for i, j in pairs:
         image: Sparse = {}

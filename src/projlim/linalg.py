@@ -5,12 +5,13 @@ vectors are {column: value} dicts of their nonzero entries, and sparse rows
 hold the nonzero (column, value) entries of each row of a matrix.  Numbers
 from callers are read by ``exact`` (a rational) and ``integers`` (a tuple of
 ints), which refuse what is not exact rather than truncate it; ``sparse_rows``,
-``dense_rows`` and ``nonzero_flat`` are the one set of dense/sparse
-converters.  There is one row elimination, ``Echelon``: it keeps the reduced
-row echelon form of a growing set of sparse vectors, with exact pivoting and
-no numerical questions.  The vectors met here (flattened matrices, structure
-constants, symmetrizers, factors of sequences) are mostly zero, so it
-touches only nonzero entries.  The dense ``rref`` reads its rows off an
+``dense_rows``, ``nonzero_flat`` and ``flat_rows`` are the one set of
+dense/sparse converters.  There is one row elimination, ``Echelon``: it keeps
+the reduced row echelon form of a growing set of sparse vectors, with exact
+pivoting and no numerical questions, and ``extend`` adds a batch of them,
+eliminating nothing when their supports are disjoint.  The vectors met here
+(flattened matrices, structure constants, symmetrizers, factors of
+sequences) are mostly zero, so it touches only nonzero entries.  The dense ``rref`` reads its rows off an
 ``Echelon``, and ``rank``, ``solve`` and ``nullspace`` read theirs off
 ``rref``.  There is one inverse, ``inverse_rows`` of sparse rows: a monomial
 matrix is inverted by transposition, any other through ``pivot_inverse``
@@ -97,6 +98,15 @@ def nonzero_flat(x: Mat) -> dict[int, Fraction]:
     return {i * m + j: v for i, row in enumerate(x) for j, v in enumerate(row) if v}
 
 
+def flat_rows(v: dict, m: int) -> SparseRows:
+    """The sparse rows, ascending columns, of the flattened m x m matrix with
+    the nonzero entries {i * m + j: x_ij} (rational or Laurent)."""
+    rows: list[list] = [[] for _ in range(m)]
+    for p in sorted(v):
+        rows[p // m].append((p % m, v[p]))
+    return tuple(map(tuple, rows))
+
+
 def zeros(n: int, m: int) -> Mat:
     return [[Fraction(0)] * m for _ in range(n)]
 
@@ -168,12 +178,7 @@ class Echelon:
         residual = self._reduce(v)[1]
         if not residual:
             return False
-        p = min(residual, key=self._key)
-        if residual[p] == 1:  # already scaled: the residual is a fresh dict
-            new = residual
-        else:
-            inv = Fraction(1) / residual[p]
-            new = {c: x * inv for c, x in residual.items()}
+        p, new = self._scaled(residual)
         for row in self.rows.values():
             f = row.get(p)
             if f:
@@ -186,6 +191,35 @@ class Echelon:
         self.rows[p] = new
         return True
 
+    def extend(self, vectors) -> bool:
+        """Add every vector to the span; whether each one raised the rank.
+
+        Vectors with pairwise disjoint supports (the sizes of the supports
+        sum to the size of their union) are their own reduced echelon form
+        when the echelon is empty: no vector has an entry at another's
+        pivot, so none reduces another.  Each nonzero one then becomes its
+        row as it stands, scaled to 1 at its first column in the order,
+        with nothing eliminated.  Any other batch is inserted one by one.
+        """
+        vectors = list(vectors)
+        if self.rows or sum(map(len, vectors)) != len(set().union(*vectors)):
+            return all([self.insert(v) for v in vectors])
+        for v in vectors:
+            row = {c: x for c, x in v.items() if x}
+            if row:
+                p, row = self._scaled(row)
+                self.rows[p] = row
+        return len(self.rows) == len(vectors)
+
+    def _scaled(self, v: dict[int, Fraction]) -> tuple[int, dict[int, Fraction]]:
+        """The first column p of the fresh nonzero vector v in the order, and
+        v scaled to 1 at p: v itself when it is 1 there already."""
+        p = min(v, key=self._key)
+        if v[p] == 1:
+            return p, v
+        inv = Fraction(1) / v[p]
+        return p, {c: x * inv for c, x in v.items()}
+
     def canonical(self) -> list[tuple[int, dict[int, Fraction]]]:
         """(pivot, row) pairs in ascending pivot order: the RREF rows."""
         return [(p, self.rows[p]) for p in sorted(self.rows, key=self._key)]
@@ -196,8 +230,7 @@ def rref(rows: Mat) -> tuple[Mat, list[int]]:
     of the rows.  Input is not modified; its entries may be any rationals."""
     ncols = len(rows[0]) if rows else 0
     echelon = Echelon()
-    for row in rows:
-        echelon.insert({c: Fraction(x) for c, x in enumerate(row) if x})
+    echelon.extend({c: Fraction(x) for c, x in enumerate(row) if x} for row in rows)
     zero = Fraction(0)
     canonical = echelon.canonical()
     red = [[row.get(c, zero) for c in range(ncols)] for _, row in canonical]
@@ -281,8 +314,7 @@ def pivot_inverse(vectors: list[dict[int, Fraction]], pivots: list[int]) -> dict
     """
     base = max(pivots, default=-1) + 1
     echelon = Echelon()
-    for k, v in enumerate(vectors):
-        echelon.insert({**{p: v[p] for p in pivots if p in v}, base + k: Fraction(1)})
+    echelon.extend({**{p: v[p] for p in pivots if p in v}, base + k: _ONE} for k, v in enumerate(vectors))
     if any(p not in echelon.rows for p in pivots):
         raise NotInvertible("the pivot block is singular")
     return {p: [(c - base, t) for c, t in sorted(echelon.rows[p].items()) if c >= base] for p in pivots}

@@ -114,8 +114,8 @@ def _parse_atom(tk: _Tokens) -> LaurentScalar:
             den = int(tk.expect("int")[1])
             if den == 0:
                 raise ParseError("division by zero", pos)
-            return LaurentScalar.constant(Fraction(num, den))
-        return LaurentScalar.constant(num)
+            return LaurentScalar._of({0: Fraction(num, den)})
+        return LaurentScalar._of({0: Fraction(num)})
     if kind == "name" and value == "t":
         tk.next()
         if tk.accept("^"):

@@ -77,7 +77,7 @@ def _canonicalize(rows: SparseRows) -> SparseRows:
     lead = next(c for row in rows for _, e in row if (c := e.coefficient(0)) != 0)
     if lead != 1:
         inv = 1 / lead
-        rows = tuple(tuple((j, e.scale(inv)) for j, e in row) for row in rows)
+        rows = tuple(tuple((j, e * inv) for j, e in row) for row in rows)
     return rows
 
 
@@ -91,7 +91,7 @@ def _limit_rows(rows: SparseRows) -> SparseRows:
     # No canonical entry has a pole, so its limit is its constant term c; an
     # entry with c != 0 and one term is the constant c already.
     return tuple(
-        tuple((j, e if e.is_monomial() else LaurentScalar.constant(c)) for j, e in row if (c := e.coefficient(0)))
+        tuple((j, e if e.is_monomial() else LaurentScalar._of({0: c})) for j, e in row if (c := e.coefficient(0)))
         for row in rows
     )
 
@@ -482,10 +482,7 @@ class FactoredSequence:
         w = self.weights
         graded = {p: LaurentScalar.monomial(v, w[p // n] - w[p % n]) for p, v in y.items()}
         [z] = conjugate_flat(self.left, self.left_inv, [graded], n)
-        rows: list[list] = [[] for _ in range(n)]
-        for p in sorted(z):
-            rows[p // n].append((p % n, z[p]))
-        return ProjMatrix._of(tuple(map(tuple, rows)), n)
+        return ProjMatrix._of(linalg.flat_rows(z, n), n)
 
 
 def _times(rows: SparseRows, x: list[Fraction]) -> list[Fraction]:

@@ -35,7 +35,7 @@ from math import factorial
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import DimError, NotColumnOnly, ShapeError, TooLarge
-from .linalg import Echelon, integers
+from .linalg import Echelon, exact, integers
 
 __all__ = [
     "Diagram",
@@ -92,6 +92,8 @@ def validate_diagram(rows: Iterable[int]) -> Diagram:
 
 
 def validate_pair(pair: Sequence[Iterable[int]]) -> DiagramPair:
+    if len(pair := tuple(pair)) != 2:
+        raise ShapeError(f"a diagram pair has two diagrams, got {len(pair)}")
     lam, lam_bar = pair
     return validate_diagram(lam), validate_diagram(lam_bar)
 
@@ -678,7 +680,7 @@ def spin_statistics_obeyed(
         for idx in alphas + betas:
             if not isinstance(idx, int) or not 1 <= idx <= DIM_FUND:
                 raise ShapeError(f"index {idx!r} outside 1..5")
-        table[(gamma, alphas, betas)] = Fraction(value)  # type: ignore[arg-type]
+        table[(gamma, alphas, betas)] = exact(value, "coefficients")
 
     fermionic = stat == "fermionic"
     for (gamma, alphas, betas), value in table.items():

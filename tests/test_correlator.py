@@ -779,9 +779,13 @@ class TestSchurBasisBuild:
                 finally:
                     sys.setprofile(previous)
                 # One echelon of the 5^p symmetrized tensors, one for the
-                # inverse of the pivot block (a row per basis column).
+                # inverse of the pivot block.  The block rows (the pivot
+                # entries of each basis column) have disjoint supports, so
+                # they are that echelon's rows as they stand: no insert.
                 assert action.dim == len(_dense_setup(lam)[0][0])
-                assert counts == {"echelons": 2, "inserts": 5 ** sum(lam) + action.dim}, lam
+                block = [[p for p in col if p in action.coord_cols] for col in action.basis_cols]
+                assert sum(map(len, block)) == len(set().union(*block)), lam
+                assert counts == {"echelons": 2, "inserts": 5 ** sum(lam)}, lam
         finally:
             correlator_module._schur_action.cache_clear()
         assert dense_calls == []

@@ -1062,16 +1062,51 @@ class TestConjugationWork:
         rights = (scaled, linalg.identity(5), permutation_matrix((4, 3, 2, 1, 0)), _random_invertible(rng, 5))
         sequences = [FactoredSequence.build(_random_invertible(rng, 5), weights, right) for right in rights]
         alg = build_po(((3, 2),))
-        inserts = []
-        insert = linalg.Echelon.insert
+        inserts, batches = [], []
+        insert, extend = linalg.Echelon.insert, linalg.Echelon.extend
+
+        def recorded_extend(self, vectors):
+            batches.append(list(vectors))
+            return extend(self, batches[-1])
+
         monkeypatch.setattr(linalg.Echelon, "insert", lambda self, v: inserts.append(v) or insert(self, v))
+        monkeypatch.setattr(linalg.Echelon, "extend", recorded_extend)
         for seq in sequences[:3]:
             _limit_in_frame(alg, seq)
             assert inserts == [], seq
-        # A dense right factor overlaps the supports: both eliminations run,
-        # each inserting every vector.
+        # A dense right factor overlaps the supports: the graded echelon
+        # inserts every vector.  The initial parts of its rows, the second
+        # batch, have disjoint supports, so they are inserted not at all.
+        batches.clear()
         _limit_in_frame(alg, sequences[3])
-        assert len(inserts) == 2 * alg.dim
+        assert len(inserts) == alg.dim
+        parts = batches[1]
+        assert len(parts) == alg.dim and sum(map(len, parts)) == len(set().union(*parts))
+
+    def test_block_algebras_monomial_limits_and_chains_insert_nothing(self, monkeypatch):
+        """Every batch met on these paths has disjoint supports, so
+        ``Echelon.extend`` makes every echelon without one ``insert``."""
+        inserts = []
+        insert = linalg.Echelon.insert
+        monkeypatch.setattr(linalg.Echelon, "insert", lambda self, v: inserts.append(v) or insert(self, v))
+        lie_module._po.cache_clear()
+        try:
+            alg = build_po(((2, 1), (3, 0)))
+            assert alg.dim == 3 + 3 + 9 and inserts == []
+            rng = random.Random(20261045)
+            values = (1, -1, 2, Fraction(1, 3))
+            factors = (
+                (permutation_matrix(tuple(rng.sample(range(6), 6))), permutation_matrix(tuple(rng.sample(range(6), 6)))),
+                (_scaled_permutation(rng, 6, values), _scaled_permutation(rng, 6, values)),
+            )
+            for left, right in factors:
+                limit = conjugacy_limit(alg, FactoredSequence.build(left, [3, -1, 0, 2, -2, 1], right))
+                assert invariant_profile(limit).dim == alg.dim
+                assert inserts == []
+            assert sigma_chain(3, 2, [2, 1, 1, 0, -1]).all_verified
+            assert inserts == []
+        finally:
+            lie_module._po.cache_clear()
 
 
 # -- reference dense eliminations: graded echelon, limit basis, match check ----

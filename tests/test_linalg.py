@@ -116,6 +116,74 @@ class TestEchelonAgainstRref:
         assert inside >= 300 and outside >= 100
 
 
+def _batches():
+    """Seeded (echelon, batch) pairs for ``extend``: batches with pairwise
+    disjoint supports, overlapping ones, and ones made dependent by a
+    combination of two vectors; a zero vector (empty, or a stored 0) in
+    some; with and without a column order; into an empty echelon or one
+    holding a few vectors already."""
+    rng = random.Random(20261045)
+    values = (1, -1, 2, Fraction(1, 2), -3)
+    for k in range(480):
+        ncols = rng.randint(1, 10)
+        columns = rng.sample(range(ncols), rng.randint(1, ncols))
+        if k % 3 == 0:
+            batch = [{c: Fraction(rng.choice(values))} for c in columns]
+            for _ in range(len(columns) // 2):  # merge neighbours into wider vectors
+                i = rng.randrange(len(batch))
+                if i + 1 < len(batch):
+                    batch[i] |= batch.pop(i + 1)
+        else:
+            batch = [
+                {c: Fraction(rng.choice(values)) for c in rng.sample(columns, rng.randint(1, len(columns)))}
+                for _ in range(rng.randint(1, 5))
+            ]
+            if k % 3 == 2 and len(batch) >= 2:
+                a, b = rng.sample(batch, 2)
+                batch.append({c: a.get(c, 0) - 2 * b.get(c, 0) for c in a.keys() | b.keys()})
+        if k % 5 == 0:
+            batch.insert(rng.randrange(len(batch) + 1), rng.choice(({}, {rng.randrange(ncols): Fraction(0)})))
+        if k % 7 == 0:  # int entries: a row whose pivot entry is 1 keeps them
+            batch = [{c: int(x) for c, x in v.items() if x.denominator == 1} for v in batch]
+        order = rng.sample(range(ncols), ncols) if k % 2 else None
+        prefix = [{c: Fraction(rng.choice(values)) for c in rng.sample(range(ncols), 1)} for _ in range(k % 4 == 1)]
+        yield order, prefix, batch
+
+
+class TestExtend:
+    """``Echelon.extend`` against inserting the same vectors one at a time."""
+
+    def test_equals_one_insert_at_a_time(self):
+        seen = {"disjoint": 0, "overlapping": 0, "dependent": 0, "into rows": 0}
+        for order, prefix, batch in _batches():
+            given = [dict(v) for v in batch]
+            batched, one_by_one = Echelon(order), Echelon(order)
+            for v in prefix:
+                batched.insert(dict(v))
+                one_by_one.insert(dict(v))
+            grew = batched.extend(batch)
+            assert grew == all([one_by_one.insert(v) for v in [dict(v) for v in batch]])
+            assert batched.rows == one_by_one.rows
+            assert batched.canonical() == one_by_one.canonical()
+            assert [type(x) for _, row in batched.canonical() for x in row.values()] == [
+                type(x) for _, row in one_by_one.canonical() for x in row.values()
+            ]
+            # The rows are fresh dicts: eliminating into them leaves the batch as given.
+            batched.insert({c: Fraction(3) for c in set().union(*batch)})
+            assert batch == given
+            disjoint = sum(map(len, batch)) == len(set().union(*batch))
+            seen["into rows" if prefix else "disjoint" if disjoint else "overlapping"] += 1
+            seen["dependent"] += not grew
+        assert min(seen.values()) >= 60, seen
+
+    def test_a_disjoint_batch_into_an_empty_echelon_inserts_nothing(self, monkeypatch):
+        monkeypatch.setattr(Echelon, "insert", lambda self, v: pytest.fail("inserted"))
+        echelon = Echelon([3, 2, 1, 0])
+        assert echelon.extend([{0: Fraction(2), 3: Fraction(4)}, {1: Fraction(-1)}])
+        assert echelon.canonical() == [(3, {0: Fraction(1, 2), 3: Fraction(1)}), (1, {1: Fraction(1)})]
+        assert not Echelon().extend([{0: Fraction(1)}, {}])
+
+
 def _square_matrices():
     """Seeded n x n matrices, n = 0..6, with 0/+-1/2 entries; about a third
     made singular by a row that is a combination of the others."""
