@@ -166,7 +166,7 @@ class LaurentScalar:
         return (-self) + other
 
     def __mul__(self, other: LaurentScalar | Rat) -> LaurentScalar:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             # Scaling keeps every exponent, so none needs checking again.
             c = Fraction(other)
             return LaurentScalar._of({k: v * c for k, v in self._terms.items()})

@@ -26,13 +26,15 @@ support of the other.  Every other pair brackets to zero, so the closure
 check, the series, the Killing form and the morphism checks skip it exactly.
 
 Each block algebra po(sig) is built once per process (``build_po``) and
-shared.  A conjugacy limit is identified once, by ``match_limit_geometry``,
-which the span stores: a limit that is Ad_P po(sig) is closed already,
-because po(sig) is and conjugation by a permutation is a Lie automorphism,
-and its invariants are those of po(sig), read off the block sizes of sig
-with no table built (``_signature_profile``).  Only a limit that does not
-match builds its own table, on its sparse basis before the left factor is
-applied, to prove closure and for its invariants.
+shared, with its own match.  A conjugacy limit is identified once, by the
+match the span stores: read off the match of the source along permutation
+factors (``_monomial_limit``), else by ``match_limit_geometry``.  A limit
+that is Ad_P po(sig) is closed already, because po(sig) is and conjugation
+by a permutation is a Lie automorphism, and its invariants are those of
+po(sig), read off the block sizes of sig with no table built
+(``_signature_profile``).  Only a limit that does not match builds its own
+table, on its sparse basis before the left factor is applied, to prove
+closure and for its invariants.
 """
 
 from __future__ import annotations
@@ -484,14 +486,21 @@ def build_po(sig, m: int | None = None) -> LieAlgebraSpan:
 @functools.lru_cache(maxsize=512)
 def _po(sig: Signature) -> LieAlgebraSpan:
     """The span of ``build_po`` for a normalized signature."""
-    block = [k for k, (p, q) in enumerate(sig) for _ in range(p + q)]
-    jdiag = [j for p, q in sig for j in [-1] * p + [1] * q]
+    block, jdiag = _block_forms(sig)
     m = len(block)
     pairs = [(a, b) for a in range(m) for b in range(a + 1, m) if block[a] == block[b]]
     units = [(r, c) for r in range(m) for c in range(m) if block[r] > block[c]]
     flat = [{a * m + b: Fraction(1), b * m + a: Fraction(-jdiag[a] * jdiag[b])} for a, b in pairs]
     flat += [{r * m + c: Fraction(1)} for r, c in units]
-    return LieAlgebraSpan._of(m, flat, check_closed=False)
+    span = LieAlgebraSpan._of(m, flat, check_closed=False)
+    # Its own match, (sig, identity) when every block has p >= q.
+    span._match = _match_of_pieces(block, jdiag)
+    return span
+
+
+def _block_forms(sig: Signature) -> tuple[list[int], list[int]]:
+    """The block and the form sign J (as in ``build_po``) of each coordinate of po(sig)."""
+    return [k for k, (p, q) in enumerate(sig) for _ in range(p + q)], [j for p, q in sig for j in [-1] * p + [1] * q]
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +524,6 @@ def _limit_in_frame(alg: LieAlgebraSpan, seq: FactoredSequence) -> tuple[list[Sp
     eliminated in ascending grade.
     """
     m = alg.m
-    if seq.dim != m:
-        raise DimError(f"sequence dimension {seq.dim} != algebra ambient {m}")
     vectors = conjugate_flat(seq.right, seq.right_inv, alg._flat, m)
     w = seq.weights
     grade = [w[i] - w[j] for i in range(m) for j in range(m)]
@@ -531,23 +538,65 @@ def _limit_in_frame(alg: LieAlgebraSpan, seq: FactoredSequence) -> tuple[list[Sp
     return vectors, grade, [row for _, row in initial.canonical()]
 
 
+def _monomial_limit(alg: LieAlgebraSpan, seq: FactoredSequence) -> LieAlgebraSpan | None:
+    """The limit of ``conjugacy_limit``, with its match, read off the match
+    (sig, perm) ``alg`` stores when its basis has pairwise disjoint supports
+    and both factors of ``seq`` are permutations; None otherwise.
+
+    Why it holds.  A permutation only relabels, and diag(t^w) scales entry
+    (i, j) by t^(w_i - w_j), so each basis element of Ad_R alg keeps its own
+    least-grade part.  The supports are disjoint, so no two parts cancel:
+    the frame limit of ``_limit_in_frame`` is the parts themselves, each
+    scaled to 1 at its smallest position and sorted by it.  Frame coordinate
+    i has the block and form sign J of its source coordinate in po(sig), and
+    the weight w_i.  M_ab = E_ab - J_a J_b E_ba stays whole when w_a = w_b
+    and keeps only its entry in the row of the smaller weight otherwise; a
+    cross-block unit E_rc stays whole.  So the limit is a permuted po(sig')
+    with one block for each piece of equal block and weight.  A piece
+    reaches the pieces of earlier blocks and those of larger weight in its
+    own block, so the match takes the pieces by block, then by decreasing
+    weight, each split by its form signs (``_match_of_pieces``).
+    """
+    flat, m, w = alg._flat, alg.m, seq.weights
+    if (
+        not alg._match
+        or any(len(row) != 1 or row[0][1] != 1 for row in seq.left + seq.right)
+        or sum(map(len, flat)) != len(set().union(*flat))
+    ):
+        return None
+    parts = (_min_grade_projection(v, w, m) for v in conjugate_flat(seq.right, seq.right_inv, flat, m))
+    frame = []
+    for part in sorted(parts, key=min):
+        x = part[min(part)]
+        frame.append(part if x == 1 else {p: y / x for p, y in part.items()})
+    limit = LieAlgebraSpan._of(m, conjugate_flat(seq.left, seq.left_inv, frame, m), check_closed=False)
+    sig, perm = alg._match
+    block, sign = _block_forms(sig)
+    source = [perm[j] for ((j, _),) in seq.right]  # the po(sig) coordinate of each frame coordinate
+    frame_of = [i for ((i, _),) in seq.left]  # the frame coordinate of each limit coordinate
+    limit._match = _match_of_pieces([(block[source[i]], -w[i]) for i in frame_of], [sign[source[i]] for i in frame_of])
+    return limit
+
+
 def conjugacy_limit(alg: LieAlgebraSpan, seq: FactoredSequence) -> LieAlgebraSpan:
     """The t -> 0 limit of Ad_{b(t)} alg for a factored sequence b.
 
     The limit always has the same dimension as ``alg`` and is verified to be
-    bracket-closed here.  It is matched first (``match_limit_geometry``,
-    stored on the limit): a limit equal to a permuted po(sig) is closed with
-    no table built.  Only a limit that does not match builds its table of
-    structure constants, and raises NotClosed when a bracket leaves it.  The
-    table is built on the frame basis of ``_limit_in_frame``, which is sparse
-    whatever the left factor L: Ad_L sends frame basis element i to limit
-    basis element i and is a Lie automorphism, so both have the same table
-    and either is closed exactly when the other is.  The limit keeps it.
+    bracket-closed here.  A span with a stored match (every ``build_po``
+    span and every matched limit) whose basis has disjoint supports, along
+    permutation factors, has its limit and match read off that match
+    (``_monomial_limit``): Ad_P po(sig) is closed, with no table built.  Any
+    other limit is eliminated in its frame (``_limit_in_frame``) and matched
+    (``match_limit_geometry``, stored on the limit).  Only a limit that does
+    not match builds its table of structure constants, and raises NotClosed
+    when a bracket leaves it.  The table is built on the frame basis, which
+    is sparse whatever the left factor L: Ad_L sends frame basis element i
+    to limit basis element i and is a Lie automorphism, so both have the
+    same table and either is closed exactly when the other is.  The limit
+    keeps it.
 
-    For po(sig), or its padding, along monomial factors (permutations,
-    scaled or not) the conjugations only relabel and no elimination runs
-    (``linalg.Echelon.extend``).  po((1,1)) along diag(t, 1) keeps the
-    lower half E_10 of E_01 + E_10, a permuted po((1),(1)):
+    po((1,1)) along diag(t, 1) keeps the lower half E_10 of E_01 + E_10, a
+    permuted po((1),(1)):
 
     >>> limit = conjugacy_limit(build_po((1, 1)), FactoredSequence.diagonal([1, 0]))
     >>> limit.basis == [[[0, 0], [1, 0]]]
@@ -556,10 +605,14 @@ def conjugacy_limit(alg: LieAlgebraSpan, seq: FactoredSequence) -> LieAlgebraSpa
     (((1, 0), (1, 0)), (0, 1))
     """
     m = alg.m
-    frame = _limit_in_frame(alg, seq)[2]
-    limit = LieAlgebraSpan._of(m, conjugate_flat(seq.left, seq.left_inv, frame, m), check_closed=False)
-    if not _stored_match(limit):
-        limit._table = LieAlgebraSpan._of(m, frame).structure_constants()
+    if seq.dim != m:
+        raise DimError(f"sequence dimension {seq.dim} != algebra ambient {m}")
+    limit = _monomial_limit(alg, seq)
+    if limit is None:
+        frame = _limit_in_frame(alg, seq)[2]
+        limit = LieAlgebraSpan._of(m, conjugate_flat(seq.left, seq.left_inv, frame, m), check_closed=False)
+        if not _stored_match(limit):
+            limit._table = LieAlgebraSpan._of(m, frame).structure_constants()
     return limit
 
 
@@ -617,11 +670,11 @@ def match_limit_geometry(limit: LieAlgebraSpan) -> tuple[Signature, tuple[int, .
     The blocks are the strongly connected components of the span's support
     digraph, ordered by how many coordinates they reach.  In a block with
     smallest coordinate a, E_ab - E_ba in the span gives b the colour of a,
-    E_ab + E_ba the other; the larger colour (a's on a tie) is the p part.
-    Coordinates in ascending order take the next free index of their part:
-    the lexicographically smallest permutation.  One comparison with the
-    permuted po(sig) confirms the match, or raises NoMatch.  The outcome is
-    stored on the span, so a second call on it does no work.
+    E_ab + E_ba the other; sig and perm are read off blocks and colours by
+    ``_match_of_pieces``.  One comparison with the permuted po(sig) confirms
+    the match, or raises NoMatch.  The outcome is stored on the span (a
+    limit of ``_monomial_limit`` has it already), so a second call on it
+    does no work.
     """
     match = _stored_match(limit)
     if not match:
@@ -650,25 +703,43 @@ def _read_match(limit: LieAlgebraSpan) -> tuple[Signature, tuple[int, ...]] | No
         {tuple(j for j in range(m) if reach[i][j] and reach[j][i]) for i in range(m)},
         key=lambda block: (sum(reach[block[0]]), block),
     )
-    sig: list[tuple[int, int]] = []
-    perm = [0] * m
-    free = iter(range(m))
-    for block in blocks:
+    rank, colour = [0] * m, [-1] * m
+    for r, block in enumerate(blocks):
         a = block[0]
-        same, other = [a], []
+        for b in block:
+            rank[b] = r
         for b in block[1:]:
-            for sign, part in ((-1, same), (1, other)):
+            for sign in (-1, 1):
                 if limit._echelon.coordinates({a * m + b: 1, b * m + a: sign}) is not None:
-                    part.append(b)
+                    colour[b] = sign
                     break
             else:
                 return None
+    sig, perm = _match_of_pieces(rank, colour)
+    return (sig, perm) if _spans_permuted_po(limit, sig, perm) else None
+
+
+def _match_of_pieces(pieces: list, colours: list[int]) -> tuple[Signature, tuple[int, ...]]:
+    """The (sig, perm) of Ad_P po(sig) given, for each coordinate k, the sort
+    key ``pieces[k]`` of its block and its colour ``colours[k]`` (its form
+    sign, up to one sign per block).  Blocks come in ascending key, and the
+    larger colour of a block (that of its smallest coordinate on a tie) is
+    its p part.  Coordinates take the next free index, the p part first,
+    each part in ascending order: the lexicographically smallest permutation."""
+    members: dict = {}
+    for k, key in enumerate(pieces):
+        members.setdefault(key, []).append(k)
+    sig: list[tuple[int, int]] = []
+    perm = [0] * len(pieces)
+    free = iter(range(len(pieces)))
+    for key in sorted(members):
+        block = members[key]
+        same = [k for k in block if colours[k] == colours[block[0]]]
+        other = [k for k in block if colours[k] != colours[block[0]]]
         p_part, q_part = (same, other) if len(same) >= len(other) else (other, same)
         for k in p_part + q_part:
             perm[k] = next(free)
         sig.append((len(p_part), len(q_part)))
-    if not _spans_permuted_po(limit, tuple(sig), tuple(perm)):
-        return None
     return tuple(sig), tuple(perm)
 
 
@@ -980,11 +1051,11 @@ def sigma_chain(p: int, q: int, weights) -> ChainResult:
     contracts along the subalgebra fixed by its factor and is verified (by
     ``_limit_morphism`` on its images) to be isomorphic to the conjugacy
     limit up to that step: the limit along the weights up to its split,
-    constant after it.  The basis of po(p,q) has pairwise disjoint supports,
-    so each basis element keeps its own least-grade part and the limit
-    depends only on the order of the weights.  The last step's weights are
-    the weights themselves, so its check is the final check; a chain with no
-    split checks po(p,q) against its limit along the weights.
+    constant after it.  Each basis element of po(p,q) keeps its own
+    least-grade part (``_monomial_limit``), so the limit depends only on the
+    order of the weights.  The last step's weights are the weights
+    themselves, so its check is the final check; a chain with no split
+    checks po(p,q) against its limit along the weights.
     """
     m = p + q
     w = linalg.integers(weights, "weights")

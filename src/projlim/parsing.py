@@ -15,6 +15,7 @@ the CLI:
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .errors import ParseError
@@ -174,12 +175,30 @@ def _parse_scalar_list(tk: _Tokens) -> list[LaurentScalar]:
 
 
 def parse_point(text: str) -> list[LaurentScalar]:
-    tk = _Tokens(text)
-    coords = _parse_scalar_list(tk)
-    tk.done()
-    if not coords:
-        raise ParseError("empty point")
+    """The coordinates of a point.  A list of plain integers, the common case,
+    is read directly; any other text goes through the scalar grammar, which
+    gives the same values and raises the same errors."""
+    coords = _plain_integers(text)
+    if coords is None:
+        tk = _Tokens(text)
+        coords = _parse_scalar_list(tk)
+        tk.done()
+        if not coords:
+            raise ParseError("empty point")
     return coords
+
+
+def _plain_integers(text: str) -> list[LaurentScalar] | None:
+    """The constants of ``[a, b, ...]`` when every entry is an optional minus
+    and ASCII digits (whitespace around entries and brackets allowed), else None."""
+    body = text.strip()
+    if body[:1] != "[" or body[-1:] != "]":
+        return None
+    entries = [entry.strip() for entry in body[1:-1].split(",")]
+    digits = [entry[1:] if entry[:1] == "-" else entry for entry in entries]
+    if not all(d.isascii() and d.isdigit() for d in digits):
+        return None
+    return [LaurentScalar._of({0: Fraction(int(entry))}) for entry in entries]
 
 
 def _parse_matrix_rows(tk: _Tokens) -> list[list[LaurentScalar]]:
@@ -285,8 +304,14 @@ def _parse_sequence(tk: _Tokens, n: int):
     raise ParseError(f"expected a sequence (diag/perm/compose/[[...]]), found {value!r}", pos)
 
 
+@functools.lru_cache(maxsize=128)
 def parse_sequence(text: str, n: int = 5):
-    """Parse a factored sequence; ``perm(...)`` factors are n x n."""
+    """Parse a factored sequence; ``perm(...)`` factors are n x n.
+
+    Each (text, n) is parsed once per process: a bounded cache returns the
+    same ``FactoredSequence``, which is frozen, so sharing it is safe.  A text
+    that does not parse raises on every call, since nothing is cached for it.
+    """
     tk = _Tokens(text)
     seq = _parse_sequence(tk, n)
     tk.done()

@@ -79,6 +79,16 @@ class TestCoercion:
             lau(x)
 
 
+    @pytest.mark.parametrize("x", [True, False])
+    def test_arithmetic_refuses_a_bool(self, x):
+        """+, -, * and == each return NotImplemented for a bool, so Python
+        raises TypeError (== falls back to identity): t * True is not t."""
+        for op in (lambda a: a + x, lambda a: x + a, lambda a: a - x, lambda a: x - a, lambda a: a * x, lambda a: x * a):
+            with pytest.raises(TypeError):
+                op(T)
+        assert LaurentScalar.one() != x and LaurentScalar.zero() != x
+
+
 class TestLimits:
     def test_constant_limit(self):
         assert LaurentScalar.constant(Fraction(7, 3)).limit_at_zero() == Fraction(7, 3)

@@ -7,6 +7,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +61,9 @@ from _reference import (
     reference_rref,
     reference_solve,
 )
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _matrix(m, entries):
@@ -1505,6 +1509,8 @@ class TestClosureProvenByMatch:
             match_limit_geometry(not_closed)
         # Limits whose frame basis is that span, under an identity and a
         # dense left factor: the closure check reads the frame either way.
+        # The right factor is scaled, not a permutation, so the frame is
+        # eliminated (and replaced here) rather than read off the match.
         frames = []
 
         def frame(alg, seq):
@@ -1514,7 +1520,7 @@ class TestClosureProvenByMatch:
         monkeypatch.setattr(lie_module, "_limit_in_frame", frame)
         geometry_module._degeneration.cache_clear()
         for left in (linalg.identity(3), [[1, 1, 0], [0, 1, 1], [1, 0, 1]]):
-            seq = FactoredSequence.build(left, [0, 0, 0], linalg.identity(3))
+            seq = FactoredSequence.build(left, [0, 0, 0], [[2, 0, 0], [0, 1, 0], [0, 0, 1]])
             with pytest.raises(NotClosed):
                 conjugacy_limit(build_po(((3, 0),)), seq)
             with pytest.raises(NotClosed):
@@ -1607,11 +1613,146 @@ class TestLimitIdentifiedOnce:
             with pytest.raises(NoMatch):
                 match_limit_geometry(not_po)
         assert reads == [limit, not_po]
-        # conjugacy_limit stores the match it tries: the caller's match reads nothing.
+        # conjugacy_limit stores the match: the caller's match reads nothing.
+        # Along permutation factors it is read off the match po((4,1))
+        # stores, with no read.  A right factor that rotates two coordinates
+        # of one sign keeps po((4,1)) but not its basis: that limit is
+        # eliminated and its match read once.
         reads.clear()
-        limit = conjugacy_limit(build_po(((4, 1),)), seq)
+        match_limit_geometry(conjugacy_limit(build_po(((4, 1),)), seq))
+        assert reads == []
+        rotation = linalg.identity(5)
+        rotation[0][:2], rotation[1][:2] = [Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]
+        limit = conjugacy_limit(build_po(((4, 1),)), FactoredSequence.build(permutation_matrix((2, 0, 1, 4, 3)), seq.weights, rotation))
         match_limit_geometry(limit)
-        assert len(reads) == 1
+        assert reads == [limit]
+
+
+def _engine_limit(alg, seq):
+    """The limit of ``alg`` along ``seq`` through the frame elimination and
+    the match reader: ``alg`` copied as a span with no stored match."""
+    return conjugacy_limit(LieAlgebraSpan._of(alg.m, alg._flat, check_closed=False), seq)
+
+
+def _closed_form_grid(seed=20261047, seeded=((6, 40), (7, 30), (8, 20))):
+    """(alg, seq) pairs for ``_monomial_limit``: every signature at m <= 5
+    (and each with its blocks read as (q, p)) under identity and permutation
+    L and R, and seeded signatures at m = 6-8 under permutations, with
+    weights in -3..3.  Every other source is a limit of po(sig), with the
+    match it stores (most of them not the identity)."""
+    rng = random.Random(seed)
+    cases = [(m, sig) for m in range(1, 6) for sig in enumerate_signatures(m)]
+    cases += [(m, tuple((q, p) for p, q in sig)) for m, sig in cases if any(q for _, q in sig)]
+    cases = [(m, sig, kinds) for m, sig in cases for kinds in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    cases += [(m, rng.choice(enumerate_signatures(m)), (1, 1)) for m, count in seeded for _ in range(count)]
+
+    def factor(m, kind):
+        return permutation_matrix(tuple(rng.sample(range(m), m))) if kind else linalg.identity(m)
+
+    def weights(m):
+        return [rng.randint(-3, 3) for _ in range(m)]
+
+    for k, (m, sig, (left, right)) in enumerate(cases):
+        alg = build_po(sig)
+        if k % 2:
+            alg = conjugacy_limit(alg, FactoredSequence.build(factor(m, 1), weights(m), factor(m, 1)))
+        yield alg, FactoredSequence.build(factor(m, left), weights(m), factor(m, right))
+
+
+class TestMonomialLimitReadOffMatch:
+    """A span with a stored match and disjoint supports, along permutation
+    factors, has its limit and match read off that match
+    (``lie._monomial_limit``): the same basis, in the same order and scaling,
+    and the same match as the frame elimination and the match reader give."""
+
+    def test_closed_form_against_the_engine(self):
+        cases = permuted = 0
+        for alg, seq in _closed_form_grid():
+            limit = lie_module._monomial_limit(alg, seq)
+            engine = _engine_limit(alg, seq)
+            assert limit is not None and conjugacy_limit(alg, seq)._flat == limit._flat, (alg._match, seq)
+            assert limit._flat == engine._flat and limit._match == engine._match, (alg._match, seq)
+            permuted += alg._match[1] != tuple(range(alg.m))
+            cases += 1
+        assert cases == 550 and permuted >= 250, (cases, permuted)
+
+    def test_a_block_algebra_stores_the_match_the_reader_gives(self):
+        """(sig, identity) when every block has p >= q; with p < q, the
+        match the reader gives, which puts the larger colour first."""
+        for m in range(1, 7):
+            for sig in enumerate_signatures(m):
+                for spelling in {sig, tuple((q, p) for p, q in sig)}:
+                    alg = lie_module._po.__wrapped__(spelling)
+                    fresh = LieAlgebraSpan._of(m, alg._flat, check_closed=False)
+                    assert alg._match == lie_module._read_match(fresh), spelling
+                    if spelling == sig:
+                        assert alg._match == (sig, tuple(range(m)))
+
+    def test_other_sources_and_factors_take_the_engine(self, monkeypatch):
+        """A scaled or dense factor, a span with no stored match, a padding
+        and a stored match on overlapping supports are eliminated in the
+        frame, and give the engine's limit."""
+        rng = random.Random(20261147)
+        weights = [2, -1, 0, 3, -1]
+        alg = build_po(((2, 1), (2, 0)))
+        # po(sig) in the basis x_0 + x_1, x_1 + x_2, ..., x_last.
+        basis = alg.basis
+        sums = [[[a + b for a, b in zip(r, s)] for r, s in zip(x, y)] for x, y in zip(basis, basis[1:])]
+        overlapping = LieAlgebraSpan(5, sums + basis[-1:])
+        assert match_limit_geometry(overlapping)
+        perm = permutation_matrix((2, 0, 4, 1, 3))
+        cases = [
+            (alg, FactoredSequence.build(_scaled_permutation(rng, 5, (1, -1, 2)), weights, perm)),
+            (alg, FactoredSequence.build(perm, weights, _random_invertible(rng, 5))),
+            (LieAlgebraSpan._of(5, alg._flat, check_closed=False), FactoredSequence.build(perm, weights, perm)),
+            (pad_span(build_po(((2, 1),)), 5), FactoredSequence.build(perm, weights, perm)),
+            (overlapping, FactoredSequence.build(perm, weights, perm)),
+        ]
+        frames = []
+        original = lie_module._limit_in_frame
+        monkeypatch.setattr(lie_module, "_limit_in_frame", lambda a, s: frames.append(s) or original(a, s))
+        for source, seq in cases:
+            assert lie_module._monomial_limit(source, seq) is None, seq
+            assert conjugacy_limit(source, seq)._flat == _engine_limit(source, seq)._flat, seq
+        assert len(frames) == 2 * len(cases)
+
+    def test_a_permutation_limit_of_a_block_algebra_runs_no_engine(self, monkeypatch):
+        calls = []
+        for name in ("_limit_in_frame", "_read_match"):
+            original = getattr(lie_module, name)
+            monkeypatch.setattr(lie_module, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+        insert = linalg.Echelon.insert
+        monkeypatch.setattr(linalg.Echelon, "insert", lambda self, v: calls.append("insert") or insert(self, v))
+        weights = [3, -1, 0, 2, -2, 1]
+        alg = build_po(((3, 1), (2, 0)))
+        limit = conjugacy_limit(alg, FactoredSequence.build(permutation_matrix((3, 0, 5, 1, 2, 4)), weights, permutation_matrix((1, 4, 0, 5, 2, 3))))
+        assert match_limit_geometry(limit) and invariant_profile(limit).dim == alg.dim
+        assert calls == []
+        # A dense right factor takes the engine: one frame and one match read.
+        conjugacy_limit(alg, FactoredSequence.build(linalg.identity(6), weights, _random_invertible(random.Random(3), 6)))
+        assert calls.count("_limit_in_frame") == 1 and calls.count("_read_match") == 1
+
+    def test_two_benchmark_limit_cycles_run_no_engine(self, monkeypatch):
+        """The 58 ops of two seed-1 cycles of the lie-m5to7 workload: 40
+        limits of ``build_po`` spans and 18 contraction chains (36 limits)
+        along permutation factors, all read off a stored match."""
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import bench_workloads
+
+        calls = {"_limit_in_frame": 0, "_read_match": 0, "_monomial_limit": 0}
+        for name in calls:
+            original = getattr(lie_module, name)
+
+            def counted(*args, _f=original, _n=name):
+                calls[_n] += 1
+                return _f(*args)
+
+            monkeypatch.setattr(lie_module, name, counted)
+        workload = bench_workloads.Lie(PERFBENCH.parent)
+        ops = [op for index in range(2) for op in workload.cycle(1, index)]
+        for op in ops:
+            assert workload.check(op, workload.run(op))[0], op
+        assert len(ops) == 58 and calls == {"_limit_in_frame": 0, "_read_match": 0, "_monomial_limit": 76}
 
 
 def _table_route_profile(sig):

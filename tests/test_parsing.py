@@ -2,10 +2,12 @@
 exponents, signs, refusals with their positions, and the ``parse_expression``
 dispatcher for every kind."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from projlim import parsing
 from projlim.errors import ParseError
 from projlim.laurent import LaurentScalar
 from projlim.parsing import (
@@ -53,6 +55,69 @@ class TestPointsAndMatrices:
     def test_a_ragged_matrix_is_refused(self):
         with pytest.raises(ParseError, match=r"^ragged matrix \(at position 0\)$"):
             parse_matrix("[[1, 2], [3]]")
+
+
+def _point_texts(seed=20261147, count=600):
+    """Seeded point texts: mostly plain integers, with whitespace of every
+    kind around entries and brackets, signs, fractions, t-terms and malformed
+    entries and brackets mixed in."""
+    rng = random.Random(seed)
+    plain = ["0", "7", "-3", "12", "-0", "007", "123456789012345678901234567890"]
+    other = ["1/2", "-3/4", "t", "t^-1", "2*t", "-t^2", "+5", "--2", "- 4", "(1)", "1/0", "1_0", "1.5", "x", "",
+             "\u0663", "3 4", "-", "2 ^ 3"]
+    spaces = ["", " ", "  ", "\t", "\n", "\u00a0"]
+    for _ in range(count):
+        entries = [rng.choice(other if rng.random() < 0.15 else plain) for _ in range(rng.randint(0, 6))]
+        body = ",".join(rng.choice(spaces) + e + rng.choice(spaces) for e in entries)
+        start, end = ("[", "]") if rng.random() < 0.9 else rng.choice([("", "]"), ("[", ""), ("[[", "]]"), ("(", ")"), ("[", "],")])
+        yield rng.choice(spaces) + start + body + end + rng.choice(spaces)
+
+
+def _outcome(text):
+    """The coordinates of ``parse_point``, as (type, terms) pairs, or the
+    type, message and position of the error it raises."""
+    try:
+        return [(type(c), c._terms) for c in parse_point(text)]
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+class TestPlainIntegerPoints:
+    """``parse_point`` reads a list of plain integers directly; every other
+    text goes through the scalar grammar."""
+
+    def test_against_the_grammar_on_a_seeded_grid(self, monkeypatch):
+        texts = list(_point_texts())
+        direct = [parsing._plain_integers(text) is not None for text in texts]
+        fast = [_outcome(text) for text in texts]
+        monkeypatch.setattr(parsing, "_plain_integers", lambda text: None)
+        assert fast == [_outcome(text) for text in texts]
+        errors = sum(isinstance(outcome, tuple) for outcome in fast)
+        # Read directly, raised by the grammar, and read by the grammar.
+        assert (sum(direct), errors, len(texts) - sum(direct) - errors) == (277, 226, 97)
+
+    def test_plain_integers_call_no_scalar_grammar(self, monkeypatch):
+        monkeypatch.setattr(parsing, "_parse_scalar_expr", lambda tk: pytest.fail("grammar used"))
+        assert parse_point(" [ 1, -0,\t20 ,-3 ] ") == [1, 0, 20, -3]
+
+
+class TestSequenceCache:
+    """Each (text, n) is parsed once per process; a text that does not parse
+    raises on every call."""
+
+    def test_a_text_is_parsed_once_per_dimension(self, monkeypatch):
+        parse_sequence.cache_clear()
+        parses = []
+        original = parsing._parse_sequence
+        monkeypatch.setattr(parsing, "_parse_sequence", lambda tk, n: parses.append(n) or original(tk, n))
+        text = "compose(perm((0 3 1 2)),diag(t,1,1,t^-1))"
+        first = parse_sequence(text, 4)
+        assert parse_sequence(text, 4) is first and len(parses) == 3
+        assert parse_sequence("perm((0 3 1 2))", 5).dim == 5 and len(parses) == 4
+        for _ in range(2):
+            with pytest.raises(ParseError, match=r"^index 5 out of range for dimension 4"):
+                parse_sequence("perm((0 5))", 4)
+        assert len(parses) == 6
 
 
 class TestPermutations:

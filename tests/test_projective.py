@@ -782,6 +782,7 @@ class TestInverseRows:
 
     def test_sequences_of_permutations_invert_by_transposition(self, monkeypatch):
         monkeypatch.setattr(linalg, "pivot_inverse", None)  # any elimination would fail
+        parse_sequence.cache_clear()  # parse afresh, not from an earlier test
         seq = parse_sequence("compose(perm((0 1 2 3 4)),diag(t,1,1,1,t))", 5)
         assert _dense(seq.left_inv, 5) == reference_inverse(dense_rows(seq.left))
         assert _dense(seq.right_inv, 5) == reference_inverse(dense_rows(seq.right))
