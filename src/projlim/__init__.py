@@ -25,6 +25,7 @@ from .errors import (
     NotColumnOnly,
     NotExact,
     NotFactorable,
+    NotFiltration,
     NotInvertible,
     NotSubalgebra,
     ParseError,
@@ -51,6 +52,7 @@ from .lie import (
     embed_and_limit,
     enumerate_signatures,
     invariant_profile,
+    iw_contract,
     match_limit_geometry,
     sigma_chain,
     signature_str,
@@ -107,6 +109,7 @@ __all__ = [
     "embed_and_limit",
     "enumerate_signatures",
     "invariant_profile",
+    "iw_contract",
     "match_limit_geometry",
     "sigma_chain",
     "signature_str",
@@ -148,6 +151,7 @@ __all__ = [
     "SignatureError",
     "NotClosed",
     "NotSubalgebra",
+    "NotFiltration",
     "DimError",
     "EmbeddingError",
     "NoMatch",

@@ -91,11 +91,11 @@ def _matrix(m: int, entries: dict[tuple[int, int], int]) -> list[list[Fraction]]
 
 def _table(dim: int, entries: dict[tuple[int, int], dict[int, int]]) -> BracketTable:
     """Bracket table from sparse structure constants [e_i, e_j] = sum c^k e_k."""
-    brackets = {}
+    c = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
     for (i, j), image in entries.items():
-        brackets[i, j] = image
-        brackets[j, i] = {k: -value for k, value in image.items()}
-    return BracketTable._from_brackets(dim, brackets)
+        for k, value in image.items():
+            c[i][j][k], c[j][i][k] = value, -value
+    return BracketTable(c)
 
 
 # Rotation generators of the 3-dimensional orthogonal algebra ...

@@ -64,6 +64,17 @@ class NotSubalgebra(ProjlimError):
     """An index set does not select a subalgebra of a bracket table."""
 
 
+class NotFiltration(ProjlimError):
+    """Exponents d are not a filtration of a bracket table: some nonzero
+    c^k_ij has d_k < d_i + d_j.  ``pair`` is (i, j)."""
+
+    def __init__(self, i: int, j: int):
+        super().__init__(
+            f"exponents are not a filtration of the table: [e_{i}, e_{j}] has a part below d_{i} + d_{j}"
+        )
+        self.pair = (i, j)
+
+
 class DimError(ProjlimError):
     """Dimension mismatch between bracket tables or linear maps."""
 

@@ -19,11 +19,11 @@ stores only its nonzero entries, and invariants, contractions and morphism
 checks iterate over those.
 
 Contractions set brackets to zero, so most products vanish for want of
-support.  Brackets are formed only for partner pairs (``_partners``): two
-matrices where a column of one meets a row of the other, or two table
-vectors where a key of ``_rows[a]``, a in the support of one, lies in the
-support of the other.  Every other pair brackets to zero, so the closure
-check, the series, the Killing form and the morphism checks skip it exactly.
+support.  Brackets are formed only for partner pairs (``_partners``); every
+other pair brackets to zero, so the closure check, the series, the Killing
+form and ``verify_morphism`` skip it exactly.  A limit along diag(t^w) has
+the source table filtered by grade (``iw_contract``, with the proof), and
+each sigma-chain step is checked against that filter with no bracket.
 
 Each block algebra po(sig) is built once per process (``build_po``) and
 shared, with its own match.  A conjugacy limit is identified once, by the
@@ -50,6 +50,7 @@ from .errors import (
     EmbeddingError,
     NoMatch,
     NotClosed,
+    NotFiltration,
     NotSubalgebra,
     SignatureError,
 )
@@ -245,24 +246,13 @@ class BracketTable:
         n = len(planes)
         if any(len(plane) != n or any(len(row) != n for row in plane) for plane in planes):
             raise DimError("structure constants must form an n x n x n array")
-        brackets = {
-            (i, j): {k: linalg.exact(x, "structure constants") for k, x in enumerate(row)}
-            for i, plane in enumerate(planes)
-            for j, row in enumerate(plane)
-        }
-        table = self._from_brackets(n, brackets)
-        self.dim, self._rows, self._antisymmetric = table.dim, table._rows, None
-
-    @classmethod
-    def _from_brackets(cls, n: int, brackets: dict, antisymmetric: bool | None = None) -> "BracketTable":
-        """The table with [e_i, e_j] = sum_k brackets[i, j][k] e_k (missing
-        pairs and zero values are zero brackets); ``antisymmetric`` as in ``_of``."""
-        rows: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(n)]
-        for (i, j), coeffs in sorted(brackets.items()):
-            nonzero = {k: Fraction(x) for k, x in sorted(coeffs.items()) if x}
-            if nonzero:
-                rows[i][j] = nonzero
-        return cls._of(rows, antisymmetric)
+        rows: list[dict[int, Sparse]] = [{} for _ in range(n)]
+        for i, plane in enumerate(planes):
+            for j, row in enumerate(plane):
+                coeffs = [linalg.exact(x, "structure constants") for x in row]
+                if any(coeffs):
+                    rows[i][j] = {k: x for k, x in enumerate(coeffs) if x}
+        self.dim, self._rows, self._antisymmetric = n, tuple(rows), None
 
     @classmethod
     def _of(cls, rows: list[dict[int, Sparse]], antisymmetric: bool | None = None) -> "BracketTable":
@@ -764,28 +754,59 @@ def contract(h: BracketTable | LieAlgebraSpan, t_indices) -> BracketTable:
     """Contract a Lie algebra along the subalgebra spanned by basis indices.
 
     In the split basis the contracted bracket keeps [t, t] whole, projects
-    [t, t^c] onto the complement, and kills [t^c, t^c].  The rule treats
-    (i, j) and (j, i) alike, so the contraction of a table known to be
-    antisymmetric is marked antisymmetric; otherwise the flag is left unknown.
+    [t, t^c] onto the complement, and kills [t^c, t^c]: ``iw_contract`` with
+    exponent 0 on t and -1 elsewhere, which raises NotSubalgebra here.
     """
     table = h.structure_constants() if isinstance(h, LieAlgebraSpan) else h
     n = table.dim
     t_set = sorted(set(linalg.integers(t_indices, "contraction indices")))
     if any(i < 0 or i >= n for i in t_set):
         raise DimError(f"contraction indices out of range for dimension {n}")
-    in_t = [i in t_set for i in range(n)]
-    brackets: dict[tuple[int, int], Sparse] = {}
-    for i, j, coeffs in table.brackets():
-        if in_t[i] and in_t[j]:
-            if any(not in_t[k] for k in coeffs):
-                raise NotSubalgebra(
-                    f"indices {t_set} do not span a subalgebra: "
-                    f"[e_{i}, e_{j}] leaves the span"
-                )
-            brackets[i, j] = coeffs
-        elif in_t[i] != in_t[j]:
-            brackets[i, j] = {k: c for k, c in coeffs.items() if not in_t[k]}
-    return BracketTable._from_brackets(n, brackets, table._antisymmetric or None)
+    d = [-1] * n
+    for i in t_set:
+        d[i] = 0
+    try:
+        return iw_contract(table, d)
+    except NotFiltration as exc:
+        i, j = exc.pair
+        raise NotSubalgebra(f"indices {t_set} do not span a subalgebra: [e_{i}, e_{j}] leaves the span") from None
+
+
+def iw_contract(table: BracketTable, d) -> BracketTable:
+    """The generalized Inönü–Wigner contraction with integer exponents d:
+    keep c^k_ab where d_k = d_a + d_b (Inönü–Wigner, PNAS 39 (1953) 510;
+    Weimar-Woods, Rev. Math. Phys. 12 (2000) 1505), or NotFiltration when
+    some c^k_ab has d_k < d_a + d_b.  (a, b) and (b, a) are treated alike, so
+    a table known to be antisymmetric stays marked so.
+
+    Why it is a conjugacy limit.  Let matrices e_a have this table, y_a be
+    the least-grade part of e_a (entry (i, j) has grade w_i - w_j) and d_a
+    its grade, so Ad_D e_a = t^(d_a) (y_a + O(t)) for D = diag(t^w).  In the
+    basis f_a = t^(-d_a) Ad_D e_a, [f_a, f_b] = sum_k c^k_ab t^(d_k - d_a -
+    d_b) f_k.  If the y_a are independent, f_a -> y_a is a basis of the limit
+    and [f_a, f_b] -> [y_a, y_b], so no exponent is negative and
+    [y_a, y_b] = sum of c^k_ab y_k over d_k = d_a + d_b: e_a -> y_a is an
+    isomorphism from the contraction onto the limit.  So ``sigma_chain``
+    checks a step with no bracket: its images are the y_a of po(p,q) along
+    the step's weights, lie in its limit and are independent, and its table
+    is the filter of po's.
+    """
+    d = linalg.integers(d, "exponents")
+    if len(d) != table.dim:
+        raise DimError(f"need {table.dim} exponents, got {len(d)}")
+    rows: list[dict[int, Sparse]] = []
+    for i, row in enumerate(table._rows):
+        rows.append({})
+        for j, coeffs in row.items():
+            s, kept = d[i] + d[j], {}
+            for k, c in coeffs.items():
+                if d[k] == s:
+                    kept[k] = c
+                elif d[k] < s:
+                    raise NotFiltration(i, j)
+            if kept:
+                rows[i][j] = kept
+    return BracketTable._of(rows, table._antisymmetric or None)
 
 
 def verify_morphism(map_matrix: Mat, src: BracketTable, dst: BracketTable) -> bool:
@@ -989,7 +1010,7 @@ class ChainStep:
     fixed_indices: tuple[int, ...]  # t_{l-1}: basis indices fixed by the step
     table: BracketTable  # contracted structure constants h_l
     morphism: tuple[tuple[Fraction, ...], ...]  # sigma_l in the limit basis
-    verified: bool  # morphism check against the conjugacy limit
+    verified: bool  # morphism check against the conjugacy limit (see iw_contract)
 
 
 @dataclass(frozen=True)
@@ -1006,40 +1027,26 @@ class ChainResult:
         return all(s.verified for s in self.steps) and self.final_matches_limit
 
 
-def _limit_morphism(
-    images: list[Sparse], source: BracketTable, limit: LieAlgebraSpan
-) -> tuple[Mat, bool]:
-    """The map sending source basis vector i to the flattened matrix
-    ``images[i]``, as a matrix in the basis of ``limit``, and whether it is
-    an isomorphism of Lie algebras onto the limit (of the same dimension).
-
-    The check reads the images directly, which is ``verify_morphism``
-    against the limit's table: they lie in the limit and are independent,
-    and [img_i, img_j] = sum_k c^k_ij img_k as matrices for the commutator
-    partners of the images and the pairs with c_ij nonzero (both sides are
-    zero for every other pair).  Commutators are antisymmetric, so a source
-    table that is not fails.  An image outside the limit gets a zero column.
-    """
-    n, m = len(images), limit.m
+def _step_morphism(po: LieAlgebraSpan, images: list[Sparse], table: BracketTable, weights) -> tuple[Mat, bool]:
+    """The map e_a -> images[a] into the limit of po along diag(t^weights),
+    in the limit's basis (a zero column for an image outside it), and whether
+    it is an isomorphism from ``table`` onto the limit by ``iw_contract``."""
+    m = po.m
+    limit = conjugacy_limit(po, FactoredSequence.diagonal(weights))
     coords = [limit._coordinates(img) for img in images]
     zero = Fraction(0)
-    morphism = [[(c or {}).get(r, zero) for c in coords] for r in range(n)]
-    if (
-        any(c is None for c in coords)
-        or not linalg.Echelon().extend(coords)
-        or not source.is_antisymmetric()
-    ):
-        return morphism, False
-    rows = [linalg.flat_rows(img, m) for img in images]
-    pairs = set(_commutator_partners(images, m)) | {(i, j) for i, j, _ in source.brackets() if i < j}
-    for i, j in pairs:
-        image: Sparse = {}
-        for k, c in source._rows[i].get(j, {}).items():
-            for p, x in images[k].items():
-                image[p] = image.get(p, 0) + c * x
-        if _sparse_bracket(rows[i], rows[j], m) != {p: x for p, x in image.items() if x}:
-            return morphism, False
-    return morphism, True
+    morphism = [[(c or {}).get(r, zero) for c in coords] for r in range(len(images))]
+    # The y_a are read off the weights here, not by _min_grade_projection,
+    # which made the images.
+    grade = [weights[p // m] - weights[p % m] for p in range(m * m)]
+    d = [min(grade[p] for p in v) for v in po._flat]
+    verified = (
+        images == [{p: x for p, x in v.items() if grade[p] == da} for v, da in zip(po._flat, d)]
+        and None not in coords
+        and linalg.Echelon().extend(coords)
+        and table == iw_contract(po.structure_constants(), d)
+    )
+    return morphism, verified
 
 
 def sigma_chain(p: int, q: int, weights) -> ChainResult:
@@ -1048,14 +1055,12 @@ def sigma_chain(p: int, q: int, weights) -> ChainResult:
     ``weights`` must be integers (NotExact for a float, a string or a bool)
     and weakly decreasing; each strict drop contributes one
     single-split factor, processed in ascending split position.  Every step
-    contracts along the subalgebra fixed by its factor and is verified (by
-    ``_limit_morphism`` on its images) to be isomorphic to the conjugacy
-    limit up to that step: the limit along the weights up to its split,
-    constant after it.  Each basis element of po(p,q) keeps its own
-    least-grade part (``_monomial_limit``), so the limit depends only on the
-    order of the weights.  The last step's weights are the weights
-    themselves, so its check is the final check; a chain with no split
-    checks po(p,q) against its limit along the weights.
+    contracts along the subalgebra fixed by its factor and is verified
+    (``iw_contract``) to be isomorphic to the conjugacy limit along the
+    weights up to its split, constant after it; by ``_monomial_limit`` the
+    limit depends only on the order of the weights.  The last step's
+    weights are the weights themselves, so its check is the final check; a
+    chain with no split checks po(p,q) against its limit along the weights.
     """
     m = p + q
     w = linalg.integers(weights, "weights")
@@ -1072,30 +1077,18 @@ def sigma_chain(p: int, q: int, weights) -> ChainResult:
     current = po.structure_constants()
     for split in splits:
         u = [0] * split + [-1] * (m - split)
-        fixed = tuple(
-            idx for idx in range(n) if all(u[p // m] == u[p % m] for p in sigma_images[idx])
-        )
+        fixed = tuple(idx for idx in range(n) if all(u[p // m] == u[p % m] for p in sigma_images[idx]))
         current = contract(current, fixed)
         sigma_images = [
-            img if idx in fixed else _min_grade_projection(img, u, m)
-            for idx, img in enumerate(sigma_images)
+            img if idx in fixed else _min_grade_projection(img, u, m) for idx, img in enumerate(sigma_images)
         ]
-        limit = conjugacy_limit(po, FactoredSequence.diagonal(w[:split] + (w[split],) * (m - split)))
-        morphism, verified = _limit_morphism(sigma_images, current, limit)
-        steps.append(
-            ChainStep(
-                split=split,
-                fixed_indices=fixed,
-                table=current,
-                morphism=tuple(tuple(row) for row in morphism),
-                verified=verified,
-            )
-        )
+        morphism, verified = _step_morphism(po, sigma_images, current, w[:split] + (w[split],) * (m - split))
+        steps.append(ChainStep(split, fixed, current, tuple(map(tuple, morphism)), verified))
 
     if steps:
         final_ok = steps[-1].verified
     else:
-        _, final_ok = _limit_morphism(sigma_images, current, conjugacy_limit(po, FactoredSequence.diagonal(w)))
+        _, final_ok = _step_morphism(po, sigma_images, current, w)
     return ChainResult(
         signature=(p, q),
         weights=w,

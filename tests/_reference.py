@@ -12,15 +12,22 @@ formal sum Delta for the lazy ``young._delta_terms_in``.
 They share no code with ``projlim.linalg``, so the tests that check the one
 row elimination (``linalg.Echelon``) and the routines read off it, and the
 dense oracles of the Lie core and the correlator, compare against an
-independent elimination.
+independent elimination.  Two sparse oracles of the Lie core are the
+exceptions, and use the package's own readers, elimination and commutator: the
+split-rule contraction ``split_rule_contract``, which ``lie.contract`` must
+equal byte for byte, and ``_limit_morphism``, the sigma-chain step check that
+brackets every partner pair of the images, against which the filter check
+of ``lie.iw_contract`` is compared.
 """
 
 import itertools
 from fractions import Fraction
 from typing import Dict, Iterable
 
-from projlim.errors import DimError, TooLarge
+from projlim import linalg
+from projlim.errors import DimError, NotSubalgebra, TooLarge
 from projlim.laurent import LaurentScalar, lau, rational_combination
+from projlim.lie import BracketTable, LieAlgebraSpan, _commutator_partners, _sparse_bracket
 from projlim.projective import ProjPoint
 from projlim.young import (
     _SYMMETRIZER_CAP,
@@ -286,3 +293,62 @@ def delta_terms(max_boxes):
                 yield (first,) + rest
 
     return [tuple(2 * r for r in part) for n in range(max_boxes // 2 + 1) for part in partitions(n, n)]
+
+
+def split_rule_contract(h, t_indices):
+    """The contraction along the subalgebra spanned by basis indices, by the
+    split rule: keep [t, t] whole (NotSubalgebra when it leaves t), project
+    [t, t^c] onto the complement and kill [t^c, t^c]; every kept coefficient
+    is read through ``Fraction`` into a fresh table, marked antisymmetric when
+    the source is known to be.  ``lie.contract`` is the 0/-1 case of
+    ``lie.iw_contract``."""
+    table = h.structure_constants() if isinstance(h, LieAlgebraSpan) else h
+    n = table.dim
+    t_set = sorted(set(linalg.integers(t_indices, "contraction indices")))
+    if any(i < 0 or i >= n for i in t_set):
+        raise DimError(f"contraction indices out of range for dimension {n}")
+    in_t = [i in t_set for i in range(n)]
+    brackets = {}
+    for i, j, coeffs in table.brackets():
+        if in_t[i] and in_t[j]:
+            if any(not in_t[k] for k in coeffs):
+                raise NotSubalgebra(f"indices {t_set} do not span a subalgebra: [e_{i}, e_{j}] leaves the span")
+            brackets[i, j] = coeffs
+        elif in_t[i] != in_t[j]:
+            brackets[i, j] = {k: c for k, c in coeffs.items() if not in_t[k]}
+    rows = [{} for _ in range(n)]
+    for (i, j), coeffs in sorted(brackets.items()):
+        nonzero = {k: Fraction(x) for k, x in sorted(coeffs.items()) if x}
+        if nonzero:
+            rows[i][j] = nonzero
+    return BracketTable._of(rows, table._antisymmetric or None)
+
+
+def _limit_morphism(images, source, limit):
+    """The map sending source basis vector i to the flattened matrix
+    ``images[i]``, as a matrix in the basis of ``limit``, and whether it is
+    an isomorphism of Lie algebras onto the limit (of the same dimension).
+
+    The check reads the images directly, which is ``verify_morphism``
+    against the limit's table: they lie in the limit and are independent,
+    and [img_i, img_j] = sum_k c^k_ij img_k as matrices for the commutator
+    partners of the images and the pairs with c_ij nonzero (both sides are
+    zero for every other pair).  Commutators are antisymmetric, so a source
+    table that is not fails.  An image outside the limit gets a zero column.
+    """
+    n, m = len(images), limit.m
+    coords = [limit._coordinates(img) for img in images]
+    zero = Fraction(0)
+    morphism = [[(c or {}).get(r, zero) for c in coords] for r in range(n)]
+    if any(c is None for c in coords) or not linalg.Echelon().extend(coords) or not source.is_antisymmetric():
+        return morphism, False
+    rows = [linalg.flat_rows(img, m) for img in images]
+    pairs = set(_commutator_partners(images, m)) | {(i, j) for i, j, _ in source.brackets() if i < j}
+    for i, j in pairs:
+        image = {}
+        for k, c in source._rows[i].get(j, {}).items():
+            for p, x in images[k].items():
+                image[p] = image.get(p, 0) + c * x
+        if _sparse_bracket(rows[i], rows[j], m) != {p: x for p, x in image.items() if x}:
+            return morphism, False
+    return morphism, True

@@ -6,7 +6,7 @@ import random
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from pathlib import Path
 
 import pytest
@@ -22,13 +22,13 @@ from projlim.errors import (
     NoMatch,
     NotClosed,
     NotExact,
+    NotFiltration,
     NotSubalgebra,
     SignatureError,
 )
 from projlim.lie import (
     BracketTable,
     _limit_in_frame,
-    _limit_morphism,
     _spans_permuted_po,
     LieAlgebraSpan,
     build_po,
@@ -37,6 +37,7 @@ from projlim.lie import (
     embed_and_limit,
     enumerate_signatures,
     invariant_profile,
+    iw_contract,
     match_limit_geometry,
     pad_span,
     sigma_chain,
@@ -52,6 +53,7 @@ from projlim.linalg import dense_rows
 from projlim.projective import FactoredSequence, conjugate_flat, invert_permutation
 
 from _reference import (
+    _limit_morphism,
     permutation_matrix,
     random_scaled_permutation as _scaled_permutation,
     reference_commutator,
@@ -60,6 +62,7 @@ from _reference import (
     reference_rank,
     reference_rref,
     reference_solve,
+    split_rule_contract,
 )
 
 
@@ -1002,10 +1005,15 @@ class TestWorkBound:
         result = sigma_chain(4, 2, [2, 2, 0, 0, 0, -1])
         assert result.all_verified
         # All pairs: 420 commutators, 675 table brackets and 675 ad calls,
-        # 6 inverses and 3 ranks.  The morphism checks bracket the images;
-        # the step limits are matched, so none builds a table of its own, and
-        # the final check is the last step's, whose limit is along the weights.
-        assert calls == {"_sparse_bracket": 139}
+        # 6 inverses and 3 ranks.  The 60 commutators are the partner pairs
+        # of po((4,2))'s basis, which build its own table; the step checks
+        # filter that table (iw_contract) and bracket nothing, and the step
+        # limits are matched, so none builds a table of its own.
+        po = build_po(((4, 2),))
+        assert calls == {"_sparse_bracket": 60} == {"_sparse_bracket": len(_support_partners(po))}
+        calls.clear()
+        assert sigma_chain(4, 2, [2, 2, 0, 0, 0, -1]) == result
+        assert calls == {}
 
 
 class TestConjugationWork:
@@ -1824,21 +1832,154 @@ class TestContractKeepsAntisymmetry:
         assert contract(unknown, [1])._antisymmetric is None
 
 
+def _stored_form(table):
+    """Dimension, antisymmetry flag and every row with its key order: what
+    equal output bytes need."""
+    return table.dim, table._antisymmetric, [[(j, list(c.items())) for j, c in row.items()] for row in table._rows]
+
+
+def _contracted(fn, table, indices):
+    """The stored form of fn(table, indices), or the type and text of its NotSubalgebra."""
+    try:
+        return _stored_form(fn(table, indices))
+    except NotSubalgebra as exc:
+        return type(exc), str(exc)
+
+
+class TestIwContract:
+    """``iw_contract`` keeps c^k_ab where d_k = d_a + d_b; ``contract`` is its
+    case d = 0 on the fixed indices and -1 elsewhere."""
+
+    def test_contract_equals_the_split_rule_oracle(self):
+        """Against the split rule (keep [t, t], project [t, t^c], kill
+        [t^c, t^c]) with every coefficient read through ``Fraction`` again:
+        equal rows in the same key order, the same flag, the same
+        NotSubalgebra text.  Po tables, sigma-chain step tables, and random
+        tables that are not antisymmetric, some with the flag computed."""
+        rng = random.Random(20261048)
+        raised = 0
+        for draw in range(600):
+            kind = draw % 3
+            if kind == 0:
+                table = build_po(rng.choice(enumerate_signatures(rng.randint(2, 5)))).structure_constants()
+            elif kind == 1:
+                m = rng.randint(3, 6)
+                q = rng.randint(0, m // 2)
+                weights = sorted((rng.randint(-3, 3) for _ in range(m)), reverse=True)
+                steps = sigma_chain(m - q, q, weights).steps
+                table = rng.choice(steps).table if steps else build_po(((m - q, q),)).structure_constants()
+            else:
+                n = rng.randint(2, 6)
+                c = [[[0] * n for _ in range(n)] for _ in range(n)]
+                for _ in range(rng.randint(1, n)):
+                    c[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] = rng.choice((1, -1, 2, Fraction(1, 3)))
+                table = BracketTable(c)
+                if rng.random() < 0.5:
+                    table.is_antisymmetric()
+            indices = rng.sample(range(table.dim), rng.randint(1, max(1, 2 * table.dim // 3))) if table.dim else []
+            got = _contracted(contract, table, indices)
+            assert got == _contracted(split_rule_contract, table, indices), (draw, indices)
+            raised += got[0] is NotSubalgebra
+        assert 150 <= raised <= 250, raised  # about a third of the draws
+
+    def test_filter_of_po_is_the_bracketed_limit_table(self):
+        """The theorem of ``iw_contract`` on po(p,q): with y_a the least-grade
+        part of basis element e_a along diag(t^w) and d_a its grade, no entry
+        of the po table lies below the filtration, the y_a span the conjugacy
+        limit, and their bracketed table is the filter.  Every single-block
+        signature at m <= 5 with every weakly decreasing weight vector in
+        0..3, and a seeded grid at m = 6-7."""
+        cases = [
+            ((p, m - p), w)
+            for m in range(1, 6)
+            for p in range(m + 1)
+            for w in combinations_with_replacement(range(3, -1, -1), m)
+        ]
+        rng = random.Random(20261049)
+        for _ in range(16):
+            m = rng.randint(6, 7)
+            p = rng.randint(0, m)
+            cases.append(((p, m - p), sorted((rng.randint(-3, 3) for _ in range(m)), reverse=True)))
+        changed = 0
+        for sig, w in cases:
+            m = len(w)
+            po = build_po((sig,))
+            table = po.structure_constants()
+            grade = [w[p // m] - w[p % m] for p in range(m * m)]
+            d = [min(grade[p] for p in v) for v in po._flat]
+            assert all(d[k] >= d[i] + d[j] for i, j, coeffs in table.brackets() for k in coeffs), (sig, w)
+            y = [{p: x for p, x in v.items() if grade[p] == da} for v, da in zip(po._flat, d)]
+            limit = LieAlgebraSpan._of(m, y)
+            assert limit.span_equals(conjugacy_limit(po, FactoredSequence.diagonal(w))), (sig, w)
+            filtered = iw_contract(table, d)
+            assert filtered == limit.structure_constants(), (sig, w)
+            changed += filtered != table
+        assert len(cases) == 629 + 16 and changed >= 400, changed
+
+    def test_refusals(self):
+        so3 = build_po(((3, 0),)).structure_constants()
+        # [e_0, e_1] is a multiple of e_2, whose exponent -1 is below 0 + 0.
+        text = r"^exponents are not a filtration of the table: \[e_0, e_1\] has a part below d_0 \+ d_1$"
+        with pytest.raises(NotFiltration, match=text) as exc:
+            iw_contract(so3, [0, 0, -1])
+        assert exc.value.pair == (0, 1)
+        with pytest.raises(DimError, match="^need 3 exponents, got 2$"):
+            iw_contract(so3, [0, 0])
+        with pytest.raises(NotExact, match="^exponents must be integers, got 0.5$"):
+            iw_contract(so3, [0, 0.5, 0])
+
+    def test_step_check_rejects_each_fault(self):
+        """The step check on the last step of a chain, then with one fault
+        each: an image doubled, an image left whole, two images swapped, an
+        image outside the limit (a zero column), the unfiltered po table, and
+        one entry of the table changed."""
+        m, w = 5, (2, 2, 0, -1, -1)
+        po = build_po(((3, 2),))
+        result = sigma_chain(3, 2, w)
+        y = [lie_module._min_grade_projection(v, w, m) for v in po._flat]
+        morphism, ok = lie_module._step_morphism(po, y, result.final_table, w)
+        assert ok is True and tuple(map(tuple, morphism)) == result.steps[-1].morphism
+        a = next(k for k, (v, part) in enumerate(zip(po._flat, y)) if v != part)
+        doubled, whole = list(y), list(y)
+        doubled[a] = {p: 2 * x for p, x in y[a].items()}
+        whole[a] = po._flat[a]
+        swapped = [y[1], y[0]] + y[2:]
+        outside = [{0: Fraction(1), m + 1: Fraction(-1)}] + y[1:]  # E_00 - E_11
+        rows = [dict(row) for row in result.final_table._rows]
+        i, j = next((i, j) for i, row in enumerate(rows) for j in row)
+        rows[i][j] = {k: 2 * c for k, c in rows[i][j].items()}
+        changed = BracketTable._of(rows, antisymmetric=True)
+        for images, table in (
+            (doubled, result.final_table),
+            (whole, result.final_table),
+            (swapped, result.final_table),
+            (outside, result.final_table),
+            (y, po.structure_constants()),
+            (y, changed),
+        ):
+            morphism, ok = lie_module._step_morphism(po, images, table, w)
+            assert ok is False
+            if images is outside:
+                assert [row[0] for row in morphism] == [Fraction(0)] * po.dim
+
+
 class TestSigmaChainFinalCheck:
     """The final check of a sigma chain is the last step's, whose limit is
-    taken along the weights themselves.  Compared with the check made afresh
-    against the limit along the weights, over seeded chains."""
+    taken along the weights themselves: one step check per split, or one
+    for a chain with no split.  Compared with the image-bracketing oracle
+    ``_limit_morphism`` made afresh against the limit along the weights,
+    over seeded chains."""
 
     def test_against_a_fresh_check(self, monkeypatch):
         rng = random.Random(20261029)
         checks = []
-        original = lie_module._limit_morphism
+        original = lie_module._step_morphism
 
-        def counted(images, source, limit):
-            checks.append(limit)
-            return original(images, source, limit)
+        def counted(po, images, table, weights):
+            checks.append(tuple(weights))
+            return original(po, images, table, weights)
 
-        monkeypatch.setattr(lie_module, "_limit_morphism", counted)
+        monkeypatch.setattr(lie_module, "_step_morphism", counted)
         for _ in range(24):
             m = rng.randint(3, 6)
             q = rng.randint(0, m // 2)
@@ -1846,6 +1987,7 @@ class TestSigmaChainFinalCheck:
             checks.clear()
             result = sigma_chain(m - q, q, weights)
             assert len(checks) == max(len(result.splits), 1), (m, q, weights)
+            assert checks[-1] == tuple(weights), (m, q, weights)
             # The images of the last step, rebuilt, against the full limit.
             po = build_po(((m - q, q),), m)
             images = po._flat
@@ -1856,7 +1998,7 @@ class TestSigmaChainFinalCheck:
                     for idx, img in enumerate(images)
                 ]
             full = conjugacy_limit(po, FactoredSequence.diagonal(weights))
-            assert original(images, result.final_table, full)[1] == result.final_matches_limit, (m, q, weights)
+            assert _limit_morphism(images, result.final_table, full)[1] == result.final_matches_limit, (m, q, weights)
 
 
 def reference_sigma_chain(p, q, weights):

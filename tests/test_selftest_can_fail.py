@@ -59,6 +59,8 @@ FAULTS = [
     (acceptance.check_example_limits, geometry, "conjugacy_limit", lambda alg, seq: alg),
     (acceptance.check_contraction_chain, acceptance, "contract", _source_table),
     (acceptance.check_sigma_chain, lie, "conjugacy_limit", lambda alg, seq: alg),
+    (acceptance.check_sigma_chain, lie, "contract", _source_table),
+    (acceptance.check_sigma_chain, lie, "_min_grade_projection", lambda v, u, m: v),
     (acceptance.check_invariant_profiles, BracketTable, "center_dim", lambda self: 0),
     (acceptance.check_figure1, correlator, "classify_point_limit", _every_point_to_boundary),
     (acceptance.check_uv_ir, geometry, "point_limit", _point_unchanged),
