@@ -53,7 +53,7 @@ from .parsing import (
     parse_sequence,
     parse_signature,
 )
-from .projective import FactoredSequence, ProjPoint
+from .projective import FactoredSequence, canonical_coords, point_text
 from .young import (
     branch_to_lorentz,
     is_poincare_irreducible,
@@ -278,7 +278,7 @@ def _cmd_classify(args) -> int:
         raise ParseError("classify needs --algebra or --signature")
     sig = parse_algebra(args.algebra) if args.algebra else parse_signature(args.signature)
     deg = geometry_limit(sig, parse_sequence(args.seq, _ambient_dim(sig)))
-    points = [ProjPoint(coords) for coords in _split_points(args.points)]
+    points = [canonical_coords(coords) for coords in _split_points(args.points)]
     reports = [classify_point_limit(deg, point) for point in points]
     payload = {
         "geometry": signature_str(sig),
@@ -291,7 +291,7 @@ def _cmd_classify(args) -> int:
         f"limit signature: po{signature_str(deg.limit_sig)} with permutation {_perm_str(deg.perm)}",
     ]
     for point, report in zip(points, reports):
-        lines.append(f"  {point} -> {report.point} [{report.kind}]")
+        lines.append(f"  {point_text(point)} -> {point_text(report.coords)} [{report.kind}]")
     _emit(args, payload, lines)
     return 0
 

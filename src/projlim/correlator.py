@@ -36,10 +36,11 @@ from .linalg import (
 from .projective import (
     FactoredSequence,
     ProjMatrix,
-    ProjPoint,
+    canonical_coords,
     factored_product,
     invert_permutation,
     is_identity,
+    point_text,
     transpose_rows,
 )
 from .young import DIM_FUND, DiagramPair, pair_str, symmetrizer_basis, validate_pair
@@ -445,11 +446,11 @@ def degenerate(
         for factor in spec.factors
     )
 
-    # Each point is made canonical once; its str is point_in.  The basis point
-    # e_i is interior (Q(e_i) = -1 < 0) exactly when i < p0.
+    # Each point is read once, as canonical rationals; their text is point_in.
+    # The basis point e_i is interior (Q(e_i) = -1 < 0) exactly when i < p0.
     m = deg.m
-    points = [entry if isinstance(entry, ProjPoint) else ProjPoint(entry) for entry in sample_points or ()]
-    points += [ProjPoint([int(i == j) for j in range(m)]) for i in range(deg.sig[0][0])]
+    points = [canonical_coords(entry) for entry in sample_points or ()]
+    points += [[int(i == j) for j in range(m)] for i in range(deg.sig[0][0])]
 
     samples = []
     fixed_points: list[str] = []
@@ -457,12 +458,12 @@ def degenerate(
     for point in points:
         report = classify_point_limit(deg, point)
         kinds.add(report.kind)
-        out_str = str(report.point)
+        out_str = point_text(report.coords)
         if report.kind == "interior_lower_dim" and out_str not in fixed_points:
             fixed_points.append(out_str)
         samples.append(
             SupportSample(
-                point_in=str(point),
+                point_in=point_text(point),
                 kind=report.kind,
                 point_out=out_str,
                 vanishing=report.vanishing,

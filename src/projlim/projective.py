@@ -7,9 +7,11 @@ constant term rescaled to 1; two projective matrices are equal exactly when
 their canonical representatives coincide entrywise.  The class is stored once,
 as sparse rows (the nonzero (column, LaurentScalar) entries of each row), and
 the canonical form, its limit and every reader run over the nonzero entries
-only; the dense rows are a view.  A projective point is stored the same way,
-as one sparse row; a point whose coordinates are all rational is made
-canonical over the rationals, with no Laurent arithmetic.
+only; the dense rows are a view.  A ``ProjPoint`` is stored the same way, as
+one sparse row.  A rational point needs none of that: it is one list of
+canonical rational coordinates (``canonical_coords``, the first nonzero
+coordinate scaled to 1), read once and printed from those rationals
+(``point_text``).
 
 Degenerating sequences b(t) are kept in factored form
 
@@ -36,7 +38,8 @@ formed when both factors are the identity.
 The limit of a point is read off the weights (the least-weight rule): with
 y = right * x, the limit of b(t) x is left * z, where z keeps the coefficients
 of y at the least value of w_i + val(y_i).  A rational point takes no Laurent
-arithmetic at all (``point_limit``).
+arithmetic at all (``rational_limit``, which ``point_limit`` uses too): no
+Laurent scalar is made for it from input to printed output.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .laurent import LaurentScalar, lau, rational_combination
 from .linalg import SparseRows, sparse_rows
 
 _ZERO = LaurentScalar.zero()
+_NOUGHT = Fraction(0)
 
 
 def _dense_row(row, ncols: int) -> list[LaurentScalar]:
@@ -102,25 +106,57 @@ def _rationals(coords) -> list[Fraction] | None:
     ``lau`` (NotExact)."""
     out = []
     for x in coords:
-        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        if type(x) is int:
+            x = Fraction(x)
+        elif type(x) is not Fraction:
             x = lau(x)
             if not x.is_constant():
                 return None
             x = x.coefficient(0)
-        out.append(x if isinstance(x, Fraction) else Fraction(x))
+        out.append(x)
     return out
 
 
-def _rational_row(coords: list[Fraction]) -> tuple:
-    """The canonical sparse row of a rational point: its first nonzero
-    coordinate rescaled to 1, the entries constant LaurentScalars.  This is
-    the canonical form ``_canonicalize`` gives, with no shift to make."""
+def _canonical(coords: list[Fraction]) -> list[Fraction]:
+    """The canonical coordinates of a rational point: its first nonzero
+    coordinate rescaled to 1.  This is the canonical form ``_canonicalize``
+    gives, with no shift to make."""
     lead = next((x for x in coords if x), None)
     if lead is None:
         raise ZeroMatrix("the zero vector is not a projective point")
-    if lead != 1:
-        coords = [x / lead for x in coords]
+    return coords if lead == 1 else [x / lead if x else x for x in coords]
+
+
+def _rational_row(coords) -> tuple:
+    """The sparse row of canonical rational coordinates, the entries constant
+    LaurentScalars."""
     return tuple((i, LaurentScalar._of({0: x})) for i, x in enumerate(coords) if x)
+
+
+def canonical_coords(point) -> list[Fraction]:
+    """The canonical rational coordinates of a point given as a ``ProjPoint``
+    or as coordinates (integers, fractions, Laurent scalars or expression
+    strings), with the refusals of ``ProjPoint(point).constant_coords()``: a
+    float or a bool (NotExact), the zero vector (ZeroMatrix) and a point that
+    depends on t (DivergentLimit).  Rational coordinates are read with no
+    Laurent arithmetic.
+
+    >>> canonical_coords([-3, 1, 1, 0, 2])
+    [Fraction(1, 1), Fraction(-1, 3), Fraction(-1, 3), Fraction(0, 1), Fraction(-2, 3)]
+    """
+    if isinstance(point, ProjPoint):
+        return point.constant_coords()
+    point = list(point)
+    rational = _rationals(point)
+    if rational is None:  # [t, t] is the constant point [1, 1]
+        return ProjPoint(point).constant_coords()
+    return _canonical(rational)
+
+
+def point_text(coords) -> str:
+    """The printed form of a point: ``[x_0, x_1, ...]``, each coordinate a
+    rational or a Laurent scalar (a constant scalar prints as its value)."""
+    return "[" + ", ".join(map(str, coords)) + "]"
 
 
 class ProjMatrix:
@@ -215,13 +251,13 @@ class ProjPoint:
         if rational is None:
             [self.sparse] = _canonicalize(sparse_rows([[lau(x) for x in coords]]))
         else:
-            self.sparse = _rational_row(rational)
+            self.sparse = _rational_row(_canonical(rational))
         self.dim: int = len(coords)
 
     @classmethod
-    def _of_rationals(cls, coords: list[Fraction]) -> "ProjPoint":
-        """The point with the given rational coordinates, made canonical over
-        the rationals."""
+    def _of_rationals(cls, coords) -> "ProjPoint":
+        """The point with the given canonical rational coordinates, its
+        entries constant LaurentScalars."""
         out = object.__new__(cls)
         out.sparse, out.dim = _rational_row(coords), len(coords)
         return out
@@ -257,7 +293,7 @@ class ProjPoint:
         return hash(self.sparse)
 
     def __str__(self) -> str:
-        return "[" + ", ".join(map(str, self.coords)) + "]"
+        return point_text(self.coords)
 
     def __repr__(self) -> str:
         return f"ProjPoint({self})"
@@ -486,11 +522,36 @@ class FactoredSequence:
 
 
 def _times(rows: SparseRows, x: list[Fraction]) -> list[Fraction]:
-    """rows * x for rational sparse rows and a dense rational vector; x itself
-    for the identity."""
+    """rows * x for rational sparse rows and a dense rational vector: x itself
+    for the identity, and a row with one entry relabels, with no sum formed."""
     if is_identity(rows):
         return x
-    return [sum(a * x[j] for j, a in row) for row in rows]
+    return [_dot(row, x) for row in rows]
+
+
+def _dot(row, x: list[Fraction]) -> Fraction:
+    """One sparse row times x: a row with one entry reads x[j], scaled unless
+    the entry is 1."""
+    if len(row) == 1:
+        [(j, a)] = row
+        return x[j] if a == 1 else a * x[j]
+    return sum(a * x[j] for j, a in row)
+
+
+def rational_limit(seq: FactoredSequence, coords: list[Fraction]) -> list[Fraction]:
+    """The canonical coordinates of the t -> 0 limit of b(t) x for a nonzero
+    rational point x of the sequence's dimension, by the least-weight rule of
+    ``point_limit``: every val(y_i) of y = R x is 0, so v is the least weight
+    of a nonzero y_i, and z is y on the coordinates of that weight.  No
+    Laurent arithmetic at all.
+
+    >>> rational_limit(FactoredSequence.diagonal([1, 0, 0]), [Fraction(2), Fraction(4), Fraction(-1)])
+    [Fraction(0, 1), Fraction(1, 1), Fraction(-1, 4)]
+    """
+    w = seq.weights
+    y = _times(seq.right, coords)
+    v = min(w[i] for i, c in enumerate(y) if c)
+    return _canonical(_times(seq.left, [c if w[i] == v else _NOUGHT for i, c in enumerate(y)]))
 
 
 def point_limit(seq: FactoredSequence, point: ProjPoint | list) -> ProjPoint:
@@ -502,9 +563,8 @@ def point_limit(seq: FactoredSequence, point: ProjPoint | list) -> ProjPoint:
     z != 0, and L z is the coefficient of t^v in b(t) x; no lower power
     occurs, since L is constant.  L is invertible, so L z != 0 and v is the
     least exponent of b(t) x: its limit is the class of L z.  A rational
-    point needs no Laurent arithmetic: every val(y_i) is 0, so v is the least
-    weight of a nonzero y_i, and z is y on the coordinates of that weight.
-    The rule equals the canonical limit of the Laurent point b(t) x.
+    point takes ``rational_limit``.  The rule equals the canonical limit of
+    the Laurent point b(t) x.
 
     >>> seq = FactoredSequence.diagonal([1, 0, 2])
     >>> str(point_limit(seq, ["t^-1 + 5", "3 + t", "t^-1"]))  # w_i + val(y_i): 0, 0, 1
@@ -512,18 +572,17 @@ def point_limit(seq: FactoredSequence, point: ProjPoint | list) -> ProjPoint:
     >>> str(point_limit(seq, [0, 2, 4]))
     '[0, 1, 0]'
     """
-    if not isinstance(point, ProjPoint):
-        point = ProjPoint(point)
-    if point.dim != seq.dim:
-        raise DimError(f"point has {point.dim} coordinates, sequence dimension is {seq.dim}")
-    x, w = point.coords, seq.weights
+    x = point.coords if isinstance(point, ProjPoint) else list(point)
     rational = _rationals(x)
     if rational is not None:
-        y = _times(seq.right, rational)
-        v = min(w[i] for i, c in enumerate(y) if c)
-        z = [c if w[i] == v else 0 for i, c in enumerate(y)]
+        rational = _canonical(rational)  # ZeroMatrix for the zero vector
     else:
-        y = [rational_combination((a, x[j]) for j, a in row) for row in seq.right]
-        v = min(w[i] + e.min_exponent() for i, e in enumerate(y) if e)
-        z = [e.coefficient(v - w[i]) for i, e in enumerate(y)]
-    return ProjPoint._of_rationals(_times(seq.left, z))
+        x = [lau(c) for c in x]
+    if len(x) != seq.dim:
+        raise DimError(f"point has {len(x)} coordinates, sequence dimension is {seq.dim}")
+    if rational is not None:
+        return ProjPoint._of_rationals(rational_limit(seq, rational))
+    y = [rational_combination((a, x[j]) for j, a in row) for row in seq.right]
+    v = min(seq.weights[i] + e.min_exponent() for i, e in enumerate(y) if e)
+    z = [e.coefficient(v - w) for w, e in zip(seq.weights, y)]
+    return ProjPoint._of_rationals(_canonical(_times(seq.left, z)))

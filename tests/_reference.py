@@ -4,7 +4,9 @@ dense permutation matrix, the matrix commutator for the dense Lie oracles, the i
 Descartes' rule on its Faddeev-LeVerrier characteristic polynomial for the
 congruence-elimination oracle, the dense Laurent matrix product for
 the factored-sequence oracles, the Laurent push of a point through a
-factored sequence for the point-limit oracles, the dense Young
+factored sequence for the point-limit oracles, the Laurent point route
+(``ProjPoint`` read, Laurent limit, ``LaurentScalar.__str__`` text) for the
+rational point route, the dense Young
 symmetrizer matrix for the symmetrizer-basis oracles, random scaled
 permutation factors for the monomial-factor oracles, and the truncated
 formal sum Delta for the lazy ``young._delta_terms_in``.
@@ -25,7 +27,7 @@ from fractions import Fraction
 from typing import Dict, Iterable
 
 from projlim import linalg
-from projlim.errors import DimError, NotSubalgebra, TooLarge
+from projlim.errors import DimError, NotSubalgebra, ProjlimError, TooLarge
 from projlim.laurent import LaurentScalar, lau, rational_combination
 from projlim.lie import BracketTable, LieAlgebraSpan, _commutator_partners, _sparse_bracket
 from projlim.projective import ProjPoint
@@ -233,6 +235,46 @@ def reference_apply_to_point(seq, point):
         raise DimError(f"point has {len(x)} coordinates, sequence dimension is {seq.dim}")
     v = [rational_combination((a, x[j]) for j, a in row).shift(w) for row, w in zip(seq.right, seq.weights)]
     return ProjPoint([rational_combination((a, v[j]) for j, a in row) for row in seq.left])
+
+
+def reference_side(sig, coords):
+    """``in_model_space`` by its definition: the sign of
+    -x_0^2 - ... - x_{p0-1}^2 + x_{p0}^2 + ... + x_{p0+q0-1}^2."""
+    p0, q0 = sig[0]
+    value = Fraction(0)
+    for i, c in enumerate(coords[: p0 + q0]):
+        value += (-1 if i < p0 else 1) * Fraction(c) * Fraction(c)
+    return "interior" if value < 0 else "boundary" if value == 0 else "outside"
+
+
+def reference_point_route(deg, x):
+    """The classification of a sample point by the Laurent route the rational
+    one replaced: the point read as a ``ProjPoint``, its limit the canonical
+    limit of the Laurent point b(t) x (``reference_apply_to_point``), both
+    printed through ``LaurentScalar.__str__``, and membership by the form's
+    definition (``reference_side``).  ``deg`` needs sig, seq, m, limit_sig,
+    perm and rank, as a ``Degeneration`` has them.  Returns (kind, text in,
+    text out, vanishing, limit point); a refusal raises the error the package
+    raises, with its text."""
+    point = x if isinstance(x, ProjPoint) else ProjPoint(list(x))
+    coords = point.constant_coords()
+    if len(coords) != deg.m:
+        raise DimError(f"expected {deg.m} coordinates, got {len(coords)}")
+    if reference_side(deg.sig, coords) != "interior":
+        raise ProjlimError("point is not interior to the model space")
+    # t x depends on t, so it is made canonical by the Laurent route; its class is x's.
+    text_in = str(ProjPoint([LaurentScalar.t() * c for c in point.coords]))
+    y = reference_apply_to_point(deg.seq, point).limit()
+    y_coords = y.constant_coords()
+    inverse = sorted(range(deg.m), key=deg.perm.__getitem__)
+    side = reference_side(deg.limit_sig, [y_coords[j] for j in inverse])
+    if side == "outside":
+        raise ProjlimError(
+            "interior point escaped the closed limit model space; "
+            "the sequence does not degenerate this geometry"
+        )
+    kind = "boundary" if side == "boundary" else "interior_generic" if deg.rank == deg.m else "interior_lower_dim"
+    return kind, text_in, str(y), y.zero_pattern(), y
 
 
 def reference_symmetrizer_matrix(lam: Iterable[int]) -> tuple[list[list[Fraction]], list[tuple[int, ...]]]:

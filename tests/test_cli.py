@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from projlim import cli, lie
 from projlim.cli import main
+from projlim.laurent import LaurentScalar
+from projlim.projective import ProjPoint
 
 DS_SEQ = "diag(t^4,t^-1,t^-1,t^-1,t^-1)"
 GALILEI_SEQ = "diag(t,1,1,1,t)"
@@ -262,6 +264,101 @@ class TestEmbedAndClassify:
         )
         assert (code, out) == (1, "")
         assert err == "error: the zero vector is not a projective point\n"
+
+
+CANONICAL_CLASSIFY = [
+    "classify", "--signature", "(4,1)", "--seq", DS_SEQ, "--points", "[2,1,0,0,0];[-3,1,1,0,2]",
+]
+CANONICAL_CORRELATOR = [
+    "correlator", "--geometry", "(3,2)", "--reps", "fundamental", "--seq", "diag(t^-1,t^-1,t^-1,t^-1,t^4)",
+    "--perm", "(1 2 3 4 0)", "--points", "[2,1,1,1,0];[-3,0,1,2,2/3]",
+]
+
+
+class TestCanonicalPointText:
+    """Sample points print as canonical rationals (the first nonzero
+    coordinate scaled to 1), in both formats, and no Laurent scalar is made
+    or printed for them."""
+
+    def test_classify_table(self):
+        assert request(CANONICAL_CLASSIFY) == (
+            0,
+            "geometry:        po(4,1)\n"
+            "limit signature: po((1),(3,1)) with permutation (0 1 2 3 4)\n"
+            "  [1, 1/2, 0, 0, 0] -> [0, 1, 0, 0, 0] [boundary]\n"
+            "  [1, -1/3, -1/3, 0, -2/3] -> [0, 1, 1, 0, 2] [boundary]\n",
+            "",
+        )
+
+    def test_classify_json(self):
+        code, out, err = request(CANONICAL_CLASSIFY + ["--format", "json"])
+        assert (code, err) == (0, "")
+        points = json.loads(out)["points"]
+        assert [(p["point"], p["vanishing"]) for p in points] == [
+            ("[0, 1, 0, 0, 0]", [0, 2, 3, 4]),
+            ("[0, 1, 1, 0, 2]", [0, 3]),
+        ]
+
+    def test_correlator_with_a_permutation(self):
+        samples = [
+            ("[1, 1/2, 1/2, 1/2, 0]", "[0, 1, 1/2, 1/2, 1/2]"),
+            ("[1, 0, -1/3, -2/3, -2/9]", "[0, 1, 0, -1/3, -2/3]"),
+            ("[1, 0, 0, 0, 0]", "[0, 1, 0, 0, 0]"),
+            ("[0, 1, 0, 0, 0]", "[0, 0, 1, 0, 0]"),
+            ("[0, 0, 1, 0, 0]", "[0, 0, 0, 1, 0]"),
+        ]
+        code, out, err = request(CANONICAL_CORRELATOR)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[4:] == [f"  {a} -> {b} [boundary]" for a, b in samples]
+        code, out, err = request(CANONICAL_CORRELATOR + ["--format", "json"])
+        assert (code, err) == (0, "")
+        assert [(s["point_in"], s["point_out"]) for s in json.loads(out)["samples"]] == samples
+
+    @pytest.fixture
+    def point_work(self, monkeypatch):
+        """Counts of ``LaurentScalar.__str__`` calls and of ``ProjPoint``s made
+        (by ``__init__``, ``_of_rationals`` or ``limit``)."""
+        counts = {"str": 0, "ProjPoint": 0}
+        text = LaurentScalar.__str__
+        init = ProjPoint.__init__
+        of_rationals = ProjPoint._of_rationals.__func__
+        limit = ProjPoint.limit
+
+        def counted_str(self):
+            counts["str"] += 1
+            return text(self)
+
+        def counted_init(self, coords):
+            counts["ProjPoint"] += 1
+            init(self, coords)
+
+        def counted_of_rationals(cls, coords):
+            counts["ProjPoint"] += 1
+            return of_rationals(cls, coords)
+
+        def counted_limit(self):
+            counts["ProjPoint"] += 1
+            return limit(self)
+
+        monkeypatch.setattr(LaurentScalar, "__str__", counted_str)
+        monkeypatch.setattr(ProjPoint, "__init__", counted_init)
+        monkeypatch.setattr(ProjPoint, "_of_rationals", classmethod(counted_of_rationals))
+        monkeypatch.setattr(ProjPoint, "limit", counted_limit)
+        return counts
+
+    @pytest.mark.parametrize(
+        "argv, rho_entries",
+        [(CANONICAL_CLASSIFY, 0), (CANONICAL_CORRELATOR, 25), (["correlator", "--mode", "uv", "--ell", "2"], 25)],
+        ids=["classify", "correlator", "uv"],
+    )
+    def test_sample_points_make_no_laurent_scalar(self, point_work, argv, rho_entries):
+        """The only Laurent scalars printed are the rho-infinity entries (one
+        5 x 5 matrix for the fundamental tag)."""
+        code, out, err = request(argv + ["--format", "json"])
+        assert (code, err) == (0, "")
+        rho_inf = json.loads(out).get("rho_inf", {}).values()
+        assert sum(len(row.split(", ")) for rho in rho_inf for row in rho[2:-2].split("], [")) == rho_entries
+        assert point_work == {"str": rho_entries, "ProjPoint": 0}
 
 
 class TestSchur:

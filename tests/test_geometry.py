@@ -1,10 +1,13 @@
 """Model spaces, their degenerations, and point-limit classification."""
 
+import dataclasses
+import itertools
 import random
 import re
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -26,11 +29,11 @@ from projlim.geometry import (
     scale_matrix,
     transform_vector,
 )
-from projlim.lie import build_po, conjugacy_limit, match_limit_geometry, validate_signature
+from projlim.lie import build_po, conjugacy_limit, enumerate_signatures, match_limit_geometry, validate_signature
 from projlim.parsing import parse_sequence
-from projlim.projective import FactoredSequence, ProjPoint, invert_permutation
+from projlim.projective import FactoredSequence, ProjPoint, canonical_coords, point_limit, point_text
 
-from _reference import permutation_matrix, reference_apply_to_point, reference_gauge_equivalent, reference_rank
+from _reference import permutation_matrix, reference_gauge_equivalent, reference_point_route, reference_rank
 
 FLAT = ((1, 0), (3, 1))
 GALILEI_SEQ = parse_sequence("diag(t,1,1,1,t)")
@@ -227,40 +230,16 @@ class TestClassifyPointLimit:
         assert report.point == ProjPoint(point)
 
 
-def reference_side(sig, coords):
-    """``in_model_space`` by its definition: the sign of
-    -x_0^2 - ... - x_{p0-1}^2 + x_{p0}^2 + ... + x_{p0+q0-1}^2."""
-    p0, q0 = sig[0]
-    value = Fraction(0)
-    for i, c in enumerate(coords[: p0 + q0]):
-        value += (-1 if i < p0 else 1) * Fraction(c) * Fraction(c)
-    return "interior" if value < 0 else "boundary" if value == 0 else "outside"
-
-
 def reference_classify_point_limit(sig, b, x):
     """The per-point classification before the Degeneration record: it derives
     the limit signature, frame permutation and rank at the limit again for
-    every point."""
+    every point, then takes the Laurent point route."""
     sig = validate_signature(sig)
-    x = ProjPoint(list(x))
-    if reference_side(sig, x.constant_coords()) != "interior":
-        raise ProjlimError("point is not interior to the model space")
-    y = reference_apply_to_point(b, x).limit()
     limit_sig, perm = match_limit_geometry(conjugacy_limit(build_po(sig), b))
-    y_coords = y.constant_coords()
-    inv = invert_permutation(perm)
-    z_coords = [y_coords[inv[i]] for i in range(len(y_coords))]
-    membership = reference_side(limit_sig, z_coords)
-    if membership == "boundary":
-        kind = "boundary"
-    elif membership == "interior":
-        if b.matrix().rank_at_limit() == len(z_coords):
-            kind = "interior_generic"
-        else:
-            kind = "interior_lower_dim"
-    else:
-        raise ProjlimError("interior point escaped the closed limit model space")
-    return kind, y, y.zero_pattern(), limit_sig
+    rank = b.matrix().rank_at_limit()
+    record = SimpleNamespace(sig=sig, seq=b, m=b.dim, limit_sig=limit_sig, perm=perm, rank=rank)
+    kind, _, _, vanishing, y = reference_point_route(record, x)
+    return kind, y, vanishing, limit_sig
 
 
 ORACLE_SIGS = [
@@ -420,6 +399,98 @@ class TestRationalPointRoute:
             assert classify_point_limit(deg, x) == report
             assert classify_point_limit(deg, ProjPoint(x)) == report
             assert str(classify_point_limit(deg, x).point) == str(report.point)
+
+
+POINT_VALUES = (-3, -2, -1, 0, 0, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))
+
+
+def _grid_factor(rng, kind, m):
+    """An m x m factor: the identity, a permutation or a dense invertible one with entries -1, 0, 1."""
+    if kind == "identity":
+        return linalg.identity(m)
+    if kind == "permutation":
+        return permutation_matrix(rng.sample(range(m), m))
+    while True:
+        a = [[rng.choice((-1, 0, 1)) for _ in range(m)] for _ in range(m)]
+        if reference_rank(a) == m:
+            return a
+
+
+def _grid_points(rng, sig, m):
+    """Three interior points and one drawn freely (it may be outside, on the
+    boundary or zero), each as a list of numbers, of expression strings or as
+    a ProjPoint; then the refusals: the zero vector, a short and a long point,
+    points that depend on t ([t, t, ...] does not: it is [1, 1, ...]), a float
+    and a bool."""
+    points = []
+    while len(points) < 3:
+        x = [rng.choice(POINT_VALUES) for _ in range(m)]
+        if in_model_space(sig, x) == "interior":
+            points.append(x)
+    points.append([rng.choice(POINT_VALUES) for _ in range(m)])
+    points = [rng.choice((x, [str(c) for c in x], ProjPoint(x) if any(x) else x)) for x in points]
+    rest = [0] * (m - 1)
+    return points + [
+        [0] * m,
+        [1] * (m - 1),
+        [1] * (m + 1),
+        ["t", 1] + rest[1:],
+        ["t", "t"] + rest[1:],
+        ["t^-1 + 2", "t^-1"] + rest[1:],
+        ProjPoint(["t"] + [1] * (m - 1)),
+        [0.5] + rest,
+        [True] + rest,
+    ]
+
+
+class TestRationalRouteAgainstLaurentRoute:
+    """The rational point route (``canonical_coords``, ``rational_limit``,
+    ``point_text``) against the Laurent route it replaced
+    (``_reference.reference_point_route``) on a seeded grid at m = 3-6, with
+    L and R each the identity, a permutation or a dense -1/0/1 matrix."""
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_grid(self, m):
+        rng = random.Random(20261020 + m)
+        signatures = enumerate_signatures(m)
+        kinds = ("identity", "permutation", "dense")
+        matched = 0
+        for left, right in itertools.product(kinds, repeat=2):
+            for draw in range(3):
+                sig = rng.choice(signatures)
+                # Equal weights keep full rank, so interior points stay generic.
+                weights = [rng.randint(-2, 2)] * m if draw == 2 else [rng.randint(-2, 2) for _ in range(m)]
+                seq = FactoredSequence.build(_grid_factor(rng, left, m), weights, _grid_factor(rng, right, m))
+                try:
+                    deg = geometry_limit(sig, seq)
+                    matched += 1
+                except NoMatch:
+                    # The point route reads only sig, seq, limit_sig, perm and
+                    # rank, so the record of the weights alone, carrying the
+                    # dense sequence, runs it where no limit is matched.
+                    deg = dataclasses.replace(geometry_limit(sig, FactoredSequence.diagonal(weights)), seq=seq)
+                for x in _grid_points(rng, sig, m):
+                    self.check(deg, x)
+        assert matched >= 8
+
+    @staticmethod
+    def check(deg, x):
+        try:
+            kind, text_in, text_out, vanishing, point = reference_point_route(deg, x)
+        except ProjlimError as exc:
+            with pytest.raises(ProjlimError) as caught:
+                classify_point_limit(deg, x)
+            assert (type(caught.value), str(caught.value)) == (type(exc), str(exc))
+            return
+        report = classify_point_limit(deg, x)
+        assert (report.kind, report.vanishing, report.limit_signature) == (kind, vanishing, deg.limit_sig)
+        assert (point_text(canonical_coords(x)), point_text(report.coords), report.as_dict()["point"]) == (
+            text_in,
+            text_out,
+            text_out,
+        )
+        assert report.point == point and str(report.point) == text_out
+        assert point_limit(deg.seq, x) == point
 
 
 class TestTransformAndGauge:

@@ -18,7 +18,7 @@ import pytest
 
 from projlim import acceptance, correlator, geometry, lie, linalg, parsing, projective, young
 from projlim.lie import BracketTable
-from projlim.projective import ProjMatrix, ProjPoint
+from projlim.projective import ProjMatrix
 
 
 def _source_table(h, t_indices):
@@ -29,8 +29,8 @@ def _every_point_to_boundary(deg, x):
     return dataclasses.replace(geometry.classify_point_limit(deg, x), kind="boundary")
 
 
-def _point_unchanged(seq, point):
-    return point if isinstance(point, ProjPoint) else ProjPoint(point)
+def _point_unchanged(seq, coords):
+    return list(coords)
 
 
 def _flipped_statistics(pair):
@@ -63,7 +63,7 @@ FAULTS = [
     (acceptance.check_sigma_chain, lie, "_min_grade_projection", lambda v, u, m: v),
     (acceptance.check_invariant_profiles, BracketTable, "center_dim", lambda self: 0),
     (acceptance.check_figure1, correlator, "classify_point_limit", _every_point_to_boundary),
-    (acceptance.check_uv_ir, geometry, "point_limit", _point_unchanged),
+    (acceptance.check_uv_ir, geometry, "rational_limit", _point_unchanged),
     (acceptance.check_uv_ir, correlator, "classify_point_limit", _every_point_to_boundary),
     (
         acceptance.check_uv_ir,
