@@ -394,7 +394,8 @@ def _cmd_correlator(args) -> int:
         perm = parse_permutation(args.perm, seq.dim) if args.perm else None
         points = _split_points(args.points) if args.points else None
         report = degenerate(spec, seq, perm, points)
-    _emit(args, report.as_dict(), _report_lines(report))
+    # The table prints no rho-infinity entry, so only json builds the payload.
+    _emit(args, report.as_dict() if args.format == "json" else {}, _report_lines(report))
     return 0
 
 

@@ -27,6 +27,7 @@ from .linalg import (
     dense_rows,
     frac_rows,
     identity,
+    integers,
     inverse,
     inverse_rows,
     mat_mul,
@@ -601,6 +602,7 @@ def uv_ir_report(
     spatial part onto the boundary sphere and keep [1,0,0,0,0] fixed, and
     only the first component survives.
     """
+    [ell] = integers([ell], "factor counts")
     if ell < 1:
         raise DimError("need at least one factor")
     if ell > _MAX_FACTORS:

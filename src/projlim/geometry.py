@@ -26,7 +26,7 @@ from .lie import (
     match_limit_geometry,
     validate_signature,
 )
-from .linalg import Echelon
+from .linalg import Echelon, integers
 from .projective import (
     FactoredSequence,
     ProjPoint,
@@ -133,10 +133,11 @@ def limit_signature(p: int, q: int, split_set: Iterable[int]) -> Signature:
     >>> limit_signature(3, 2, {4})
     ((3, 1), (0, 1))
     """
+    p, q = integers((p, q), "signature entries")
     if p < 0 or q < 0 or p + q < 1:
         raise SignatureError(f"invalid signature ({p},{q})")
     m = p + q
-    splits = sorted(set(split_set))
+    splits = sorted(set(integers(split_set, "split positions")))
     for s in splits:
         if not 1 <= s <= m - 1:
             raise SignatureError(f"split position {s} outside 1..{m - 1}")

@@ -23,7 +23,9 @@ support.  Brackets are formed only for partner pairs (``_partners``); every
 other pair brackets to zero, so the closure check, the series, the Killing
 form and ``verify_morphism`` skip it exactly.  A limit along diag(t^w) has
 the source table filtered by grade (``iw_contract``, with the proof), and
-each sigma-chain step is checked against that filter with no bracket.
+each sigma-chain step is checked against that filter with no bracket: its
+images span the limit (one echelon, whose RREF rows equal the limit's) and
+its table is the filter.
 
 Each block algebra po(sig) is built once per process (``build_po``) and
 shared, with its own match.  A conjugacy limit is identified once, by the
@@ -199,6 +201,13 @@ class LieAlgebraSpan:
 
     def span_equals(self, other: "LieAlgebraSpan") -> bool:
         return self.m == other.m and self._echelon.rows == other._echelon.rows
+
+    def _is_basis(self, vectors) -> bool:
+        """Whether flattened matrices are a basis of the span: one echelon of
+        them raises the rank at each one and has the span's RREF rows, which
+        are canonical."""
+        echelon = linalg.Echelon()
+        return echelon.extend(vectors) and echelon.rows == self._echelon.rows
 
     def structure_constants(self) -> "BracketTable":
         """Structure constants c^k_{ij} with [e_i, e_j] = sum_k c^k_{ij} e_k.
@@ -401,10 +410,9 @@ class BracketTable:
 
 def truncated_exp(x: Mat, order: int) -> Mat:
     """sum_{r<=order} x^r / r! -- a rational approximation of exp(x)."""
-    m = len(x)
+    [order] = linalg.integers([order], "truncation orders")
     x = linalg.frac_rows(x)
-    out = linalg.identity(m)
-    power = linalg.identity(m)
+    out = power = linalg.identity(len(x))
     fact = 1
     for r in range(1, order + 1):
         power = linalg.mat_mul(power, x)
@@ -615,19 +623,22 @@ def embed_and_limit(
     mixing between the first ``alg.m`` coordinates and the padding ones.
     """
     m = alg.m
-    if m_target < m:
-        raise EmbeddingError(f"target dimension {m_target} below ambient {m}")
-    if seq.dim != m_target:
-        raise DimError(f"sequence dimension {seq.dim} != target {m_target}")
+    padded = pad_span(alg, m_target)
+    if seq.dim != padded.m:
+        raise DimError(f"sequence dimension {seq.dim} != target {padded.m}")
     for rows in (seq.left, seq.right):
         if any((i < m) != (j < m) for i, row in enumerate(rows) for j, _ in row):
             raise EmbeddingError("sequence factors mix embedded block with padding")
-    return conjugacy_limit(pad_span(alg, m_target), seq)
+    return conjugacy_limit(padded, seq)
 
 
 def pad_span(alg: LieAlgebraSpan, m_target: int) -> LieAlgebraSpan:
-    """``alg`` in the top-left block of pgl_{m_target} (m_target >= alg.m), zeros elsewhere."""
+    """``alg`` in the top-left block of pgl_{m_target}, zeros elsewhere;
+    EmbeddingError when m_target is below alg.m."""
     m = alg.m
+    [m_target] = linalg.integers([m_target], "matrix sizes")
+    if m_target < m:
+        raise EmbeddingError(f"target dimension {m_target} below ambient {m}")
     padded = [{(p // m) * m_target + p % m: x for p, x in v.items()} for v in alg._flat]
     return LieAlgebraSpan._of(m_target, padded, check_closed=False)
 
@@ -639,6 +650,7 @@ def pad_span(alg: LieAlgebraSpan, m_target: int) -> LieAlgebraSpan:
 
 def enumerate_signatures(m: int) -> list[Signature]:
     """All ordered block signatures with p_i >= q_i >= 0 summing to m."""
+    [m] = linalg.integers([m], "matrix sizes")
     out: list[Signature] = []
 
     def extend(prefix: list[tuple[int, int]], remaining: int) -> None:
@@ -734,15 +746,11 @@ def _match_of_pieces(pieces: list, colours: list[int]) -> tuple[Signature, tuple
 
 
 def _spans_permuted_po(limit: LieAlgebraSpan, sig: Signature, perm: tuple[int, ...]) -> bool:
-    """Whether the limit span is Ad_{P(perm)} po(sig): the permuted basis has
-    the limit's dimension and reduces to zero against the limit's echelon."""
+    """Whether the limit span is Ad_{P(perm)} po(sig): the permuted basis of
+    po(sig) is a basis of the limit."""
     m = limit.m
     inv = invert_permutation(perm)  # Ad_P E_ij = E_{perm^-1(i), perm^-1(j)}
-    base = build_po(sig, m)
-    return base.dim == limit.dim and all(
-        limit._echelon.coordinates({inv[p // m] * m + inv[p % m]: x for p, x in vec.items()}) is not None
-        for vec in base._flat
-    )
+    return limit._is_basis({inv[p // m] * m + inv[p % m]: x for p, x in vec.items()} for vec in build_po(sig, m)._flat)
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +796,8 @@ def iw_contract(table: BracketTable, d) -> BracketTable:
     [y_a, y_b] = sum of c^k_ab y_k over d_k = d_a + d_b: e_a -> y_a is an
     isomorphism from the contraction onto the limit.  So ``sigma_chain``
     checks a step with no bracket: its images are the y_a of po(p,q) along
-    the step's weights, lie in its limit and are independent, and its table
+    the step's weights, an echelon of them is independent with the RREF
+    rows of its limit (so the y_a are a basis of the limit), and its table
     is the filter of po's.
     """
     d = linalg.integers(d, "exponents")
@@ -1009,8 +1018,7 @@ class ChainStep:
     split: int  # 1-based split position i_l
     fixed_indices: tuple[int, ...]  # t_{l-1}: basis indices fixed by the step
     table: BracketTable  # contracted structure constants h_l
-    morphism: tuple[tuple[Fraction, ...], ...]  # sigma_l in the limit basis
-    verified: bool  # morphism check against the conjugacy limit (see iw_contract)
+    verified: bool  # sigma_l (e_a -> its image) is onto the conjugacy limit isomorphically (see iw_contract)
 
 
 @dataclass(frozen=True)
@@ -1027,41 +1035,42 @@ class ChainResult:
         return all(s.verified for s in self.steps) and self.final_matches_limit
 
 
-def _step_morphism(po: LieAlgebraSpan, images: list[Sparse], table: BracketTable, weights) -> tuple[Mat, bool]:
-    """The map e_a -> images[a] into the limit of po along diag(t^weights),
-    in the limit's basis (a zero column for an image outside it), and whether
-    it is an isomorphism from ``table`` onto the limit by ``iw_contract``."""
+def _step_verified(po: LieAlgebraSpan, images: list[Sparse], table: BracketTable, weights) -> bool:
+    """Whether e_a -> images[a] is an isomorphism from ``table`` onto the
+    limit of po along diag(t^weights), by ``iw_contract``: the images are
+    the least-grade parts y_a of po's basis, they are a basis of the limit
+    (one echelon compared with the limit's, ``_is_basis``), and the table is
+    the filter of po's."""
     m = po.m
     limit = conjugacy_limit(po, FactoredSequence.diagonal(weights))
-    coords = [limit._coordinates(img) for img in images]
-    zero = Fraction(0)
-    morphism = [[(c or {}).get(r, zero) for c in coords] for r in range(len(images))]
     # The y_a are read off the weights here, not by _min_grade_projection,
     # which made the images.
     grade = [weights[p // m] - weights[p % m] for p in range(m * m)]
     d = [min(grade[p] for p in v) for v in po._flat]
-    verified = (
+    return (
         images == [{p: x for p, x in v.items() if grade[p] == da} for v, da in zip(po._flat, d)]
-        and None not in coords
-        and linalg.Echelon().extend(coords)
+        and limit._is_basis(images)
         and table == iw_contract(po.structure_constants(), d)
     )
-    return morphism, verified
 
 
 def sigma_chain(p: int, q: int, weights) -> ChainResult:
     """Realize the conjugacy limit of po(p,q) as a chain of contractions.
 
-    ``weights`` must be integers (NotExact for a float, a string or a bool)
-    and weakly decreasing; each strict drop contributes one
-    single-split factor, processed in ascending split position.  Every step
-    contracts along the subalgebra fixed by its factor and is verified
-    (``iw_contract``) to be isomorphic to the conjugacy limit along the
-    weights up to its split, constant after it; by ``_monomial_limit`` the
-    limit depends only on the order of the weights.  The last step's
-    weights are the weights themselves, so its check is the final check; a
-    chain with no split checks po(p,q) against its limit along the weights.
+    (p, q) is read by ``validate_signature`` and ``weights`` must be
+    integers (NotExact for a float, a string or a bool) and weakly
+    decreasing; each strict drop contributes one single-split factor,
+    processed in ascending split position.  Every step contracts along the
+    subalgebra fixed by its factor; its map sigma_l sends e_a to its image,
+    and is verified (``iw_contract``) to be an isomorphism onto the
+    conjugacy limit along the weights up to its split, constant after it,
+    by one echelon of the images compared with the limit's.  By
+    ``_monomial_limit`` the limit depends only on the order of the weights.
+    The last step's weights are the weights themselves, so its check is the
+    final check; a chain with no split checks po(p,q) against its limit
+    along the weights.
     """
+    [(p, q)] = validate_signature(((p, q),))
     m = p + q
     w = linalg.integers(weights, "weights")
     if len(w) != m:
@@ -1069,7 +1078,6 @@ def sigma_chain(p: int, q: int, weights) -> ChainResult:
     if any(w[i] < w[i + 1] for i in range(m - 1)):
         raise SignatureError("weights must be weakly decreasing")
     po = build_po(((p, q),), m)
-    n = po.dim
     sigma_images = po._flat
     splits = tuple(i for i in range(1, m) if w[i - 1] > w[i])
 
@@ -1077,18 +1085,15 @@ def sigma_chain(p: int, q: int, weights) -> ChainResult:
     current = po.structure_constants()
     for split in splits:
         u = [0] * split + [-1] * (m - split)
-        fixed = tuple(idx for idx in range(n) if all(u[p // m] == u[p % m] for p in sigma_images[idx]))
+        fixed = tuple(idx for idx, img in enumerate(sigma_images) if all(u[p // m] == u[p % m] for p in img))
         current = contract(current, fixed)
         sigma_images = [
             img if idx in fixed else _min_grade_projection(img, u, m) for idx, img in enumerate(sigma_images)
         ]
-        morphism, verified = _step_morphism(po, sigma_images, current, w[:split] + (w[split],) * (m - split))
-        steps.append(ChainStep(split, fixed, current, tuple(map(tuple, morphism)), verified))
+        verified = _step_verified(po, sigma_images, current, w[:split] + (w[split],) * (m - split))
+        steps.append(ChainStep(split, fixed, current, verified))
 
-    if steps:
-        final_ok = steps[-1].verified
-    else:
-        _, final_ok = _step_morphism(po, sigma_images, current, w)
+    final_ok = steps[-1].verified if steps else _step_verified(po, sigma_images, current, w)
     return ChainResult(
         signature=(p, q),
         weights=w,

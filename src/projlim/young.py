@@ -405,6 +405,7 @@ def exterior_power_spins(p: int) -> list[LorentzIrrep]:
     >>> sum(ir.dimension * ir.multiplicity for ir in exterior_power_spins(2))
     6
     """
+    [p] = integers([p], "exterior power degrees")
     if p < 0:
         raise ShapeError("exterior power degree must be nonnegative")
     if p >= 5:
@@ -641,6 +642,7 @@ def tensor_power_decompose(p: int) -> list[tuple[Diagram, int]]:
     >>> sum(f * schur_dim((lam, ())) for lam, f in tensor_power_decompose(3))
     125
     """
+    [p] = integers([p], "tensor power degrees")
     if p < 0 or p > 5:
         raise TooLarge("tensor powers are supported up to p = 5")
     return [(lam, standard_tableaux_count(lam)) for lam in sorted(_partitions_of(p))]

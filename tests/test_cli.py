@@ -360,6 +360,22 @@ class TestCanonicalPointText:
         assert sum(len(row.split(", ")) for rho in rho_inf for row in rho[2:-2].split("], [")) == rho_entries
         assert point_work == {"str": rho_entries, "ProjPoint": 0}
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            CANONICAL_CORRELATOR,
+            ["correlator", "--reps", "fundamental,right_action", "--seq", "diag(t^4,t^-1,t^-1,t^-1,t^-1)"],
+            ["correlator", "--mode", "uv", "--ell", "2"],
+        ],
+        ids=["correlator", "two-reps", "uv"],
+    )
+    def test_table_turns_no_laurent_scalar_into_text(self, point_work, argv):
+        """The table prints no rho-infinity entry, so a table ``correlator``
+        request builds none of their texts."""
+        code, out, err = request(argv)
+        assert (code, err) == (0, "") and "surviving components" in out
+        assert point_work == {"str": 0, "ProjPoint": 0}
+
 
 class TestSchur:
     def test_column_pair(self, capsys):

@@ -822,11 +822,13 @@ class TestSparseAgainstDenseReference:
                 assert result.all_verified
                 po = build_po(((p, q),))
                 composite = [0] * (p + q)
-                for step in result.steps:
+                for step, images in zip(result.steps, _step_images(po, result.steps)):
                     composite = [w - (i >= step.split) for i, w in enumerate(composite)]
                     limit = conjugacy_limit(po, FactoredSequence.diagonal(composite))
                     limit_c = reference_echelon_structure_constants(limit)
-                    assert reference_verify_morphism(step.morphism, _dense_c(step.table), limit_c) == step.verified
+                    # sigma_l, e_a -> images[a], in the limit's basis.
+                    morphism = _limit_morphism(images, step.table, limit)[0]
+                    assert reference_verify_morphism(morphism, _dense_c(step.table), limit_c) == step.verified
                     _check_invariants(step.table)
         assert seen["not closed"] >= 3 and seen["not subalgebra"] >= 3, seen
         assert seen["contraction"] >= 5 and seen["non-isomorphism"] >= 5 and seen["isomorphism"] >= 5, seen
@@ -969,25 +971,28 @@ class TestWorkBound:
     densely along either.  The shared po(sig) spans are built afresh, so a
     table that an earlier test filled in is counted again."""
 
+    @staticmethod
+    def _count(monkeypatch, counts, owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
     @pytest.fixture
     def calls(self, monkeypatch):
         lie_module._po.cache_clear()
         counts = {}
-
-        def counted(owner, name):
-            original = getattr(owner, name)
-
-            def wrapper(*args):
-                counts[name] = counts.get(name, 0) + 1
-                return original(*args)
-
-            monkeypatch.setattr(owner, name, wrapper)
-
-        counted(lie_module, "_sparse_bracket")
-        counted(BracketTable, "_bracket")
-        counted(BracketTable, "_ad")
-        counted(linalg, "inverse")
-        counted(linalg, "rank")
+        for owner, name in (
+            (lie_module, "_sparse_bracket"),
+            (BracketTable, "_bracket"),
+            (BracketTable, "_ad"),
+            (linalg, "inverse"),
+            (linalg, "rank"),
+        ):
+            self._count(monkeypatch, counts, owner, name)
         return counts
 
     def test_m7_limit_match_and_invariants(self, calls):
@@ -1014,6 +1019,31 @@ class TestWorkBound:
         calls.clear()
         assert sigma_chain(4, 2, [2, 2, 0, 0, 0, -1]) == result
         assert calls == {}
+
+    def test_sigma_chain_step_checks_read_no_coordinates(self, calls, monkeypatch):
+        """A step check compares one echelon of its images with the limit's
+        RREF rows.  Once po's own table is built, a chain reads no coordinates
+        in a basis (``LieAlgebraSpan._coordinates``), inverts no basis
+        (``linalg.pivot_inverse``), forms no product, and takes one
+        conjugacy limit per split (one with no split)."""
+        for owner, name in (
+            (LieAlgebraSpan, "_coordinates"),
+            (linalg, "pivot_inverse"),
+            (lie_module, "conjugacy_limit"),
+        ):
+            self._count(monkeypatch, calls, owner, name)
+        rng = random.Random(20261051)
+        chains = [(4, 2, [2, 2, 0, 0, 0, -1]), (3, 0, [0, 0, 0])]
+        for _ in range(8):
+            m = rng.randint(2, 7)
+            q = rng.randint(0, m // 2)
+            chains.append((m - q, q, sorted((rng.randint(-3, 3) for _ in range(m)), reverse=True)))
+        for p, q, weights in chains:
+            build_po(((p, q),)).structure_constants()
+            calls.clear()
+            result = sigma_chain(p, q, weights)
+            assert result.all_verified
+            assert calls == {"conjugacy_limit": max(len(result.splits), 1)}, (p, q, weights)
 
 
 class TestConjugationWork:
@@ -1928,17 +1958,18 @@ class TestIwContract:
         with pytest.raises(NotExact, match="^exponents must be integers, got 0.5$"):
             iw_contract(so3, [0, 0.5, 0])
 
-    def test_step_check_rejects_each_fault(self):
+    def test_step_check_rejects_each_fault(self, monkeypatch):
         """The step check on the last step of a chain, then with one fault
         each: an image doubled, an image left whole, two images swapped, an
-        image outside the limit (a zero column), the unfiltered po table, and
-        one entry of the table changed."""
+        image outside the limit, the unfiltered po table, one entry of the
+        table changed, and the images of the chain against a limit they do
+        not span (po itself, the limit along constant weights)."""
         m, w = 5, (2, 2, 0, -1, -1)
         po = build_po(((3, 2),))
         result = sigma_chain(3, 2, w)
         y = [lie_module._min_grade_projection(v, w, m) for v in po._flat]
-        morphism, ok = lie_module._step_morphism(po, y, result.final_table, w)
-        assert ok is True and tuple(map(tuple, morphism)) == result.steps[-1].morphism
+        assert lie_module._step_verified(po, y, result.final_table, w) is True
+        assert _step_images(po, result.steps)[-1] == y
         a = next(k for k, (v, part) in enumerate(zip(po._flat, y)) if v != part)
         doubled, whole = list(y), list(y)
         doubled[a] = {p: 2 * x for p, x in y[a].items()}
@@ -1957,10 +1988,9 @@ class TestIwContract:
             (y, po.structure_constants()),
             (y, changed),
         ):
-            morphism, ok = lie_module._step_morphism(po, images, table, w)
-            assert ok is False
-            if images is outside:
-                assert [row[0] for row in morphism] == [Fraction(0)] * po.dim
+            assert lie_module._step_verified(po, images, table, w) is False
+        monkeypatch.setattr(lie_module, "conjugacy_limit", lambda alg, seq: alg)
+        assert lie_module._step_verified(po, y, result.final_table, w) is False
 
 
 class TestSigmaChainFinalCheck:
@@ -1973,13 +2003,13 @@ class TestSigmaChainFinalCheck:
     def test_against_a_fresh_check(self, monkeypatch):
         rng = random.Random(20261029)
         checks = []
-        original = lie_module._step_morphism
+        original = lie_module._step_verified
 
         def counted(po, images, table, weights):
             checks.append(tuple(weights))
             return original(po, images, table, weights)
 
-        monkeypatch.setattr(lie_module, "_step_morphism", counted)
+        monkeypatch.setattr(lie_module, "_step_verified", counted)
         for _ in range(24):
             m = rng.randint(3, 6)
             q = rng.randint(0, m // 2)
@@ -1990,15 +2020,24 @@ class TestSigmaChainFinalCheck:
             assert checks[-1] == tuple(weights), (m, q, weights)
             # The images of the last step, rebuilt, against the full limit.
             po = build_po(((m - q, q),), m)
-            images = po._flat
-            for step in result.steps:
-                u = [0] * step.split + [-1] * (m - step.split)
-                images = [
-                    img if idx in step.fixed_indices else lie_module._min_grade_projection(img, u, m)
-                    for idx, img in enumerate(images)
-                ]
+            images = ([po._flat] + _step_images(po, result.steps))[-1]
             full = conjugacy_limit(po, FactoredSequence.diagonal(weights))
             assert _limit_morphism(images, result.final_table, full)[1] == result.final_matches_limit, (m, q, weights)
+
+
+def _step_images(po, steps):
+    """The images sigma_l(e_a) of each step of a chain, rebuilt from po's
+    basis: a step keeps the images of its fixed indices and projects every
+    other one to its least grade along the step's unit drop."""
+    m, images, out = po.m, po._flat, []
+    for step in steps:
+        u = [0] * step.split + [-1] * (m - step.split)
+        images = [
+            img if idx in step.fixed_indices else lie_module._min_grade_projection(img, u, m)
+            for idx, img in enumerate(images)
+        ]
+        out.append(images)
+    return out
 
 
 def reference_sigma_chain(p, q, weights):
@@ -2024,8 +2063,7 @@ def reference_sigma_chain(p, q, weights):
         ]
         composite = [a + b for a, b in zip(composite, u)]
         limit = conjugacy_limit(po, FactoredSequence.diagonal(composite))
-        morphism, verified = _limit_morphism(sigma_images, current, limit)
-        steps.append(lie_module.ChainStep(split, fixed, current, tuple(tuple(row) for row in morphism), verified))
+        steps.append(lie_module.ChainStep(split, fixed, current, _limit_morphism(sigma_images, current, limit)[1]))
     full_limit = conjugacy_limit(po, FactoredSequence.diagonal(w))
     if steps and full_limit.span_equals(limit):
         final_ok = steps[-1].verified

@@ -9,11 +9,23 @@ import pytest
 
 from projlim import young
 from projlim.cli import main
-from projlim.correlator import make_correlator
-from projlim.errors import DimError, NotExact, ShapeError, SignatureError, ZeroScalar
+from projlim.correlator import make_correlator, uv_ir_report
+from projlim.errors import DimError, EmbeddingError, NotExact, ShapeError, SignatureError, ZeroScalar
 from projlim.geometry import limit_signature
 from projlim.laurent import LaurentScalar
-from projlim.lie import BracketTable, LieAlgebraSpan, build_po, conjugacy_limit, validate_signature, verify_morphism
+from projlim.lie import (
+    BracketTable,
+    LieAlgebraSpan,
+    build_po,
+    conjugacy_limit,
+    embed_and_limit,
+    enumerate_signatures,
+    pad_span,
+    sigma_chain,
+    truncated_exp,
+    validate_signature,
+    verify_morphism,
+)
 from projlim.projective import FactoredSequence
 
 # 0.1 as a float stores this binary fraction, not 1/10.
@@ -83,6 +95,46 @@ REFUSALS = {
             {("g", (1, 2), ()): 0.1, ("g", (2, 1), ()): _BINARY_TENTH}, 2, 0, "bosonic"
         ),
         NotExact, "coefficients must be exact, got 0.1",
+    ),
+    "float sigma-chain signature": (
+        lambda: sigma_chain(2.0, 0, (1, 0)), NotExact, "signature entries must be integers, got 2.0",
+    ),
+    "string sigma-chain signature": (
+        lambda: sigma_chain("2", 0, (1, 0)), NotExact, "signature entries must be integers, got '2'",
+    ),
+    "float padded size": (
+        lambda: pad_span(build_po((2, 1)), 7.0), NotExact, "matrix sizes must be integers, got 7.0",
+    ),
+    "padding below the ambient size": (
+        lambda: pad_span(build_po((2, 1)), 2), EmbeddingError, "target dimension 2 below ambient 3",
+    ),
+    "float embedding size": (
+        lambda: embed_and_limit(build_po((2, 1)), 6.0, FactoredSequence.diagonal([0] * 6)),
+        NotExact, "matrix sizes must be integers, got 6.0",
+    ),
+    "float limit signature": (
+        lambda: limit_signature(4.0, 1, set()), NotExact, "signature entries must be integers, got 4.0",
+    ),
+    "string limit signature": (
+        lambda: limit_signature("4", 1, set()), NotExact, "signature entries must be integers, got '4'",
+    ),
+    "fractional split position": (
+        lambda: limit_signature(4, 1, {1.5}), NotExact, "split positions must be integers, got 1.5",
+    ),
+    "float enumeration size": (
+        lambda: enumerate_signatures(4.0), NotExact, "matrix sizes must be integers, got 4.0",
+    ),
+    "fractional truncation order": (
+        lambda: truncated_exp([[0]], 2.5), NotExact, "truncation orders must be integers, got 2.5",
+    ),
+    "float tensor power": (
+        lambda: young.tensor_power_decompose(2.0), NotExact, "tensor power degrees must be integers, got 2.0",
+    ),
+    "fractional exterior power": (
+        lambda: young.exterior_power_spins(1.5), NotExact, "exterior power degrees must be integers, got 1.5",
+    ),
+    "float scale-limit factor count": (
+        lambda: uv_ir_report(2.0, "uv"), NotExact, "factor counts must be integers, got 2.0",
     ),
 }
 
