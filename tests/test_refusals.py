@@ -18,6 +18,7 @@ from projlim.lie import (
     LieAlgebraSpan,
     build_po,
     conjugacy_limit,
+    contract,
     embed_and_limit,
     enumerate_signatures,
     pad_span,
@@ -95,6 +96,9 @@ REFUSALS = {
             {("g", (1, 2), ()): 0.1, ("g", (2, 1), ()): _BINARY_TENTH}, 2, 0, "bosonic"
         ),
         NotExact, "coefficients must be exact, got 0.1",
+    ),
+    "contraction index out of range": (
+        lambda: contract(build_po((2, 1)), [5]), DimError, "contraction indices out of range for dimension 3",
     ),
     "float sigma-chain signature": (
         lambda: sigma_chain(2.0, 0, (1, 0)), NotExact, "signature entries must be integers, got 2.0",
